@@ -1,492 +1,187 @@
-"""Seeded what-if queries for the benchmark, the code that answers them, and
-the checks that the answers are right.
+"""The benchmark's workloads: fixed sets of calls the registered experiments make.
 
-A *query* is one traffic scenario — a torus shape, a set of dead links and
-a batch of RDMA PUTs — answered by the simulator the way a user would ask
-it.  Every workload draws a stream of queries from ``(workload, seed,
-index)``; the sizes in a query are stratified (every size class appears a
-fixed number of times; order, pairing, dead links and a jitter of under a
-quarter of each size come from the seed), so two seeds cost nearly the
-same and their medians compare.
+A workload is a pool of *points*.  Each point is one call of the
+simulator's public API with the arguments an experiment of
+``python -m repro.bench`` uses for one row or curve point (fewer messages
+where a full point would take seconds), or one whole quick experiment.
+A point returns JSON-able values that are pure functions of the simulator
+(the DES is seedless), so every answer is checked for exact equality
+against ``golden.json``.  Regenerate that file only for a deliberate
+change of the model::
 
-Three workloads answer through the exact per-packet DES
-(:func:`answer_des`): a fresh cluster per query, pooled source and landing
-buffers filled with seeded bytes, every PUT posted, the simulation run to
-quiescence.  The fourth answers through the batched flow engine
-(:func:`answer_flow`) on a torus too large for per-packet queries, with
-the exact-vs-flow parity slice the ``scale`` experiment also runs.
-
-The checks never trust the program's own routing: :func:`oracle_routes`
-rebuilds every route independently (dimension order when no link is dead,
-the first-minimal-neighbour rule of the deterministic detour BFS
-otherwise) and :func:`check_links` derives per-link wire bytes and packets
-from it.
+    python3 perfbench/workloads.py --write-golden
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import random
-from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+import hashlib
+import json
+import sys
+from pathlib import Path
 
-import numpy as np
-
-from repro.apenet import BufferKind
-from repro.gpu import FERMI_2050
-from repro.net import TorusShape, build_apenet_cluster
-from repro.recovery import RecoveryManager
-from repro.scale import BulkTransfer, FlowNetwork, compare_aggregates, run_exact
-from repro.scale.flow import hop_route
-from repro.sim import Simulator, kernel_event_count
-
-KIB = 1024
-HOST, GPU = BufferKind.HOST, BufferKind.GPU
-
-#: Wire format the checks assume (APEnet+ packets: at most 4 KiB of
-#: payload behind a 32-byte header), kept independent of the program.
-PACKET_PAYLOAD = 4096
-PACKET_HEADER = 32
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden.json"
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One query: *transfers* on a *dims* torus with *dead* links."""
+def _points() -> dict:
+    from repro.apenet.buflist import BufferKind
+    from repro.apps.bfs import BfsConfig, run_bfs
+    from repro.apps.hsg import HsgConfig, run_hsg
+    from repro.bench import microbench as mb
+    from repro.bench.engine import ExecutionEngine, deterministic_view
+    from repro.faults import FaultPlan
+    from repro.mpi.osu import osu_bandwidth, osu_latency
+    from repro.recovery import RecoveryPolicy
+    from repro.scale import BulkTransfer, FlowNetwork, run_exact
+    from repro.scale.bfs import run_scale_bfs
+    from repro.units import kib, us
 
-    dims: tuple[int, int, int]
-    dead: frozenset  # {(src_coord, dim, direction)}
-    transfers: tuple[BulkTransfer, ...]
-    payload: Optional[np.ndarray] = None  # source bytes, transfers back to back
-    probe: Optional["Scenario"] = None  # exact-vs-flow parity slice
+    H, G = BufferKind.HOST, BufferKind.GPU
+    kinds = {"H": H, "G": G}
 
+    def uni(combo, size, n=None):
+        src, dst = kinds[combo[0]], kinds[combo[1]]
+        return lambda: [mb.unidirectional_bandwidth(src, dst, size, n_messages=n).MBps]
 
-# ---------------------------------------------------------------------------
-# Scenario generators
-# ---------------------------------------------------------------------------
+    def hsg(L, np_, **kw):
+        def point():
+            r = run_hsg(HsgConfig(L=L, np_=np_, sweeps=1, **kw))
+            return [r.ttot_ps, r.tbnd_tnet_ps, r.tnet_ps]
 
+        return point
 
-def _jittered(rng: random.Random, sizes, min_size: int = 48) -> list[int]:
-    """*sizes* shuffled, each shortened by a seeded sub-quarter jitter."""
-    out = [max(min_size, s - rng.randrange(max(1, s // 4))) for s in sizes]
-    rng.shuffle(out)
-    return out
+    def bfs(scale, np_, transport):
+        def point():
+            r = run_bfs(BfsConfig(scale=scale, np_=np_, transport=transport, validate=False))
+            return [r.teps, r.traversed, r.n_levels]
 
+        return point
 
-def _payload(rng: random.Random, transfers) -> np.ndarray:
-    total = sum(t.nbytes for t in transfers)
-    gen = np.random.default_rng(rng.getrandbits(63))
-    return gen.integers(0, 256, size=total, dtype=np.uint8)
-
-
-def _other(rng: random.Random, n: int, src: int) -> int:
-    dst = rng.randrange(n - 1)
-    return dst + 1 if dst >= src else dst
-
-
-def _dead_links(rng: random.Random, shape: TorusShape, count: int) -> list:
-    links = sorted((c, d, s) for c, d, s, _ in shape.links())
-    return rng.sample(links, count)
-
-
-def _crossing(rng: random.Random, shape: TorusShape, link) -> tuple[int, int]:
-    """A (src, dst) pair whose dimension-ordered route starts on *link*."""
-    coord, dim, direction = link
-    dst = list(shape.neighbor(coord, dim, direction))
-    for later in range(dim + 1, 3):
-        dst[later] = rng.randrange(shape.dims[later])
-    return shape.rank(coord), shape.rank(tuple(dst))
-
-
-def make_gpu_bulk(rng: random.Random) -> Scenario:
-    """Sixteen GPU-to-GPU PUTs of 12-128 KiB on a 4x2 torus (the paper's
-    eight-node Cluster I): two rounds in which every node sends once and
-    receives once."""
-    shape = TorusShape(4, 2, 1)
-    n = shape.size
-    transfers = []
-    for _ in range(2):
-        while True:  # a derangement
-            dsts = list(range(n))
-            rng.shuffle(dsts)
-            if all(s != d for s, d in enumerate(dsts)):
-                break
-        sizes = _jittered(rng, [k * 16 * KIB for k in range(1, 9)])
-        transfers += [
-            BulkTransfer(s, d, b, 0.0, GPU, GPU) for s, d, b in zip(range(n), dsts, sizes)
-        ]
-    transfers = tuple(transfers)
-    return Scenario(shape.dims, frozenset(), transfers, _payload(rng, transfers))
-
-
-def make_host_small(rng: random.Random) -> Scenario:
-    """Sixty-four host-to-host PUTs of 48 B-4 KiB: every node of a 4x2
-    torus sends one PUT of each size class to seeded destinations."""
-    shape = TorusShape(4, 2, 1)
-    classes = [64, 128, 256, 512, 1024, 2048, 3072, 4096]
-    transfers = []
-    for src in range(shape.size):
-        for b in _jittered(rng, classes):
-            transfers.append(BulkTransfer(src, _other(rng, shape.size, src), b, 0.0, HOST, HOST))
-    transfers = tuple(transfers)
-    return Scenario(shape.dims, frozenset(), transfers, _payload(rng, transfers))
-
-
-def make_detour(rng: random.Random) -> Scenario:
-    """Twenty-four mixed host/GPU PUTs of 3-32 KiB on a 4x4x2 torus with
-    three dead links; half the PUTs start on a dead link, so they detour."""
-    shape = TorusShape(4, 4, 2)
-    dead = _dead_links(rng, shape, 3)
-    pairs = [_crossing(rng, shape, dead[i % len(dead)]) for i in range(12)]
-    for _ in range(12):
-        src = rng.randrange(shape.size)
-        pairs.append((src, _other(rng, shape.size, src)))
-    sizes = _jittered(rng, [k * 4 * KIB for k in range(1, 9)] * 3)
-    kinds = [HOST, GPU] * 12
-    rng.shuffle(kinds)
-    transfers = tuple(
-        BulkTransfer(s, d, b, 0.0, k, k) for (s, d), b, k in zip(pairs, sizes, kinds)
-    )
-    return Scenario(shape.dims, frozenset(dead), transfers, _payload(rng, transfers))
-
-
-def make_parity_probe(rng: random.Random) -> Scenario:
-    """Four staggered host PUTs of 3-32 KiB on a 2x2x2 torus with one dead
-    link: the slice a flow answer is replayed on through the exact DES."""
-    shape = TorusShape(2, 2, 2)
-    dead = _dead_links(rng, shape, 1)
-    sizes = _jittered(rng, [4 * KIB, 8 * KIB, 16 * KIB, 32 * KIB])
-    transfers = []
-    for i, b in enumerate(sizes):
-        src = rng.randrange(shape.size)
-        transfers.append(
-            BulkTransfer(src, _other(rng, shape.size, src), b, i * 40_000.0, HOST, HOST)
-        )
-    return Scenario(shape.dims, frozenset(dead), tuple(transfers))
-
-
-def make_flow_scale(rng: random.Random) -> Scenario:
-    """Forty-eight host and GPU PUTs of 48 KiB-1 MiB on a 6x6x6 torus with
-    three dead links (a third of them start on one), plus a parity slice."""
-    shape = TorusShape(6, 6, 6)
-    dead = _dead_links(rng, shape, 3)
-    pairs = [_crossing(rng, shape, dead[i % len(dead)]) for i in range(16)]
-    for _ in range(32):
-        src = rng.randrange(shape.size)
-        pairs.append((src, _other(rng, shape.size, src)))
-    sizes = _jittered(rng, [k * 64 * KIB for k in (1, 2, 4, 8, 12, 16)] * 8)
-    kinds = [HOST, GPU] * 24
-    rng.shuffle(kinds)
-    transfers = tuple(
-        BulkTransfer(s, d, b, rng.uniform(0.0, 50_000.0), k, k)
-        for (s, d), b, k in zip(pairs, sizes, kinds)
-    )
-    return Scenario(shape.dims, frozenset(dead), transfers, probe=make_parity_probe(rng))
-
-
-# ---------------------------------------------------------------------------
-# Answering a query
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Answer:
-    """What the program returned for one query."""
-
-    completions: list  # ns after the traffic epoch, None if undelivered
-    routes: list  # per transfer: ((rank, dim, direction), ...)
-    link_bytes: dict
-    link_packets: dict
-    events: int  # kernel events the query executed
-    delivered: Optional[list] = None  # DES: (src_rank, nbytes, dst_addr) seen
-    expected: Optional[list] = None  # DES: (src_rank, nbytes, dst_addr) posted
-    landed: Optional[list] = None  # DES: bytes found at each destination
-    parity_ok: bool = True
-
-
-def _alloc(node, kind: BufferKind, nbytes: int):
-    if kind is GPU:
-        return node.gpu.alloc(nbytes)
-    return node.runtime.host_alloc(nbytes)
-
-
-def answer_des(sc: Scenario) -> Answer:
-    """Run *sc* through the exact per-packet stack on a fresh cluster."""
-    ev0 = kernel_event_count()
-    shape = TorusShape(*sc.dims)
-    sim = Simulator()
-    manager = RecoveryManager(sim, shape)
-    for coord, dim, direction in sorted(sc.dead):
-        manager.mark_dead(coord, dim, direction, site="perfbench")
-    cluster = build_apenet_cluster(
-        sim, shape, gpu_specs=[FERMI_2050] * shape.size, recovery=manager
-    )
-    routes = [hop_route(shape, t.src, t.dst, sc.dead) for t in sc.transfers]
-
-    # One source and one landing pool per (node, kind); transfers sit at
-    # distinct offsets, so buffer-list sizes do not grow with the batch.
-    src_pools, dst_pools, src_at, dst_at = {}, {}, [], []
-    for role, pools, at in (("src", src_pools, src_at), ("dst", dst_pools, dst_at)):
-        totals: dict = {}
-        for t in sc.transfers:
-            key = (t.src, t.src_kind) if role == "src" else (t.dst, t.dst_kind)
-            at.append((key, totals.get(key, 0)))
-            totals[key] = totals.get(key, 0) + t.nbytes
-        for key in sorted(totals, key=lambda k: (k[0], k[1].value)):
-            pools[key] = _alloc(cluster.nodes[key[0]], key[1], totals[key])
-
-    off = 0
-    for t, (key, pos) in zip(sc.transfers, src_at):
-        src_pools[key].data[pos : pos + t.nbytes] = sc.payload[off : off + t.nbytes]
-        off += t.nbytes
-
-    def register(node, buf):
-        yield from node.endpoint.register(buf.addr, buf.size)
-
-    for (rank, _kind), buf in sorted(dst_pools.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        sim.process(register(cluster.nodes[rank], buf))
-    for (rank, kind), buf in sorted(src_pools.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        if kind is GPU:
-            sim.process(register(cluster.nodes[rank], buf))
-    sim.run()
-    epoch = sim.now
-
-    completions: list = [None] * len(sc.transfers)
-    delivered: list = [None] * len(sc.transfers)
-    expected = []
-    by_src: dict = {}
-    inbound: dict = {}
-    for i, (t, route) in enumerate(zip(sc.transfers, routes)):
-        skey, spos = src_at[i]
-        dkey, dpos = dst_at[i]
-        expected.append((t.src, t.nbytes, dst_pools[dkey].addr + dpos))
-        if route is None:
-            continue
-        by_src.setdefault(t.src, []).append((i, src_pools[skey].addr + spos))
-        inbound[t.dst] = inbound.get(t.dst, 0) + 1
-
-    def sender(node, items):
-        for i, local in items:
-            t = sc.transfers[i]
-            yield from node.endpoint.put(
-                t.dst, local, expected[i][2], t.nbytes, src_kind=t.src_kind, tag=("q", i)
+    # The `recovery` experiment's HSG-across-kill scenario: rank 0's +X
+    # channel dies mid-exchange and traffic detours over -X.
+    def hsg_kill(L, kill_us):
+        def point():
+            plan = FaultPlan(
+                seed=20131741,
+                max_retries=2,
+                ack_timeout=us(2),
+                link_kills=(("n0.ape->n1.ape[0,+1]", us(kill_us)),),
             )
+            cfg = HsgConfig(L=L, np_=2, sweeps=2, faults=plan, recovery=RecoveryPolicy())
+            r = run_hsg(cfg)
+            st = r.recovery_stats
+            return [r.ttot_ps, r.tnet_ps, st.replays, st.packets_rerouted]
 
-    def receiver(node, count):
-        for _ in range(count):
-            rec = yield from node.endpoint.wait_event()
-            i = rec.tag[1]
-            completions[i] = rec.time - epoch
-            delivered[i] = (rec.src_rank, rec.nbytes, rec.dst_addr)
+        return point
 
-    for src in sorted(by_src):
-        sim.process(sender(cluster.nodes[src], by_src[src]))
-    for dst in sorted(inbound):
-        sim.process(receiver(cluster.nodes[dst], inbound[dst]))
-    sim.run()
+    # The `scale` experiment's BFS rows and parity scenario, one dead link.
+    dead = ((0, 0, 1),)
 
-    landed = [
-        dst_pools[key].data[pos : pos + t.nbytes] for t, (key, pos) in zip(sc.transfers, dst_at)
+    def scale_bfs(n, graph_scale):
+        def point():
+            r = run_scale_bfs((n, n, n), graph_scale, seed=1, dead_links=dead, shards=4)
+            return [r.teps, r.levels_checksum, r.comm_bytes, r.max_link_load]
+
+        return point
+
+    batch = [
+        BulkTransfer(0, 13, 8192, 0.0),
+        BulkTransfer(1, 26, 5000, us(150.0)),
+        BulkTransfer(2, 10, 2048, us(300.0), src_kind=G, dst_kind=G),
+        BulkTransfer(14, 3, 65536, us(450.0)),
+        BulkTransfer(5, 22, 300, us(700.0)),
+        BulkTransfer(9, 4, 12000, us(850.0)),
     ]
-    link_bytes, link_packets = {}, {}
-    for key, link in cluster.links.items():
-        if link.packets_sent:
-            link_bytes[key] = link.bytes_sent
-            link_packets[key] = link.packets_sent
-    return Answer(
-        completions,
-        routes,
-        link_bytes,
-        link_packets,
-        kernel_event_count() - ev0,
-        delivered,
-        expected,
-        landed,
-    )
+    crowd = [BulkTransfer(i, (7 * i + 5) % 216, 4096 * (1 + i % 9), us(3 * i)) for i in range(48)]
+
+    def aggregates(agg):
+        return [
+            agg.bytes_delivered,
+            list(agg.completions),
+            agg.makespan,
+            sorted([list(k), v] for k, v in agg.link_packets.items()),
+        ]
+
+    def experiment(exp_id):
+        def point():
+            payload = ExecutionEngine().execute(exp_id, quick=True)
+            if "error" in payload:
+                raise RuntimeError(payload["error"])
+            blob = json.dumps(deterministic_view(payload), sort_keys=True)
+            return [payload["comparisons"], hashlib.sha256(blob.encode()).hexdigest()]
+
+        return point
+
+    return {
+        "p2p": {
+            **{f"uni {c} {s}": uni(c, s) for c in ("HH", "HG", "GH", "GG") for s in (512, kib(8))},
+            "uni GG 65536x8": uni("GG", kib(64), 8),
+            "uni HH 65536x8": uni("HH", kib(64), 8),
+            "loopback G 8192": lambda: [mb.loopback_read_bandwidth(G, kib(8)).MBps],
+            **{f"pingpong GG {s}": (lambda s=s: [mb.pingpong_latency(G, G, s).half_rtt])
+               for s in (32, kib(8))},
+        },
+        "staged_ib": {
+            **{f"staged {s}": (lambda s=s: [mb.staged_unidirectional_bandwidth(s).MBps])
+               for s in (512, kib(8))},
+            **{f"staged pingpong {s}": (lambda s=s: [mb.staged_pingpong_latency(s).half_rtt])
+               for s in (32, kib(8))},
+            **{f"osu bw {s}": (lambda s=s: [osu_bandwidth(s, gpu_buffers=True, window=8, iterations=2)])
+               for s in (512, kib(8), kib(64))},
+            **{f"osu lat {s}": (lambda s=s: [osu_latency(s)]) for s in (32, kib(8))},
+        },
+        "apps": {
+            **{f"hsg 32x2 {m}": hsg(32, 2, p2p_mode=m) for m in ("on", "rx", "off")},
+            "hsg 32x2 mpi": hsg(32, 2, transport="mpi"),
+            "hsg 64x4 on": hsg(64, 4),
+            "hsg 64x4 mpi": hsg(64, 4, transport="mpi"),
+            **{f"bfs 10x{n} {t}": bfs(10, n, t) for n in (2, 4) for t in ("apenet", "ib")},
+        },
+        "fault_scale": {
+            **{f"hsg kill 32 @{t}us": hsg_kill(32, t) for t in (50, 150, 300)},
+            "hsg kill 64 @150us": hsg_kill(64, 150),
+            "scale bfs 4^3 10": scale_bfs(4, 10),
+            "scale bfs 4^3 11": scale_bfs(4, 11),
+            "scale bfs 6^3 10": scale_bfs(6, 10),
+            "exact 3^3": lambda: aggregates(run_exact((3, 3, 3), batch, dead_links=dead)),
+            "flow 6^3 crowd": lambda: aggregates(
+                FlowNetwork((6, 6, 6), dead_links=dead).run_transfers(crowd)
+            ),
+        },
+        "sweep": {
+            exp_id: experiment(exp_id)
+            for exp_id in ("fig3", "fig8", "fig10", "ext_get", "ablation_memcpy", "ablation_scaleout")
+        },
+    }
 
 
-def answer_flow(sc: Scenario) -> Answer:
-    """Run *sc* through the flow engine, plus its exact-vs-flow parity slice."""
-    ev0 = kernel_event_count()
-    net = FlowNetwork(sc.dims, dead_links=sc.dead)
-    agg = net.run_transfers(sc.transfers)
-    by_post = sorted(range(len(sc.transfers)), key=lambda i: (sc.transfers[i].start, i))
-    routes: list = [None] * len(sc.transfers)
-    for i, rec in zip(by_post, net.records):
-        routes[i] = rec.route if rec.delivered else None
-    p = sc.probe
-    exact = run_exact(p.dims, p.transfers, dead_links=p.dead)
-    flow = FlowNetwork(p.dims, dead_links=p.dead).run_transfers(p.transfers)
-    parity_ok = compare_aggregates(exact, flow).lossless_ok()
-    return Answer(
-        list(agg.completions),
-        routes,
-        {k: v for k, v in agg.link_bytes.items() if v},
-        {k: v for k, v in agg.link_packets.items() if v},
-        kernel_event_count() - ev0,
-        parity_ok=parity_ok,
-    )
+WORKLOAD_NAMES = ("p2p", "staged_ib", "apps", "fault_scale", "sweep")
 
 
-#: Workload name -> (query generator, engine that answers it).  The names
-#: and the reason each workload exists are listed in BENCHMARK.json.
-WORKLOADS = {
-    "gpu_bulk": (make_gpu_bulk, answer_des),
-    "host_small": (make_host_small, answer_des),
-    "detour": (make_detour, answer_des),
-    "flow_scale": (make_flow_scale, answer_flow),
-}
+def points(workload: str) -> dict:
+    """``{point id: zero-argument callable}`` of one workload."""
+    return _points()[workload]
 
 
-def scenario(workload: str, seed: int, index: int) -> Scenario:
-    """Query *index* of *workload* under *seed* (index -1 is the warm-up)."""
-    return WORKLOADS[workload][0](random.Random(f"{workload}:{seed}:{index}"))
+def canonical(value):
+    """The JSON form of an answer, as ``golden.json`` stores it."""
+    return json.loads(json.dumps(value))
 
 
-def answer(workload: str, sc: Scenario) -> Answer:
-    """Answer *sc* with the engine *workload* exercises."""
-    return WORKLOADS[workload][1](sc)
+def golden(workload: str) -> dict:
+    """Committed answers of one workload's points."""
+    return json.loads(GOLDEN.read_text())[workload]
 
 
-# ---------------------------------------------------------------------------
-# Independent checks
-# ---------------------------------------------------------------------------
+def write_golden() -> None:
+    """Answer every point once and store the answers in ``golden.json``."""
+    table = {name: {pid: canonical(fn()) for pid, fn in _points()[name].items()}
+             for name in WORKLOAD_NAMES}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
 
 
-def _coord(dims, rank: int):
-    x = rank % dims[0]
-    y = (rank // dims[0]) % dims[1]
-    return (x, y, rank // (dims[0] * dims[1]))
-
-
-def _rank(dims, coord) -> int:
-    return coord[0] + dims[0] * (coord[1] + dims[1] * coord[2])
-
-
-@functools.lru_cache(maxsize=8)
-def _out_links(dims) -> tuple:
-    """Per rank: its outgoing links as ((coord, dim, direction), next rank),
-    dimensions ascending, +1 before -1, extent-1 dimensions skipped."""
-    table = []
-    for rank in range(dims[0] * dims[1] * dims[2]):
-        coord = _coord(dims, rank)
-        links = []
-        for dim, extent in enumerate(dims):
-            if extent == 1:
-                continue
-            for direction in (1, -1):
-                nxt = list(coord)
-                nxt[dim] = (nxt[dim] + direction) % extent
-                links.append(((coord, dim, direction), _rank(dims, nxt)))
-        table.append(tuple(links))
-    return tuple(table)
-
-
-def _distances_to(dims, dead, goal: int) -> list:
-    """Hop distance from every rank to *goal* over live links (None: cut off)."""
-    into: list = [[] for _ in range(len(_out_links(dims)))]
-    for rank, links in enumerate(_out_links(dims)):
-        for link, nxt in links:
-            if link not in dead:
-                into[nxt].append(rank)
-    dist: list = [None] * len(into)
-    dist[goal] = 0
-    queue = deque([goal])
-    while queue:
-        cur = queue.popleft()
-        for prev in into[cur]:
-            if dist[prev] is None:
-                dist[prev] = dist[cur] + 1
-                queue.append(prev)
-    return dist
-
-
-def _dim_order_step(delta: int, extent: int) -> int:
-    delta %= extent
-    if delta * 2 > extent:
-        delta -= extent
-    return 1 if delta > 0 else -1
-
-
-def oracle_routes(dims, dead, pairs) -> list:
-    """Reference hop lists for (src, dst) rank pairs.
-
-    No dead link: dimension order, the shorter way round each ring (ties
-    positive).  Otherwise every hop goes to the first neighbour, in
-    (dimension, +1 before -1) order, that is one hop closer to the
-    destination — the hop a breadth-first search from the current node
-    finds first.  ``None`` marks an unreachable destination.
-    """
-    out = []
-    tables: dict = {}
-    for src, dst in pairs:
-        hops = []
-        if not dead:
-            cur, goal = list(_coord(dims, src)), _coord(dims, dst)
-            for dim, extent in enumerate(dims):
-                while cur[dim] != goal[dim]:
-                    step = _dim_order_step(goal[dim] - cur[dim], extent)
-                    hops.append((_rank(dims, cur), dim, step))
-                    cur[dim] = (cur[dim] + step) % extent
-            out.append(tuple(hops))
-            continue
-        if dst not in tables:
-            tables[dst] = _distances_to(dims, dead, dst)
-        dist = tables[dst]
-        if dist[src] is None:
-            out.append(None)
-            continue
-        cur = src
-        while cur != dst:
-            for (link, nxt) in _out_links(dims)[cur]:
-                if link not in dead and dist[nxt] == dist[cur] - 1:
-                    hops.append((cur, link[1], link[2]))
-                    cur = nxt
-                    break
-        out.append(tuple(hops))
-    return out
-
-
-def check_links(sc: Scenario, routes, link_bytes, link_packets) -> bool:
-    """Per-link wire bytes and packets implied by *routes* match the answer."""
-    want_bytes: dict = {}
-    want_packets: dict = {}
-    for t, route in zip(sc.transfers, routes):
-        if route is None:
-            continue
-        packets = max(1, math.ceil(t.nbytes / PACKET_PAYLOAD))
-        wire = t.nbytes + packets * PACKET_HEADER
-        for hop in route:
-            want_bytes[hop] = want_bytes.get(hop, 0) + wire
-            want_packets[hop] = want_packets.get(hop, 0) + packets
-    return want_bytes == link_bytes and want_packets == link_packets
-
-
-def check(sc: Scenario, ans: Answer) -> list[str]:
-    """Every way *ans* is wrong about *sc* (empty when it is right)."""
-    problems = []
-    pairs = [(t.src, t.dst) for t in sc.transfers]
-    routes = oracle_routes(sc.dims, sc.dead, pairs)
-    if list(ans.routes) != routes:
-        problems.append("routes differ from the reference routing")
-    if not check_links(sc, routes, ans.link_bytes, ans.link_packets):
-        problems.append("per-link wire bytes/packets differ from the routes")
-    for t, route, done in zip(sc.transfers, routes, ans.completions):
-        if (route is None) != (done is None):
-            problems.append(f"transfer {t.src}->{t.dst} delivery verdict is wrong")
-        elif done is not None and not done > t.start:
-            problems.append(f"transfer {t.src}->{t.dst} completed at {done} <= start")
-    if ans.expected is not None:
-        if ans.delivered != [e if r is not None else None for e, r in zip(ans.expected, routes)]:
-            problems.append("RX completion records do not match the posted PUTs")
-        off = 0
-        for t, got in zip(sc.transfers, ans.landed):
-            if not np.array_equal(got, sc.payload[off : off + t.nbytes]):
-                problems.append(f"payload {t.src}->{t.dst} corrupted at its destination")
-            off += t.nbytes
-    if not ans.parity_ok:
-        problems.append("exact and flow engines disagree on the parity slice")
-    if ans.events < 1:
-        problems.append("no kernel events were executed")
-    return problems
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write-golden"]:
+        sys.exit("usage: python3 perfbench/workloads.py --write-golden")
+    sys.path.insert(0, str(HERE.parent / "src"))
+    write_golden()
