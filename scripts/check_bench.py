@@ -22,15 +22,9 @@ selftest --bench-json ...`` and the committed reference numbers in
 ``benchmarks/baselines/kernel.json``, then enforces the perf-history
 contract:
 
-1. every baseline backend is present in the artifact, with identical
-   event counts across backends (the bit-identity contract leaves no
-   room for a backend to "win" by simulating different work);
-2. no backend's events/sec regresses more than ``max_regression_pct``
-   below its committed reference throughput;
-3. the ``wheel`` backend's aggregate events/sec stays at or above the
-   ``heap`` reference backend's (``min_speedup_vs_heap``, default 1.0) —
-   the calendar queue must pay for its complexity;
-4. the artifact's calibration hash matches the baseline's: perf numbers
+1. the kernel's aggregate events/sec does not regress more than
+   ``max_regression_pct`` below the committed reference throughput;
+2. the artifact's calibration hash matches the baseline's: perf numbers
    measured under a different cost-model calibration are not comparable,
    so a calibration change must ship a refreshed baseline in the same
    commit.
@@ -88,48 +82,19 @@ def load(path: Path) -> dict:
 def check(artifact: dict, baseline: dict) -> list[str]:
     """Return the list of gate failures (empty when the artifact passes)."""
     failures: list[str] = []
-    backends = artifact.get("backends")
-    if not isinstance(backends, dict) or not backends:
-        return [f"artifact has no per-backend numbers: keys={sorted(artifact)}"]
-
-    base_backends = baseline.get("backends", {})
-    missing = sorted(set(base_backends) - set(backends))
-    if missing:
-        failures.append(f"artifact is missing baseline backend(s): {missing}")
-
-    events = {
-        name: b.get("events") for name, b in backends.items() if name in base_backends
-    }
-    if len(set(events.values())) > 1:
-        failures.append(
-            "backends disagree on simulated event counts (bit-identity "
-            f"violation): {events}"
-        )
+    kernel = artifact.get("kernel")
+    if not isinstance(kernel, dict) or "events_per_s" not in kernel:
+        return [f"artifact has no kernel events_per_s block: keys={sorted(artifact)}"]
 
     max_reg = float(baseline.get("max_regression_pct", 20.0))
-    for name, ref in base_backends.items():
-        b = backends.get(name)
-        if b is None:
-            continue
-        ref_eps = float(ref["events_per_s"])
-        floor = ref_eps * (1.0 - max_reg / 100.0)
-        eps = float(b.get("events_per_s", 0.0))
-        if eps < floor:
-            failures.append(
-                f"{name}: {eps:,.0f} events/s regresses >{max_reg:.0f}% below "
-                f"the committed reference {ref_eps:,.0f} (floor {floor:,.0f})"
-            )
-
-    min_speedup = float(baseline.get("min_speedup_vs_heap", 1.0))
-    wheel = backends.get("wheel")
-    if wheel is not None:
-        speedup = float(wheel.get("speedup_vs_heap", 0.0))
-        if speedup < min_speedup:
-            failures.append(
-                f"wheel: {speedup:.3f}x vs heap falls below the required "
-                f"{min_speedup:.2f}x — the calendar queue must not lose to "
-                "the reference backend"
-            )
+    ref_eps = float(baseline["kernel"]["events_per_s"])
+    floor = ref_eps * (1.0 - max_reg / 100.0)
+    eps = float(kernel["events_per_s"])
+    if eps < floor:
+        failures.append(
+            f"kernel: {eps:,.0f} events/s regresses >{max_reg:.0f}% below "
+            f"the committed reference {ref_eps:,.0f} (floor {floor:,.0f})"
+        )
 
     base_cal = baseline.get("calibration_hash")
     cal = artifact.get("calibration_hash")
@@ -247,14 +212,11 @@ def main(argv=None) -> int:
             )
     else:
         failures = check(artifact, baseline)
-        backends = artifact.get("backends", {})
-        for name in sorted(backends):
-            b = backends[name]
-            print(
-                f"  {name:6s} {float(b.get('events_per_s', 0.0)):>12,.0f} events/s  "
-                f"{float(b.get('speedup_vs_heap', 0.0)):.3f}x vs heap  "
-                f"({b.get('events', '?')} events)"
-            )
+        kernel = artifact.get("kernel", {})
+        print(
+            f"  kernel {float(kernel.get('events_per_s', 0.0)):>12,.0f} events/s  "
+            f"({kernel.get('events', '?')} events)"
+        )
     for failure in failures:
         print(f"FAIL: {failure}")
     verdict = "FAILED" if failures else "ok"

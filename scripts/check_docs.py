@@ -57,7 +57,6 @@ VALUE_FLAGS = {
         "--json",
         "--trace",
         "--cache-dir",
-        "--backend",
         "--bench-json",
         "--scale-json",
     },

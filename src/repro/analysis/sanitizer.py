@@ -80,10 +80,6 @@ class SanitizerReport:
     containers_tracked: int
     channels_tracked: int
     aborted: bool
-    # Appended after the multi-backend kernel work; defaulted so any
-    # older call sites constructing reports positionally keep working.
-    backend: str = "heap"
-    pool_stats: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -93,7 +89,7 @@ class SanitizerReport:
     def render(self) -> str:
         """Human-readable multi-line summary."""
         head = (
-            f"SanitizerReport[{self.backend}]: {len(self.violations)} violation(s), "
+            f"SanitizerReport: {len(self.violations)} violation(s), "
             f"{self.events_processed} events, "
             f"{self.pending_heap_events} pending heap entries, "
             f"{self.pending_processes} pending processes "
@@ -197,10 +193,7 @@ class Sanitizer:
             return self._report
         sim = self.sim
         violations = list(self.violations)
-        # Backend-neutral pending snapshot (sorted by (t, seq)): the heap
-        # backend's raw list and the calendar queue's buckets both surface
-        # through pending_entries(), so the checks below see one shape.
-        heap = sim.pending_entries()
+        heap = sim.pending_entries()  # sorted by (t, seq)
         pending_procs = [p for p in self._processes if p.is_alive]
         idle_consumers = 0
 
@@ -277,8 +270,6 @@ class Sanitizer:
             containers_tracked=len(self._containers),
             channels_tracked=len(self._channels),
             aborted=self.aborted,
-            backend=getattr(sim, "backend", "heap"),
-            pool_stats=sim.pool.stats() if hasattr(sim, "pool") else {},
         )
         return self._report
 

@@ -137,9 +137,7 @@ class TorusLink:
             span.end()
         self.packets_sent += 1
         self.bytes_sent += packet.size
-        # Fire-and-forget delivery timer: the reference is dropped right
-        # here, so the pooled (recycled) variant is safe.
-        arrive = self.sim.pooled_timeout(self.latency)
+        arrive = self.sim.timeout(self.latency)
         arrive.callbacks.append(
             lambda _ev, p=packet, v=vc: self.dst_port.deposit(p, v)
         )
@@ -189,8 +187,7 @@ class TorusLink:
                 stats.payload_bytes += packet.nbytes
                 if attempts:
                     stats.recovery_latency.add(self.sim.now - t0)
-                # Fire-and-forget, same as the fault-free path: pooled.
-                arrive = self.sim.pooled_timeout(self.latency)
+                arrive = self.sim.timeout(self.latency)
                 arrive.callbacks.append(
                     lambda _ev, p=packet, v=vc: self.dst_port.deposit(p, v)
                 )
@@ -231,13 +228,12 @@ class TorusLink:
                 raise failure
             if fate == "corrupt":
                 # Receiver CRC-checks the landed frame and NAKs: one
-                # propagation for the frame, one for the NAK.  Yield-and-
-                # drop delays: pooled timers, recycled once they fire.
-                yield self.sim.pooled_timeout(2 * self.latency)
+                # propagation for the frame, one for the NAK.
+                yield self.sim.timeout(2 * self.latency)
             else:
                 # Nothing came back: the replay timer fires, backed off
                 # exponentially per consecutive loss.
-                yield self.sim.pooled_timeout(
+                yield self.sim.timeout(
                     plan.ack_timeout * plan.backoff ** (attempts - 1)
                 )
 

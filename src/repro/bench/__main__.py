@@ -9,8 +9,6 @@ Options:
 * ``--jobs N`` — fan out over N worker processes (default 1);
 * ``--no-cache`` — ignore and do not update the on-disk result cache;
 * ``--json PATH`` — also write the JSON results artifact to PATH;
-* ``--backend NAME`` — run every experiment on the given kernel backend
-  (sets ``REPRO_BACKEND``; backends are bit-identical by contract);
 * ``--bench-json PATH`` — write the kernel-benchmark artifact
   (``BENCH_kernel.json``) from the ``selftest`` experiment's data
   (implies ``--no-cache`` so the numbers are freshly measured);
@@ -25,7 +23,6 @@ Options:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .harness import all_ids, get
@@ -75,11 +72,6 @@ def main(argv=None) -> int:
         help="write the JSON results artifact to PATH",
     )
     parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="kernel backend for every experiment (heap|wheel; sets "
-        "REPRO_BACKEND, default: inherit environment or heap)",
-    )
-    parser.add_argument(
         "--bench-json", default=None, metavar="PATH",
         help="write the kernel benchmark artifact (BENCH_kernel.json) from "
         "the selftest experiment's data (implies --no-cache)",
@@ -108,14 +100,6 @@ def main(argv=None) -> int:
 
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-
-    if args.backend is not None:
-        from ..sim.sched import BACKEND_ENV, resolve_backend
-
-        try:
-            os.environ[BACKEND_ENV] = resolve_backend(args.backend)
-        except ValueError as exc:
-            parser.error(str(exc))
 
     ids = args.ids or all_ids()
     if args.bench_json is not None and "selftest" not in ids:

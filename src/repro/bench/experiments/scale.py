@@ -15,11 +15,6 @@ time), so the golden suite pins every row exactly and ``--jobs 1`` vs
 ``--jobs 4`` sweeps are bit-identical.  The raw rows land in
 ``data["scale_bench"]``, which the runner exports as ``BENCH_scale.json``
 for the ``scripts/check_bench.py --scale`` gate.
-
-The kernel backend is inherited from the PR-6 switch (``--backend`` /
-``REPRO_BACKEND``) — calibration probes and parity references are DES
-runs, so CI points them at ``wheel`` to put the timer load on the
-calendar queue; backends are bit-identical, so the numbers don't change.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ CONFIGS_FULL = (
 GOLDEN_DIMS = ((4, 4, 4), (6, 6, 6))
 
 
-def parity_probe(backend=None) -> dict:
+def parity_probe() -> dict:
     """Exact-vs-flow parity on the golden 3^3 scenario; returns a report.
 
     Six staggered transfers on a 3x3x3 torus with the standard dead
@@ -91,8 +86,8 @@ def parity_probe(backend=None) -> dict:
         BulkTransfer(5, 22, 300, us(700.0)),  # sub-fragment payload
         BulkTransfer(9, 4, 12000, us(850.0)),
     ]
-    exact = run_exact(dims, transfers, dead_links=DEAD_LINKS, backend=backend)
-    net = FlowNetwork(dims, dead_links=DEAD_LINKS, backend=backend)
+    exact = run_exact(dims, transfers, dead_links=DEAD_LINKS)
+    net = FlowNetwork(dims, dead_links=DEAD_LINKS)
     flow = net.run_transfers(transfers)
     report = compare_aggregates(exact, flow)
     return {

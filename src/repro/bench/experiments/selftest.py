@@ -9,13 +9,12 @@ other experiment runs on.  It times one identical workload twice:
   :meth:`Simulator.step`, the un-inlined reference implementation (the
   seed kernel's per-event machinery).
 
-Since the kernel became multi-backend it also benchmarks every event-queue
-backend (:data:`repro.sim.sched.BACKENDS`) on a procs × steps grid of the
-mixed workload plus a timer-heavy retransmission scenario (the dominant
-traffic class since the fault/recovery layers landed), reporting events/sec
-and speedup-vs-``heap`` rows.  The raw numbers land in the result's
-``data["kernel_bench"]`` block, which the runner can export as
-``BENCH_kernel.json`` for the CI perf-history gate.
+It also measures kernel throughput on a procs × steps grid of the mixed
+workload plus a timer-heavy retransmission scenario (the dominant traffic
+class since the fault/recovery layers landed), reporting events/sec per
+scenario.  The raw numbers land in the result's ``data["kernel_bench"]``
+block, which the runner can export as ``BENCH_kernel.json`` for the CI
+perf-history gate.
 
 It also quantifies the optional back-to-back TLP batching of
 :meth:`PCIeFabric.write` as a simulated-event reduction factor, and
@@ -26,7 +25,7 @@ bit-identical and that spans arrive from every stack layer.
 
 Wall-clock numbers (and the speedups) appear only in the rendered output
 and the ``data`` block — ``comparisons`` carries exclusively deterministic
-quantities (event counts, cross-backend parity checks, reduction factors)
+quantities (event counts, parity checks, reduction factors)
 so that cached, serial and parallel sweeps stay bit-identical.
 """
 
@@ -42,7 +41,7 @@ from ...mpi.comm import MpiWorld
 from ...obs import TraceSession
 from ...pcie.device import HostMemory
 from ...pcie.fabric import PCIeFabric
-from ...sim import BACKENDS, Channel, Simulator
+from ...sim import Channel, Simulator
 from ...units import GBps, kib, ns, us
 from ..harness import ExperimentError, ExperimentResult, register
 from ..microbench import make_cluster
@@ -53,7 +52,7 @@ __all__ = [
     "timer_workload",
     "time_kernel",
     "time_workload",
-    "backend_bench",
+    "kernel_bench",
     "batching_events",
     "observability_smoke",
 ]
@@ -97,34 +96,28 @@ def timer_workload(sim: Simulator, n_agents: int, n_rounds: int) -> None:
     Models what the ACK/NAK and recovery layers do to the event queue:
     every agent repeatedly arms a short replay timer (yield-and-drop) and
     posts a fire-and-forget ack-window timer nobody joins on.  Nearly all
-    events are pooled Timeouts landing a few ns out, which is the calendar
-    queue's best case and the binary heap's densest sift traffic.
+    events are Timeouts landing a few ns out: the event heap's densest
+    sift traffic.
     """
     base = ns(1.0)
 
     def retry_agent(i):
         for k in range(n_rounds):
             # Replay timer with a deterministic pseudo-backoff spread.
-            yield sim.pooled_timeout(base + 0.125 * ((i + k) % 32))
+            yield sim.timeout(base + 0.125 * ((i + k) % 32))
             # Ack-window timer, fire-and-forget.
-            sim.pooled_timeout(0.5 * base + 0.0625 * ((i * 3 + k) % 16))
+            sim.timeout(0.5 * base + 0.0625 * ((i * 3 + k) % 16))
 
     for i in range(n_agents):
         sim.process(retry_agent(i))
 
 
-def time_kernel(
-    n_procs: int,
-    n_steps: int,
-    generic: bool,
-    repeats: int = 3,
-    backend: str = "heap",
-):
+def time_kernel(n_procs: int, n_steps: int, generic: bool, repeats: int = 3):
     """Best-of-*repeats* wall time (s) and event count for the workload."""
     best = float("inf")
     events = 0
     for _ in range(repeats):
-        sim = Simulator(backend=backend)
+        sim = Simulator()
         kernel_workload(sim, n_procs, n_steps)
         gc_was_on = gc.isenabled()
         gc.collect()
@@ -144,8 +137,8 @@ def time_kernel(
     return best, events
 
 
-def time_workload(build, backend: str, repeats: int = 3):
-    """Best-of-*repeats* (wall s, events) for ``build(sim)`` on *backend*.
+def time_workload(build, repeats: int = 3):
+    """Best-of-*repeats* (wall s, events) for ``build(sim)``.
 
     Cyclic GC is collected then paused around the timed drain so the
     number measures the kernel, not whatever garbage the surrounding
@@ -155,7 +148,7 @@ def time_workload(build, backend: str, repeats: int = 3):
     best = float("inf")
     events = 0
     for _ in range(repeats):
-        sim = Simulator(backend=backend)
+        sim = Simulator()
         build(sim)
         gc_was_on = gc.isenabled()
         gc.collect()
@@ -171,17 +164,16 @@ def time_workload(build, backend: str, repeats: int = 3):
     return best, events
 
 
-def backend_bench(n_procs: int, n_steps: int, repeats: int = 3) -> dict:
-    """Benchmark every kernel backend on the grid + timer scenario.
+def kernel_bench(n_procs: int, n_steps: int, repeats: int = 3) -> dict:
+    """Benchmark the kernel on the grid + timer scenario.
 
-    Returns a dict keyed by backend name; each entry carries per-scenario
-    ``{wall_s, events, events_per_s}`` plus aggregate events/sec and
-    speedup vs the ``heap`` reference.  Event counts must agree across
-    backends (bit-identity) — the caller turns that into a comparison row.
+    Returns per-scenario ``{wall_s, events, events_per_s}`` under
+    ``"scenarios"`` plus the aggregate ``events``, ``wall_s`` and
+    ``events_per_s``.
 
-    Repeats are interleaved across backends (round-robin, best-of kept)
+    Repeats are interleaved across scenarios (round-robin, best-of kept)
     so slow drift in machine speed — thermal throttling, noisy CI
-    neighbours — biases every backend equally instead of whichever ran
+    neighbours — biases every scenario equally instead of whichever ran
     last.
     """
     grid = [
@@ -201,39 +193,31 @@ def backend_bench(n_procs: int, n_steps: int, repeats: int = 3) -> dict:
             (lambda sim: timer_workload(sim, n_procs, n_steps)),
         )
     )
-    best: dict = {b: {} for b in BACKENDS}
+    best: dict = {}
     for _ in range(repeats):
-        for backend in BACKENDS:
-            for label, build in scenarios:
-                wall_s, events = time_workload(build, backend, repeats=1)
-                prev = best[backend].get(label)
-                if prev is None or wall_s < prev[0]:
-                    best[backend][label] = (wall_s, events)
-    out: dict = {}
-    for backend in BACKENDS:
-        per = {}
-        total_s = 0.0
-        total_events = 0
-        for label, _ in scenarios:
-            wall_s, events = best[backend][label]
-            per[label] = {
-                "wall_s": wall_s,
-                "events": events,
-                "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
-            }
-            total_s += wall_s
-            total_events += events
-        out[backend] = {
-            "scenarios": per,
-            "events": total_events,
-            "wall_s": total_s,
-            "events_per_s": total_events / total_s if total_s > 0 else float("inf"),
+        for label, build in scenarios:
+            wall_s, events = time_workload(build, repeats=1)
+            prev = best.get(label)
+            if prev is None or wall_s < prev[0]:
+                best[label] = (wall_s, events)
+    per = {}
+    total_s = 0.0
+    total_events = 0
+    for label, _ in scenarios:
+        wall_s, events = best[label]
+        per[label] = {
+            "wall_s": wall_s,
+            "events": events,
+            "events_per_s": events / wall_s if wall_s > 0 else float("inf"),
         }
-    heap_eps = out["heap"]["events_per_s"]
-    for backend in BACKENDS:
-        eps = out[backend]["events_per_s"]
-        out[backend]["speedup_vs_heap"] = eps / heap_eps if heap_eps > 0 else 1.0
-    return out
+        total_s += wall_s
+        total_events += events
+    return {
+        "scenarios": per,
+        "events": total_events,
+        "wall_s": total_s,
+        "events_per_s": total_events / total_s if total_s > 0 else float("inf"),
+    }
 
 
 def batching_events(batch: int, nbytes: int = 1 << 19):
@@ -335,12 +319,12 @@ def observability_smoke():
     }
 
 
-@register("selftest", "DES kernel self-benchmark (backends, fast vs generic path)", "—")
+@register("selftest", "DES kernel self-benchmark (fast vs generic path)", "—")
 def run_selftest(quick: bool) -> ExperimentResult:
     """Time the DES kernel's inlined run loop against the generic
-    ``step()`` reference, benchmark every event-queue backend on a mixed
-    grid plus a timer-heavy retransmission scenario, and quantify the
-    event-count reduction of batched TLP write scheduling."""
+    ``step()`` reference, benchmark the kernel on a mixed grid plus a
+    timer-heavy retransmission scenario, and quantify the event-count
+    reduction of batched TLP write scheduling."""
     n_procs, n_steps = (240, 120) if quick else (600, 400)
 
     fast_s, fast_events = time_kernel(n_procs, n_steps, generic=False)
@@ -348,10 +332,7 @@ def run_selftest(quick: bool) -> ExperimentResult:
     speedup = generic_s / fast_s if fast_s > 0 else float("inf")
     events_per_s = fast_events / fast_s if fast_s > 0 else float("inf")
 
-    bench = backend_bench(n_procs, n_steps)
-    backends_agree = (
-        len({bench[b]["events"] for b in BACKENDS}) == 1
-    )
+    bench = kernel_bench(n_procs, n_steps)
 
     t_plain, ev_plain = batching_events(batch=1)
     t_batched, ev_batched = batching_events(batch=8)
@@ -368,27 +349,22 @@ def run_selftest(quick: bool) -> ExperimentResult:
         ["speedup", f"{speedup:.2f}x", "—"],
         ["throughput (fast)", f"{events_per_s / 1e6:.2f} Mev/s", "—"],
     ]
-    for backend in BACKENDS:
-        b = bench[backend]
+    rows.append(
+        [
+            "kernel bench (aggregate)",
+            f"{bench['events_per_s'] / 1e6:.2f} Mev/s",
+            f"{bench['events']}",
+        ]
+    )
+    for label, s in bench["scenarios"].items():
         rows.append(
             [
-                f"backend {backend}",
-                f"{b['events_per_s'] / 1e6:.2f} Mev/s "
-                f"({b['speedup_vs_heap']:.2f}x vs heap)",
-                f"{b['events']}",
+                f"  {label}",
+                f"{s['wall_s'] * 1e3:.1f} ms ({s['events_per_s'] / 1e6:.2f} Mev/s)",
+                f"{s['events']}",
             ]
         )
-        for label, s in b["scenarios"].items():
-            rows.append(
-                [
-                    f"  {backend}: {label}",
-                    f"{s['wall_s'] * 1e3:.1f} ms "
-                    f"({s['events_per_s'] / 1e6:.2f} Mev/s)",
-                    f"{s['events']}",
-                ]
-            )
     rows += [
-        ["backends bit-parity", "yes" if backends_agree else "NO", "—"],
         ["write batch=1", f"t={t_plain:.0f} ns", f"{ev_plain}"],
         ["write batch=8", f"t={t_batched:.0f} ns", f"{ev_batched}"],
         ["batching event reduction", f"{reduction:.2f}x", "—"],
@@ -418,12 +394,6 @@ def run_selftest(quick: bool) -> ExperimentResult:
             1.0,
             "bool",
         ),
-        (
-            "backend event parity (heap == wheel)",
-            1.0 if backends_agree else 0.0,
-            1.0,
-            "bool",
-        ),
         ("TLP batching event reduction (batch=8)", reduction, None, "x"),
         ("TLP batching completion-time shift", time_shift, None, "%"),
         (
@@ -441,7 +411,7 @@ def run_selftest(quick: bool) -> ExperimentResult:
     ]
     return ExperimentResult(
         experiment_id="selftest",
-        title="DES kernel self-benchmark (backends, fast vs generic path)",
+        title="DES kernel self-benchmark (fast vs generic path)",
         rendered=rendered,
         comparisons=comparisons,
         data={

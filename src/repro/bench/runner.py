@@ -33,7 +33,6 @@ from typing import Callable, Optional, Sequence
 
 from .. import __version__
 from ..apenet.config import DEFAULT_CONFIG
-from ..sim.sched import resolve_backend
 from . import harness
 from .engine import ENGINE, pool_worker
 
@@ -94,8 +93,7 @@ class RunRecord:
 
 # DEFAULT_CONFIG is a frozen dataclass, so its dict form — walked for
 # every cache key and every artifact stamp — is computed once per
-# process, not once per experiment (or, before the hoist, once per
-# selftest backend-grid repeat).  The derived hash values are unchanged.
+# process, not once per experiment.
 _calibration_dict_memo: Optional[dict] = None
 _calibration_hash_memo: Optional[str] = None
 
@@ -108,26 +106,18 @@ def _calibration_dict() -> dict:
     return _calibration_dict_memo
 
 
-def cache_key(experiment_id: str, quick: bool, backend: Optional[str] = None) -> str:
+def cache_key(experiment_id: str, quick: bool) -> str:
     """Content hash identifying one experiment execution.
 
     Covers the experiment id, the quick/full flag, every calibration
-    constant of :data:`~repro.apenet.config.DEFAULT_CONFIG`, the active
-    kernel backend, and the package version — any change to model
-    constants, backend selection or code version invalidates all cached
-    results.  (Backends are bit-identical by contract, but the payload's
-    telemetry — wall time, kernel bench data — is backend-specific, so
-    sharing entries would serve stale numbers.)
-
-    *backend* defaults to the process-wide selection (``REPRO_BACKEND``);
-    ``repro.serve`` passes the request's backend explicitly so one service
-    process can key cache entries for several backends.
+    constant of :data:`~repro.apenet.config.DEFAULT_CONFIG`, and the
+    package version — any change to model constants or code version
+    invalidates all cached results.
     """
     ident = {
         "experiment": experiment_id,
         "quick": bool(quick),
         "calibration": _calibration_dict(),
-        "backend": resolve_backend(backend),
         "version": __version__,
     }
     blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
@@ -215,12 +205,6 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-# The execution core lives in repro.bench.engine (shared with repro.serve);
-# these aliases keep the runner's historical entry points stable.
-_execute = ENGINE.execute
-_worker = pool_worker
-
-
 def _pool_context():
     """Fork where available: workers inherit the loaded registry (including
     experiments registered at runtime, e.g. by tests)."""
@@ -299,13 +283,13 @@ def run_experiments(
     if pending:
         work = [(exp_id, quick, trace) for exp_id in pending]
         if jobs == 1 or len(pending) == 1:
-            payloads = (_execute(*item) for item in work)
+            payloads = (ENGINE.execute(*item) for item in work)
             for payload in payloads:
                 _land(payload, records, cache, use_cache, quick, progress)
         else:
             ctx = _pool_context()
             with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-                for payload in pool.imap(_worker, work):
+                for payload in pool.imap(pool_worker, work):
                     _land(payload, records, cache, use_cache, quick, progress)
 
     return [records[exp_id] for exp_id in ids]
@@ -366,8 +350,8 @@ def write_kernel_bench(
 ) -> Path:
     """Write the machine-readable kernel-benchmark artifact to *path*.
 
-    Extracts the per-backend numbers that the ``selftest`` experiment
-    leaves in ``data["kernel_bench"]`` and stamps them with the package
+    Extracts the kernel throughput numbers that the ``selftest``
+    experiment leaves in ``data["kernel_bench"]`` and stamps them with the package
     version and calibration hash — the ``BENCH_kernel.json`` consumed by
     the CI ``bench-history`` job and ``scripts/check_bench.py``.  Raises
     :class:`ValueError` when no record carries kernel-bench data (e.g.
@@ -383,22 +367,14 @@ def write_kernel_bench(
             "no kernel-bench data in this sweep: run the 'selftest' "
             "experiment (uncached) to produce BENCH_kernel.json"
         )
-    backends = {
-        name: {
-            "events": b["events"],
-            "wall_s": b["wall_s"],
-            "events_per_s": b["events_per_s"],
-            "speedup_vs_heap": b["speedup_vs_heap"],
-            "scenarios": b["scenarios"],
-        }
-        for name, b in bench.items()
-    }
     doc = {
         "run_id": run_id or default_run_id(),
         "repro_version": __version__,
         "calibration_hash": calibration_hash(),
         "mode": "quick" if quick else "full",
-        "backends": backends,
+        "kernel": {
+            key: bench[key] for key in ("events", "wall_s", "events_per_s", "scenarios")
+        },
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ owns:
   unboundedly (overload degrades explicitly, not by OOM);
 * **request deduplication**: the coalescing key is the runner's
   :func:`~repro.bench.runner.cache_key` (experiment, quick, calibration,
-  backend, version) plus the trace flag — identical concurrent
+  version) plus the trace flag — identical concurrent
   submissions attach to one in-flight execution, and completed results
   are answered from the shared on-disk :class:`~repro.bench.runner.ResultCache`
   (the same cache ``python -m repro.bench`` reads and writes);
@@ -41,7 +41,6 @@ from .. import __version__
 from ..bench import harness
 from ..bench.engine import deterministic_view
 from ..bench.runner import ResultCache, cache_key, default_cache_dir
-from ..sim.sched import resolve_backend
 from .metrics import Registry
 from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
@@ -88,7 +87,6 @@ class _Request:
     id: str
     experiment_id: str
     quick: bool
-    backend: Optional[str]
     trace: bool
     key: str
     submitted_m: float  # monotonic, for latency
@@ -109,7 +107,6 @@ class _Request:
             "request_id": self.id,
             "experiment": self.experiment_id,
             "quick": self.quick,
-            "backend": self.backend,
             "trace": self.trace,
             "state": self.state,
             "outcome": self.outcome,
@@ -205,11 +202,10 @@ class SimulationService:
         r = self.registry = Registry()
         self.m_info = r.gauge(
             "repro_serve_info",
-            "Constant 1, with the package version and active default backend "
-            "as labels.",
-            ("version", "backend"),
+            "Constant 1, with the package version as a label.",
+            ("version",),
         )
-        self.m_info.set(1, version=__version__, backend=resolve_backend(None))
+        self.m_info.set(1, version=__version__)
         self.m_up = r.gauge(
             "repro_serve_up",
             "1 while accepting work, 0 once draining for shutdown.",
@@ -328,7 +324,7 @@ class SimulationService:
         self._seq += 1
         return f"req-{self._seq:06d}"
 
-    def _parse(self, body: dict) -> tuple[str, bool, Optional[str], bool, bool, float]:
+    def _parse(self, body: dict) -> tuple[str, bool, bool, bool, float]:
         if not isinstance(body, dict):
             raise Rejected(400, "request body must be a JSON object")
         experiment_id = body.get("experiment")
@@ -341,12 +337,6 @@ class SimulationService:
         quick = body.get("quick", True)
         if not isinstance(quick, bool):
             raise Rejected(400, "'quick' must be a boolean")
-        backend = body.get("backend")
-        if backend is not None:
-            try:
-                backend = resolve_backend(backend)
-            except ValueError as exc:
-                raise Rejected(400, str(exc)) from None
         trace = body.get("trace", False)
         if not isinstance(trace, bool):
             raise Rejected(400, "'trace' must be a boolean")
@@ -357,7 +347,7 @@ class SimulationService:
         if not isinstance(deadline_s, (int, float)) or isinstance(deadline_s, bool) \
                 or not deadline_s > 0:
             raise Rejected(400, "'deadline_s' must be a positive number")
-        return experiment_id, quick, backend, trace, use_cache, float(deadline_s)
+        return experiment_id, quick, trace, use_cache, float(deadline_s)
 
     async def submit(self, body: dict) -> tuple[int, dict]:
         """Admit one submission; returns ``(http_status, response_doc)``.
@@ -372,9 +362,9 @@ class SimulationService:
             raise Rejected(
                 503, "service is draining", retry_after_s=self.config.retry_after_s
             )
-        experiment_id, quick, backend, trace, use_cache, deadline_s = self._parse(body)
+        experiment_id, quick, trace, use_cache, deadline_s = self._parse(body)
         use_cache = use_cache and self.config.use_cache and not trace
-        key = cache_key(experiment_id, quick, backend)
+        key = cache_key(experiment_id, quick)
         if trace:
             key += "+trace"
 
@@ -382,7 +372,6 @@ class SimulationService:
             id=self._next_id(),
             experiment_id=experiment_id,
             quick=quick,
-            backend=backend,
             trace=trace,
             key=key,
             submitted_m=time.monotonic(),
@@ -427,9 +416,7 @@ class SimulationService:
                 retry_after_s=self.config.retry_after_s,
             )
 
-        spec = WorkSpec(
-            experiment_id=experiment_id, quick=quick, backend=backend, trace=trace
-        )
+        spec = WorkSpec(experiment_id=experiment_id, quick=quick, trace=trace)
         exe = _Execution(
             key, spec, deadline_s, t0_m=time.monotonic(), use_cache=use_cache
         )

@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..sim.sched import BACKEND_ENV, resolve_backend
 from ..bench.engine import ExecutionEngine
 
 __all__ = ["WorkSpec", "SupervisedResult", "WorkerSupervisor"]
@@ -49,7 +48,6 @@ class WorkSpec:
 
     experiment_id: str
     quick: bool = True
-    backend: Optional[str] = None  # None = the service process's default
     trace: bool = False
 
 
@@ -90,8 +88,6 @@ def _child_main(conn, spec: WorkSpec) -> None:
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    if spec.backend is not None:
-        os.environ[BACKEND_ENV] = resolve_backend(spec.backend)
     payload = ExecutionEngine().execute(spec.experiment_id, spec.quick, spec.trace)
     conn.send(payload)
     conn.close()

@@ -11,10 +11,9 @@ Public surface:
 * :class:`BandwidthMeter`, :class:`TraceLog` — instrumentation
   (:mod:`repro.sim.trace`).
 
-The event-queue backend is selectable per simulator
-(``Simulator(backend="heap"|"wheel")``) or process-wide via the
-``REPRO_BACKEND`` environment variable; see :mod:`repro.sim.sched`.
-All backends are bit-identical by contract.
+The event queue is one ``heapq`` list of ``(time, seq, event)`` entries:
+ties at equal timestamps pop in schedule order, so every run is
+deterministic.
 """
 
 from .channel import Channel, RateLimiter
@@ -23,18 +22,15 @@ from .core import (
     AnyOf,
     DeadlockError,
     Event,
-    EventPool,
     Process,
     SimulationError,
     Simulator,
     Timeout,
-    TimerHandle,
     kernel_event_count,
 )
 from .resources import ByteFifo, PacketFifo, Resource, Store
-from .sched import BACKENDS, CalendarScheduler, HeapScheduler, resolve_backend
 from .stats import FaultStats, OnlineStats, TimeSeries, percentile
-from .trace import BandwidthMeter, TraceLog, TraceRecord, kernel_snapshot
+from .trace import BandwidthMeter, TraceLog, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -43,16 +39,9 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "TimerHandle",
-    "EventPool",
     "SimulationError",
     "DeadlockError",
-    "BACKENDS",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "resolve_backend",
     "kernel_event_count",
-    "kernel_snapshot",
     "Resource",
     "Store",
     "ByteFifo",

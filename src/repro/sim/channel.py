@@ -70,16 +70,10 @@ class Channel:
         """Pure wire time for *nbytes* at this channel's bandwidth."""
         return nbytes / self.bandwidth
 
-    def transfer(self, nbytes: int, payload: Any = None, pooled: bool = False) -> Event:
+    def transfer(self, nbytes: int, payload: Any = None) -> Event:
         """Send *nbytes*; the event fires at delivery with value *payload*.
 
         Zero-byte transfers are legal (pure-latency control messages).
-
-        With ``pooled=True`` the completion event comes from the kernel's
-        free-list pool and is recycled after it fires: only for callers
-        that yield-and-drop or fire-and-forget the event — never keep a
-        pooled event past its delivery time (see
-        :meth:`repro.sim.core.Simulator.pooled_timeout`).
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
@@ -98,10 +92,7 @@ class Channel:
             obs.span_at(
                 "sim", self.name or "channel", start, done_at, nbytes=nbytes
             )
-        if pooled:
-            ev = self.sim.pooled_timeout(done_at - now, payload)
-        else:
-            ev = self.sim.timeout(done_at - now, payload)
+        ev = self.sim.timeout(done_at - now, payload)
         if self.deliver is not None:
             deliver = self.deliver
 
@@ -144,12 +135,8 @@ class RateLimiter:
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
 
-    def consume(self, nbytes: int, payload: Any = None, pooled: bool = False) -> Event:
-        """Occupy the device for ``nbytes/rate``; fires when done.
-
-        ``pooled`` has :meth:`Channel.transfer` semantics: recycled
-        completion event, caller must not hold it past firing.
-        """
+    def consume(self, nbytes: int, payload: Any = None) -> Event:
+        """Occupy the device for ``nbytes/rate``; fires when done."""
         if nbytes < 0:
             raise SimulationError("negative consume size")
         now = self.sim.now
@@ -161,8 +148,6 @@ class RateLimiter:
             obs.span_at(
                 "sim", self.name or "rate", start, self._free_at, nbytes=nbytes
             )
-        if pooled:
-            return self.sim.pooled_timeout(self._free_at - now, payload)
         return self.sim.timeout(self._free_at - now, payload)
 
     @property

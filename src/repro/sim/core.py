@@ -25,11 +25,8 @@ Example
 from __future__ import annotations
 
 import os
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from .sched import BACKENDS, CalendarScheduler, HeapScheduler, resolve_backend
 
 __all__ = [
     "Simulator",
@@ -38,12 +35,8 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "TimerHandle",
-    "EventPool",
     "SimulationError",
     "DeadlockError",
-    "BACKENDS",
-    "resolve_backend",
     "kernel_event_count",
     "push_observer",
     "pop_observer",
@@ -222,33 +215,7 @@ class Timeout(Event):
         seq = sim._seq + 1
         sim._seq = seq
         self._seq = seq
-        heap = sim._heap
-        if heap is not None:
-            heappush(heap, (sim.now + delay, seq, self))
-        else:
-            # Inlined CalendarScheduler.push (see sched.py): this is the
-            # kernel's hottest call site and the Python-level method call
-            # alone costs as much as the C heappush it replaces.
-            sched = sim._sched
-            t = sim.now + delay
-            entry = (t, seq, self)
-            if t < sched.cur_hi:
-                active = sched.active
-                insort(active, entry, sched.head)
-                sched.size += 1
-                if len(active) - sched.head > sched._FAT_RUN and not sched.flat:
-                    sched._rebuild()
-            else:
-                b = int(t * sched.inv_width)
-                if b - sched.cur < sched.nbuckets:
-                    sched.buckets[b & sched.mask].append(entry)
-                else:
-                    sched.overflow.append(entry)
-                    if t < sched.overflow_min:
-                        sched.overflow_min = t
-                sched.size += 1
-                if sched.size > sched.grow_at:
-                    sched._rebuild()
+        heappush(sim._heap, (sim.now + delay, seq, self))
 
     @property
     def cancelled(self) -> bool:
@@ -283,110 +250,6 @@ class Timeout(Event):
         self._value = None
         return True
 
-    def handle(self) -> "TimerHandle":
-        """A generation-checked handle for safe deferred cancellation."""
-        return TimerHandle(self)
-
-
-class TimerHandle:
-    """Cancellation token for a (possibly pooled) :class:`Timeout`.
-
-    Pooled timers are recycled after they fire: a raw reference kept
-    across the deadline may suddenly denote a *different*, later timer.
-    The handle captures the pool generation at creation and turns any
-    post-reuse operation into a safe no-op (``stale`` becomes True,
-    ``cancel()`` returns False) instead of cancelling an innocent timer.
-    For unpooled timeouts the generation is absent and the handle simply
-    forwards.
-    """
-
-    __slots__ = ("_ev", "_gen")
-
-    def __init__(self, ev: Timeout):
-        self._ev = ev
-        self._gen = getattr(ev, "_gen", None)
-
-    @property
-    def stale(self) -> bool:
-        """True once the underlying pooled object was recycled for reuse."""
-        gen = self._gen
-        return gen is not None and self._ev._gen != gen
-
-    @property
-    def active(self) -> bool:
-        """True while this timer is still armed (scheduled, not cancelled)."""
-        if self.stale:
-            return False
-        ev = self._ev
-        return ev._state == _TRIGGERED and not ev._cancelled
-
-    def cancel(self) -> bool:
-        """Cancel the timer if it is still ours and still armed."""
-        if self.stale:
-            return False
-        return self._ev.cancel()
-
-
-class _PooledTimeout(Timeout):
-    """A :class:`Timeout` owned by its simulator's free-list pool.
-
-    Identical semantics while armed; after its callbacks run the kernel
-    puts the object back on the free list and a later
-    :meth:`Simulator.pooled_timeout` may re-arm it under a new sequence
-    number.  ``_gen`` counts reuses so :class:`TimerHandle` can detect
-    staleness.  Only code that provably drops its reference after the
-    event fires (or holds a handle) should request pooled timers.
-    """
-
-    __slots__ = ("_gen",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        Timeout.__init__(self, sim, delay, value)
-        self._gen = 0
-
-
-class _PooledEvent(Event):
-    """A kernel-internal pooled wake event (see ``Simulator._wake_event``)."""
-
-    __slots__ = ("_gen",)
-
-    def __init__(self, sim: "Simulator"):
-        Event.__init__(self, sim)
-        self._gen = 0
-
-
-class EventPool:
-    """Free lists of recycled kernel event objects, plus reuse counters.
-
-    Purely an allocation-rate optimisation: pooling changes which Python
-    *object* carries an event, never its (t, seq) identity, so pooled and
-    unpooled runs are bit-identical.  Capacity-bounded so a burst cannot
-    pin memory forever; overflow objects are simply dropped to the GC.
-    """
-
-    __slots__ = ("cap", "timeouts", "events", "hits", "misses", "recycled", "dropped")
-
-    def __init__(self, cap: int = 4096):
-        self.cap = cap
-        self.timeouts: list[_PooledTimeout] = []
-        self.events: list[_PooledEvent] = []
-        self.hits = 0  # reuses served from a free list
-        self.misses = 0  # cold allocations
-        self.recycled = 0  # objects returned to a free list
-        self.dropped = 0  # objects discarded because the list was full
-
-    def stats(self) -> dict[str, int]:
-        """Counters snapshot (for telemetry / kernel_snapshot)."""
-        return {
-            "cap": self.cap,
-            "free_timeouts": len(self.timeouts),
-            "free_events": len(self.events),
-            "hits": self.hits,
-            "misses": self.misses,
-            "recycled": self.recycled,
-            "dropped": self.dropped,
-        }
-
 
 class Process(Event):
     """Wraps a generator; completes when the generator returns.
@@ -409,8 +272,7 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         if sim._sanitizer is not None:
             sim._sanitizer.register_process(self)
-        # Kick off at the current time.  The init event is kernel-owned and
-        # unobservable from model code, so it comes from the event pool.
+        # Kick off at the current time.
         init = sim._wake_event(True, None)
         init.callbacks.append(self._resume)
 
@@ -443,7 +305,6 @@ class Process(Event):
         self._waiting_on = target
         if target._state == _PROCESSED:
             # Already done: resume on the next kernel step at current time.
-            # Kernel-owned wake event — pooled, nobody else ever sees it.
             wake = self.sim._wake_event(target._ok, target._value)
             wake.callbacks.append(self._resume)
         else:
@@ -518,9 +379,6 @@ class Simulator:
     __slots__ = (
         "now",
         "_heap",
-        "_sched",
-        "_pool",
-        "_backend",
         "_seq",
         "_running",
         "events_processed",
@@ -528,24 +386,9 @@ class Simulator:
         "_obs",
     )
 
-    def __init__(self, sanitize: Optional[bool] = None, backend: Optional[str] = None):
+    def __init__(self, sanitize: Optional[bool] = None):
         self.now: float = 0.0
-        # Event-queue backend.  `heap` keeps the historical layout: the
-        # entry list lives in `_heap` and the hot paths touch it directly
-        # (HeapScheduler wraps the *same* list for the generic interface).
-        # Other backends set `_heap = None`, which every inlined fast path
-        # uses as the backend discriminator (one is-None test).
-        try:
-            self._backend = resolve_backend(backend)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from exc
-        if self._backend == "heap":
-            self._heap: Optional[list[tuple[float, int, Event]]] = []
-            self._sched = HeapScheduler(self._heap)
-        else:
-            self._heap = None
-            self._sched = CalendarScheduler()
-        self._pool = EventPool()
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         self.events_processed = 0  # total events this simulator has run
@@ -571,16 +414,6 @@ class Simulator:
             self._obs = None
 
     @property
-    def backend(self) -> str:
-        """Name of the event-queue backend (one of :data:`BACKENDS`)."""
-        return self._backend
-
-    @property
-    def pool(self) -> EventPool:
-        """The simulator's event free-list pool (counters + free lists)."""
-        return self._pool
-
-    @property
     def obs(self):
         """The attached trace scope (see :mod:`repro.obs`), or None."""
         return self._obs
@@ -604,113 +437,20 @@ class Simulator:
         """An event that fires *delay* ns from now."""
         return Timeout(self, delay, value)
 
-    def pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A pooled :meth:`timeout`: same semantics, recycled storage.
-
-        After the timer fires the kernel reclaims the object for reuse, so
-        callers must not keep references across the deadline — keep a
-        :meth:`Timeout.handle` instead if deferred cancellation is needed.
-        Safe (and worthwhile) for fire-and-forget timers and yield-and-drop
-        delays; never for events stored beyond their firing.
-        """
-        if not 0.0 <= delay < _INF:
-            if self._sanitizer is not None:
-                self._sanitizer.record_causality(delay, self.now, "timeout delay")
-            raise SimulationError(
-                f"timeout delay {delay!r} must be finite and non-negative: "
-                "a negative delay would schedule into the past, and a "
-                "NaN/inf delay would corrupt heap ordering"
-            )
-        pool = self._pool
-        free = pool.timeouts
-        if free:
-            ev = free.pop()
-            pool.hits += 1
-            ev._gen += 1
-            ev._value = value
-            ev._ok = True
-            ev._cancelled = False
-            ev.delay = delay
-            ev._state = _TRIGGERED
-            seq = self._seq + 1
-            self._seq = seq
-            ev._seq = seq
-            t = self.now + delay
-            heap = self._heap
-            if heap is not None:
-                heappush(heap, (t, seq, ev))
-            else:
-                # Inlined CalendarScheduler.push — see Timeout.__init__.
-                sched = self._sched
-                entry = (t, seq, ev)
-                if t < sched.cur_hi:
-                    active = sched.active
-                    insort(active, entry, sched.head)
-                    sched.size += 1
-                    if len(active) - sched.head > sched._FAT_RUN and not sched.flat:
-                        sched._rebuild()
-                else:
-                    b = int(t * sched.inv_width)
-                    if b - sched.cur < sched.nbuckets:
-                        sched.buckets[b & sched.mask].append(entry)
-                    else:
-                        sched.overflow.append(entry)
-                        if t < sched.overflow_min:
-                            sched.overflow_min = t
-                    sched.size += 1
-                    if sched.size > sched.grow_at:
-                        sched._rebuild()
-            return ev
-        pool.misses += 1
-        return _PooledTimeout(self, delay, value)
-
     def _wake_event(self, ok: bool, value: Any) -> Event:
-        """A pooled, pre-triggered event scheduled at the current time.
+        """A pre-triggered event scheduled at the current time.
 
-        Kernel-internal: backs the Process init/wake machinery, where the
-        event object is provably unreachable from model code once its
-        single ``_resume`` callback has run.
+        Kernel-internal: backs the Process init/wake machinery.  Skips the
+        delay guard of :meth:`_push` — a zero delay is always valid.
         """
-        pool = self._pool
-        free = pool.events
-        if free:
-            ev = free.pop()
-            pool.hits += 1
-            ev._gen += 1
-        else:
-            pool.misses += 1
-            ev = _PooledEvent(self)
+        ev = Event(self)
         ev._ok = ok
         ev._value = value
         ev._state = _TRIGGERED
         seq = self._seq + 1
         self._seq = seq
         ev._seq = seq
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (self.now, seq, ev))
-        else:
-            # Inlined CalendarScheduler.push — see Timeout.__init__.
-            sched = self._sched
-            t = self.now
-            entry = (t, seq, ev)
-            if t < sched.cur_hi:
-                active = sched.active
-                insort(active, entry, sched.head)
-                sched.size += 1
-                if len(active) - sched.head > sched._FAT_RUN and not sched.flat:
-                    sched._rebuild()
-            else:
-                b = int(t * sched.inv_width)
-                if b - sched.cur < sched.nbuckets:
-                    sched.buckets[b & sched.mask].append(entry)
-                else:
-                    sched.overflow.append(entry)
-                    if t < sched.overflow_min:
-                        sched.overflow_min = t
-                sched.size += 1
-                if sched.size > sched.grow_at:
-                    sched._rebuild()
+        heappush(self._heap, (self.now, seq, ev))
         return ev
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -738,46 +478,23 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         event._seq = seq
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (self.now + delay, seq, event))
-        else:
-            self._sched.push(self.now + delay, seq, event)
+        heappush(self._heap, (self.now + delay, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else _INF
-        return self._sched.peek_time()
+        return heap[0][0] if heap else _INF
 
     def pending_count(self) -> int:
-        """Number of events currently scheduled, on any backend."""
-        return len(self._sched)
+        """Number of events currently scheduled."""
+        return len(self._heap)
 
     def pending_entries(self) -> list[tuple[float, int, Event]]:
         """Snapshot of pending ``(t, seq, event)`` entries, sorted.
 
-        Backend-neutral replacement for reading ``sim._heap`` directly;
-        used by the sanitizer's finalize and by diagnostics.
+        Used by the sanitizer's finalize and by diagnostics.
         """
-        return self._sched.entries()
-
-    def _recycle(self, event: Event) -> None:
-        """Return a pooled event object to its free list (cold paths)."""
-        pool = self._pool
-        cls = event.__class__
-        if cls is _PooledTimeout:
-            free = pool.timeouts
-        elif cls is _PooledEvent:
-            free = pool.events
-        else:
-            return
-        if len(free) < pool.cap:
-            free.append(event)
-            pool.recycled += 1
-        else:
-            pool.dropped += 1
+        return sorted(self._heap)
 
     def step(self) -> None:
         """Process exactly one event (the generic, un-inlined path).
@@ -786,12 +503,12 @@ class Simulator:
         pre-bound locals for speed; ``step()`` is kept as the reference
         implementation for debuggers, lock-step co-simulation and the
         ``selftest`` micro-benchmark's before/after baseline.  Both paths
-        must stay behaviourally identical, on every backend.
+        must stay behaviourally identical.
         """
-        sched = self._sched
-        if not len(sched):
+        heap = self._heap
+        if not heap:
             raise SimulationError("step() on an empty event queue")
-        t, _, event = sched.pop()
+        t, _, event = heappop(heap)
         if t < self.now - 1e-9:
             if self._sanitizer is not None:
                 self._sanitizer.record_causality(t, self.now, "event popped")
@@ -801,7 +518,6 @@ class Simulator:
         _KERNEL_STATS["events"] += 1
         had_waiters = bool(event.callbacks)
         event._process()
-        self._recycle(event)
         # A process that crashed with nobody joined on it at crash time:
         # surface the error instead of losing it silently.
         if isinstance(event, Process) and not event._ok and not had_waiters:
@@ -815,20 +531,10 @@ class Simulator:
         :meth:`Event._process` inlined (every kernel event class uses the
         base implementation).  Stops when the queue drains, the next event
         lies beyond *until*, or *watched* leaves the pending state.
-
-        The two backend loops (this one and :meth:`_drain_wheel`) must
-        stay behaviourally identical step for step — the backend matrix in
-        CI enforces it bit-exactly on the golden suites.
         """
         heap = self._heap
-        if heap is None:
-            return self._drain_wheel(until, watched)
         pop = heappop
         now = self.now
-        pool = self._pool
-        free_timeouts = pool.timeouts
-        free_events = pool.events
-        cap = pool.cap
         unconditional = until is None and watched is None
         n = 0
         try:
@@ -855,90 +561,6 @@ class Simulator:
                 elif not event._ok and isinstance(event, Process):
                     # Crashed with nobody joined: surface, don't swallow.
                     raise event._value
-                cls = event.__class__
-                if cls is _PooledTimeout:
-                    if len(free_timeouts) < cap:
-                        free_timeouts.append(event)
-                        pool.recycled += 1
-                    else:
-                        pool.dropped += 1
-                elif cls is _PooledEvent:
-                    if len(free_events) < cap:
-                        free_events.append(event)
-                        pool.recycled += 1
-                    else:
-                        pool.dropped += 1
-        finally:
-            self.events_processed += n
-            _KERNEL_STATS["events"] += n
-
-    def _drain_wheel(self, until: Optional[float], watched: Optional[Event]) -> None:
-        """The calendar-queue twin of :meth:`_drain`.
-
-        Pops are inlined against the scheduler's current sorted run: an
-        index bump instead of a heap sift.  ``sched.active`` / ``.head``
-        are re-read every iteration because a callback may push events
-        that trigger a rebuild (which replaces both).  Dispatch, causality
-        checking, pooling and the bulk counter update are identical to the
-        heap loop.
-        """
-        sched = self._sched
-        now = self.now
-        pool = self._pool
-        free_timeouts = pool.timeouts
-        free_events = pool.events
-        cap = pool.cap
-        unconditional = until is None and watched is None
-        n = 0
-        try:
-            while True:
-                head = sched.head
-                active = sched.active
-                if head >= len(active):
-                    if not sched.size:
-                        break
-                    sched._advance()
-                    head = sched.head
-                    active = sched.active
-                entry = active[head]
-                if not unconditional:
-                    if until is not None and entry[0] > until:
-                        break
-                    if watched is not None and watched._state != _PENDING:
-                        break
-                sched.head = head + 1
-                sched.size -= 1
-                t = entry[0]
-                event = entry[2]
-                if t != now:
-                    if t < now - 1e-9:
-                        if self._sanitizer is not None:
-                            self._sanitizer.record_causality(t, now, "event popped")
-                        raise SimulationError(f"time went backwards: {t} < {now}")
-                    self.now = now = t
-                n += 1
-                event._state = _PROCESSED
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
-                elif not event._ok and isinstance(event, Process):
-                    # Crashed with nobody joined: surface, don't swallow.
-                    raise event._value
-                cls = event.__class__
-                if cls is _PooledTimeout:
-                    if len(free_timeouts) < cap:
-                        free_timeouts.append(event)
-                        pool.recycled += 1
-                    else:
-                        pool.dropped += 1
-                elif cls is _PooledEvent:
-                    if len(free_events) < cap:
-                        free_events.append(event)
-                        pool.recycled += 1
-                    else:
-                        pool.dropped += 1
         finally:
             self.events_processed += n
             _KERNEL_STATS["events"] += n

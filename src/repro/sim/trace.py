@@ -14,24 +14,7 @@ from typing import Any, Iterator, Optional
 
 from .core import Simulator
 
-__all__ = ["BandwidthMeter", "TraceRecord", "TraceLog", "kernel_snapshot"]
-
-
-def kernel_snapshot(sim: Simulator) -> dict[str, Any]:
-    """One-shot, backend-neutral snapshot of a simulator's kernel state.
-
-    Cheap enough to call between runs (it does not enumerate pending
-    entries); used by the selftest benchmark and by BENCH_kernel.json
-    emission to attribute throughput numbers to a backend + pool state.
-    """
-    pool = sim.pool.stats()
-    return {
-        "backend": sim.backend,
-        "now": sim.now,
-        "events_processed": sim.events_processed,
-        "pending": sim.pending_count(),
-        "pool": pool,
-    }
+__all__ = ["BandwidthMeter", "TraceRecord", "TraceLog"]
 
 
 class BandwidthMeter:

@@ -2,7 +2,7 @@
 
 Before the hoist, ``cache_key`` and ``calibration_hash`` each re-walked
 ``asdict(DEFAULT_CONFIG)`` on every call — once per cached-experiment
-lookup and, worst, once per selftest backend-grid repeat.  The memo in
+lookup and once per artifact stamp.  The memo in
 :mod:`repro.bench.runner` pins both: after the first computation no call
 path may walk the config dataclass again, and the memoised values must
 be byte-identical to the direct computation.
@@ -57,10 +57,8 @@ def test_artifact_writers_do_not_rewalk_the_config(monkeypatch, tmp_path):
 
     selftest = RunRecord(
         experiment_id="selftest",
-        data={"kernel_bench": {
-            "heap": {"events": 10, "wall_s": 0.1, "events_per_s": 100.0,
-                     "speedup_vs_heap": 1.0, "scenarios": {}},
-        }},
+        data={"kernel_bench": {"events": 10, "wall_s": 0.1,
+                               "events_per_s": 100.0, "scenarios": {}}},
     )
     scale = RunRecord(
         experiment_id="scale",

@@ -30,28 +30,22 @@ def _load_check_bench():
 check_bench = _load_check_bench()
 
 
-def _backend_block(events=1000, wall_s=0.01, speedup=1.0):
+def _kernel_block(events=1000, wall_s=0.01):
     return {
         "events": events,
         "wall_s": wall_s,
         "events_per_s": events / wall_s,
-        "speedup_vs_heap": speedup,
         "scenarios": {
             "mixed 8x100": {"wall_s": wall_s, "events": events, "events_per_s": events / wall_s}
         },
     }
 
 
-def _selftest_record(heap=None, wheel=None):
+def _selftest_record(events=1000):
     return RunRecord(
         experiment_id="selftest",
         title="Kernel selftest",
-        data={
-            "kernel_bench": {
-                "heap": heap or _backend_block(),
-                "wheel": wheel or _backend_block(speedup=1.1),
-            }
-        },
+        data={"kernel_bench": _kernel_block(events=events)},
     )
 
 
@@ -73,20 +67,19 @@ def test_write_kernel_bench_happy_path(tmp_path):
     assert doc["run_id"] == "test-run"
     assert doc["mode"] == "quick"
     assert doc["calibration_hash"] == calibration_hash()
-    assert set(doc["backends"]) == {"heap", "wheel"}
-    wheel = doc["backends"]["wheel"]
-    assert wheel["speedup_vs_heap"] == 1.1
-    assert wheel["events"] == 1000
-    assert "scenarios" in wheel
+    kernel = doc["kernel"]
+    assert kernel["events"] == 1000
+    assert kernel["events_per_s"] == 100_000.0
+    assert "scenarios" in kernel
 
 
 def test_write_kernel_bench_skips_errored_records(tmp_path):
     bad = _selftest_record()
     bad.status = "error"
-    good = _selftest_record(wheel=_backend_block(speedup=2.0))
+    good = _selftest_record(events=2000)
     write_kernel_bench([bad, good], tmp_path / "b.json")
     doc = json.loads((tmp_path / "b.json").read_text())
-    assert doc["backends"]["wheel"]["speedup_vs_heap"] == 2.0
+    assert doc["kernel"]["events"] == 2000
 
 
 def test_write_kernel_bench_requires_selftest_data(tmp_path):
@@ -110,32 +103,19 @@ def test_calibration_hash_is_stable_and_short():
 # ---------------------------------------------------------------------------
 
 
-def _artifact(heap_eps=500_000.0, wheel_eps=550_000.0, events=1000, cal=None):
-    mk = lambda eps, speedup: {
-        "events": events,
-        "wall_s": events / eps,
-        "events_per_s": eps,
-        "speedup_vs_heap": speedup,
-    }
+def _artifact(eps=500_000.0, events=1000, cal=None):
     return {
         "run_id": "t",
         "calibration_hash": cal if cal is not None else calibration_hash(),
-        "backends": {
-            "heap": mk(heap_eps, 1.0),
-            "wheel": mk(wheel_eps, wheel_eps / heap_eps),
-        },
+        "kernel": {"events": events, "wall_s": events / eps, "events_per_s": eps},
     }
 
 
-def _baseline(heap=400_000, wheel=400_000, max_reg=20, min_speedup=1.0, cal=None):
+def _baseline(eps=400_000, max_reg=20, cal=None):
     return {
         "calibration_hash": cal if cal is not None else calibration_hash(),
         "max_regression_pct": max_reg,
-        "min_speedup_vs_heap": min_speedup,
-        "backends": {
-            "heap": {"events_per_s": heap},
-            "wheel": {"events_per_s": wheel},
-        },
+        "kernel": {"events_per_s": eps},
     }
 
 
@@ -145,31 +125,14 @@ def test_gate_passes_on_healthy_artifact():
 
 def test_gate_flags_throughput_regression():
     # 20% of 400k -> floor 320k; 300k is below it.
-    failures = check_bench.check(_artifact(wheel_eps=300_000.0), _baseline())
-    assert len(failures) == 2  # regression + speedup < 1.0
-    assert any("regresses" in f and "wheel" in f for f in failures)
+    failures = check_bench.check(_artifact(eps=300_000.0), _baseline())
+    assert len(failures) == 1
+    assert "regresses" in failures[0]
 
 
 def test_gate_allows_regression_within_tolerance():
-    # 350k > the 320k floor, but wheel must still not lose to heap.
-    failures = check_bench.check(
-        _artifact(heap_eps=340_000.0, wheel_eps=350_000.0), _baseline()
-    )
-    assert failures == []
-
-
-def test_gate_flags_wheel_slower_than_heap():
-    failures = check_bench.check(
-        _artifact(heap_eps=500_000.0, wheel_eps=450_000.0), _baseline()
-    )
-    assert any("must not lose" in f for f in failures)
-
-
-def test_gate_flags_event_count_disagreement():
-    art = _artifact()
-    art["backends"]["wheel"]["events"] += 1
-    failures = check_bench.check(art, _baseline())
-    assert any("bit-identity" in f for f in failures)
+    # 330k is below the 400k reference but above its 320k floor.
+    assert check_bench.check(_artifact(eps=330_000.0), _baseline()) == []
 
 
 def test_gate_flags_calibration_mismatch():
@@ -177,17 +140,18 @@ def test_gate_flags_calibration_mismatch():
     assert any("calibration" in f for f in failures)
 
 
-def test_gate_flags_missing_backend():
+def test_gate_flags_missing_throughput():
     art = _artifact()
-    del art["backends"]["wheel"]
+    del art["kernel"]["events_per_s"]
     failures = check_bench.check(art, _baseline())
-    assert any("missing baseline backend" in f for f in failures)
+    assert len(failures) == 1
+    assert "no kernel events_per_s" in failures[0]
 
 
 def test_gate_rejects_malformed_artifact():
     failures = check_bench.check({"run_id": "t"}, _baseline())
     assert len(failures) == 1
-    assert "no per-backend numbers" in failures[0]
+    assert "no kernel events_per_s" in failures[0]
 
 
 def test_check_bench_cli_roundtrip(tmp_path, capsys):
@@ -200,7 +164,7 @@ def test_check_bench_cli_roundtrip(tmp_path, capsys):
     assert rc == 0
     assert "ok" in out
 
-    art_path.write_text(json.dumps(_artifact(wheel_eps=100_000.0)))
+    art_path.write_text(json.dumps(_artifact(eps=100_000.0)))
     rc = check_bench.main([str(art_path), "--baseline", str(base_path)])
     assert rc == 1
 
@@ -217,6 +181,4 @@ def test_committed_baseline_matches_current_calibration():
     check and the baseline was not refreshed with the calibration."""
     baseline = check_bench.load(check_bench.DEFAULT_BASELINE)
     assert baseline["calibration_hash"] == calibration_hash()
-    assert set(baseline["backends"]) == {"heap", "wheel"}
-    for block in baseline["backends"].values():
-        assert block["events_per_s"] > 0
+    assert baseline["kernel"]["events_per_s"] > 0

@@ -38,11 +38,20 @@ def toy_experiment():
         harness._REGISTRY.pop(exp_id, None)
 
 
-def test_runner_entry_points_are_the_engine():
-    # The refactor contract: CLI and service share ONE execution core.
-    # (Bound methods are re-created per access, so compare the pieces.)
-    assert runner._execute.__func__ is ExecutionEngine.execute
-    assert runner._execute.__self__ is ENGINE
+def test_runner_entry_points_are_the_engine(monkeypatch, toy_experiment):
+    # The refactor contract: CLI and service share ONE execution core, so
+    # the serial runner path must execute through ENGINE.execute.
+    calls = []
+    real = ENGINE.execute
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ENGINE, "execute", spy)
+    [record] = runner.run_experiments([toy_experiment], jobs=1, use_cache=False)
+    assert calls == [(toy_experiment, True, False)]
+    assert record.status == "ok" and record.rendered == "quick=True"
 
 
 def test_success_payload_contract(toy_experiment):

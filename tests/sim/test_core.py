@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import Channel, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -333,3 +333,119 @@ def test_many_concurrent_processes():
     # Within one timestamp, schedule order is preserved.
     zero_delay = [i for i in done if i % 17 == 0]
     assert zero_delay == sorted(zero_delay)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_bad_delays_rejected(bad):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="delay"):
+        sim.timeout(bad)
+    # The guard must fire before anything is scheduled.
+    assert sim.pending_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# Run/resume and timer cancellation keep the event stream intact
+# ---------------------------------------------------------------------------
+
+
+def _fingerprint(sim):
+    return (sim.now, sim.events_processed, sim._seq)
+
+
+def _mixed_workload(sim, n=40, rounds=12):
+    ch = Channel(sim, bandwidth=4.0, latency=120.0)
+
+    def worker(i):
+        for k in range(rounds):
+            yield sim.timeout((i % 7) + 0.5 * (k % 3))
+            sim.timeout(0.25 * (k % 5))  # fire-and-forget
+            if k % 4 == 0:
+                yield ch.transfer(256 + 32 * (i % 4))
+
+    for i in range(n):
+        sim.process(worker(i))
+
+
+def test_bounded_run_then_run_keeps_fingerprint():
+    whole = Simulator()
+    _mixed_workload(whole)
+    whole.run()
+
+    split = Simulator()
+    _mixed_workload(split)
+    split.run(until=300.0)
+    assert split.now == 300.0 and split.pending_count() > 0
+    split.run()
+    assert _fingerprint(split) == _fingerprint(whole)
+
+
+def test_cancel_is_idempotent():
+    sim = Simulator()
+    tm = sim.timeout(4.0, value="x")
+    assert tm.cancel() is True
+    assert tm.cancelled
+    assert tm.cancel() is False
+    assert tm.cancelled
+
+
+def test_cancel_waited_on_timeout_raises():
+    sim = Simulator()
+    captured = {}
+
+    def proc():
+        tm = sim.timeout(5.0)
+        captured["tm"] = tm
+        yield tm
+
+    sim.process(proc())
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError, match="waiting on"):
+        captured["tm"].cancel()
+    sim.run()
+    assert sim.now == 5.0
+
+
+def test_cancel_fire_and_forget_keeps_event_count():
+    """A cancelled timer still pops, as a no-op: the event count (and every
+    downstream seq) is unchanged and its callbacks never run."""
+    fired = []
+
+    def run(do_cancel):
+        sim = Simulator()
+
+        def proc():
+            tm = sim.timeout(4.0, value="x")
+            tm.callbacks.append(fired.append)
+            if do_cancel:
+                assert tm.cancel() is True
+            yield sim.timeout(10.0)
+
+        sim.process(proc())
+        sim.run()
+        return _fingerprint(sim)
+
+    cancelled = run(True)
+    assert fired == []
+    assert cancelled == run(False)
+    assert len(fired) == 1
+
+
+def test_cancel_after_fire_is_a_noop():
+    """A retransmission layer cancelling timers it kept past their deadline
+    gets False back and leaves the event stream untouched."""
+    sim = Simulator()
+    timers = []
+
+    def retrier():
+        for k in range(20):
+            tm = sim.timeout(1.0 + 0.125 * (k % 8))
+            timers.append(tm)
+            yield tm
+
+    sim.process(retrier())
+    sim.run()
+    before = _fingerprint(sim)
+    assert [tm.cancel() for tm in timers] == [False] * len(timers)
+    assert not any(tm.cancelled for tm in timers)
+    assert _fingerprint(sim) == before
