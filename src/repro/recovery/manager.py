@@ -5,12 +5,11 @@ One :class:`RecoveryManager` serves a cluster (wired by
 policy is passed).  It consumes the structured
 :class:`~repro.faults.LinkFailure` escalations that link-level
 retransmission produces when a retry budget is exhausted, marks the
-torus link dead, and switches every router from static dimension-order
-to the deterministic BFS detour of
-:meth:`~repro.net.topology.TorusShape.route_avoiding`.  Because all
-routers consult the same manager (the simulated analogue of the global
-fault-awareness protocol of arXiv:1311.1741), they derive hops from an
-identical dead-link set and per-hop detour forwarding stays loop-free.
+torus link dead, and replaces its :class:`~repro.net.topology.RouteTable`
+with one that detours around every dead link.  Because all routers
+consult the same manager (the simulated analogue of the global
+fault-awareness protocol of arXiv:1311.1741), they take hops from one
+table and per-hop detour forwarding stays loop-free.
 
 The manager also owns the P2P -> host-staging degradation verdict: when
 a node's GPU-side fault sites (Nios II stall count, PCIe TLP replay
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..net.topology import Coord, TorusShape
+from ..net.topology import Coord, RouteTable, TorusShape
 from ..sim import Simulator
 from ..sim.stats import FaultStats, RecoveryStats
 from .policy import RecoveryPolicy
@@ -52,13 +51,9 @@ class RecoveryManager:
         # Per-site fault counters feeding the degradation thresholds;
         # attached by the cluster builder when an injector is present.
         self.fault_stats = fault_stats
-        # Dead directed links, keyed (src_coord, dim, direction) — the
-        # same identity route_avoiding() expects.
-        self.dead_links: set[tuple[Coord, int, int]] = set()
-        # Bumped on every topology change; routers may use it to notice
-        # staleness of anything they derived from the old route set.
-        self.route_epoch = 0
-        self._hop_cache: dict[tuple[Coord, Coord], tuple[Optional[tuple[int, int]], bool]] = {}
+        # Every router's forwarding oracle; its ``dead`` set holds the
+        # dead directed links, keyed (src_coord, dim, direction).
+        self.routes = RouteTable(shape)
         self._degraded: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -67,7 +62,7 @@ class RecoveryManager:
 
     def is_dead(self, src_coord: Coord, dim: int, direction: int) -> bool:
         """True if the directed link has been marked dead."""
-        return (src_coord, dim, direction) in self.dead_links
+        return (src_coord, dim, direction) in self.routes.dead
 
     def mark_dead(
         self,
@@ -78,13 +73,11 @@ class RecoveryManager:
         elapsed_ns: Optional[float] = None,
         kind: str = "",
     ) -> None:
-        """Mark a directed link dead and recompute the route universe."""
+        """Mark a directed link dead and replace the route table."""
         key = (src_coord, dim, direction)
-        if key in self.dead_links:
+        if key in self.routes.dead:
             return
-        self.dead_links.add(key)
-        self.route_epoch += 1
-        self._hop_cache.clear()
+        self.routes = RouteTable(self.shape, self.routes.dead | {key})
         info = dict(
             site=site,
             src_coord=src_coord,
@@ -131,32 +124,16 @@ class RecoveryManager:
     # Detour routing
     # ------------------------------------------------------------------
 
-    def _lookup(self, cur: Coord, dst: Coord) -> tuple[Optional[tuple[int, int]], bool]:
-        """(next hop | None-if-unreachable, took-a-detour) — no counting."""
-        if not self.dead_links:
-            route = self.shape.route(cur, dst)
-            return (route[0] if route else None), False
-        key = (cur, dst)
-        cached = self._hop_cache.get(key)
-        if cached is not None:
-            return cached
-        detour = self.shape.route_avoiding(cur, dst, self.dead_links)
-        if not detour:  # None (partitioned) or [] (cur == dst)
-            result: tuple[Optional[tuple[int, int]], bool] = (None, False)
-        else:
-            static = self.shape.route(cur, dst)
-            result = (detour[0], bool(static) and detour[0] != static[0])
-        self._hop_cache[key] = result
-        return result
-
     def next_hop(self, cur: Coord, dst: Coord) -> Optional[tuple[int, int]]:
         """Forwarding decision for one packet (counts rerouted hops).
 
-        None means unreachable: every surviving path to *dst* is severed
-        (callers must already have handled the arrived case).
+        A hop counts as rerouted when it differs from the static
+        dimension-ordered first hop.  None means unreachable: every
+        surviving path to *dst* is severed (callers must already have
+        handled the arrived case).
         """
-        hop, is_detour = self._lookup(cur, dst)
-        if hop is not None and is_detour:
+        hop = self.routes.next_hop(cur, dst)
+        if hop is not None and self.routes.dead and hop != self.shape.route(cur, dst)[0]:
             self.stats.packets_rerouted += 1
         return hop
 
@@ -164,8 +141,7 @@ class RecoveryManager:
         """True when a surviving route src -> dst exists (no counting)."""
         if self.shape.wrap(src) == self.shape.wrap(dst):
             return True
-        hop, _ = self._lookup(src, dst)
-        return hop is not None
+        return self.routes.next_hop(src, dst) is not None
 
     def record_unreachable(self, site: str, pkt) -> None:
         """Book one packet discarded for lack of any surviving route."""

@@ -25,7 +25,6 @@ from .flow import (
     calibrate,
     compare_aggregates,
     fragment_count,
-    hop_route,
     last_fragment_bytes,
     wire_bytes,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "calibrate",
     "compare_aggregates",
     "fragment_count",
-    "hop_route",
     "last_fragment_bytes",
     "run_exact",
     "run_scale_bfs",

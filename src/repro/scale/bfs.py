@@ -23,8 +23,8 @@ link-load decomposition:
   EXPERIMENTS.md.)  Per-link wire loads come from the dimension-ordered
   routes via per-ring incidence tensors (one ``einsum`` per dimension,
   never an R x R dense matrix), with dead-link detours patched in
-  pair-by-pair from a vectorised next-hop table (:class:`_DetourTable`)
-  that reproduces ``route_avoiding`` hop for hop.
+  pair-by-pair from a :class:`~repro.net.topology.RouteTable`, the route
+  oracle the recovery router forwards by, so they match its hops exactly.
 * **Level time** = max per-rank expand kernel + comm (max pair latency +
   max link serialisation + max RX fragment service) + max per-rank
   filter kernel + a tree-allreduce frontier vote; every term is a
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from ..apps.bfs.rmat import rmat_edges
 from ..apps.bfs.serial import UNVISITED, traversed_edges
 from ..gpu import FERMI_2050
 from ..net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
-from ..net.topology import TorusShape
-from .flow import FlowCalibration, calibrate, normalize_dead_links
+from ..net.topology import RouteTable, TorusShape
+from .flow import FlowCalibration, calibrate
 
 __all__ = ["ScaleBfsResult", "run_scale_bfs"]
 
@@ -94,95 +94,10 @@ def _incidence(extent: int) -> np.ndarray:
             pos = a
             for _ in range(abs(step)):
                 # A hop's directed-edge key is its *source* position,
-                # matching hop_route's ``(src_rank, dim, direction)``.
+                # matching RouteTable.path's ``(src_rank, dim, direction)``.
                 inc[a, b, pos, 0 if direction == 1 else 1] = True
                 pos = (pos + direction) % extent
     return inc
-
-
-class _DetourTable:
-    """All-pairs next-hop table reproducing ``route_avoiding`` exactly.
-
-    ``route_avoiding`` is an ordered breadth-first search (FIFO layers,
-    neighbors in dims-ascending/+1-first order), so the route it returns
-    is the *lexicographically smallest* shortest path: from any node *v*
-    the next hop toward *g* is the first neighbor slot whose dead-graph
-    distance to *g* is ``d(v, g) - 1``.  That rule is computed here for
-    all (node, goal) pairs at once with a level-synchronous NumPy BFS —
-    identical hops to :func:`repro.scale.flow.hop_route` (proven in
-    ``tests/scale/``) at a tiny fraction of the per-pair Python cost.
-    """
-
-    def __init__(self, shape: TorusShape, dead: frozenset):
-        R = shape.size
-        ranks = np.arange(R, dtype=np.int64)
-        x = ranks % shape.nx
-        y = (ranks // shape.nx) % shape.ny
-        z = ranks // (shape.nx * shape.ny)
-        coords = (x, y, z)
-        extents = (shape.nx, shape.ny, shape.nz)
-        strides = (1, shape.nx, shape.nx * shape.ny)
-
-        # Slot order mirrors TorusShape.neighbors: dims ascending, +1
-        # before -1, extent-1 dims skipped.
-        self.slots = [
-            (dim, direction)
-            for dim, extent in enumerate(extents)
-            if extent > 1
-            for direction in (1, -1)
-        ]
-        n_slots = len(self.slots)
-        self.nbr = np.empty((R, n_slots), dtype=np.int64)
-        alive = np.ones((R, n_slots), dtype=bool)
-        for s, (dim, direction) in enumerate(self.slots):
-            stepped = (coords[dim] + direction) % extents[dim]
-            self.nbr[:, s] = ranks + (stepped - coords[dim]) * strides[dim]
-        for coord, dim, direction in sorted(dead):
-            s = self.slots.index((dim, direction))
-            alive[shape.rank(coord), s] = False
-        self.alive = alive
-
-        # D[v, g]: dead-graph hop distance v -> g (-1 = unreachable),
-        # via reverse level-synchronous BFS vectorised over all goals.
-        D = np.full((R, R), -1, dtype=np.int16)
-        D[ranks, ranks] = 0
-        frontier = np.eye(R, dtype=bool)
-        level = 0
-        while True:
-            nxt = np.zeros((R, R), dtype=bool)
-            for s in range(n_slots):
-                nxt |= frontier[self.nbr[:, s], :] & alive[:, s][:, None]
-            nxt &= D < 0
-            if not nxt.any():
-                break
-            level += 1
-            D[nxt] = level
-            frontier = nxt
-        self.dist = D
-
-        # next_slot[v, g]: first alive slot decreasing the distance.
-        S = np.full((R, R), -1, dtype=np.int8)
-        for s in range(n_slots):
-            cond = (
-                (S < 0)
-                & (D > 0)
-                & alive[:, s][:, None]
-                & (D[self.nbr[:, s], :] == D - 1)
-            )
-            S[cond] = s
-        self.next_slot = S
-
-    def path(self, src: int, dst: int):
-        """Hop list ``((rank, dim, dir), ...)`` or None when partitioned."""
-        if self.dist[src, dst] < 0:
-            return None
-        hops = []
-        cur = src
-        while cur != dst:
-            s = int(self.next_slot[cur, dst])
-            hops.append((cur, *self.slots[s]))
-            cur = int(self.nbr[cur, s])
-        return tuple(hops)
 
 
 @dataclass(frozen=True)
@@ -216,20 +131,18 @@ class _CommModel:
         shape: TorusShape,
         config: ApenetConfig,
         cal: FlowCalibration,
-        dead: frozenset,
+        routes: RouteTable,
     ):
         self.shape = shape
         self.config = config
         self.cal = cal
-        self.dead = dead
+        self.routes = routes
         self.inc = (
             _incidence(shape.nx),
             _incidence(shape.ny),
             _incidence(shape.nz),
         )
         self._ext = (shape.nx, shape.ny, shape.nz)
-        self._detours: Dict[Tuple[int, int], tuple] = {}
-        self._table: Optional[_DetourTable] = None
 
     def _coords(self, ranks: np.ndarray):
         nx, ny = self.shape.nx, self.shape.ny
@@ -248,7 +161,7 @@ class _CommModel:
         x1, y1, z1 = self._coords(src)
         x2, y2, z2 = self._coords(dst)
         mask = np.zeros(src.shape, dtype=bool)
-        for (cx, cy, cz), dim, direction in sorted(self.dead):
+        for (cx, cy, cz), dim, direction in sorted(self.routes.dead):
             s = 0 if direction == 1 else 1
             if dim == 0:
                 mask |= (y1 == cy) & (z1 == cz) & self.inc[0][x1, x2, cx, s]
@@ -257,22 +170,6 @@ class _CommModel:
             else:
                 mask |= (x2 == cx) & (y2 == cy) & self.inc[2][z1, z2, cz, s]
         return mask
-
-    def _detour(self, src: int, dst: int) -> tuple:
-        """Recovery-route hop list for an affected pair (memoised)."""
-        key = (src, dst)
-        path = self._detours.get(key)
-        if path is None:
-            if self._table is None:
-                self._table = _DetourTable(self.shape, self.dead)
-            path = self._table.path(src, dst)
-            if path is None:
-                raise ValueError(
-                    f"torus partitioned: rank {src} cannot reach rank {dst} "
-                    f"under {len(self.dead)} dead link(s)"
-                )
-            self._detours[key] = path
-        return path
 
     def level_time(
         self, src: np.ndarray, dst: np.ndarray, counts: np.ndarray
@@ -298,7 +195,9 @@ class _CommModel:
         )
 
         affected = (
-            self._affected(src, dst) if self.dead else np.zeros(src.shape, dtype=bool)
+            self._affected(src, dst)
+            if self.routes.dead
+            else np.zeros(src.shape, dtype=bool)
         )
         clean = ~affected
         hops = self._distance(src, dst).astype(np.float64)
@@ -327,7 +226,12 @@ class _CommModel:
         # recovery route hop by hop and merge the bytes back into the same
         # per-link load arrays, so shared links sum exactly.
         for i in np.nonzero(affected)[0]:
-            path = self._detour(int(src[i]), int(dst[i]))
+            path = self.routes.path(int(src[i]), int(dst[i]))
+            if path is None:
+                raise ValueError(
+                    f"torus partitioned: rank {src[i]} cannot reach rank {dst[i]} "
+                    f"under {len(self.routes.dead)} dead link(s)"
+                )
             hops[i] = float(len(path))
             wi = float(wire[i])
             for rank, dim, direction in path:
@@ -378,7 +282,7 @@ def run_scale_bfs(
     config = config or DEFAULT_CONFIG
     shape = TorusShape(*dims)
     R = shape.size
-    dead = normalize_dead_links(shape, dead_links)
+    routes = RouteTable(shape, dead_links)
     cal = calibrate(config, src_kind, dst_kind)
     kernel = BfsKernelModel(gpu_spec)
 
@@ -411,7 +315,7 @@ def run_scale_bfs(
 
         pool = _pool_context().Pool(processes=shards)
 
-    comm = _CommModel(shape, config, cal, dead)
+    comm = _CommModel(shape, config, cal, routes)
     total_ns = 0.0
     comm_bytes = 0
     max_link_load = 0
@@ -507,5 +411,5 @@ def run_scale_bfs(
         comm_bytes=comm_bytes,
         max_link_load=max_link_load,
         frontier_peak=frontier_peak,
-        dead_links=len(dead),
+        dead_links=len(routes.dead),
     )

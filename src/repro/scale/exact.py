@@ -32,10 +32,10 @@ from ..apenet.buflist import BufferKind
 from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
 from ..gpu import FERMI_2050
 from ..net.cluster import build_apenet_cluster
-from ..net.topology import TorusShape
+from ..net.topology import RouteTable, TorusShape
 from ..recovery import RecoveryManager
 from ..sim import Simulator
-from .flow import BulkTransfer, TransferAggregates, hop_route, normalize_dead_links
+from .flow import BulkTransfer, TransferAggregates
 
 __all__ = ["run_exact"]
 
@@ -55,7 +55,7 @@ def run_exact(
     """Run *transfers* through the per-packet stack on a *dims* torus."""
     config = config or DEFAULT_CONFIG
     shape = TorusShape(*dims)
-    dead = normalize_dead_links(shape, dead_links)
+    dead = RouteTable(shape, dead_links).dead
 
     sim = Simulator()
     manager = RecoveryManager(sim, shape)
@@ -71,7 +71,7 @@ def run_exact(
 
     # Reachability under the (static) dead-link set decides what is posted.
     reachable = [
-        hop_route(shape, tr.src, tr.dst, dead) is not None for tr in transfers
+        manager.reachable(shape.coord(tr.src), shape.coord(tr.dst)) for tr in transfers
     ]
 
     # -- allocation: one pooled buffer per (node, kind) role, transfers at

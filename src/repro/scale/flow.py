@@ -33,10 +33,10 @@ cross-traffic (each contender pushes later flows back by its
 serialisation load, not by its full latency); the parity suite in
 ``tests/scale/`` measures and pins the documented tolerances.
 
-Routing mirrors :class:`~repro.recovery.manager.RecoveryManager` hop by
-hop: with dead links present every hop re-runs
-:meth:`~repro.net.topology.TorusShape.route_avoiding` from the current
-node, so flow paths are bit-identical to the per-packet router's.
+Routes come from :class:`~repro.net.topology.RouteTable`, the route
+oracle the per-packet router forwards by (through
+:class:`~repro.recovery.manager.RecoveryManager`), so flow paths, dead-link
+detours included, are bit-identical to the per-packet router's.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from ..apenet.buflist import BufferKind
 from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
 from ..net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
-from ..net.topology import TorusShape
+from ..net.topology import RouteTable, TorusShape
 
 __all__ = [
     "BulkTransfer",
@@ -65,7 +65,6 @@ __all__ = [
     "fragment_count",
     "last_fragment_bytes",
     "wire_bytes",
-    "hop_route",
 ]
 
 #: Fragment-count knots probed during calibration.  Base latency is exact
@@ -145,57 +144,6 @@ def last_fragment_bytes(nbytes: int) -> int:
 def wire_bytes(nbytes: int) -> int:
     """Total bytes on every traversed link: payload + per-packet headers."""
     return nbytes + fragment_count(nbytes) * PACKET_HEADER_BYTES
-
-
-# ---------------------------------------------------------------------------
-# Routing (mirrors RecoveryManager._lookup hop by hop)
-# ---------------------------------------------------------------------------
-
-
-def normalize_dead_links(
-    shape: TorusShape, dead_links: Iterable
-) -> frozenset:
-    """Canonicalise dead-link specs to ``(src_coord, dim, direction)``.
-
-    Accepts either coordinates or ranks for the source endpoint, so test
-    generators can speak ranks while the recovery layer speaks coords.
-    """
-    out = set()
-    for src, dim, direction in dead_links:
-        coord = shape.coord(src) if isinstance(src, int) else tuple(src)
-        out.add((coord, int(dim), int(direction)))
-    return frozenset(out)
-
-
-def hop_route(
-    shape: TorusShape,
-    src: int,
-    dst: int,
-    dead: frozenset = frozenset(),
-) -> Optional[Tuple[Tuple[int, int, int], ...]]:
-    """Hop list ``((src_rank, dim, direction), ...)`` from *src* to *dst*.
-
-    Fault-free this is the dimension-ordered :meth:`TorusShape.route`.
-    With dead links it re-runs ``route_avoiding`` from every intermediate
-    node and takes the *first* hop each time — exactly what the
-    per-packet router does via ``RecoveryManager.next_hop``, so detours
-    match the exact driver hop for hop.  Returns ``None`` when *dst* is
-    unreachable (partition verdict).
-    """
-    cur = shape.coord(src)
-    goal = shape.coord(dst)
-    hops: List[Tuple[int, int, int]] = []
-    while cur != goal:
-        if dead:
-            path = shape.route_avoiding(cur, goal, dead)
-            if not path:
-                return None
-            dim, direction = path[0]
-        else:
-            dim, direction = shape.route(cur, goal)[0]
-        hops.append((shape.rank(cur), dim, direction))
-        cur = shape.neighbor(cur, dim, direction)
-    return tuple(hops)
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +447,17 @@ class FlowNetwork:
     ):
         self.shape = TorusShape(*dims)
         self.config = config or DEFAULT_CONFIG
-        self.dead = normalize_dead_links(self.shape, dead_links)
+        self.routes = RouteTable(self.shape, dead_links)
         self.records: List[FlowRecord] = []
         self.link_bytes: Dict[Tuple[int, int, int], int] = {}
         self.link_packets: Dict[Tuple[int, int, int], int] = {}
         self.link_busy: Dict[Tuple[int, int, int], float] = {}
         self._tx_free: Dict[int, float] = {}  # src rank -> TX feed free
         self._free: Dict[tuple, float] = {}  # rx/link resource -> free time
-        self._routes: Dict[Tuple[int, int], Optional[tuple]] = {}
         self._cals: Dict[Tuple[BufferKind, BufferKind], FlowCalibration] = {}
         self._obs_sim = None
 
     # -- plumbing -----------------------------------------------------------
-
-    def _route(self, src: int, dst: int):
-        key = (src, dst)
-        if key not in self._routes:
-            self._routes[key] = hop_route(self.shape, src, dst, self.dead)
-        return self._routes[key]
 
     def calibration(
         self, src_kind: BufferKind = BufferKind.HOST, dst_kind: BufferKind = BufferKind.HOST
@@ -564,7 +505,7 @@ class FlowNetwork:
 
     def _admit(self, tr: BulkTransfer, seq: int):
         """Phase 1 for one transfer: route, accounting, TX injection time."""
-        route = self._route(tr.src, tr.dst)
+        route = self.routes.path(tr.src, tr.dst)
         if route is None:
             return None
         n = fragment_count(tr.nbytes)

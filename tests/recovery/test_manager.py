@@ -1,9 +1,9 @@
 """Unit tests for the cluster health monitor (repro.recovery.RecoveryManager).
 
-Exercises the manager in isolation — dead-link bookkeeping, epoch bumps,
-detour forwarding and reroute accounting, the partition verdict, and the
-sticky P2P -> host-staging degradation oracle — without building a full
-cluster.
+Exercises the manager in isolation — dead-link bookkeeping, route-table
+replacement, detour forwarding and reroute accounting, the partition
+verdict, and the sticky P2P -> host-staging degradation oracle — without
+building a full cluster.
 """
 
 from repro.net.topology import TorusShape
@@ -37,17 +37,14 @@ def make_manager(nx=2, ny=1, nz=1, policy=None, fault_stats=None):
     return RecoveryManager(sim, shape, policy=policy, fault_stats=fault_stats)
 
 
-def test_mark_dead_is_idempotent_and_bumps_epoch():
+def test_mark_dead_is_idempotent():
     mgr = make_manager()
-    assert mgr.route_epoch == 0
     mgr.mark_dead((0, 0, 0), 0, 1, site="l", elapsed_ns=7.0, kind="kill")
-    assert mgr.route_epoch == 1
     assert mgr.is_dead((0, 0, 0), 0, 1)
     assert len(mgr.stats.link_deaths) == 1
     assert mgr.stats.time_to_detect.n == 1
     # Marking the same directed link again is a no-op.
     mgr.mark_dead((0, 0, 0), 0, 1, site="l", kind="kill")
-    assert mgr.route_epoch == 1
     assert len(mgr.stats.link_deaths) == 1
 
 
@@ -90,7 +87,7 @@ def test_link_failed_consumes_located_failures_only():
     mgr = make_manager()
     unlocated = FakeLink("pcie", None, None, 0)
     assert mgr.link_failed(unlocated, FakeFailure()) is False
-    assert not mgr.dead_links
+    assert not mgr.routes.dead
     located = FakeLink("n0.ape->n1.ape[0,+1]", (0, 0, 0), 0, 1)
     assert mgr.link_failed(located, FakeFailure(elapsed_ns=42.0)) is True
     assert mgr.is_dead((0, 0, 0), 0, 1)

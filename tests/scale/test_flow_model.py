@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from repro.net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
-from repro.net.topology import TorusShape
+from repro.net.topology import RouteTable, TorusShape
 from repro.scale import (
     FlowNetwork,
     calibrate,
     fragment_count,
-    hop_route,
     last_fragment_bytes,
+    run_exact,
+    run_scale_bfs,
     wire_bytes,
 )
-from repro.scale.flow import normalize_dead_links
 
 pytestmark = pytest.mark.scale
 
@@ -55,10 +55,11 @@ def test_fragment_arithmetic(nbytes, n, last):
 # ---------------------------------------------------------------------------
 
 
-def test_hop_route_fault_free_is_dimension_ordered():
+def test_path_fault_free_is_dimension_ordered():
     shape = TorusShape(3, 3, 3)
+    table = RouteTable(shape)
     for src, dst in [(0, 13), (5, 22), (26, 0), (7, 7)]:
-        route = hop_route(shape, src, dst)
+        route = table.path(src, dst)
         assert route is not None
         assert len(route) == shape.distance(shape.coord(src), shape.coord(dst))
         # Walking the hop list must land on dst.
@@ -67,12 +68,13 @@ def test_hop_route_fault_free_is_dimension_ordered():
             assert rank == shape.rank(cur)
             cur = shape.neighbor(cur, dim, direction)
         assert shape.rank(cur) == dst
+        static = shape.route(shape.coord(src), shape.coord(dst))
+        assert [(dim, direction) for _, dim, direction in route] == static
 
 
-def test_hop_route_detours_around_dead_link():
+def test_path_detours_around_dead_link():
     shape = TorusShape(3, 3, 3)
-    dead = normalize_dead_links(shape, [(0, 0, 1)])  # +X out of rank 0
-    route = hop_route(shape, 0, 1, dead)
+    route = RouteTable(shape, [(0, 0, 1)]).path(0, 1)  # +X out of rank 0 dead
     assert route is not None
     assert (0, 0, 1) not in route  # the dead hop is never taken
     # The detour is longer than the direct hop but still reaches dst.
@@ -83,13 +85,42 @@ def test_hop_route_detours_around_dead_link():
     assert shape.rank(cur) == 1
 
 
-def test_hop_route_partition_verdict_is_none():
+def test_path_partition_verdict_is_none():
     # On a 2-node line both X channels out of rank 0 are the only exits.
-    shape = TorusShape(2, 1, 1)
-    dead = normalize_dead_links(shape, [(0, 0, 1), (0, 0, -1)])
-    assert hop_route(shape, 0, 1, dead) is None
+    table = RouteTable(TorusShape(2, 1, 1), [(0, 0, 1), (0, 0, -1)])
+    assert table.path(0, 1) is None
     # The reverse direction uses rank 1's (alive) channels.
-    assert hop_route(shape, 1, 0, dead) is not None
+    assert table.path(1, 0) is not None
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        pytest.param(((3, 0, 0), 0, 1), "outside the 3x3x1 torus", id="coord-outside"),
+        pytest.param((9, 0, 1), "outside the 3x3x1 torus", id="rank-outside"),
+        pytest.param((0, 2, 1), "no links along dimension 2", id="extent-1-dim"),
+        pytest.param((0, 0, 2), "direction must be", id="direction"),
+    ],
+)
+def test_malformed_dead_links_are_rejected_alike(spec, message):
+    """FlowNetwork, run_exact and run_scale_bfs share one dead-link validator."""
+    dims = (3, 3, 1)
+    errors = set()
+    for run in (
+        lambda: FlowNetwork(dims, dead_links=[spec]),
+        lambda: run_exact(dims, [], dead_links=[spec]),
+        lambda: run_scale_bfs(dims, 6, dead_links=[spec]),
+    ):
+        with pytest.raises(ValueError, match=message) as err:
+            run()
+        errors.add(str(err.value))
+    assert len(errors) == 1
+
+
+def test_dead_link_rank_may_be_any_integer_type():
+    expected = frozenset({((1, 0, 0), 0, 1)})
+    for rank in (1, np.int64(1), np.int32(1), (1, 0, 0)):
+        assert FlowNetwork((3, 3, 3), dead_links=[(rank, 0, 1)]).routes.dead == expected
 
 
 def test_unreachable_flow_record_is_undelivered():

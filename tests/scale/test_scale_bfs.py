@@ -5,10 +5,10 @@ indistinguishable from the single-process reference
 (:func:`repro.apps.bfs.serial.serial_bfs`) on the same R-MAT graph, for
 any shard count; the timing layer must respond to faults the way the
 recovery router does (slower, never faster; partition -> ValueError).
-``_DetourTable`` — the vectorised all-pairs next-hop table — is proven
-hop-identical to :func:`repro.scale.flow.hop_route` (and therefore to
-``TorusShape.route_avoiding``'s per-hop re-query) by a hypothesis sweep
-over random shapes and fault seeds.
+:class:`~repro.net.topology.RouteTable` — the vectorised all-pairs
+next-hop table every consumer routes by — is proven hop-identical to the
+independent per-hop oracle in ``tests/net/route_oracle.py`` by a
+hypothesis sweep over random shapes and fault seeds.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 from repro.apps.bfs.csr import CSRGraph
 from repro.apps.bfs.rmat import rmat_edges
 from repro.apps.bfs.serial import UNVISITED, serial_bfs, traversed_edges
-from repro.net.topology import TorusShape
-from repro.scale.bfs import _DetourTable, run_scale_bfs
-from repro.scale.flow import hop_route, normalize_dead_links
+from repro.net.topology import RouteTable, TorusShape
+from repro.scale.bfs import run_scale_bfs
+from tests.net.route_oracle import hop_route
 
 pytestmark = pytest.mark.scale
 
@@ -98,7 +98,7 @@ def test_root_defaults_to_first_connected_vertex():
 
 
 # ---------------------------------------------------------------------------
-# _DetourTable == hop_route (== route_avoiding, hop for hop)
+# RouteTable == the per-hop oracle (route_avoiding from every hop)
 # ---------------------------------------------------------------------------
 
 SHAPES = [(2, 2, 1), (3, 2, 1), (2, 2, 2), (3, 3, 3), (4, 2, 2), (5, 4, 3)]
@@ -114,6 +114,11 @@ def _all_links(dims):
     ]
 
 
+def _by_coord(shape, links):
+    """Rank-keyed dead-link specs as the oracle's ``(coord, dim, dir)`` set."""
+    return {(shape.coord(rank), dim, direction) for rank, dim, direction in links}
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     dims=st.sampled_from(SHAPES),
@@ -123,8 +128,9 @@ def test_detour_table_matches_hop_route(dims, fault_seed):
     shape = TorusShape(*dims)
     rng = random.Random(fault_seed)
     n_dead = rng.randrange(1, 5)
-    dead = normalize_dead_links(shape, rng.sample(_all_links(dims), n_dead))
-    table = _DetourTable(shape, dead)
+    links = rng.sample(_all_links(dims), n_dead)
+    table = RouteTable(shape, links)
+    dead = _by_coord(shape, links)
     pairs = [
         (rng.randrange(shape.size), rng.randrange(shape.size)) for _ in range(40)
     ]
@@ -137,10 +143,9 @@ def test_detour_table_matches_hop_route(dims, fault_seed):
 def test_detour_table_exhaustive_on_one_damaged_torus():
     """All-pairs equality on one fixed shape, so no pair is ever sampled out."""
     shape = TorusShape(3, 3, 3)
-    dead = normalize_dead_links(
-        shape, [(0, 0, 1), (0, 1, 1), (13, 2, -1), (14, 0, -1)]
-    )
-    table = _DetourTable(shape, dead)
+    links = [(0, 0, 1), (0, 1, 1), (13, 2, -1), (14, 0, -1)]
+    table = RouteTable(shape, links)
+    dead = _by_coord(shape, links)
     for src in range(shape.size):
         for dst in range(shape.size):
             assert table.path(src, dst) == hop_route(shape, src, dst, dead)
