@@ -1,14 +1,16 @@
 """The shared execution core behind the CLI sweeps and ``repro.serve``.
 
 Exactly one place in the tree knows how to turn ``(experiment_id, quick,
-trace)`` into a result payload: :class:`ExecutionEngine`.  The parallel
-runner (:mod:`repro.bench.runner`) drives it from worker processes of a
-``multiprocessing.Pool``; the always-on service (:mod:`repro.serve`)
-drives it from supervised single-shot worker processes.  Both therefore
-produce byte-identical payloads for the same request — which is what lets
-the two front ends share one on-disk :class:`~repro.bench.runner.ResultCache`
-and lets the service promise that a retried execution (after a worker
-crash) returns a payload bit-identical to an undisturbed run.
+trace)`` into a result payload: :class:`ExecutionEngine`.  The runner
+(:mod:`repro.bench.runner`) calls it in-process for serial sweeps; for
+``--jobs N`` sweeps and for every request of the always-on service
+(:mod:`repro.serve`) it runs inside single-shot worker processes started
+by :class:`~repro.bench.supervisor.WorkerSupervisor`.  All paths
+therefore produce byte-identical payloads for the same request — which
+is what lets the two front ends share one on-disk
+:class:`~repro.bench.runner.ResultCache` and lets the supervisor promise
+that a retried execution (after a worker crash) returns a payload
+bit-identical to an undisturbed run.
 
 The payload contract (``engine.execute`` never raises for experiment
 failures):
@@ -34,7 +36,7 @@ import traceback
 from ..sim import kernel_event_count
 from . import harness
 
-__all__ = ["ExecutionEngine", "deterministic_view", "pool_worker"]
+__all__ = ["ExecutionEngine", "deterministic_view"]
 
 #: Payload keys that are pure functions of (experiment, quick, calibration,
 #: version) — everything except wall-clock/event telemetry and traces.
@@ -136,11 +138,5 @@ class ExecutionEngine:
         return payload
 
 
-#: Process-wide engine used by the picklable pool/worker entry points.
+#: Process-wide engine the runner's serial path executes through.
 ENGINE = ExecutionEngine()
-
-
-def pool_worker(args: tuple) -> dict:
-    """``multiprocessing.Pool`` entry point (module-level for picklability)."""
-    experiment_id, quick, trace = args
-    return ENGINE.execute(experiment_id, quick, trace)

@@ -4,8 +4,10 @@ The registry in :mod:`repro.bench.harness` holds fully independent
 experiments (each builds its own :class:`~repro.sim.Simulator`), so a full
 reproduction sweep is embarrassingly parallel.  This module provides:
 
-* :func:`run_experiments` — fan the requested experiments out over worker
-  processes (``jobs > 1``) or run them in-process (``jobs == 1``), with
+* :func:`run_experiments` — fan the requested experiments out over
+  supervised worker processes (``jobs > 1``, through
+  :class:`~repro.bench.supervisor.WorkerSupervisor`, the same supervisor
+  the service uses) or run them in-process (``jobs == 1``), with
   per-experiment wall-clock and simulated-event telemetry;
 * :class:`ResultCache` — an on-disk JSON cache keyed by a hash of the
   experiment id, quick/full flag, every calibration constant, and the
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
+import math
 import os
 import tempfile
 import time
@@ -34,7 +36,7 @@ from typing import Callable, Optional, Sequence
 from .. import __version__
 from ..apenet.config import DEFAULT_CONFIG
 from . import harness
-from .engine import ENGINE, pool_worker
+from .engine import ENGINE
 
 __all__ = [
     "RunRecord",
@@ -175,20 +177,23 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> None:
         """Store *payload* under *key*, crash-safely.
 
-        The payload is written to a private temp file in the cache
-        directory, flushed and fsync'ed, then moved into place with the
-        atomic ``os.replace`` — so a reader can only ever observe either
-        the old complete entry or the new complete entry.  A writer killed
-        mid-``put`` (the serve worker supervisor does exactly this) leaves
-        at worst an orphaned ``*.tmp`` file, never a torn JSON that would
-        poison later ``get``\\ s; concurrent writers race benignly (last
-        rename wins, both payloads are identical by determinism).
+        A ``trace`` key is never stored (traces are large and have their
+        own export path); the caller's dict is left intact.  The payload
+        is written to a private temp file in the cache directory, flushed
+        and fsync'ed, then moved into place with the atomic
+        ``os.replace`` — so a reader can only ever observe either the old
+        complete entry or the new complete entry.  A writer killed
+        mid-``put`` leaves at worst an orphaned ``*.tmp`` file, never a
+        torn JSON that would poison later ``get``\\ s; concurrent writers
+        race benignly (last rename wins, both payloads are identical by
+        determinism).
         """
+        stored = {k: v for k, v in payload.items() if k != "trace"}
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                json.dump(stored, fh)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path(key))
@@ -203,15 +208,6 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-
-def _pool_context():
-    """Fork where available: workers inherit the loaded registry (including
-    experiments registered at runtime, e.g. by tests)."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 def _record_from_payload(payload: dict, cached: bool) -> RunRecord:
@@ -250,10 +246,15 @@ def run_experiments(
     """Run *ids*, fanning out over *jobs* worker processes.
 
     Cache hits are resolved up front (never shipped to workers); the
-    remaining experiments run in-process for ``jobs == 1`` or through a
-    ``multiprocessing.Pool`` otherwise.  Results come back in the order of
-    *ids* regardless of *jobs*.  *progress*, if given, is called with each
-    :class:`RunRecord` as it lands.
+    remaining experiments run in-process for ``jobs == 1`` (or a single
+    pending experiment), otherwise each in its own worker process under
+    one :class:`~repro.bench.supervisor.WorkerSupervisor`, at most *jobs*
+    at a time.  A killed worker is retried within the supervisor's budget;
+    one that keeps dying becomes an ``error`` record with ``error_class``
+    ``"worker-crash"``.  Ctrl-C stops the supervisor, which kills the
+    running workers and retries none.  Results land on the calling thread
+    in the order of *ids* regardless of *jobs*; landing is the cache write
+    and the *progress* callback, called with each :class:`RunRecord`.
 
     With ``trace=True`` every experiment executes under its own
     :class:`~repro.obs.TraceSession` and each ok record carries the session
@@ -280,17 +281,39 @@ def run_experiments(
         else:
             pending.append(exp_id)
 
-    if pending:
-        work = [(exp_id, quick, trace) for exp_id in pending]
-        if jobs == 1 or len(pending) == 1:
-            payloads = (ENGINE.execute(*item) for item in work)
-            for payload in payloads:
-                _land(payload, records, cache, use_cache, quick, progress)
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-                for payload in pool.imap(pool_worker, work):
+    if jobs == 1 or len(pending) == 1:
+        for exp_id in pending:
+            payload = ENGINE.execute(exp_id, quick, trace)
+            _land(payload, records, cache, use_cache, quick, progress)
+    elif pending:
+        # Imported here to keep `import repro.bench` light: the supervisor
+        # loads the process machinery, concurrent.futures loads logging.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from .supervisor import WorkerSupervisor, WorkSpec
+
+        supervisor = WorkerSupervisor()
+
+        def supervised(exp_id: str) -> dict:
+            result = supervisor.run(WorkSpec(exp_id, quick, trace), math.inf)
+            if result.payload is not None:
+                return result.payload
+            return {
+                "experiment_id": exp_id,
+                "error": result.detail,
+                "error_class": result.outcome,
+                "wall_s": result.wall_s,
+                "events": 0,
+            }
+
+        with ThreadPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+            try:
+                for payload in pool.map(supervised, pending):
                     _land(payload, records, cache, use_cache, quick, progress)
+            finally:
+                # On Ctrl-C (or a failing landing): kill the running
+                # workers before the pool waits for its threads.
+                supervisor.stop()
 
     return [records[exp_id] for exp_id in ids]
 
@@ -299,10 +322,7 @@ def _land(payload, records, cache, use_cache, quick, progress) -> None:
     record = _record_from_payload(payload, cached=False)
     records[record.experiment_id] = record
     if use_cache and record.status == "ok":
-        # Belt and braces: run_experiments never caches traced sweeps, but
-        # strip the trace anyway so a stored payload can never carry one.
-        stored = {k: v for k, v in payload.items() if k != "trace"}
-        cache.put(cache_key(record.experiment_id, quick), stored)
+        cache.put(cache_key(record.experiment_id, quick), payload)
     if progress:
         progress(record)
 

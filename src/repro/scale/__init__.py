@@ -1,4 +1,4 @@
-"""Large-torus scaling layer: batched flows, exact parity, sharded BFS.
+"""Large-torus scaling layer: batched flows, exact parity, large-torus BFS.
 
 The paper's clusters stop at 12 nodes; ROADMAP item 1 asks for 8^3 ->
 16^3 tori inside CI time.  Per-packet Python events are the wall, so
@@ -10,9 +10,9 @@ this package adds a **flow/packet duality** (DESIGN.md §12):
   piecewise-affine model with documented tolerance.
 * :mod:`repro.scale.exact` — the per-packet golden reference driver the
   parity harness (``tests/scale/``) diffs flow mode against.
-* :mod:`repro.scale.bfs` — a sharded large-torus distributed BFS whose
-  communication rides the flow model; shard fan-out reuses the bench
-  runner's worker pool with a deterministic merge.
+* :mod:`repro.scale.bfs` — a large-torus distributed BFS whose
+  communication rides the flow model; expansion is one vectorised
+  in-process call per level.
 """
 
 from .flow import (

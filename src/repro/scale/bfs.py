@@ -1,4 +1,4 @@
-"""Sharded large-torus distributed BFS on the batched flow model.
+"""Large-torus distributed BFS on the batched flow model.
 
 Scales the paper's Fig. 12 BFS (``repro.apps.bfs``) from 12 nodes to
 16^3 = 4096-node tori by replacing the per-packet alltoall simulation
@@ -8,13 +8,11 @@ link-load decomposition:
 * **Vertices** are partitioned contiguously across ranks (one rank per
   torus node, the same ``chunk = ceil(V/R)`` rule as
   ``repro.apps.bfs.distributed``).
-* **Expansion is sharded**: the sorted global frontier is split into
-  contiguous rank bands and expanded per shard — on the bench runner's
-  fork pool when available — then merged by concatenating shard results
-  in shard order.  A contiguous split of a sorted array plus an
-  order-preserving ``pool.map`` makes the merged candidate stream
-  byte-identical for *any* shard count, which is what keeps ``--jobs 1``
-  and ``--jobs 4`` sweeps bit-identical.
+* **Expansion** is one vectorised ``CSRGraph.neighbors_of_set`` call
+  over the sorted global frontier per level, in-process.  The
+  ``shards`` argument is only recorded in the result, and nothing here
+  starts a process, so ``--jobs 1`` and ``--jobs 4`` sweeps are
+  bit-identical.
 * **Communication** per level uses a *sparse count protocol*: each rank
   sends one 8-byte count message plus one packed candidate message to
   each peer it actually has candidates for.  (The per-packet
@@ -38,7 +36,6 @@ against :func:`repro.apps.bfs.serial.serial_bfs` in ``tests/scale/``.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -66,17 +63,6 @@ COUNT_BYTES = 8
 #: Allreduce payload (one 8-byte frontier vote) per butterfly stage.
 VOTE_BYTES = 8
 
-# Worker-side graph for the shard pool: assigned before forking so
-# workers inherit the CSR arrays by address instead of pickling them on
-# every call.
-_SHARD_GRAPH: Optional[CSRGraph] = None
-
-
-def _expand_shard(frontier_slice: np.ndarray):
-    """Expand one shard's frontier slice against the inherited graph."""
-    return _SHARD_GRAPH.neighbors_of_set(frontier_slice)
-
-
 def _incidence(extent: int) -> np.ndarray:
     """Directed ring-edge incidence of shortest wrapped paths.
 
@@ -102,7 +88,7 @@ def _incidence(extent: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScaleBfsResult:
-    """Outcome of one sharded flow-mode BFS run (all fields deterministic)."""
+    """Outcome of one flow-mode BFS run (all fields deterministic)."""
 
     dims: Tuple[int, int, int]
     n_ranks: int
@@ -270,14 +256,14 @@ def run_scale_bfs(
     src_kind: BufferKind = BufferKind.GPU,
     dst_kind: BufferKind = BufferKind.GPU,
 ) -> ScaleBfsResult:
-    """Run one sharded flow-mode BFS over a ``dims`` torus.
+    """Run one flow-mode BFS over a ``dims`` torus.
 
     ``scale``/``edgefactor``/``seed`` parameterise the R-MAT graph
-    (``2**scale`` vertices).  ``shards`` splits frontier expansion
-    across fork-pool workers; any shard count produces bit-identical
-    results.  ``dead_links`` routes traffic around failures
-    recovery-style; a partitioned torus raises ``ValueError``.
-    ``root=None`` picks the first vertex with nonzero degree.
+    (``2**scale`` vertices).  ``shards`` has no effect: it is only
+    recorded in the result, capped at the rank count.  ``dead_links``
+    routes traffic around failures recovery-style; a partitioned torus
+    raises ``ValueError``.  ``root=None`` picks the first vertex with
+    nonzero degree.
     """
     config = config or DEFAULT_CONFIG
     shape = TorusShape(*dims)
@@ -294,26 +280,12 @@ def run_scale_bfs(
 
     chunk = -(-n_vertices // R)
     shards = max(1, min(int(shards), R))
-    # Shard boundaries: contiguous rank bands -> contiguous vertex ranges.
-    band_edges = [min(s * R // shards * chunk, n_vertices) for s in range(shards)]
-    band_edges.append(n_vertices)
 
     levels = np.full(n_vertices, UNVISITED, dtype=np.int64)
     parents = np.full(n_vertices, UNVISITED, dtype=np.int64)
     levels[root] = 0
     parents[root] = root
     frontier = np.array([root], dtype=np.int64)
-
-    global _SHARD_GRAPH
-    _SHARD_GRAPH = graph
-    pool = None
-    # Inside a bench-runner worker (daemonic) nested pools are illegal;
-    # the serial fallback's concat merge is bit-identical to the pooled
-    # one, which is exactly why `--jobs N` sweeps stay deterministic.
-    if shards > 1 and not multiprocessing.current_process().daemon:
-        from ..bench.runner import _pool_context
-
-        pool = _pool_context().Pool(processes=shards)
 
     comm = _CommModel(shape, config, cal, routes)
     total_ns = 0.0
@@ -325,71 +297,39 @@ def run_scale_bfs(
     diameter = max(1, shape.nx // 2 + shape.ny // 2 + shape.nz // 2)
     allreduce_ns = allreduce_stages * cal.completion_latency(1, VOTE_BYTES, diameter)
 
-    try:
-        while frontier.size:
-            frontier_peak = max(frontier_peak, int(frontier.size))
+    while frontier.size:
+        frontier_peak = max(frontier_peak, int(frontier.size))
+        neighbors, cand_parents = graph.neighbors_of_set(frontier)
 
-            # -- expand (sharded, order-preserving merge) -------------------
-            cuts = np.searchsorted(frontier, band_edges)
-            slices = [
-                frontier[cuts[s] : cuts[s + 1]]
-                for s in range(shards)
-                if cuts[s + 1] > cuts[s]
-            ]
-            if pool is not None and len(slices) > 1:
-                parts = pool.map(_expand_shard, slices)
-            else:
-                parts = [_expand_shard(fs) for fs in slices]
-            if parts:
-                neighbors = np.concatenate([p[0] for p in parts])
-                cand_parents = np.concatenate([p[1] for p in parts])
-            else:
-                neighbors = np.empty(0, dtype=np.int64)
-                cand_parents = np.empty(0, dtype=np.int64)
+        # -- per-rank kernel terms ------------------------------------------
+        edges_per_rank = np.bincount(
+            frontier // chunk, weights=degrees[frontier].astype(np.float64),
+            minlength=R,
+        )
+        expand_ns = kernel.expand_ns(float(edges_per_rank.max()))
 
-            # -- per-rank kernel terms --------------------------------------
-            edges_per_rank = np.bincount(
-                frontier // chunk, weights=degrees[frontier].astype(np.float64),
-                minlength=R,
-            )
-            expand_ns = kernel.expand_ns(float(edges_per_rank.max()))
+        n_owner = neighbors // chunk
+        filter_ns = kernel.filter_ns(int(np.bincount(n_owner, minlength=R).max()))
 
-            n_owner = neighbors // chunk
-            if neighbors.size:
-                cand_per_rank = np.bincount(n_owner, minlength=R)
-                filter_ns = kernel.filter_ns(int(cand_per_rank.max()))
-            else:
-                filter_ns = kernel.filter_ns(0)
+        # -- comm: unique remote (src, dst) rank pairs ----------------------
+        p_owner = cand_parents // chunk
+        remote = p_owner != n_owner
+        pair_keys = p_owner[remote] * R + n_owner[remote]
+        uniq, counts = np.unique(pair_keys, return_counts=True)
+        comm_ns, wire, peak = comm.level_time(
+            uniq // R, uniq % R, counts.astype(np.int64)
+        )
+        comm_bytes += wire
+        max_link_load = max(max_link_load, peak)
 
-            # -- comm: unique remote (src, dst) rank pairs ------------------
-            p_owner = cand_parents // chunk
-            remote = p_owner != n_owner
-            pair_keys = p_owner[remote] * R + n_owner[remote]
-            uniq, counts = np.unique(pair_keys, return_counts=True)
-            comm_ns, wire, peak = comm.level_time(
-                uniq // R, uniq % R, counts.astype(np.int64)
-            )
-            comm_bytes += wire
-            max_link_load = max(max_link_load, peak)
+        n_levels += 1
+        total_ns += expand_ns + comm_ns + filter_ns + allreduce_ns
 
-            n_levels += 1
-            total_ns += expand_ns + comm_ns + filter_ns + allreduce_ns
-
-            # -- absorb (first-occurrence parent, like _BfsRank.absorb) -----
-            if neighbors.size:
-                fresh = levels[neighbors] == UNVISITED
-                cand_v = neighbors[fresh]
-                uniq_v, first = np.unique(cand_v, return_index=True)
-                levels[uniq_v] = n_levels
-                parents[uniq_v] = cand_parents[fresh][first]
-                frontier = uniq_v
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-        _SHARD_GRAPH = None
+        # -- absorb (first-occurrence parent, like _BfsRank.absorb) ---------
+        fresh = levels[neighbors] == UNVISITED
+        frontier, first = np.unique(neighbors[fresh], return_index=True)
+        levels[frontier] = n_levels
+        parents[frontier] = cand_parents[fresh][first]
 
     reached = int((levels != UNVISITED).sum())
     traversed = int(traversed_edges(graph, levels))

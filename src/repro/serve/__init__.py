@@ -6,8 +6,10 @@ question per process; this package turns the same execution core
 capacity-planning service: an asyncio HTTP server (stdlib only) that
 accepts simulation requests (experiment id, quick/full, optional
 tracing), deduplicates them against the on-disk result cache the
-CLI already shares, runs them on a supervised worker-process pool, and
-exports Prometheus metrics.
+CLI already shares, runs them on supervised worker processes, and
+exports Prometheus metrics.  The supervisor
+(:class:`~repro.bench.supervisor.WorkerSupervisor`) lives in
+:mod:`repro.bench` because the CLI's ``--jobs N`` sweeps run on it too.
 
 Robustness is the headline, in four guarantees:
 
@@ -35,16 +37,12 @@ a full client session (submit, poll, scrape, drain).
 from .http import HttpFrontend
 from .metrics import Counter, Gauge, Histogram, Registry
 from .service import Rejected, ServeConfig, SimulationService
-from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 __all__ = [
     "ServeConfig",
     "SimulationService",
     "HttpFrontend",
     "Rejected",
-    "WorkerSupervisor",
-    "WorkSpec",
-    "SupervisedResult",
     "Registry",
     "Counter",
     "Gauge",

@@ -15,10 +15,11 @@ owns:
   submissions attach to one in-flight execution, and completed results
   are answered from the shared on-disk :class:`~repro.bench.runner.ResultCache`
   (the same cache ``python -m repro.bench`` reads and writes);
-* a **supervised worker pool**: each execution runs on a single-shot
-  worker process watched by :class:`~repro.serve.supervisor.WorkerSupervisor`
-  (crash -> exponential-backoff retry within a bounded budget, hang ->
-  deadline kill), with ``workers`` concurrent slots;
+* **supervised workers**: each execution runs on a single-shot worker
+  process watched by :class:`~repro.bench.supervisor.WorkerSupervisor`,
+  the supervisor the CLI's ``--jobs N`` sweeps share (crash ->
+  exponential-backoff retry within a bounded budget, hang -> deadline
+  kill), with ``workers`` concurrent slots;
 * **graceful drain**: :meth:`begin_drain` stops admission (readiness and
   ``repro_serve_up`` drop immediately), lets in-flight executions finish,
   then fires :attr:`drained` — the CLI front end exits 0 afterwards.
@@ -41,8 +42,8 @@ from .. import __version__
 from ..bench import harness
 from ..bench.engine import deterministic_view
 from ..bench.runner import ResultCache, cache_key, default_cache_dir
+from ..bench.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 from .metrics import Registry
-from .supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 __all__ = ["ServeConfig", "SimulationService", "Rejected"]
 
@@ -484,12 +485,8 @@ class SimulationService:
         if result.ok:
             if exe.use_cache:
                 # Same payload format the CLI runner stores — the two front
-                # ends share one cache.  The trace is stripped exactly like
-                # runner._land does.
-                stored = {
-                    k: v for k, v in result.payload.items() if k != "trace"
-                }
-                await asyncio.to_thread(self._cache.put, exe.key, stored)
+                # ends share one cache.
+                await asyncio.to_thread(self._cache.put, exe.key, result.payload)
             payload = result.payload
             if exe.spec.trace and "trace" in payload:
                 self._bridge_trace(payload["trace"])

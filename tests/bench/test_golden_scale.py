@@ -8,11 +8,9 @@ committed ``benchmarks/baselines/scale.json`` — drifting either means
 the flow model, the sharded BFS, or the calibration changed, and the
 goldens + baseline + EXPERIMENTS.md table must be refreshed together.
 
-The jobs-determinism test additionally proves the ISSUE-level property
-that ``--jobs 1`` and ``--jobs 4`` sweeps are bit-identical: inside a
-(daemonic) runner worker the shard pool falls back to serial expansion,
-and the contiguous-split/concat merge makes that fallback byte-equal to
-the pooled path.
+The jobs-determinism test additionally proves that ``--jobs 1`` and
+``--jobs 4`` sweeps are bit-identical: the scale experiment gives the
+same rows in a supervised runner worker as in-process.
 """
 
 from __future__ import annotations
@@ -108,12 +106,11 @@ def test_golden_rows_match_committed_baseline(result):
 
 
 def test_jobs_1_vs_jobs_4_sweeps_are_bit_identical(result):
-    """The ISSUE-level determinism claim, through the real runner pool.
+    """The determinism claim, through the real parallel runner.
 
-    A >= 2-experiment sweep forces the fork pool (single-id sweeps run
-    in-process), so the scale experiment executes inside a daemonic
-    worker where frontier sharding falls back to serial — and must still
-    reproduce the pooled in-process run bit for bit.
+    A >= 2-experiment sweep runs each experiment in a supervised worker
+    process (single-id sweeps run in-process), and the scale experiment
+    there must reproduce the in-process run bit for bit.
     """
     records = run_experiments(["table1", "scale"], quick=True, jobs=4, use_cache=False)
     by_id = {r.experiment_id: r for r in records}

@@ -1,9 +1,16 @@
 """Tests for the parallel experiment runner and its on-disk result cache."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import harness
 from repro.bench.runner import (
     ResultCache,
@@ -139,6 +146,23 @@ def test_cache_put_is_atomic_no_tmp_debris(tmp_path, cheap_experiment):
     assert ".tmp" not in "".join(names)
 
 
+def test_cache_put_never_stores_the_trace(tmp_path, cheap_experiment):
+    key = cache_key(cheap_experiment, quick=True)
+    payload = {
+        "experiment_id": cheap_experiment,
+        "title": "t",
+        "rendered": "r",
+        "comparisons": [],
+        "wall_s": 0.0,
+        "events": 0,
+        "trace": {"events": [1, 2, 3]},
+    }
+    cache = ResultCache(tmp_path)
+    cache.put(key, payload)
+    assert "trace" not in cache.get(key)
+    assert payload["trace"] == {"events": [1, 2, 3]}  # the caller's dict is intact
+
+
 def test_cache_key_distinguishes_experiment_and_mode():
     keys = {
         cache_key("fig3", quick=True),
@@ -225,3 +249,127 @@ def test_write_json_artifact(tmp_path, cheap_experiment, failing_experiment):
     assert doc["n_errors"] == 1 and doc["n_cached"] == 0
     assert len(doc["records"]) == 2
     assert doc["records"][0]["comparisons"] == [["toy quantity", 3.0, 3.0, "units"]]
+
+
+# ---------------------------------------------------------------------------
+# Chaos: worker death and Ctrl-C in a --jobs sweep
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+#: Shared head of every chaos child: *root* is the test's tmp_path.
+_CHILD_HEAD = """
+import json, os, signal, sys, time
+from pathlib import Path
+from repro.bench import harness
+from repro.bench.runner import run_experiments
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+root = Path(sys.argv[1])
+"""
+
+#: A toy that SIGKILLs its own worker (as the OOM killer would), once
+#: when CRASHES == "once" (a sentinel file remembers), else every time.
+_CRASHING_TOY = """
+@harness.register("_t_chaos_toy", "runner chaos toy", "-")
+def toy(quick):
+    \"\"\"Chaos runner: SIGKILL the worker, then (maybe) behave.\"\"\"
+    sentinel = root / "crashed"
+    if CRASHES == "always" or not sentinel.exists():
+        sentinel.write_text("boom")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return harness.ExperimentResult(
+        experiment_id="_t_chaos_toy",
+        title="chaos toy",
+        rendered="survived",
+        comparisons=[("metric", 7.0, 7.0, "units")],
+    )
+
+records = run_experiments(["_t_chaos_toy", "fig3"], jobs=2, cache_dir=root / "cache")
+(root / "records.json").write_text(json.dumps([r.to_dict() for r in records]))
+"""
+
+#: Two toys that record their worker's pid and then sleep "forever".
+_SLEEPING_TOYS = """
+def sleeper(quick):
+    \"\"\"Chaos runner: record the worker pid, then never return.\"\"\"
+    (root / "pids" / str(os.getpid())).write_text("")
+    time.sleep(3600)
+
+(root / "pids").mkdir()
+for exp_id in ("_t_chaos_sleep_a", "_t_chaos_sleep_b"):
+    harness.register(exp_id, "runner chaos sleeper", "-")(sleeper)
+run_experiments(["_t_chaos_sleep_a", "_t_chaos_sleep_b"], jobs=2, use_cache=False)
+"""
+
+
+def _spawn(script: str, tmp_path) -> subprocess.Popen:
+    """Start *script* in a fresh interpreter that leads its own process
+    group, so a test can signal or kill the sweep and its workers at once."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", _CHILD_HEAD + script, str(tmp_path)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+
+
+def _crash_sweep(tmp_path, crashes: str, timeout_s: float = 60.0) -> list[dict]:
+    """Run the crashing-toy sweep; fail (instead of hanging) past *timeout_s*."""
+    proc = _spawn(f"CRASHES = {crashes!r}\n" + _CRASHING_TOY, tmp_path)
+    try:
+        _out, err = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"sweep with a killed worker still running after {timeout_s:g}s")
+    assert proc.returncode == 0, err
+    return json.loads((tmp_path / "records.json").read_text())
+
+
+def test_killed_worker_is_retried_and_the_sweep_completes(tmp_path):
+    toy, fig3 = _crash_sweep(tmp_path, "once")
+    assert toy["status"] == "ok", toy["error"]
+    assert toy["rendered"] == "survived"
+    assert toy["comparisons"] == [["metric", 7.0, 7.0, "units"]]
+    assert fig3["status"] == "ok"
+
+
+def test_worker_that_keeps_dying_is_a_worker_crash_record(tmp_path):
+    toy, fig3 = _crash_sweep(tmp_path, "always")
+    assert toy["status"] == "error"
+    assert toy["error_class"] == "worker-crash"
+    assert "retry budget" in toy["error"]
+    assert fig3["status"] == "ok"
+    cached = [json.loads(p.read_text()) for p in (tmp_path / "cache").iterdir()]
+    assert [c["experiment_id"] for c in cached] == ["fig3"]  # crashes never cached
+
+
+def test_ctrl_c_kills_the_workers_and_retries_none(tmp_path):
+    proc = _spawn(_SLEEPING_TOYS, tmp_path)
+    pids_dir = tmp_path / "pids"
+    try:
+        deadline = time.monotonic() + 60
+        while not (pids_dir.is_dir() and len(list(pids_dir.iterdir())) == 2):
+            assert proc.poll() is None, proc.communicate()[1]
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.05)
+        t0 = time.monotonic()
+        os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C in a terminal does
+        proc.communicate(timeout=30)
+        exit_s = time.monotonic() - t0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode != 0
+    assert exit_s < 5.0
+    pids = [int(p.name) for p in pids_dir.iterdir()]
+    assert len(pids) == 2  # no worker was re-forked as a crash retry
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -1,14 +1,19 @@
-"""Tests for the worker-process supervisor (crash, hang, retry, budget)."""
+"""Tests for the worker-process supervisor (crash, hang, retry, budget, stop)."""
 
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import harness
 from repro.bench.engine import ExecutionEngine, deterministic_view
-from repro.serve.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
+from repro.bench.supervisor import SupervisedResult, WorkerSupervisor, WorkSpec
 
 
 def _register(exp_id, run):
@@ -136,6 +141,60 @@ def test_hung_worker_is_killed_at_the_deadline():
     assert "killed" in res.detail
     assert time.monotonic() - t0 < 10  # deadline + grace, not 3600s
     assert res.payload is None
+
+
+def test_stop_ends_a_hung_run_without_a_retry(tmp_path):
+    exp_id = "_t_sup_stop"
+    started = tmp_path / "started"
+
+    def run(quick):
+        """Chaos runner: signal that the worker runs, then hang for a minute."""
+        started.write_text("")
+        time.sleep(60)
+
+    _register(exp_id, run)
+    exits = []
+    results = []
+    sup = fast_supervisor(on_worker_exit=exits.append)
+    runner = threading.Thread(
+        target=lambda: results.append(sup.run(WorkSpec(exp_id), deadline_s=30)),
+        daemon=True,
+    )
+    try:
+        runner.start()
+        deadline = time.monotonic() + 30
+        while not started.exists():
+            assert time.monotonic() < deadline, "worker never started"
+            time.sleep(0.01)
+        t0 = time.monotonic()
+        sup.stop()
+        runner.join(timeout=30)
+        stop_s = time.monotonic() - t0
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
+    assert not runner.is_alive()
+    [res] = results
+    assert res.outcome == "stopped" and not res.ok
+    assert res.attempts == 1 and res.retries == 0
+    assert stop_s < 5  # one poll interval plus the kill grace at most
+    assert exits == [-signal.SIGTERM]  # reaped: killed, joined, exit recorded
+    assert res.payload is None
+
+
+def test_importing_repro_bench_loads_no_process_or_service_machinery():
+    probe = (
+        "import sys, repro.bench; "
+        "print(sorted(m for m in ('repro.serve', 'asyncio', 'multiprocessing', "
+        "'logging') if m in sys.modules))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_execution_error_is_terminal_never_retried():

@@ -1,4 +1,4 @@
-"""Sharded flow-mode BFS: traversal correctness, determinism, detours.
+"""Flow-mode BFS: traversal correctness, determinism, detours.
 
 The traversal layer of :func:`repro.scale.bfs.run_scale_bfs` must be
 indistinguishable from the single-process reference
@@ -53,7 +53,7 @@ def test_traversal_matches_serial_reference(small_run):
 
 @pytest.mark.parametrize("shards", [2, 4, 27, 64])
 def test_any_shard_count_is_bit_identical(small_run, shards):
-    """Contiguous split + order-preserving merge: shards never show."""
+    """``shards`` is only recorded: it never changes a result."""
     res = run_scale_bfs((3, 3, 3), 10, seed=1, shards=shards)
     a = dataclasses.asdict(small_run)
     b = dataclasses.asdict(res)
