@@ -24,11 +24,19 @@ Transactions:
 Timing only: reads do not move Python data (the simulation gives callers
 global visibility of memory objects); writes may carry an opaque payload
 delivered to the target's ``on_write`` hook.
+
+Each transaction runs as a small callback chain (:class:`_Chain`), not a
+generator :class:`~repro.sim.Process`: a Process per ≤MRRS read was most
+of the simulator's host time.  A chain waits on the same events, in the
+same order, as the generator would, so timing and event order do not
+change (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..sim import Channel, Event, SimulationError, Simulator
@@ -135,12 +143,8 @@ class PCIeFabric:
         # leaves the transaction paths bit-identical to the fault-free
         # fabric — the hook is a single predictable branch per hop.
         self.faults = None
-
-    def _hop_wire(self, channel: Channel, wire: int) -> int:
-        """Wire bytes for one hop, inflated by any TLP replays."""
-        if self.faults is None:
-            return wire
-        return wire + self.faults.tlp_extra_wire(channel.name, wire)
+        # Route memo: (src, dst) node pair -> hops.  Cleared on attach.
+        self._routes: dict[tuple[FabricNode, FabricNode], tuple] = {}
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -168,6 +172,7 @@ class PCIeFabric:
         node = FabricNode(name, kind, parent)
         node.uplink = FabricLink(self.sim, node, parent, link, latency)
         self.nodes[name] = node
+        self._routes.clear()
         return node
 
     def add_switch(
@@ -229,8 +234,19 @@ class PCIeFabric:
         self, src: FabricNode, dst: FabricNode
     ) -> list[tuple[FabricLink, str]]:
         """The ordered (link, direction) hops from *src* to *dst*."""
+        return list(self._route(src, dst))
+
+    def _route(self, src: FabricNode, dst: FabricNode) -> tuple:
+        """:meth:`path` as a tuple, memoised per node pair until the next attach."""
+        key = (src, dst)
+        hops = self._routes.get(key)
+        if hops is None:
+            hops = self._routes[key] = self._walk(src, dst)
+        return hops
+
+    def _walk(self, src: FabricNode, dst: FabricNode) -> tuple:
         if src is dst:
-            return []
+            return ()
         src_chain = src.ancestors()
         dst_chain = dst.ancestors()
         # Keyed by the node itself (identity hash): same membership semantics
@@ -249,12 +265,36 @@ class PCIeFabric:
         # Descend from the meeting point to dst.
         down = [(n.uplink, "down") for n in dst_chain[:meet_idx]]
         hops.extend(reversed(down))
-        return hops
+        return tuple(hops)
 
     def _device_node(self, device: PCIeDevice) -> FabricNode:
         if device.node is None:
             raise SimulationError(f"{device.name} is not attached to the fabric")
         return device.node
+
+    def _cross(
+        self,
+        link: FabricLink,
+        direction: str,
+        kind: TlpKind,
+        addr: int,
+        payload: int,
+        wire: int,
+        requester: str,
+    ) -> Event:
+        """Send one hop's TLPs; the event fires when they reach the far end.
+
+        Taps see the record first; fault injection then inflates the wire
+        bytes by any LCRC-triggered replays (and may raise LinkFailure).
+        """
+        if link.taps:
+            link.notify(
+                TransferRecord(self.sim.now, kind, addr, payload, wire, direction, requester)
+            )
+        channel = link.channel(direction)
+        if self.faults is not None:
+            wire += self.faults.tlp_extra_wire(channel.name, wire)
+        return channel.transfer(wire)
 
     # ------------------------------------------------------------------
     # Posted writes
@@ -278,8 +318,10 @@ class PCIeFabric:
             raise SimulationError("write needs a positive size")
         target = self.resolve(addr)
         behavior = target.describe_write(addr)
-        hops = self.path(self._device_node(initiator), self._device_node(target))
-        q = quantum or self.write_quantum
+        hops = self._route(self._device_node(initiator), self._device_node(target))
+        q = max(quantum or self.write_quantum, self.mps)
+        if q & (q - 1):
+            raise SimulationError(f"write quantum {q} must be a power of two")
         b = batch if batch is not None else self.write_batch
         if b < 1:
             raise SimulationError("write batch must be >= 1")
@@ -288,111 +330,11 @@ class PCIeFabric:
         if obs is not None:
             span = obs.span("pcie", "write", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
-        self.sim.process(
-            self._write_proc(initiator, addr, nbytes, payload, behavior, hops, q, b, done),
-            name=f"wr:{initiator.name}->0x{addr:x}",
-        )
+        _Write(self, initiator.name, addr, nbytes, payload, behavior, hops, q, b, done)
         return done
 
     def _wire_bytes_for_write(self, addr: int, nbytes: int) -> int:
-        # TLP count == number of MPS-aligned boundaries the range touches.
-        n_tlps = (addr + nbytes - 1) // self.mps - addr // self.mps + 1
-        return nbytes + n_tlps * tlp_overhead(TlpKind.MEM_WRITE)
-
-    def _write_proc(self, initiator, addr, nbytes, payload, behavior, hops, q, batch, done):
-        # Split into quanta that pipeline across hops.  The producer issues
-        # each quantum's FIRST hop inline so that competing initiators
-        # interleave fairly at shared links; the remaining hops run in a
-        # detached sub-process, giving store-and-forward pipelining.
-        #
-        # With batch > 1, back-to-back quanta are coalesced: one scheduled
-        # transfer (and one hop sub-process) moves the batch's summed wire
-        # bytes.  TLP framing overhead is still accounted per quantum — the
-        # same TLPs cross the wire, the simulator just schedules them as a
-        # unit — so delivered bandwidth is unchanged while the event count
-        # drops by ~the batch factor.
-        quanta = list(fragment(addr, nbytes, max(q, self.mps)))
-        if batch > 1:
-            groups = []
-            for i in range(0, len(quanta), batch):
-                part = quanta[i : i + batch]
-                groups.append(
-                    (
-                        part[0][0],
-                        sum(s for _, s in part),
-                        sum(self._wire_bytes_for_write(a, s) for a, s in part),
-                    )
-                )
-        else:
-            groups = [
-                (qaddr, qsize, self._wire_bytes_for_write(qaddr, qsize))
-                for qaddr, qsize in quanta
-            ]
-        state = {"left": len(groups)}
-
-        def _count(ev):
-            state["left"] -= 1
-            if state["left"] == 0:
-                done.succeed(nbytes)
-
-        for i, (qaddr, qsize, wire) in enumerate(groups):
-            is_last = i == len(groups) - 1
-            if hops:
-                first_link, first_dir = hops[0]
-                first_link.notify(
-                    TransferRecord(
-                        self.sim.now,
-                        TlpKind.MEM_WRITE,
-                        qaddr,
-                        qsize,
-                        wire,
-                        first_dir,
-                        initiator.name,
-                    )
-                )
-                first_ch = first_link.channel(first_dir)
-                yield first_ch.transfer(self._hop_wire(first_ch, wire))
-            ev = Event(self.sim)
-            ev.callbacks.append(_count)
-            # The full payload is delivered once, with the whole write's base
-            # address and size, when the final quantum is absorbed.
-            delivery = (addr, nbytes, payload) if is_last else None
-            self.sim.process(
-                self._quantum_rest_proc(
-                    initiator,
-                    qaddr,
-                    qsize,
-                    wire,
-                    delivery,
-                    behavior,
-                    hops[1:],
-                    ev,
-                ),
-            )
-
-    def _quantum_rest_proc(
-        self, initiator, addr, nbytes, wire, delivery, behavior, hops, done
-    ):
-        for link, direction in hops:
-            ch = link.channel(direction)
-            link.notify(
-                TransferRecord(
-                    self.sim.now,
-                    TlpKind.MEM_WRITE,
-                    addr,
-                    nbytes,
-                    wire,
-                    direction,
-                    initiator.name,
-                )
-            )
-            yield ch.transfer(self._hop_wire(ch, wire))
-        if behavior.limiter is not None:
-            yield behavior.limiter.consume(nbytes)
-        if delivery is not None and behavior.on_write is not None:
-            base_addr, total_nbytes, payload = delivery
-            behavior.on_write(base_addr, total_nbytes, payload)
-        done.succeed(nbytes)
+        return nbytes + _tlp_count(addr, nbytes, self.mps) * _MWR_OVERHEAD
 
     # ------------------------------------------------------------------
     # Split-transaction reads
@@ -409,57 +351,15 @@ class PCIeFabric:
             )
         target = self.resolve(addr)
         behavior = target.describe_read(addr)
-        fwd = self.path(self._device_node(initiator), self._device_node(target))
-        rev = self.path(self._device_node(target), self._device_node(initiator))
+        src, dst = self._device_node(initiator), self._device_node(target)
+        fwd, rev = self._route(src, dst), self._route(dst, src)
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
             span = obs.span("pcie", "read", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
-        self.sim.process(
-            self._read_proc(initiator, addr, nbytes, behavior, fwd, rev, done),
-            name=f"rd:{initiator.name}<-0x{addr:x}",
-        )
+        _Read(self, initiator.name, addr, nbytes, behavior, fwd, rev, done)
         return done
-
-    def _read_proc(self, initiator, addr, nbytes, behavior, fwd, rev, done):
-        req_wire = tlp_overhead(TlpKind.MEM_READ)
-        for link, direction in fwd:
-            ch = link.channel(direction)
-            link.notify(
-                TransferRecord(
-                    self.sim.now,
-                    TlpKind.MEM_READ,
-                    addr,
-                    nbytes,
-                    req_wire,
-                    direction,
-                    initiator.name,
-                )
-            )
-            yield ch.transfer(self._hop_wire(ch, req_wire))
-        # Target first-access latency, then sustained-rate pacing.
-        if behavior.latency > 0:
-            yield self.sim.timeout(behavior.latency)
-        if behavior.limiter is not None:
-            yield behavior.limiter.consume(nbytes)
-        n_cpl = sum(1 for _ in fragment(addr, nbytes, self.mps))
-        cpl_wire = nbytes + n_cpl * tlp_overhead(TlpKind.COMPLETION)
-        for link, direction in rev:
-            ch = link.channel(direction)
-            link.notify(
-                TransferRecord(
-                    self.sim.now,
-                    TlpKind.COMPLETION,
-                    addr,
-                    nbytes,
-                    cpl_wire,
-                    direction,
-                    initiator.name,
-                )
-            )
-            yield ch.transfer(self._hop_wire(ch, cpl_wire))
-        done.succeed(nbytes)
 
     def read_pipelined(
         self,
@@ -476,9 +376,13 @@ class PCIeFabric:
         arrive (used by DMA engines to forward data onward).  The returned
         event fires when the final chunk lands.
         """
+        if nbytes <= 0:
+            raise SimulationError("read_pipelined needs a positive size")
         if outstanding < 1:
             raise SimulationError("need at least one outstanding request")
         rs = request_size or self.mrrs
+        if rs < 1 or rs & (rs - 1):
+            raise SimulationError(f"request_size {rs} must be a positive power of two")
         if rs > self.mrrs:
             raise SimulationError(f"request_size {rs} exceeds MRRS {self.mrrs}")
         done = Event(self.sim)
@@ -492,38 +396,320 @@ class PCIeFabric:
                 outstanding=outstanding,
             )
             done.callbacks.append(span.end_event)
-        self.sim.process(
-            self._read_pipelined_proc(initiator, addr, nbytes, outstanding, rs, on_data, done),
-            name=f"rdpipe:{initiator.name}",
-        )
+        _ReadPipelined(self, initiator, addr, nbytes, outstanding, rs, on_data, done)
         return done
 
-    def _read_pipelined_proc(self, initiator, addr, nbytes, outstanding, rs, on_data, done):
-        chunks = list(fragment(addr, nbytes, rs))
-        in_flight: list[Event] = []
-        completed = {"n": 0}
-        total = len(chunks)
 
-        def _make_cb(caddr, csize):
-            def _cb(ev):
-                completed["n"] += 1
-                if on_data is not None:
-                    on_data(caddr, csize)
-                if completed["n"] == total:
-                    done.succeed(nbytes)
+# ----------------------------------------------------------------------
+# Transactions as callback chains
+# ----------------------------------------------------------------------
 
-            return _cb
+_MWR = TlpKind.MEM_WRITE
+_MRD = TlpKind.MEM_READ
+_CPLD = TlpKind.COMPLETION
+_MWR_OVERHEAD = tlp_overhead(_MWR)
+_MRD_WIRE = tlp_overhead(_MRD)  # a read request is header only
+_CPLD_OVERHEAD = tlp_overhead(_CPLD)
 
-        for caddr, csize in chunks:
-            # Respect the window: wait for the oldest request to finish.
-            while len(in_flight) >= outstanding:
-                oldest = in_flight.pop(0)
+
+def _tlp_count(addr: int, nbytes: int, boundary: int) -> int:
+    """TLPs in [addr, addr + nbytes): the *boundary*-aligned blocks it touches."""
+    return (addr + nbytes - 1) // boundary - addr // boundary + 1
+
+
+def _reraise(event: Event) -> None:
+    raise event._value
+
+
+class _Chain:
+    """A fabric transaction driven by event callbacks instead of a Process.
+
+    ``step`` holds the stage to run next, as a plain function: a bound
+    method stored on the chain would be a reference cycle, left for the
+    garbage collector.  A stage does what a generator
+    would do up to its next ``yield`` and returns that event, or None when
+    the transaction is over; the chain then waits on the event by
+    appending itself to its callbacks.  :meth:`_start` schedules the first
+    stage on a zero-delay wake event, in the slot a Process's init event
+    takes, so every transfer, limiter grant, fault draw and delivery keeps
+    the (time, seq) order a generator gave it.
+    """
+
+    __slots__ = ("fabric", "step")
+
+    def _start(self) -> None:
+        self.fabric.sim._wake_event(True, None).callbacks.append(self._resume)
+
+    def _resume(self, _event: Event) -> None:
+        try:
+            event = self.step(self)
+        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
+            # fail a zero-delay event at this instant, as a crashed Process
+            # did; the run loop re-raises the exception when it pops.
+            self.fabric.sim._wake_event(False, exc).callbacks.append(_reraise)
+            return
+        if event is not None:
+            event.callbacks.append(self._resume)
+
+
+class _Write(_Chain):
+    """A posted write's producer: each quantum's first hop, in order.
+
+    Issuing every first hop from one chain lets competing initiators
+    interleave fairly at shared links; the rest of each quantum's hops run
+    in its own :class:`_Quantum`, giving store-and-forward pipelining.
+
+    With batch > 1, back-to-back quanta are coalesced: one scheduled
+    transfer (and one :class:`_Quantum`) moves the batch's summed wire
+    bytes.  TLP framing overhead is still accounted per quantum — the same
+    TLPs cross the wire, the simulator just schedules them as a unit — so
+    delivered bandwidth is unchanged while the event count drops by ~the
+    batch factor.
+    """
+
+    __slots__ = (
+        "requester",
+        "addr",
+        "nbytes",
+        "payload",
+        "behavior",
+        "hops",
+        "groups",
+        "sent",
+        "left",
+        "done",
+    )
+
+    def __init__(
+        self, fabric, requester, addr, nbytes, payload, behavior, hops, quantum, batch, done
+    ):
+        self.fabric = fabric
+        self.step = _Write._send
+        self.requester = requester
+        self.addr = addr
+        self.nbytes = nbytes
+        self.payload = payload
+        self.behavior = behavior
+        self.hops = hops
+        quanta = fragment(addr, nbytes, quantum)
+        wire = fabric._wire_bytes_for_write
+        if batch == 1:
+            self.groups = [(a, s, wire(a, s)) for a, s in quanta]
+        else:
+            quanta = list(quanta)
+            self.groups = [
+                (part[0][0], sum(s for _, s in part), sum(wire(a, s) for a, s in part))
+                for part in (quanta[i : i + batch] for i in range(0, len(quanta), batch))
+            ]
+        self.sent = 0
+        self.left = len(self.groups)
+        self.done = done
+        self._start()
+
+    def _send(self) -> Optional[Event]:
+        """Start the quantum that just crossed the first hop; send the next."""
+        groups, hops, i = self.groups, self.hops, self.sent
+        if i and hops:
+            self._forward(i - 1)
+        while i < len(groups):
+            qaddr, qsize, wire = groups[i]
+            i += 1
+            self.sent = i
+            if hops:
+                link, direction = hops[0]
+                return self.fabric._cross(
+                    link, direction, _MWR, qaddr, qsize, wire, self.requester
+                )
+            self._forward(i - 1)
+        return None
+
+    def _forward(self, k: int) -> None:
+        """Send quantum *k* on from the first hop's far end."""
+        qaddr, qsize, wire = self.groups[k]
+        absorbed = Event(self.fabric.sim)
+        absorbed.callbacks.append(self._absorbed)
+        # The full payload is delivered once, with the whole write's base
+        # address and size, when the final quantum is absorbed.
+        last = k == len(self.groups) - 1
+        delivery = (self.addr, self.nbytes, self.payload) if last else None
+        _Quantum(
+            self.fabric,
+            self.requester,
+            qaddr,
+            qsize,
+            wire,
+            self.hops,
+            self.behavior,
+            delivery,
+            absorbed,
+        )
+
+    def _absorbed(self, _event: Event) -> None:
+        self.left -= 1
+        if self.left == 0:
+            self.done.succeed(self.nbytes)
+
+
+class _Quantum(_Chain):
+    """One write quantum after its first hop: the remaining hops, then the
+    target's sink limiter, then (for the last quantum) delivery."""
+
+    __slots__ = (
+        "requester",
+        "addr",
+        "nbytes",
+        "wire",
+        "hops",
+        "hop",
+        "behavior",
+        "delivery",
+        "done",
+    )
+
+    def __init__(self, fabric, requester, addr, nbytes, wire, hops, behavior, delivery, done):
+        self.fabric = fabric
+        self.step = _Quantum._hop
+        self.requester = requester
+        self.addr = addr
+        self.nbytes = nbytes
+        self.wire = wire
+        self.hops = hops
+        self.hop = 1
+        self.behavior = behavior
+        self.delivery = delivery
+        self.done = done
+        self._start()
+
+    def _hop(self) -> Optional[Event]:
+        """Cross the next hop; past the last, enter the target's limiter."""
+        hop = self.hop
+        if hop < len(self.hops):
+            self.hop = hop + 1
+            link, direction = self.hops[hop]
+            return self.fabric._cross(
+                link, direction, _MWR, self.addr, self.nbytes, self.wire, self.requester
+            )
+        self.step = _Quantum._absorb
+        limiter = self.behavior.limiter
+        if limiter is not None:
+            return limiter.consume(self.nbytes)
+        return self._absorb()
+
+    def _absorb(self) -> None:
+        on_write = self.behavior.on_write
+        if self.delivery is not None and on_write is not None:
+            on_write(*self.delivery)
+        self.done.succeed(self.nbytes)
+
+
+class _Read(_Chain):
+    """One split transaction: a header-only MRd crosses to the target, the
+    target's first-access latency and rate limiter pass, and MPS-chunked
+    completions cross back."""
+
+    __slots__ = ("requester", "addr", "nbytes", "behavior", "fwd", "rev", "hop", "done")
+
+    def __init__(self, fabric, requester, addr, nbytes, behavior, fwd, rev, done):
+        self.fabric = fabric
+        self.step = _Read._request
+        self.requester = requester
+        self.addr = addr
+        self.nbytes = nbytes
+        self.behavior = behavior
+        self.fwd = fwd
+        self.rev = rev
+        self.hop = 0
+        self.done = done
+        self._start()
+
+    def _request(self) -> Optional[Event]:
+        """Cross the next request hop; at the target, its first access."""
+        hop = self.hop
+        if hop < len(self.fwd):
+            self.hop = hop + 1
+            link, direction = self.fwd[hop]
+            return self.fabric._cross(
+                link, direction, _MRD, self.addr, self.nbytes, _MRD_WIRE, self.requester
+            )
+        self.step = _Read._pace
+        latency = self.behavior.latency
+        if latency > 0:
+            return self.fabric.sim.timeout(latency)
+        return self._pace()
+
+    def _pace(self) -> Optional[Event]:
+        """Sustained-rate pacing at the target."""
+        self.step = _Read._complete
+        self.hop = 0
+        limiter = self.behavior.limiter
+        if limiter is not None:
+            return limiter.consume(self.nbytes)
+        return self._complete()
+
+    def _complete(self) -> Optional[Event]:
+        """Cross the next completion hop; the last one lands the data."""
+        hop = self.hop
+        nbytes = self.nbytes
+        if hop < len(self.rev):
+            self.hop = hop + 1
+            link, direction = self.rev[hop]
+            fabric = self.fabric
+            wire = nbytes + _tlp_count(self.addr, nbytes, fabric.mps) * _CPLD_OVERHEAD
+            return fabric._cross(
+                link, direction, _CPLD, self.addr, nbytes, wire, self.requester
+            )
+        self.done.succeed(nbytes)
+        return None
+
+
+class _ReadPipelined(_Chain):
+    """A windowed bulk read: *outstanding* reads in flight at most, each
+    new one issued when the oldest has landed."""
+
+    __slots__ = (
+        "initiator",
+        "nbytes",
+        "outstanding",
+        "on_data",
+        "chunks",
+        "issued",
+        "landed",
+        "window",
+        "done",
+    )
+
+    def __init__(self, fabric, initiator, addr, nbytes, outstanding, rs, on_data, done):
+        self.fabric = fabric
+        self.step = _ReadPipelined._issue
+        self.initiator = initiator
+        self.nbytes = nbytes
+        self.outstanding = outstanding
+        self.on_data = on_data
+        self.chunks = list(fragment(addr, nbytes, rs))
+        self.issued = 0
+        self.landed = 0
+        self.window: deque[Event] = deque()
+        self.done = done
+        self._start()
+
+    def _issue(self) -> Optional[Event]:
+        """Issue reads while the window has room; else wait on the oldest."""
+        chunks, window = self.chunks, self.window
+        while self.issued < len(chunks):
+            while len(window) >= self.outstanding:
+                oldest = window.popleft()
                 if not oldest.processed:
-                    yield oldest
-            ev = self.read(initiator, caddr, csize)
-            ev.callbacks.append(_make_cb(caddr, csize))
-            in_flight.append(ev)
-        # Drain.
-        for ev in in_flight:
-            if not ev.processed:
-                yield ev
+                    return oldest
+            caddr, csize = chunks[self.issued]
+            self.issued += 1
+            ev = self.fabric.read(self.initiator, caddr, csize)
+            ev.callbacks.append(partial(self._land, caddr, csize))
+            window.append(ev)
+        return None
+
+    def _land(self, caddr: int, csize: int, _event: Event) -> None:
+        self.landed += 1
+        if self.on_data is not None:
+            self.on_data(caddr, csize)
+        if self.landed == len(self.chunks):
+            self.done.succeed(self.nbytes)

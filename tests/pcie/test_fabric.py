@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, LinkFailure
 from repro.pcie import (
     BusAnalyzer,
     HostMemory,
@@ -240,3 +241,218 @@ def test_unattached_device_cannot_transact():
     loose = SinkDevice(sim, "loose", base=0x300_0000_0000)
     with pytest.raises(SimulationError, match="not attached"):
         fab.write(loose, 0x200_0000_0000, 64)
+
+
+def test_path_memo_follows_attach_and_returns_fresh_lists():
+    sim = Simulator()
+    fab, mem, nic, gpu = build_two_device_fabric(sim)
+    # Mutating a returned route must not leak into the next answer.
+    fab.path(nic.node, gpu.node).clear()
+    hops = fab.path(nic.node, gpu.node)
+    assert [(h[0].child.name, h[1]) for h in hops] == [("nic", "up"), ("gpu", "down")]
+    # A switch and an endpoint attached after a query route correctly.
+    sw = fab.add_switch("sw", fab.root)
+    late = SinkDevice(sim, "late", base=0x300_0000_0000)
+    fab.add_endpoint(late, sw)
+    hops = fab.path(nic.node, late.node)
+    assert [(h[0].child.name, h[1]) for h in hops] == [
+        ("nic", "up"),
+        ("sw", "down"),
+        ("late", "down"),
+    ]
+    assert [(h[0].child.name, h[1]) for h in fab.path(late.node, gpu.node)] == [
+        ("late", "up"),
+        ("sw", "up"),
+        ("gpu", "down"),
+    ]
+
+    def proc():
+        yield fab.write(nic, 0x300_0000_0000, 512, payload="late")
+
+    sim.run_process(proc())
+    assert late.deliveries == [(0x300_0000_0000, 512, "late")]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, 0),
+        lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, -512),
+        lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, 4096, request_size=384),
+        lambda fab, nic: fab.write(nic, 0x200_0000_0000, 8192, quantum=3000),
+    ],
+    ids=["pipelined-zero", "pipelined-negative", "request-size-not-pow2", "quantum-not-pow2"],
+)
+def test_bad_arguments_rejected_at_the_call(call):
+    sim = Simulator()
+    fab, mem, nic, gpu = build_two_device_fabric(sim)
+    with pytest.raises(SimulationError):
+        call(fab, nic)
+    assert sim.pending_count() == 0  # nothing was started
+
+
+@pytest.mark.parametrize(
+    "op, failures",
+    [
+        (lambda fab, a: fab.read(a, 1 << 40, 256), 1),
+        (lambda fab, a: fab.write(a, 1 << 40, 8192), 1),
+        (lambda fab, a: fab.read_pipelined(a, 1 << 40, 8192), 4),
+    ],
+    ids=["read", "write", "read_pipelined"],
+)
+def test_link_failure_surfaces_from_the_run_loop(op, failures):
+    # At this BER every TLP is corrupted and no replay is allowed, so each
+    # transaction's first hop raises LinkFailure.  It leaves run_process at
+    # t=0, after every transaction started at that instant has drawn: each
+    # of the windowed read's four reads records its own failure.
+    sim = Simulator()
+    fab = PCIeFabric(sim)
+    root = fab.add_root("rc")
+    a = HostMemory(sim, name="a")
+    b = HostMemory(sim, base=1 << 40, name="b")
+    fab.add_endpoint(a, root)
+    fab.add_endpoint(b, root)
+    fab.faults = FaultInjector(FaultPlan(seed=0, tlp_ber=0.5, max_retries=0))
+
+    def proc():
+        yield op(fab, a)
+
+    with pytest.raises(LinkFailure):
+        sim.run_process(proc())
+    assert sim.now == 0.0
+    assert len(fab.faults.stats.link_failures) == failures
+
+
+# (time, kind, addr, payload, wire, direction, requester) seen by
+# test_shared_links_keep_same_time_order on the gpu and nic links.
+GPU_LINK_RECORDS = [
+    (0.0, "MRd", 0x100_0000_0000, 512, 24, "up", "gpu"),
+    (889.4736842105264, "MWr", 0x200_0000_0000, 4096, 4480, "down", "dram"),
+    (1335.2631578947369, "MRd", 0x200_0000_0000, 512, 24, "down", "nic"),
+    (1341.578947368421, "MRd", 0x200_0000_0200, 512, 24, "down", "nic"),
+    (1347.8947368421052, "MRd", 0x200_0000_0400, 512, 24, "down", "nic"),
+    (1354.2105263157894, "MRd", 0x200_0000_0600, 512, 24, "down", "nic"),
+    (1778.9473684210527, "MWr", 0x200_0000_1000, 4096, 4480, "down", "dram"),
+    (2668.421052631579, "MWr", 0x200_0000_2000, 4096, 4480, "down", "dram"),
+    (2746.0701754385964, "CplD", 0x100_0000_0000, 512, 552, "down", "gpu"),
+    (3557.8947368421054, "MWr", 0x200_0000_3000, 4096, 4480, "down", "dram"),
+    (3773.4385964912285, "CplD", 0x200_0000_0000, 512, 552, "up", "nic"),
+    (4114.771929824562, "CplD", 0x200_0000_0200, 512, 552, "up", "nic"),
+    (4447.368421052632, "MWr", 0x200_0000_4000, 4096, 4480, "down", "dram"),
+    (4447.649122807018, "MRd", 0x200_0000_0800, 512, 24, "down", "nic"),
+    (4456.105263157895, "CplD", 0x200_0000_0400, 512, 552, "up", "nic"),
+    (4788.982456140351, "MRd", 0x200_0000_0a00, 512, 24, "down", "nic"),
+    (4797.438596491228, "CplD", 0x200_0000_0600, 512, 552, "up", "nic"),
+    (5130.315789473684, "MRd", 0x200_0000_0c00, 512, 24, "down", "nic"),
+    (5336.842105263158, "MWr", 0x200_0000_5000, 4096, 4480, "down", "dram"),
+    (5471.649122807017, "MRd", 0x200_0000_0e00, 512, 24, "down", "nic"),
+    (6226.315789473685, "MWr", 0x200_0000_6000, 4096, 4480, "down", "dram"),
+    (7115.789473684212, "MWr", 0x200_0000_7000, 4096, 4480, "down", "dram"),
+    (7331.333333333334, "CplD", 0x200_0000_0800, 512, 552, "up", "nic"),
+    (7672.666666666667, "CplD", 0x200_0000_0a00, 512, 552, "up", "nic"),
+    (8005.2631578947385, "MWr", 0x200_0000_8000, 4096, 4480, "down", "dram"),
+    (8005.543859649123, "MRd", 0x200_0000_1000, 512, 24, "down", "nic"),
+    (8014.0, "CplD", 0x200_0000_0c00, 512, 552, "up", "nic"),
+    (8346.877192982456, "MRd", 0x200_0000_1200, 512, 24, "down", "nic"),
+    (8355.333333333334, "CplD", 0x200_0000_0e00, 512, 552, "up", "nic"),
+    (8688.21052631579, "MRd", 0x200_0000_1400, 512, 24, "down", "nic"),
+    (8894.736842105265, "MWr", 0x200_0000_9000, 4096, 4480, "down", "dram"),
+    (9029.543859649124, "MRd", 0x200_0000_1600, 512, 24, "down", "nic"),
+    (9784.210526315792, "MWr", 0x200_0000_a000, 4096, 4480, "down", "dram"),
+    (10673.684210526319, "MWr", 0x200_0000_b000, 4096, 4480, "down", "dram"),
+    (10889.22807017544, "CplD", 0x200_0000_1000, 512, 552, "up", "nic"),
+    (11230.561403508775, "CplD", 0x200_0000_1200, 512, 552, "up", "nic"),
+    (11563.157894736845, "MWr", 0x200_0000_c000, 4096, 4480, "down", "dram"),
+    (11563.43859649123, "MRd", 0x200_0000_1800, 512, 24, "down", "nic"),
+    (11571.894736842109, "CplD", 0x200_0000_1400, 512, 552, "up", "nic"),
+    (11904.771929824565, "MRd", 0x200_0000_1a00, 512, 24, "down", "nic"),
+    (11913.228070175443, "CplD", 0x200_0000_1600, 512, 552, "up", "nic"),
+    (12246.105263157899, "MRd", 0x200_0000_1c00, 512, 24, "down", "nic"),
+    (12452.631578947372, "MWr", 0x200_0000_d000, 4096, 4480, "down", "dram"),
+    (12587.438596491233, "MRd", 0x200_0000_1e00, 512, 24, "down", "nic"),
+    (13342.105263157899, "MWr", 0x200_0000_e000, 4096, 4480, "down", "dram"),
+    (14231.578947368425, "MWr", 0x200_0000_f000, 4096, 4480, "down", "dram"),
+    (14447.122807017548, "CplD", 0x200_0000_1800, 512, 552, "up", "nic"),
+    (14788.456140350881, "CplD", 0x200_0000_1a00, 512, 552, "up", "nic"),
+    (15129.789473684215, "CplD", 0x200_0000_1c00, 512, 552, "up", "nic"),
+    (15471.12280701755, "CplD", 0x200_0000_1e00, 512, 552, "up", "nic"),
+]
+NIC_LINK_RECORDS = [
+    (0.0, "MWr", 0x1000, 4096, 4480, "up", "nic"),
+    (0.0, "MRd", 0x200_0000_0000, 512, 24, "up", "nic"),
+    (0.0, "MRd", 0x200_0000_0200, 512, 24, "up", "nic"),
+    (0.0, "MRd", 0x200_0000_0400, 512, 24, "up", "nic"),
+    (0.0, "MRd", 0x200_0000_0600, 512, 24, "up", "nic"),
+    (153.1578947368421, "MRd", 0x100_0000_0000, 512, 24, "down", "gpu"),
+    (2450.8070175438597, "CplD", 0x100_0000_0000, 512, 552, "up", "gpu"),
+    (3996.070175438597, "CplD", 0x200_0000_0000, 512, 552, "down", "nic"),
+    (4291.333333333334, "MRd", 0x200_0000_0800, 512, 24, "up", "nic"),
+    (4337.40350877193, "CplD", 0x200_0000_0200, 512, 552, "down", "nic"),
+    (4632.666666666667, "MRd", 0x200_0000_0a00, 512, 24, "up", "nic"),
+    (4678.736842105263, "CplD", 0x200_0000_0400, 512, 552, "down", "nic"),
+    (4974.0, "MRd", 0x200_0000_0c00, 512, 24, "up", "nic"),
+    (5020.070175438596, "CplD", 0x200_0000_0600, 512, 552, "down", "nic"),
+    (5315.333333333333, "MRd", 0x200_0000_0e00, 512, 24, "up", "nic"),
+    (7553.964912280702, "CplD", 0x200_0000_0800, 512, 552, "down", "nic"),
+    (7849.228070175439, "MRd", 0x200_0000_1000, 512, 24, "up", "nic"),
+    (7895.298245614035, "CplD", 0x200_0000_0a00, 512, 552, "down", "nic"),
+    (8190.561403508772, "MRd", 0x200_0000_1200, 512, 24, "up", "nic"),
+    (8236.631578947368, "CplD", 0x200_0000_0c00, 512, 552, "down", "nic"),
+    (8531.894736842105, "MRd", 0x200_0000_1400, 512, 24, "up", "nic"),
+    (8577.964912280702, "CplD", 0x200_0000_0e00, 512, 552, "down", "nic"),
+    (8873.228070175439, "MRd", 0x200_0000_1600, 512, 24, "up", "nic"),
+    (11111.859649122809, "CplD", 0x200_0000_1000, 512, 552, "down", "nic"),
+    (11407.122807017546, "MRd", 0x200_0000_1800, 512, 24, "up", "nic"),
+    (11453.192982456143, "CplD", 0x200_0000_1200, 512, 552, "down", "nic"),
+    (11748.45614035088, "MRd", 0x200_0000_1a00, 512, 24, "up", "nic"),
+    (11794.526315789477, "CplD", 0x200_0000_1400, 512, 552, "down", "nic"),
+    (12089.789473684214, "MRd", 0x200_0000_1c00, 512, 24, "up", "nic"),
+    (12135.85964912281, "CplD", 0x200_0000_1600, 512, 552, "down", "nic"),
+    (12431.122807017548, "MRd", 0x200_0000_1e00, 512, 24, "up", "nic"),
+    (14669.754385964916, "CplD", 0x200_0000_1800, 512, 552, "down", "nic"),
+    (15011.08771929825, "CplD", 0x200_0000_1a00, 512, 552, "down", "nic"),
+    (15352.421052631584, "CplD", 0x200_0000_1c00, 512, 552, "down", "nic"),
+    (15693.754385964918, "CplD", 0x200_0000_1e00, 512, 552, "down", "nic"),
+]
+
+
+def test_shared_links_keep_same_time_order():
+    """Four transactions started together contend for the gpu and nic links.
+
+    Each one's first step runs from its own zero-delay start event, in
+    call order, so every tapped TLP and done time below is exact.  Running
+    a transaction's first step inline at the call instead lets it overtake
+    work already scheduled for t=0, and these records move.
+    """
+    sim = Simulator()
+    fab, mem, nic, gpu = build_two_device_fabric(sim, read_latency=1800.0, read_rate=GBps(1.5))
+    on_gpu, on_nic = BusAnalyzer(sim), BusAnalyzer(sim)
+    on_gpu.attach(fab.link_of("gpu"))
+    on_nic.attach(fab.link_of("nic"))
+    events = {
+        "read_pipelined": fab.read_pipelined(
+            nic, 0x200_0000_0000, 8192, outstanding=4, request_size=512
+        ),
+        "write 64K": fab.write(mem, 0x200_0000_0000, 64 * 1024),
+        "read 512": fab.read(gpu, 0x100_0000_0000, 512),
+        "write 4K": fab.write(nic, 0x1000, 4096),
+    }
+    done_at = {}
+    for name, ev in events.items():
+        ev.callbacks.append(lambda _ev, name=name: done_at.setdefault(name, sim.now))
+    sim.run()
+
+    def rows(analyzer):
+        return [
+            (r.time, r.kind.value, r.addr, r.payload_bytes, r.wire_bytes, r.direction, r.requester)
+            for r in analyzer.records
+        ]
+
+    assert rows(on_gpu) == GPU_LINK_RECORDS
+    assert rows(on_nic) == NIC_LINK_RECORDS
+    assert done_at == {
+        "read_pipelined": 15989.017543859654,
+        "write 64K": 14971.052631578952,
+        "read 512": 3480.5263157894738,
+        "write 4K": 2538.421052631579,
+    }
