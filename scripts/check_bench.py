@@ -1,11 +1,17 @@
 #!/usr/bin/env python
-"""Gate a benchmark artifact against its committed baseline.
+"""Gate a run artifact against its committed baseline.
 
 Two modes:
 
-* default — gate ``BENCH_kernel.json`` (from ``python -m repro.bench
-  selftest --bench-json ...``) against
-  ``benchmarks/baselines/kernel.json``;
+* default — gate a quick-sweep run artifact (``python -m repro.bench
+  --all --quick --json ...``) against ``benchmarks/baselines/sweep.json``.
+  The simulation is seedless, so the whole sweep is exact.  The gate
+  fails unless both files are quick mode with the same calibration hash,
+  the artifact holds exactly the baseline's experiment ids and no error
+  record, and every experiment's ``events`` and
+  :func:`repro.bench.engine.deterministic_view` (title, rendered output,
+  comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
+  and ``jobs`` are recorded but not compared.
 * ``--scale`` — gate ``BENCH_scale.json`` (from ``python -m repro.bench
   scale --scale-json ...``) against ``benchmarks/baselines/scale.json``:
   the exact-vs-flow parity probe must report bit-exact lossless
@@ -15,30 +21,20 @@ Two modes:
   time), all required torus sizes must be present, and the calibration
   hash must match.
 
-Kernel-mode contract:
+Exit code 0 when every check passes, 1 otherwise.  Run from the
+repository root:
 
-Consumes the ``BENCH_kernel.json`` produced by ``python -m repro.bench
-selftest --bench-json ...`` and the committed reference numbers in
-``benchmarks/baselines/kernel.json``, then enforces the perf-history
-contract:
+    PYTHONPATH=src python -m repro.bench --all --quick --no-cache --jobs 2 --json results/ci.json
+    python scripts/check_bench.py results/ci.json
 
-1. the kernel's aggregate events/sec does not regress more than
-   ``max_regression_pct`` below the committed reference throughput;
-2. the artifact's calibration hash matches the baseline's: perf numbers
-   measured under a different cost-model calibration are not comparable,
-   so a calibration change must ship a refreshed baseline in the same
-   commit.
+The baseline is an ordinary run artifact, so ``check_bench.py b.json
+--baseline a.json`` checks that two sweeps (say ``--jobs 1`` and
+``--jobs 2``) agree.
 
-Exit code 0 when every check passes, 1 otherwise (the CI
-``bench-history`` job gates on this).  Run from the repository root:
+Refreshing the baseline after a deliberate model change, in the same
+commit as the change:
 
-    PYTHONPATH=src python -m repro.bench selftest --bench-json BENCH_kernel.json
-    python scripts/check_bench.py BENCH_kernel.json
-
-Refreshing the baseline after an intentional change: copy the relevant
-numbers (rounded *down* generously — the committed floor must hold on
-the slowest CI runner, not your workstation) into
-``benchmarks/baselines/kernel.json`` and commit both files together.
+    PYTHONPATH=src python -m repro.bench --all --quick --no-cache --jobs 2 --json benchmarks/baselines/sweep.json
 """
 
 from __future__ import annotations
@@ -49,7 +45,8 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "kernel.json"
+SRC = REPO_ROOT / "src"
+DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "sweep.json"
 DEFAULT_SCALE_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "scale.json"
 
 #: Golden-row fields that must match the committed baseline exactly.
@@ -70,40 +67,102 @@ SCALE_GOLDEN_FIELDS = (
 
 
 def load(path: Path) -> dict:
-    """Parse *path* as JSON, exiting with a readable error on failure."""
+    """Parse *path* as a JSON object, exiting with a readable error on failure."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"check_bench: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def check(artifact: dict, baseline: dict) -> list[str]:
-    """Return the list of gate failures (empty when the artifact passes)."""
-    failures: list[str] = []
-    kernel = artifact.get("kernel")
-    if not isinstance(kernel, dict) or "events_per_s" not in kernel:
-        return [f"artifact has no kernel events_per_s block: keys={sorted(artifact)}"]
-
-    max_reg = float(baseline.get("max_regression_pct", 20.0))
-    ref_eps = float(baseline["kernel"]["events_per_s"])
-    floor = ref_eps * (1.0 - max_reg / 100.0)
-    eps = float(kernel["events_per_s"])
-    if eps < floor:
-        failures.append(
-            f"kernel: {eps:,.0f} events/s regresses >{max_reg:.0f}% below "
-            f"the committed reference {ref_eps:,.0f} (floor {floor:,.0f})"
+    if not isinstance(doc, dict):
+        print(
+            f"check_bench: {path}: top level is a {type(doc).__name__}, "
+            "not a JSON object",
+            file=sys.stderr,
         )
+        raise SystemExit(1)
+    return doc
 
-    base_cal = baseline.get("calibration_hash")
-    cal = artifact.get("calibration_hash")
-    if base_cal and cal != base_cal:
+
+def _records(doc: dict, name: str, failures: list[str]) -> dict[str, dict]:
+    """*doc*'s records by experiment id; malformed records become failures."""
+    by_id: dict[str, dict] = {}
+    records = doc.get("records")
+    if not isinstance(records, list):
+        failures.append(f"{name} has no records list: keys={sorted(doc)}")
+        return by_id
+    for record in records:
+        if not isinstance(record, dict) or "experiment_id" not in record:
+            failures.append(f"{name} holds a record with no experiment_id")
+        else:
+            by_id[record["experiment_id"]] = record
+    return by_id
+
+
+def _row_failure(exp_id: str, row: list, ref: list) -> str:
+    if row[:1] == ref[:1] and row[2:] == ref[2:]:
+        return f"{exp_id}: row {ref[0]!r} = {row[1]!r} != baseline {ref[1]!r}"
+    return f"{exp_id}: row {row!r} != baseline {ref!r}"
+
+
+def check_sweep(artifact: dict, baseline: dict) -> list[str]:
+    """Gate failures for a quick-sweep run artifact (empty = pass)."""
+    from repro.bench.engine import deterministic_view
+
+    failures: list[str] = []
+    for name, doc in (("artifact", artifact), ("baseline", baseline)):
+        if doc.get("mode") != "quick":
+            failures.append(
+                f"{name} is a {doc.get('mode')!r}-mode run: the sweep gate "
+                "compares quick sweeps only"
+            )
+    cal, base_cal = artifact.get("calibration_hash"), baseline.get("calibration_hash")
+    if cal != base_cal:
         failures.append(
             f"calibration hash {cal!r} != baseline {base_cal!r}: the cost "
-            "model changed — refresh benchmarks/baselines/kernel.json in "
-            "the same commit"
+            "model changed — refresh benchmarks/baselines/sweep.json in the "
+            "same commit (command in scripts/check_bench.py)"
         )
+    if failures:
+        # Records from another mode or calibration are not comparable.
+        return failures
+
+    got = _records(artifact, "artifact", failures)
+    want = _records(baseline, "baseline", failures)
+    for exp_id in want:
+        if exp_id not in got:
+            failures.append(f"{exp_id}: missing from the artifact")
+    for exp_id, record in got.items():
+        ref = want.get(exp_id)
+        if ref is None:
+            failures.append(f"{exp_id}: not in the baseline")
+            continue
+        if record.get("status") == "error":
+            failures.append(f"{exp_id}: error record ({record.get('error_class')})")
+            continue
+        if record.get("events") != ref.get("events"):
+            failures.append(
+                f"{exp_id}: events {record.get('events')!r} != baseline "
+                f"{ref.get('events')!r}"
+            )
+        view, ref_view = deterministic_view(record), deterministic_view(ref)
+        for key in sorted(view.keys() | ref_view.keys()):
+            value, ref_value = view.get(key), ref_view.get(key)
+            if value == ref_value:
+                continue
+            if key == "comparisons" and isinstance(value, list) and isinstance(ref_value, list):
+                if len(value) != len(ref_value):
+                    failures.append(
+                        f"{exp_id}: {len(value)} comparison rows != baseline "
+                        f"{len(ref_value)}"
+                    )
+                failures.extend(
+                    _row_failure(exp_id, row, ref_row)
+                    for row, ref_row in zip(value, ref_value)
+                    if row != ref_row
+                )
+            else:
+                failures.append(f"{exp_id}: {key} differs from the baseline")
     return failures
 
 
@@ -173,13 +232,15 @@ def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="scripts/check_bench.py",
-        description="gate a benchmark artifact against its committed baseline",
+        description="gate a run artifact against its committed baseline",
     )
-    parser.add_argument("artifact", help="path to BENCH_kernel.json / BENCH_scale.json")
+    parser.add_argument(
+        "artifact", help="path to a quick-sweep --json artifact or, with --scale, "
+        "BENCH_scale.json",
+    )
     parser.add_argument(
         "--scale", action="store_true",
-        help="gate a BENCH_scale.json scaling artifact instead of the "
-        "kernel benchmark",
+        help="gate a BENCH_scale.json scaling artifact instead of a sweep",
     )
     parser.add_argument(
         "--baseline",
@@ -211,12 +272,8 @@ def main(argv=None) -> int:
                 f"completion dev {parity.get('completion_max_rel')}"
             )
     else:
-        failures = check(artifact, baseline)
-        kernel = artifact.get("kernel", {})
-        print(
-            f"  kernel {float(kernel.get('events_per_s', 0.0)):>12,.0f} events/s  "
-            f"({kernel.get('events', '?')} events)"
-        )
+        sys.path.insert(0, str(SRC))  # check_sweep imports repro.bench.engine
+        failures = check_sweep(artifact, baseline)
     for failure in failures:
         print(f"FAIL: {failure}")
     verdict = "FAILED" if failures else "ok"

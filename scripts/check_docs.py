@@ -57,7 +57,6 @@ VALUE_FLAGS = {
         "--json",
         "--trace",
         "--cache-dir",
-        "--bench-json",
         "--scale-json",
     },
     "python -m repro.obs": {"-o", "--out", "-j", "--jobs"},

@@ -9,9 +9,6 @@ Options:
 * ``--jobs N`` — fan out over N worker processes (default 1);
 * ``--no-cache`` — ignore and do not update the on-disk result cache;
 * ``--json PATH`` — also write the JSON results artifact to PATH;
-* ``--bench-json PATH`` — write the kernel-benchmark artifact
-  (``BENCH_kernel.json``) from the ``selftest`` experiment's data
-  (implies ``--no-cache`` so the numbers are freshly measured);
 * ``--scale-json PATH`` — write the large-torus scaling artifact
   (``BENCH_scale.json``) from the ``scale`` experiment's data
   (implies ``--no-cache``);
@@ -30,7 +27,6 @@ from .runner import (
     default_cache_dir,
     run_experiments,
     write_json,
-    write_kernel_bench,
     write_scale_bench,
 )
 from .tables import fmt_ratio, render_table
@@ -72,11 +68,6 @@ def main(argv=None) -> int:
         help="write the JSON results artifact to PATH",
     )
     parser.add_argument(
-        "--bench-json", default=None, metavar="PATH",
-        help="write the kernel benchmark artifact (BENCH_kernel.json) from "
-        "the selftest experiment's data (implies --no-cache)",
-    )
-    parser.add_argument(
         "--scale-json", default=None, metavar="PATH",
         help="write the large-torus scaling artifact (BENCH_scale.json) from "
         "the scale experiment's data (implies --no-cache)",
@@ -102,8 +93,6 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     ids = args.ids or all_ids()
-    if args.bench_json is not None and "selftest" not in ids:
-        parser.error("--bench-json needs the 'selftest' experiment in the sweep")
     if args.scale_json is not None and "scale" not in ids:
         parser.error("--scale-json needs the 'scale' experiment in the sweep")
     try:
@@ -123,11 +112,7 @@ def main(argv=None) -> int:
         ids,
         quick=quick,
         jobs=args.jobs,
-        use_cache=not (
-            args.no_cache
-            or args.bench_json is not None
-            or args.scale_json is not None
-        ),
+        use_cache=not (args.no_cache or args.scale_json is not None),
         cache_dir=args.cache_dir,
         progress=progress,
         trace=args.trace is not None,
@@ -160,14 +145,6 @@ def main(argv=None) -> int:
     if args.json:
         path = write_json(records, args.json, quick=quick, jobs=args.jobs)
         print(f"\nwrote {path}", file=sys.stderr)
-
-    if args.bench_json:
-        try:
-            path = write_kernel_bench(records, args.bench_json, quick=quick)
-        except ValueError as exc:
-            print(f"bench-json: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {path}", file=sys.stderr)
 
     if args.scale_json:
         try:

@@ -21,10 +21,12 @@ failures):
   "wall_s", "events"}`` (the traceback string, the exception class name,
   and the original request arguments).
 
-``comparisons``/``rendered``/``data`` are deterministic (the simulation is
-seedless); ``wall_s``/``events`` are telemetry and vary run to run —
-consumers that need bit-identity (the service's result bodies, the cache
-parity tests) compare :func:`deterministic_view` of a payload.
+``comparisons``/``rendered``/``data`` are pure functions of the request
+(the simulation is seedless).  ``events`` is exact from run to run as
+well, and only ``wall_s`` varies.  Consumers that need bit-identity (the
+service's result bodies, the cache parity tests) compare
+:func:`deterministic_view` of a payload, which leaves out both telemetry
+keys; ``scripts/check_bench.py`` compares ``events`` alongside it.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ def _jsonable(obj):
 def deterministic_view(payload: dict) -> dict:
     """The bit-identical subset of a result payload.
 
-    Strips the telemetry (``wall_s``, ``events``) and trace data that
-    legitimately differ between two executions of the same request, keeping
-    only the keys that the determinism contract covers.  The service's
+    Strips the telemetry (``wall_s``, which differs between two executions
+    of the same request, and ``events``) and trace data, keeping only the
+    keys that the determinism contract covers.  The service's
     crash-retry acceptance gate compares these views byte for byte.
     """
     return {k: payload[k] for k in DETERMINISTIC_KEYS if k in payload}

@@ -2,10 +2,10 @@
 
 Each experiment module registers a runner returning an
 :class:`ExperimentResult`; ``python -m repro.bench <id>`` (see
-``__main__.py``) or the pytest-benchmark targets under ``benchmarks/``
-execute them.  ``quick=True`` trims sweep points and problem sizes so the
-full set finishes in minutes; ``quick=False`` runs the paper's exact
-parameters.
+``__main__.py``) and the service (:mod:`repro.serve`) execute them
+through :class:`~repro.bench.engine.ExecutionEngine`.  ``quick=True``
+trims sweep points and problem sizes so the full set finishes in
+minutes; ``quick=False`` runs the paper's exact parameters.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ reproduction sweep is embarrassingly parallel.  This module provides:
 * :class:`ResultCache` — an on-disk JSON cache keyed by a hash of the
   experiment id, quick/full flag, every calibration constant, and the
   package version, so unchanged experiments are skipped on re-runs;
-* :func:`write_json` — the ``results/run-<id>.json`` artifact consumed by
-  CI.
+* :func:`write_json` — the ``results/run-<id>.json`` artifact that
+  ``scripts/check_bench.py`` gates against ``benchmarks/baselines/sweep.json``.
 
 Determinism: the simulation is seedless and deterministic, so a given
 (experiment, quick, calibration, version) tuple always produces identical
@@ -46,7 +46,6 @@ __all__ = [
     "default_cache_dir",
     "run_experiments",
     "write_json",
-    "write_kernel_bench",
     "write_scale_bench",
 ]
 
@@ -129,9 +128,9 @@ def cache_key(experiment_id: str, quick: bool) -> str:
 def calibration_hash() -> str:
     """Short content hash of every calibration constant.
 
-    Stamped into bench artifacts (``BENCH_kernel.json``,
-    ``BENCH_scale.json``) so a perf number can never be compared across
-    different model calibrations unnoticed.  Computed once per process
+    Stamped into run artifacts (``--json``, ``BENCH_scale.json``) so a
+    result can never be compared across different model calibrations
+    unnoticed.  Computed once per process
     (``tests/bench/test_calibration_once.py`` pins this).
     """
     global _calibration_hash_memo
@@ -350,6 +349,7 @@ def write_json(
     doc = {
         "run_id": run_id or default_run_id(),
         "repro_version": __version__,
+        "calibration_hash": calibration_hash(),
         "mode": "quick" if quick else "full",
         "jobs": jobs,
         "total_wall_s": sum(r.wall_s for r in records if not r.cached),
@@ -357,47 +357,6 @@ def write_json(
         "n_errors": sum(1 for r in records if r.status == "error"),
         "records": [r.to_dict() for r in records],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    return path
-
-
-def write_kernel_bench(
-    records: Sequence[RunRecord],
-    path: Path | str,
-    quick: bool = True,
-    run_id: Optional[str] = None,
-) -> Path:
-    """Write the machine-readable kernel-benchmark artifact to *path*.
-
-    Extracts the kernel throughput numbers that the ``selftest``
-    experiment leaves in ``data["kernel_bench"]`` and stamps them with the package
-    version and calibration hash — the ``BENCH_kernel.json`` consumed by
-    the CI ``bench-history`` job and ``scripts/check_bench.py``.  Raises
-    :class:`ValueError` when no record carries kernel-bench data (e.g.
-    ``selftest`` was not part of the sweep or errored).
-    """
-    bench = None
-    for record in records:
-        if record.status != "error" and record.data and "kernel_bench" in record.data:
-            bench = record.data["kernel_bench"]
-            break
-    if bench is None:
-        raise ValueError(
-            "no kernel-bench data in this sweep: run the 'selftest' "
-            "experiment (uncached) to produce BENCH_kernel.json"
-        )
-    doc = {
-        "run_id": run_id or default_run_id(),
-        "repro_version": __version__,
-        "calibration_hash": calibration_hash(),
-        "mode": "quick" if quick else "full",
-        "kernel": {
-            key: bench[key] for key in ("events", "wall_s", "events_per_s", "scenarios")
-        },
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
     return path

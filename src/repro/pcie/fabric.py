@@ -119,21 +119,11 @@ class PCIeFabric:
         mps: int = DEFAULT_MPS,
         mrrs: int = DEFAULT_MRRS,
         write_quantum: int = 4096,
-        write_batch: int = 1,
     ):
-        if write_batch < 1:
-            raise SimulationError("write_batch must be >= 1")
         self.sim = sim
         self.mps = mps
         self.mrrs = mrrs
         self.write_quantum = write_quantum
-        # Batch-scheduling factor for posted writes: how many back-to-back
-        # quanta are coalesced into one scheduled transfer per hop.  1 (the
-        # default) preserves quantum-granular pipelining and bit-identical
-        # timing; larger values trade pipelining granularity for a
-        # proportional reduction in simulated events — useful for bulk
-        # sweeps where per-quantum interleaving does not matter.
-        self.write_batch = write_batch
         self.nodes: dict[str, FabricNode] = {}
         self.root: Optional[FabricNode] = None
         # Address index: sorted list of (base, limit, device).
@@ -307,13 +297,8 @@ class PCIeFabric:
         nbytes: int,
         payload: Any = None,
         quantum: Optional[int] = None,
-        batch: Optional[int] = None,
     ) -> Event:
-        """Posted write of *nbytes* to *addr*; fires on target absorption.
-
-        *batch* overrides the fabric's ``write_batch`` for this write:
-        how many back-to-back quanta are scheduled as one transfer.
-        """
+        """Posted write of *nbytes* to *addr*; fires on target absorption."""
         if nbytes <= 0:
             raise SimulationError("write needs a positive size")
         target = self.resolve(addr)
@@ -322,15 +307,12 @@ class PCIeFabric:
         q = max(quantum or self.write_quantum, self.mps)
         if q & (q - 1):
             raise SimulationError(f"write quantum {q} must be a power of two")
-        b = batch if batch is not None else self.write_batch
-        if b < 1:
-            raise SimulationError("write batch must be >= 1")
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
             span = obs.span("pcie", "write", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
-        _Write(self, initiator.name, addr, nbytes, payload, behavior, hops, q, b, done)
+        _Write(self, initiator.name, addr, nbytes, payload, behavior, hops, q, done)
         return done
 
     def _wire_bytes_for_write(self, addr: int, nbytes: int) -> int:
@@ -458,13 +440,6 @@ class _Write(_Chain):
     Issuing every first hop from one chain lets competing initiators
     interleave fairly at shared links; the rest of each quantum's hops run
     in its own :class:`_Quantum`, giving store-and-forward pipelining.
-
-    With batch > 1, back-to-back quanta are coalesced: one scheduled
-    transfer (and one :class:`_Quantum`) moves the batch's summed wire
-    bytes.  TLP framing overhead is still accounted per quantum — the same
-    TLPs cross the wire, the simulator just schedules them as a unit — so
-    delivered bandwidth is unchanged while the event count drops by ~the
-    batch factor.
     """
 
     __slots__ = (
@@ -474,14 +449,14 @@ class _Write(_Chain):
         "payload",
         "behavior",
         "hops",
-        "groups",
+        "quanta",
         "sent",
         "left",
         "done",
     )
 
     def __init__(
-        self, fabric, requester, addr, nbytes, payload, behavior, hops, quantum, batch, done
+        self, fabric, requester, addr, nbytes, payload, behavior, hops, quantum, done
     ):
         self.fabric = fabric
         self.step = _Write._send
@@ -491,28 +466,20 @@ class _Write(_Chain):
         self.payload = payload
         self.behavior = behavior
         self.hops = hops
-        quanta = fragment(addr, nbytes, quantum)
         wire = fabric._wire_bytes_for_write
-        if batch == 1:
-            self.groups = [(a, s, wire(a, s)) for a, s in quanta]
-        else:
-            quanta = list(quanta)
-            self.groups = [
-                (part[0][0], sum(s for _, s in part), sum(wire(a, s) for a, s in part))
-                for part in (quanta[i : i + batch] for i in range(0, len(quanta), batch))
-            ]
+        self.quanta = [(a, s, wire(a, s)) for a, s in fragment(addr, nbytes, quantum)]
         self.sent = 0
-        self.left = len(self.groups)
+        self.left = len(self.quanta)
         self.done = done
         self._start()
 
     def _send(self) -> Optional[Event]:
         """Start the quantum that just crossed the first hop; send the next."""
-        groups, hops, i = self.groups, self.hops, self.sent
+        quanta, hops, i = self.quanta, self.hops, self.sent
         if i and hops:
             self._forward(i - 1)
-        while i < len(groups):
-            qaddr, qsize, wire = groups[i]
+        while i < len(quanta):
+            qaddr, qsize, wire = quanta[i]
             i += 1
             self.sent = i
             if hops:
@@ -525,12 +492,12 @@ class _Write(_Chain):
 
     def _forward(self, k: int) -> None:
         """Send quantum *k* on from the first hop's far end."""
-        qaddr, qsize, wire = self.groups[k]
+        qaddr, qsize, wire = self.quanta[k]
         absorbed = Event(self.fabric.sim)
         absorbed.callbacks.append(self._absorbed)
         # The full payload is delivered once, with the whole write's base
         # address and size, when the final quantum is absorbed.
-        last = k == len(self.groups) - 1
+        last = k == len(self.quanta) - 1
         delivery = (self.addr, self.nbytes, self.payload) if last else None
         _Quantum(
             self.fabric,

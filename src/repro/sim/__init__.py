@@ -8,8 +8,8 @@ Public surface:
   — shared-resource primitives (:mod:`repro.sim.resources`);
 * :class:`Channel`, :class:`RateLimiter` — bandwidth/latency pipes
   (:mod:`repro.sim.channel`);
-* :class:`BandwidthMeter`, :class:`TraceLog` — instrumentation
-  (:mod:`repro.sim.trace`).
+* :class:`OnlineStats`, :class:`FaultStats`, :func:`percentile` —
+  statistics (:mod:`repro.sim.stats`).
 
 The event queue is one ``heapq`` list of ``(time, seq, event)`` entries:
 ties at equal timestamps pop in schedule order, so every run is
@@ -29,8 +29,7 @@ from .core import (
     kernel_event_count,
 )
 from .resources import ByteFifo, PacketFifo, Resource, Store
-from .stats import FaultStats, OnlineStats, TimeSeries, percentile
-from .trace import BandwidthMeter, TraceLog, TraceRecord
+from .stats import FaultStats, OnlineStats, percentile
 
 __all__ = [
     "Simulator",
@@ -48,11 +47,7 @@ __all__ = [
     "PacketFifo",
     "Channel",
     "RateLimiter",
-    "BandwidthMeter",
-    "TraceLog",
-    "TraceRecord",
     "OnlineStats",
     "FaultStats",
-    "TimeSeries",
     "percentile",
 ]

@@ -168,14 +168,6 @@ class Event:
         self.sim._push(self)
         return self
 
-    # -- kernel hook ----------------------------------------------------------
-
-    def _process(self) -> None:
-        self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "done"}
         return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now}>"
@@ -293,7 +285,7 @@ class Process(Event):
             return
         except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
             # the exception is re-raised through the completion event (joiners
-            # see it; with nobody joined the kernel step re-raises it).
+            # see it; with nobody joined the run loop re-raises it).
             self.fail(exc)
             return
         if not isinstance(target, Event):
@@ -496,40 +488,12 @@ class Simulator:
         """
         return sorted(self._heap)
 
-    def step(self) -> None:
-        """Process exactly one event (the generic, un-inlined path).
-
-        :meth:`run` and :meth:`run_process` inline this logic with
-        pre-bound locals for speed; ``step()`` is kept as the reference
-        implementation for debuggers, lock-step co-simulation and the
-        ``selftest`` micro-benchmark's before/after baseline.  Both paths
-        must stay behaviourally identical.
-        """
-        heap = self._heap
-        if not heap:
-            raise SimulationError("step() on an empty event queue")
-        t, _, event = heappop(heap)
-        if t < self.now - 1e-9:
-            if self._sanitizer is not None:
-                self._sanitizer.record_causality(t, self.now, "event popped")
-            raise SimulationError(f"time went backwards: {t} < {self.now}")
-        self.now = t
-        self.events_processed += 1
-        _KERNEL_STATS["events"] += 1
-        had_waiters = bool(event.callbacks)
-        event._process()
-        # A process that crashed with nobody joined on it at crash time:
-        # surface the error instead of losing it silently.
-        if isinstance(event, Process) and not event._ok and not had_waiters:
-            raise event._value
-
     def _drain(self, until: Optional[float], watched: Optional[Event]) -> None:
         """The inlined hot loop behind :meth:`run` / :meth:`run_process`.
 
-        Equivalent to ``while ...: self.step()`` but with the heap, the
-        pop and the event-dispatch machinery pre-bound to locals, and
-        :meth:`Event._process` inlined (every kernel event class uses the
-        base implementation).  Stops when the queue drains, the next event
+        Pops events in ``(time, seq)`` order with the heap and the pop
+        pre-bound to locals, marks each event processed and runs its
+        callbacks in place.  Stops when the queue drains, the next event
         lies beyond *until*, or *watched* leaves the pending state.
         """
         heap = self._heap

@@ -1,11 +1,11 @@
-"""Small online-statistics helpers used by benchmarks and traces."""
+"""Online statistics and the fault/recovery accounting built on them."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["OnlineStats", "percentile", "TimeSeries", "FaultStats", "RecoveryStats"]
+__all__ = ["OnlineStats", "percentile", "FaultStats", "RecoveryStats"]
 
 
 class OnlineStats:
@@ -69,45 +69,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
         return xs[lo]
     frac = pos - lo
     return xs[lo] * (1 - frac) + xs[hi] * frac
-
-
-class TimeSeries:
-    """Append-only (t, value) series with integration helpers.
-
-    Values are piecewise-constant between samples (step function), which is
-    the right semantics for levels like "FIFO occupancy over time".
-    """
-
-    def __init__(self):
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-    def append(self, t: float, value: float) -> None:
-        """Record that the level became *value* at time *t*."""
-        if self.times and t < self.times[-1]:
-            raise ValueError("TimeSeries timestamps must be non-decreasing")
-        self.times.append(t)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def time_average(self, until: float) -> float:
-        """Time-weighted average of the step function up to *until*."""
-        if not self.times:
-            return 0.0
-        total = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else until
-            t_next = min(t_next, until)
-            if t_next > t:
-                total += v * (t_next - t)
-        span = until - self.times[0]
-        return total / span if span > 0 else 0.0
-
-    def maximum(self) -> float:
-        """Largest recorded level."""
-        return max(self.values) if self.values else 0.0
 
 
 class FaultStats:

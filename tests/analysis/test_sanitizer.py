@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import SanitizerError, collect_reports, reset_registry
-from repro.bench.experiments.selftest import kernel_workload
 from repro.sim import SimulationError, Simulator
 from repro.sim.channel import Channel
 from repro.sim.resources import Resource, Store
@@ -220,6 +219,37 @@ def test_guard_stats_cross_process_write_raises():
 # ---------------------------------------------------------------------------
 # Bit-identity: sanitized == unsanitized
 # ---------------------------------------------------------------------------
+
+
+def kernel_workload(sim: Simulator, n_procs: int, n_steps: int) -> None:
+    """A representative mix of timeouts, event waits, and channel traffic.
+
+    Deterministic: delays derive only from loop indices.  Mostly Timeouts
+    (firmware costs, link serialization) with a sprinkling of triggered
+    Events (completion notifications) and Channel transfers.
+    """
+    ch = Channel(sim, bandwidth=GBps(4.0), latency=ns(120.0), name="selftest-link")
+    rendezvous = [sim.event() for _ in range(n_procs // 4 or 1)]
+
+    def worker(i):
+        for k in range(n_steps):
+            yield sim.timeout((i % 13) + 0.5 * (k % 7))
+            # Fire-and-forget notification nobody joins on (posted-write
+            # completions, flushed packets): pure kernel dispatch.
+            sim.timeout(0.25 * (k % 5))
+            if k % 16 == 0:
+                yield ch.transfer(512 + 64 * (i % 8))
+        ev = rendezvous[i % len(rendezvous)]
+        if not ev.triggered:
+            ev.succeed(i)
+
+    def waiter(j):
+        yield rendezvous[j]
+
+    for j in range(len(rendezvous)):
+        sim.process(waiter(j))
+    for i in range(n_procs):
+        sim.process(worker(i))
 
 
 def test_sanitized_run_is_bit_identical():

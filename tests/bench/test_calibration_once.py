@@ -55,25 +55,20 @@ def test_artifact_writers_do_not_rewalk_the_config(monkeypatch, tmp_path):
     counter = {"n": 0}
     _reset_memos(monkeypatch, counter)
 
-    selftest = RunRecord(
-        experiment_id="selftest",
-        data={"kernel_bench": {"events": 10, "wall_s": 0.1,
-                               "events_per_s": 100.0, "scenarios": {}}},
-    )
     scale = RunRecord(
         experiment_id="scale",
         data={"scale_bench": {"rows": [], "parity": {"lossless_ok": True},
                               "dead_links": [], "golden_dims": []}},
     )
-    runner.write_kernel_bench([selftest], tmp_path / "k.json", run_id="t")
+    runner.write_json([scale], tmp_path / "run.json", run_id="t")
     runner.write_scale_bench([scale], tmp_path / "s.json", run_id="t")
     for _ in range(3):
         runner.calibration_hash()
     assert counter["n"] == 1
 
-    k = json.loads((tmp_path / "k.json").read_text())
+    run = json.loads((tmp_path / "run.json").read_text())
     s = json.loads((tmp_path / "s.json").read_text())
-    assert k["calibration_hash"] == s["calibration_hash"] == runner.calibration_hash()
+    assert run["calibration_hash"] == s["calibration_hash"] == runner.calibration_hash()
 
 
 def test_memoised_hash_equals_direct_computation(monkeypatch):

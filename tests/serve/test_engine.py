@@ -97,3 +97,12 @@ def test_trace_payload_attached_only_when_requested():
     assert "trace" in traced and traced["trace"]["events"]
     assert "trace" not in plain
     assert deterministic_view(traced) == deterministic_view(plain)
+
+
+def test_selftest_payload_is_exact_run_to_run():
+    # A cached or crash-retried selftest must equal a fresh run, so its
+    # rendered table and data may carry no wall-clock timings.
+    first = ExecutionEngine().execute("selftest", quick=True)
+    second = ExecutionEngine().execute("selftest", quick=True)
+    assert deterministic_view(first) == deterministic_view(second)
+    assert first["events"] == second["events"] == 1238

@@ -51,9 +51,9 @@ def test_extract_handles_prompts_comments_and_continuations(check_docs):
 
 
 def test_split_command_peels_env_assignments(check_docs):
-    env, argv = check_docs.split_command("REPRO_FULL=1 pytest benchmarks/ --benchmark-only")
-    assert env == ["REPRO_FULL=1"]
-    assert argv == ["pytest", "benchmarks/", "--benchmark-only"]
+    env, argv = check_docs.split_command("REPRO_SANITIZE=1 python scripts/serve_smoke.py")
+    assert env == ["REPRO_SANITIZE=1"]
+    assert argv == ["python", "scripts/serve_smoke.py"]
 
 
 def test_split_command_strips_inline_comments(check_docs):
