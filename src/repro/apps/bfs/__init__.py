@@ -12,7 +12,6 @@ from .distributed import (
     BfsResult,
     BfsSuiteResult,
     RankBreakdown,
-    bfs_torus,
     run_bfs,
     run_bfs_suite,
 )
@@ -35,5 +34,4 @@ __all__ = [
     "RankBreakdown",
     "run_bfs",
     "run_bfs_suite",
-    "bfs_torus",
 ]

@@ -33,8 +33,7 @@ from ...cuda.memcpy import memcpy_sync
 from ...gpu.kernels import KernelLaunch
 from ...mpi.comm import MpiWorld
 from ...ib.cluster import build_ib_cluster
-from ...net.cluster import build_apenet_cluster
-from ...net.topology import TorusShape
+from ...net.cluster import build_apenet_cluster, torus_for_ranks
 from ...sim import DeadlockError, Simulator
 from ...units import Gbps, us
 from .csr import CSRGraph
@@ -49,18 +48,9 @@ __all__ = [
     "RankBreakdown",
     "run_bfs",
     "run_bfs_suite",
-    "bfs_torus",
 ]
 
 _PAIR_BYTES = 8  # (vertex, parent) as two packed uint32s
-
-
-def bfs_torus(np_: int) -> TorusShape:
-    """Torus shapes for the strong-scaling runs (Cluster I layout)."""
-    shapes = {1: (1, 1, 1), 2: (2, 1, 1), 4: (4, 1, 1), 8: (4, 2, 1)}
-    if np_ not in shapes:
-        raise ValueError(f"NP={np_} not in the paper's scaling set")
-    return TorusShape(*shapes[np_])
 
 
 @dataclass
@@ -206,7 +196,7 @@ def run_bfs(cfg: BfsConfig) -> BfsResult:
         acfg = (cfg.apenet_config or DEFAULT_CONFIG).with_(
             link_bandwidth=cfg.link_bandwidth
         )
-        cluster = build_apenet_cluster(sim, bfs_torus(cfg.np_), acfg)
+        cluster = build_apenet_cluster(sim, torus_for_ranks(cfg.np_), acfg)
         nodes = cluster.nodes[: cfg.np_]
         comm_factory = lambda st: _ApenetComm(sim, cfg, st, nodes)
     else:

@@ -1,8 +1,6 @@
 """Heisenberg Spin Glass over-relaxation: physics + distributed runs."""
 
-from .distributed import HsgConfig, HsgResult, run_hsg, torus_for_ranks
-from .distributed2d import Hsg2DConfig, grid_for_ranks, run_hsg_2d
-from .heatbath import heatbath_spins, heatbath_sweep, mixed_sweep
+from .distributed import HsgConfig, HsgResult, grid_for_ranks, run_hsg
 from .lattice import SpinLattice, overrelax_spins
 from .perf import SPIN_BYTES, HsgKernelModel
 
@@ -14,11 +12,5 @@ __all__ = [
     "HsgConfig",
     "HsgResult",
     "run_hsg",
-    "torus_for_ranks",
-    "Hsg2DConfig",
-    "run_hsg_2d",
     "grid_for_ranks",
-    "heatbath_spins",
-    "heatbath_sweep",
-    "mixed_sweep",
 ]

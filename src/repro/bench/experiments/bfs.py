@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 from ...apps.bfs import BfsConfig, run_bfs
 from ..harness import ExperimentResult, register
 from ..tables import render_table
@@ -21,9 +19,6 @@ PAPER_FIG12_COMM_RATIO = 2.0
 
 
 def _scale(quick: bool) -> int:
-    env = os.environ.get("REPRO_BFS_SCALE")
-    if env:
-        return int(env)
     return 16 if quick else 20
 
 
@@ -31,9 +26,8 @@ def _scale(quick: bool) -> int:
 def run_table4(quick: bool = True) -> ExperimentResult:
     """Traversed edges per second for both clusters.
 
-    Quick mode runs scale 16 (the paper's |V|=2^20 is scale 20; set
-    REPRO_BFS_SCALE=20 or quick=False for the full graph — several minutes
-    of wall time).
+    Quick mode runs scale 16; full mode runs the paper's |V|=2^20, scale
+    20 (several minutes of wall time).
     """
     scale = _scale(quick)
     rows = []

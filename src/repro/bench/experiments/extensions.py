@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from ...apenet.buflist import BufferKind
-from ...apps.hsg import HsgConfig, run_hsg
+from ...apps.hsg import HsgConfig, grid_for_ranks, run_hsg
 from ...cuda.config import CudaCosts
 from ...units import kib, mib, us
 from ..harness import ExperimentResult, register
@@ -92,14 +92,12 @@ def run_hsg2d(quick: bool = True) -> ExperimentResult:
     """"This advantage could increase for a multi-dimensional domain-
     decomposition, where the size of the exchanged messages shrinks in the
     strong scaling" — implement it and check."""
-    from ...apps.hsg.distributed2d import Hsg2DConfig, run_hsg_2d
-
     sweeps = 2
     rows = []
     comparisons = []
     for np_ in (4, 8):
         r1 = run_hsg(HsgConfig(L=256, np_=np_, sweeps=sweeps))
-        r2 = run_hsg_2d(Hsg2DConfig(L=256, np_=np_, sweeps=sweeps))
+        r2 = run_hsg(HsgConfig(L=256, np_=np_, grid=grid_for_ranks(np_), sweeps=sweeps))
         rows.append(
             (np_, round(r1.tnet_ps, 1), round(r2.tnet_ps, 1),
              round(r1.ttot_ps), round(r2.ttot_ps))

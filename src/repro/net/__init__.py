@@ -6,7 +6,7 @@ plus bounded payload), and the per-node composition of host, GPU, PCIe
 fabric and NIC into a cluster the experiments drive.
 """
 
-from .cluster import ApenetCluster, ClusterNode, build_apenet_cluster
+from .cluster import ApenetCluster, ClusterNode, build_apenet_cluster, torus_for_ranks
 from .collectives import Collective, make_collectives
 from .packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES, ApePacket, MessageInfo
 from .topology import DIMS, Coord, TorusShape
@@ -22,6 +22,7 @@ __all__ = [
     "ApenetCluster",
     "ClusterNode",
     "build_apenet_cluster",
+    "torus_for_ranks",
     "Collective",
     "make_collectives",
 ]

@@ -32,7 +32,15 @@ from ..pcie.topology import Platform, plx_platform, westmere_platform
 from ..sim import Simulator
 from .topology import Coord, TorusShape
 
-__all__ = ["ClusterNode", "ApenetCluster", "build_apenet_cluster"]
+__all__ = ["ClusterNode", "ApenetCluster", "build_apenet_cluster", "torus_for_ranks"]
+
+
+def torus_for_ranks(np_: int) -> TorusShape:
+    """The sub-torus of Cluster I the paper's runs used for NP nodes."""
+    shapes = {1: (1, 1, 1), 2: (2, 1, 1), 4: (4, 1, 1), 8: (4, 2, 1)}
+    if np_ not in shapes:
+        raise ValueError(f"NP={np_} not in the paper's strong-scaling set")
+    return TorusShape(*shapes[np_])
 
 
 @dataclass

@@ -85,6 +85,13 @@ class HttpFrontend:
             if status:
                 self.service.m_http.inc(route=route, code=str(status))
             try:
+                # Half-close first: a worker forked meanwhile holds a copy of
+                # this socket, so close() alone would keep the client from
+                # seeing end-of-stream until that worker exits.
+                writer.write_eof()
+            except OSError:
+                pass  # the client is gone; close() below still runs
+            try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):

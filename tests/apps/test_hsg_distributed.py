@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.apps.hsg import HsgConfig, HsgKernelModel, SpinLattice, run_hsg
+from repro.faults import FaultPlan
 from repro.gpu import FERMI_2050, FERMI_2070
+from repro.recovery import RecoveryPolicy
+from repro.units import us
 
 
 def serial_reference(L, sweeps, seed=7):
@@ -45,6 +48,27 @@ def test_single_rank_matches_serial():
     ref = serial_reference(8, 3)
     res = run_hsg(HsgConfig(L=8, np_=1, sweeps=3, validate=True))
     np.testing.assert_allclose(res.spins, ref.spins, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [(1, 4), (2, 2)])
+def test_link_kill_keeps_physics_beyond_two_ranks(grid):
+    """Rank 0's +X channel dies mid-run.  Its neighbours run one exchange
+    ahead and land their next halos before the replayed one; those must
+    count for the next exchange, so the spins equal the clean run's."""
+    plan = FaultPlan(
+        seed=20131741, max_retries=2, ack_timeout=us(2),
+        link_kills=(("n0.ape->n1.ape[0,+1]", us(30)),),
+    )
+    clean = run_hsg(HsgConfig(L=16, np_=4, grid=grid, sweeps=2, validate=True))
+    killed = run_hsg(
+        HsgConfig(
+            L=16, np_=4, grid=grid, sweeps=2, validate=True,
+            faults=plan, recovery=RecoveryPolicy(),
+        )
+    )
+    assert len(killed.recovery_stats.link_deaths) == 1
+    assert killed.recovery_stats.replays == 1
+    np.testing.assert_array_equal(killed.spins, clean.spins)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Meta-tests over the experiment registry: every entry is well-formed."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro.bench.experiments
 from repro.bench import all_ids, get
 
 
@@ -33,3 +37,12 @@ def test_runner_docstrings_exist():
 def test_cheap_extension_experiments_run(exp_id):
     result = get(exp_id).runner(True)
     assert result.rendered
+
+
+def test_experiments_read_no_environment():
+    """An experiment's rows depend only on what the result cache keys on
+    (id, quick, calibration, version), so no experiment reads the
+    environment."""
+    root = Path(repro.bench.experiments.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        assert not re.search(r"\benviron\b|getenv", path.read_text()), path.name

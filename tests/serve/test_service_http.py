@@ -7,6 +7,7 @@ the parser, router, and Connection: close discipline are all exercised.
 
 import asyncio
 import json
+import multiprocessing
 
 import pytest
 
@@ -31,6 +32,31 @@ def toy_experiment():
     try:
         yield exp_id
     finally:
+        harness._REGISTRY.pop(exp_id, None)
+
+
+@pytest.fixture
+def gated_experiment():
+    """A toy experiment whose run waits for the test to open its gate, so
+    submissions made before that are certainly concurrent with it."""
+    exp_id = "_t_http_gated"
+    gate = multiprocessing.Event()  # the forked worker inherits it
+
+    def run(quick):
+        """Toy runner that stays in flight until the gate opens."""
+        gate.wait(timeout=30)
+        return harness.ExperimentResult(
+            experiment_id=exp_id,
+            title="gated http-test experiment",
+            rendered="served",
+            comparisons=[("metric", 5.0, 5.0, "units")],
+        )
+
+    harness.register(exp_id, "gated http-test experiment", "—")(run)
+    try:
+        yield exp_id, gate
+    finally:
+        gate.set()
         harness._REGISTRY.pop(exp_id, None)
 
 
@@ -176,21 +202,50 @@ def test_cache_hit_answers_200_without_execution(tmp_path, toy_experiment):
     serve_test(body, use_cache=True, cache_dir=str(tmp_path))
 
 
-def test_concurrent_identical_submissions_coalesce(toy_experiment):
+def test_concurrent_identical_submissions_coalesce(gated_experiment):
+    exp_id, gate = gated_experiment
+
     async def body(service, port):
         docs = []
         for _ in range(3):
             status, _, doc = await _request(
-                port, "POST", "/submit", {"experiment": toy_experiment}
+                port, "POST", "/submit", {"experiment": exp_id}
             )
             assert status == 202
             docs.append(doc)
         assert [d["coalesced"] for d in docs] == [False, True, True]
+        gate.set()
         finals = [await _poll_terminal(port, d["request_id"]) for d in docs]
         assert all(f["state"] == "done" for f in finals)
         # One execution served all three: the followers dedup'ed onto it.
         assert service.m_dedup_hits.value() == 2
         assert service.m_completed.value(outcome="done") == 3
+
+    serve_test(body)
+
+
+def test_response_ends_while_a_forked_worker_runs(gated_experiment):
+    """A worker forked while a client connection is open inherits that
+    socket; the client must still see end-of-stream after its response."""
+    exp_id, gate = gated_experiment
+
+    async def body(service, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await asyncio.sleep(0.05)  # the server accepts it before the fork
+        before = set(multiprocessing.active_children())
+        status, _, doc = await _request(port, "POST", "/submit", {"experiment": exp_id})
+        assert status == 202
+        deadline = asyncio.get_running_loop().time() + 10
+        while not set(multiprocessing.active_children()) - before:
+            assert asyncio.get_running_loop().time() < deadline, "no worker forked"
+            await asyncio.sleep(0.01)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), timeout=5)
+        assert raw.startswith(b"HTTP/1.1 200")
+        writer.close()
+        gate.set()
+        assert (await _poll_terminal(port, doc["request_id"]))["state"] == "done"
 
     serve_test(body)
 
