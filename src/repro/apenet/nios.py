@@ -60,15 +60,6 @@ class NiosII:
             if span is not None:
                 span.end()
 
-    @property
-    def queue_len(self) -> int:
-        """Tasks waiting for the microcontroller."""
-        return self._cpu.queue_len
-
     def utilization(self) -> float:
         """Busy fraction of elapsed simulation time."""
         return self._cpu.utilization()
-
-    def busy_time(self) -> float:
-        """Total busy time."""
-        return self._cpu.busy_time()

@@ -120,10 +120,6 @@ class ApenetEndpoint:
         yield self.sim.timeout(cost)
         return entry
 
-    def is_registered(self, addr: int) -> bool:
-        """True if *addr* falls inside a registered buffer."""
-        return self.card.buflist.find(addr) is not None
-
     def _card_gpu_index(self, gpu) -> int:
         for i, g in enumerate(self.card.gpus):
             if g is gpu:
@@ -418,13 +414,6 @@ class ApenetEndpoint:
         yield self.sim.timeout(self.card.config.completion_poll_cost)
         rec = yield self.events.get()
         return rec
-
-    def poll_event(self) -> Optional[RxCompletion]:
-        """Non-blocking event-queue check (no simulated cost)."""
-        if len(self.events):
-            ev = self.events.get()
-            return ev.value
-        return None
 
     def _deliver_remote(self, rec: RxCompletion) -> None:
         tag = rec.tag

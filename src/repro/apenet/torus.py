@@ -236,7 +236,3 @@ class TorusLink:
                 yield self.sim.timeout(
                     plan.ack_timeout * plan.backoff ** (attempts - 1)
                 )
-
-    def utilization(self) -> float:
-        """Wire busy fraction."""
-        return self.channel.utilization()

@@ -7,14 +7,7 @@ optimisations show up as end-to-end traversal speedups.
 """
 
 from .csr import CSRGraph
-from .distributed import (
-    BfsConfig,
-    BfsResult,
-    BfsSuiteResult,
-    RankBreakdown,
-    run_bfs,
-    run_bfs_suite,
-)
+from .distributed import BfsConfig, BfsResult, RankBreakdown, run_bfs
 from .perf import BfsKernelModel
 from .rmat import EDGEFACTOR, rmat_edges
 from .serial import UNVISITED, serial_bfs, traversed_edges, validate_bfs
@@ -30,8 +23,6 @@ __all__ = [
     "BfsKernelModel",
     "BfsConfig",
     "BfsResult",
-    "BfsSuiteResult",
     "RankBreakdown",
     "run_bfs",
-    "run_bfs_suite",
 ]

@@ -44,10 +44,8 @@ from .serial import UNVISITED, serial_bfs, traversed_edges, validate_bfs
 __all__ = [
     "BfsConfig",
     "BfsResult",
-    "BfsSuiteResult",
     "RankBreakdown",
     "run_bfs",
-    "run_bfs_suite",
 ]
 
 _PAIR_BYTES = 8  # (vertex, parent) as two packed uint32s
@@ -283,61 +281,6 @@ def run_bfs(cfg: BfsConfig) -> BfsResult:
         parents=parents,
         validation_errors=errors,
     )
-
-
-@dataclass
-class BfsSuiteResult:
-    """A graph500-style multi-root campaign."""
-
-    results: list[BfsResult]
-
-    @property
-    def harmonic_mean_teps(self) -> float:
-        """The graph500 summary statistic."""
-        inv = [1.0 / r.teps for r in self.results]
-        return len(inv) / sum(inv)
-
-    @property
-    def min_teps(self) -> float:
-        """Slowest traversal of the campaign."""
-        return min(r.teps for r in self.results)
-
-    @property
-    def max_teps(self) -> float:
-        """Fastest traversal of the campaign."""
-        return max(r.teps for r in self.results)
-
-
-def run_bfs_suite(cfg: BfsConfig, n_roots: int = 4) -> BfsSuiteResult:
-    """Run *n_roots* traversals from distinct non-isolated roots.
-
-    The graph500 specification samples 64 search keys and reports the
-    harmonic-mean TEPS; this is the same campaign at a configurable root
-    count (each traversal rebuilds a fresh cluster so runs are
-    independent and deterministic).
-    """
-    edges = rmat_edges(cfg.scale, cfg.edgefactor, seed=cfg.seed)
-    graph = CSRGraph.from_edges(cfg.n_vertices, edges)
-    degrees = np.diff(graph.row_ptr)
-    candidates = np.flatnonzero(degrees > 0)
-    rng = np.random.default_rng(cfg.seed ^ 0xBF5)
-    roots = rng.choice(candidates, size=min(n_roots, len(candidates)), replace=False)
-    results = []
-    for root in roots:
-        sub = BfsConfig(
-            scale=cfg.scale,
-            edgefactor=cfg.edgefactor,
-            np_=cfg.np_,
-            transport=cfg.transport,
-            seed=cfg.seed,
-            root=int(root),
-            validate=cfg.validate,
-            link_bandwidth=cfg.link_bandwidth,
-            ib_pcie_lanes=cfg.ib_pcie_lanes,
-            apenet_config=cfg.apenet_config,
-        )
-        results.append(run_bfs(sub))
-    return BfsSuiteResult(results)
 
 
 # ---------------------------------------------------------------------------

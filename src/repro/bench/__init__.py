@@ -1,6 +1,6 @@
 """Benchmark harness: experiments reproducing every table and figure."""
 
-from .figures import Series, ascii_plot, render_series_table, series_to_csv
+from .figures import Series, ascii_plot, render_series_table
 from .harness import Experiment, ExperimentResult, all_ids, get, register, run
 from .runner import ResultCache, RunRecord, cache_key, run_experiments, write_json
 from .tables import fmt_ratio, render_table
@@ -22,5 +22,4 @@ __all__ = [
     "Series",
     "render_series_table",
     "ascii_plot",
-    "series_to_csv",
 ]

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from ..units import fmt_size
 
-__all__ = ["Series", "render_series_table", "ascii_plot", "series_to_csv"]
+__all__ = ["Series", "render_series_table", "ascii_plot"]
 
 
 @dataclass
@@ -99,18 +99,3 @@ def ascii_plot(
     )
     lines.append(" " * 12 + legend)
     return "\n".join(lines)
-
-
-def series_to_csv(series: Sequence[Series], x_label: str = "x") -> str:
-    """CSV with one column per curve (for external plotting)."""
-    xs = sorted({x for s in series for x in s.x})
-    out = [",".join([x_label] + [s.label for s in series])]
-    for x in xs:
-        row = [str(x)]
-        for s in series:
-            try:
-                row.append(repr(s.y[s.x.index(x)]))
-            except ValueError:
-                row.append("")
-        out.append(",".join(row))
-    return "\n".join(out)

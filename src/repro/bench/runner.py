@@ -10,13 +10,14 @@ reproduction sweep is embarrassingly parallel.  This module provides:
   the service uses) or run them in-process (``jobs == 1``), with
   per-experiment wall-clock and simulated-event telemetry;
 * :class:`ResultCache` — an on-disk JSON cache keyed by a hash of the
-  experiment id, quick/full flag, every calibration constant, and the
-  package version, so unchanged experiments are skipped on re-runs;
+  experiment id, quick/full flag, every calibration constant, the
+  package version and the package's source code, so unchanged
+  experiments are skipped on re-runs;
 * :func:`write_json` — the ``results/run-<id>.json`` artifact that
   ``scripts/check_bench.py`` gates against ``benchmarks/baselines/sweep.json``.
 
 Determinism: the simulation is seedless and deterministic, so a given
-(experiment, quick, calibration, version) tuple always produces identical
+(experiment, quick, calibration, source) tuple always produces identical
 ``comparisons`` rows — which is what makes the cache sound and lets CI
 assert that parallel and serial sweeps agree bit-for-bit.
 """
@@ -97,6 +98,7 @@ class RunRecord:
 # process, not once per experiment.
 _calibration_dict_memo: Optional[dict] = None
 _calibration_hash_memo: Optional[str] = None
+_source_digest_memo: Optional[str] = None
 
 
 def _calibration_dict() -> dict:
@@ -107,19 +109,39 @@ def _calibration_dict() -> dict:
     return _calibration_dict_memo
 
 
+def _source_digest() -> str:
+    """Memoised digest of every ``*.py`` file under the ``repro`` package.
+
+    Each file contributes its path relative to the package root and its
+    bytes, in sorted path order, so the digest does not depend on where
+    the package lives but changes with any edit to its code.
+    """
+    global _source_digest_memo
+    if _source_digest_memo is None:
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+            data = (root / rel).read_bytes()
+            digest.update(f"{rel}\0{len(data)}\0".encode())
+            digest.update(data)
+        _source_digest_memo = digest.hexdigest()
+    return _source_digest_memo
+
+
 def cache_key(experiment_id: str, quick: bool) -> str:
     """Content hash identifying one experiment execution.
 
     Covers the experiment id, the quick/full flag, every calibration
-    constant of :data:`~repro.apenet.config.DEFAULT_CONFIG`, and the
-    package version — any change to model constants or code version
-    invalidates all cached results.
+    constant of :data:`~repro.apenet.config.DEFAULT_CONFIG`, the package
+    version and a digest of the package's source files — any change to
+    model constants or to the code invalidates all cached results.
     """
     ident = {
         "experiment": experiment_id,
         "quick": bool(quick),
         "calibration": _calibration_dict(),
         "version": __version__,
+        "source": _source_digest(),
     }
     blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -2,9 +2,9 @@
 
 from .config import DEFAULT_COSTS, CudaCosts
 from .memcpy import MemcpyKind, classify, memcpy_async, memcpy_device_work, memcpy_sync
-from .pointer import MemoryType, P2PTokens, PointerAttributes
+from .pointer import MemoryType, PointerAttributes
 from .runtime import CudaRuntime, HostBuffer
-from .stream import CudaEvent, CudaStream
+from .stream import CudaStream
 
 __all__ = [
     "CudaCosts",
@@ -12,7 +12,6 @@ __all__ = [
     "CudaRuntime",
     "HostBuffer",
     "CudaStream",
-    "CudaEvent",
     "MemcpyKind",
     "classify",
     "memcpy_sync",
@@ -20,5 +19,4 @@ __all__ = [
     "memcpy_device_work",
     "MemoryType",
     "PointerAttributes",
-    "P2PTokens",
 ]

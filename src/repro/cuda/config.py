@@ -33,7 +33,7 @@ class CudaCosts:
     event_record_cost: float = us(0.5)
     # cudaStreamSynchronize / cudaEventSynchronize entry cost.
     sync_call_cost: float = us(1.0)
-    # cuPointerGetAttribute(CU_POINTER_ATTRIBUTE_P2P_TOKENS, ...) query.
+    # cuPointerGetAttribute query.
     attribute_query_cost: float = us(1.0)
     # Kernel launch (host side).
     kernel_launch_cost: float = us(5.0)

@@ -60,6 +60,11 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
     if nbytes <= 0:
         raise ValueError("memcpy needs a positive size")
     kind = classify(rt, dst, src)
+    if kind is MemcpyKind.P2P:
+        raise ValueError(
+            "cudaMemcpy between two GPUs is not modelled; the paper's GPU "
+            "peer-to-peer traffic goes through the APEnet+ card"
+        )
     sim = rt.sim
 
     if kind is MemcpyKind.D2H:
@@ -93,10 +98,6 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
 
         sim.process(_d2d(), name=f"{gpu.name}.d2d")
         return done
-
-    if kind is MemcpyKind.P2P:
-        gpu = rt.owner_gpu(src)
-        return gpu.dma.device_to_peer(src, dst, nbytes)
 
     # H2H
     done = Event(sim)

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["MemoryType", "PointerAttributes", "P2PTokens"]
+__all__ = ["MemoryType", "PointerAttributes"]
 
 
 class MemoryType(enum.Enum):
@@ -23,14 +23,6 @@ class MemoryType(enum.Enum):
 
     HOST = "host"
     DEVICE = "device"
-
-
-@dataclass(frozen=True)
-class P2PTokens:
-    """The opaque handle pair from CU_POINTER_ATTRIBUTE_P2P_TOKENS."""
-
-    p2p_token: int
-    va_space_token: int
 
 
 @dataclass(frozen=True)
@@ -48,11 +40,3 @@ class PointerAttributes:
     def is_device(self) -> bool:
         """True for GPU global-memory pointers."""
         return self.memory_type is MemoryType.DEVICE
-
-
-def make_p2p_tokens(addr: int, device_index: int) -> P2PTokens:
-    """Deterministic opaque tokens for a device buffer."""
-    return P2PTokens(
-        p2p_token=(addr >> 16) ^ (0xD0D0 + device_index),
-        va_space_token=0x5A5A_0000 | device_index,
-    )

@@ -27,7 +27,7 @@ from ..gpu.device import GPUDevice
 from ..pcie.topology import Platform
 from ..sim import Simulator
 from .config import DEFAULT_COSTS, CudaCosts
-from .pointer import MemoryType, PointerAttributes, make_p2p_tokens
+from .pointer import MemoryType, PointerAttributes
 
 __all__ = ["HostBuffer", "CudaRuntime"]
 
@@ -180,14 +180,6 @@ class CudaRuntime:
         """
         yield self.sim.timeout(self.costs.attribute_query_cost)
         return self.pointer_attributes(addr)
-
-    def get_p2p_tokens(self, addr: int):
-        """CU_POINTER_ATTRIBUTE_P2P_TOKENS query (generator, charged)."""
-        yield self.sim.timeout(self.costs.attribute_query_cost)
-        attrs = self.pointer_attributes(addr)
-        if not attrs.is_device:
-            raise ValueError("P2P tokens exist only for device pointers")
-        return make_p2p_tokens(addr, attrs.device_index)
 
     # ------------------------------------------------------------------
     # Data access helpers used by the copy paths

@@ -1,4 +1,4 @@
-"""CUDA streams and events: in-order queues over the device engines.
+"""CUDA streams: in-order queues over the device engines.
 
 Work items enqueued on one stream execute strictly in order; different
 streams proceed independently — the property MPI pipelining implementations
@@ -9,43 +9,17 @@ computation-communication overlap" (§II).
 
 A work item is a thunk returning a device-side completion
 :class:`~repro.sim.core.Event`; the stream worker awaits each in turn.
+:meth:`CudaStream.enqueue` returns the item's own completion event, so a
+caller synchronizes on a work item by yielding that event.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..sim import Event, Simulator, Store
 
-__all__ = ["CudaStream", "CudaEvent"]
-
-
-class CudaEvent:
-    """cudaEvent: marks a point in a stream; query/synchronize on it."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._fired = Event(sim)
-        self.record_time: Optional[float] = None
-
-    @property
-    def completed(self) -> bool:
-        """True once the stream has passed the recorded point."""
-        return self._fired.triggered
-
-    @property
-    def elapsed_since(self) -> Optional[float]:
-        """Completion timestamp (None until recorded and passed)."""
-        return self.record_time
-
-    def wait(self) -> Event:
-        """Simulation event to ``yield`` on (cudaEventSynchronize)."""
-        return self._fired
-
-    def _complete(self) -> None:
-        self.record_time = self.sim.now
-        self._fired.succeed(self.sim.now)
+__all__ = ["CudaStream"]
 
 
 class CudaStream:
@@ -55,47 +29,13 @@ class CudaStream:
         self.sim = sim
         self.name = name
         self._queue: Store = Store(sim)
-        self._pending = 0
-        self._idle_waiters: list[Event] = []
-        self.ops_completed = 0
         sim.process(self._worker(), name=f"{name}.worker")
 
     def enqueue(self, thunk: Callable[[], Event], label: str = "") -> Event:
         """Queue a work item; returns its per-item completion event."""
         done = Event(self.sim)
-        self._pending += 1
         self._queue.put((thunk, done, label))
         return done
-
-    def record_event(self, event: Optional[CudaEvent] = None) -> CudaEvent:
-        """cudaEventRecord: completes when prior work on the stream drains."""
-        ev = event or CudaEvent(self.sim, f"{self.name}.ev")
-
-        def marker() -> Event:
-            t = self.sim.timeout(0)
-            return t
-
-        done = self.enqueue(marker, "event-record")
-        done.callbacks.append(lambda _: ev._complete())
-        return ev
-
-    def wait_event(self, ev: CudaEvent) -> None:
-        """cudaStreamWaitEvent: stall this stream until *ev* completes."""
-        self.enqueue(lambda: ev.wait(), "wait-event")
-
-    @property
-    def idle(self) -> bool:
-        """True when nothing is queued or executing."""
-        return self._pending == 0
-
-    def synchronize(self) -> Event:
-        """Event firing when all currently-enqueued work has completed."""
-        ev = Event(self.sim)
-        if self.idle:
-            ev.succeed()
-        else:
-            self._idle_waiters.append(ev)
-        return ev
 
     def _worker(self):
         while True:
@@ -110,13 +50,6 @@ class CudaStream:
                 raise
             except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
                 # the failure is re-raised through the waiter's event.
-                self._pending -= 1
                 done.fail(exc)
                 continue
-            self.ops_completed += 1
-            self._pending -= 1
             done.succeed(result)
-            if self._pending == 0 and self._idle_waiters:
-                waiters, self._idle_waiters = self._idle_waiters, []
-                for w in waiters:
-                    w.succeed()

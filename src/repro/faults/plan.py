@@ -139,15 +139,3 @@ class FaultPlan:
                 raise ValueError(
                     f"link_kills entries must be (site, time_ns>=0) tuples, got {kill!r}"
                 )
-
-    @property
-    def active(self) -> bool:
-        """True if this plan can perturb a run at all."""
-        return (
-            self.link_ber > 0
-            or self.link_drop_rate > 0
-            or self.tlp_ber > 0
-            or self.nios_stall_rate > 0
-            or self.nios_slowdown > 1.0
-            or bool(self.link_kills)
-        )

@@ -18,7 +18,6 @@ BAR1 window; this module only manages the address-space bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .memory import GpuBuffer
 from .specs import GPU_PAGE_SIZE
@@ -37,7 +36,6 @@ class Bar1Mapping:
     bar1_addr: int
     buffer: GpuBuffer
     size: int
-    active: bool = True
 
     @property
     def bar1_end(self) -> int:
@@ -46,8 +44,6 @@ class Bar1Mapping:
 
     def device_addr(self, bar1_addr: int) -> int:
         """Translate a BAR1 address to the underlying device address."""
-        if not self.active:
-            raise Bar1Error("access through an unmapped BAR1 window")
         if not self.bar1_addr <= bar1_addr < self.bar1_end:
             raise Bar1Error(f"BAR1 address 0x{bar1_addr:x} outside mapping")
         return self.buffer.addr + (bar1_addr - self.bar1_addr)
@@ -100,33 +96,9 @@ class Bar1Aperture:
             "BAR1 is a scarce resource (32-bit BIOS limit)"
         )
 
-    def unmap(self, mapping: Bar1Mapping) -> None:
-        """Tear down *mapping* and return its aperture range."""
-        if not mapping.active:
-            raise Bar1Error("double unmap")
-        mapping.active = False
-        self._mappings.remove(mapping)
-        size = self._round_up(mapping.size)
-        self._free.append((mapping.bar1_addr, size))
-        self._free.sort()
-        merged: list[tuple[int, int]] = []
-        for addr, sz in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == addr:
-                merged[-1] = (merged[-1][0], merged[-1][1] + sz)
-            else:
-                merged.append((addr, sz))
-        self._free = merged
-
     def translate(self, bar1_addr: int) -> tuple[GpuBuffer, int]:
         """Resolve a BAR1 address to (buffer, device_addr)."""
         for m in self._mappings:
             if m.bar1_addr <= bar1_addr < m.bar1_end:
                 return m.buffer, m.device_addr(bar1_addr)
         raise Bar1Error(f"{self.gpu_name}: BAR1 address 0x{bar1_addr:x} not mapped")
-
-    def mapping_of(self, buf: GpuBuffer) -> Optional[Bar1Mapping]:
-        """The active mapping of *buf*, if any."""
-        for m in self._mappings:
-            if m.buffer is buf:
-                return m
-        return None

@@ -118,33 +118,3 @@ class DmaEngine:
         if span is not None:
             span.end()
         done.succeed(nbytes)
-
-    def device_to_peer(self, device_addr: int, peer_addr: int, nbytes: int) -> Event:
-        """Push device memory into a peer GPU's memory window (P2P write)."""
-        done = Event(self.sim)
-        self.sim.process(self._d2p_proc(device_addr, peer_addr, nbytes, done))
-        return done
-
-    def _d2p_proc(self, device_addr, peer_addr, nbytes, done):
-        obs = self.sim._obs
-        span = None
-        if obs is not None:
-            span = obs.span("gpu", "dma_d2p", nbytes=nbytes)
-        yield self.busy.acquire()
-        try:
-            payload = None
-            buf = None
-            try:
-                buf = self.gpu.allocator.buffer_at(device_addr)
-            except KeyError:
-                buf = None
-            if buf is not None and buf._data is not None:
-                payload = buf.read_bytes(device_addr, nbytes)
-            rate_ev = self._d2h.consume(nbytes)
-            wire_ev = self.gpu.fabric.write(self.gpu, peer_addr, nbytes, payload=payload)
-            yield self.sim.all_of([rate_ev, wire_ev])
-        finally:
-            self.busy.release()
-        if span is not None:
-            span.end()
-        done.succeed(nbytes)

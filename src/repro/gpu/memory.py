@@ -15,7 +15,7 @@ the 4-level page table").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -158,10 +158,6 @@ class DeviceMemoryAllocator:
             if buf.contains(addr):
                 return buf
         raise KeyError(f"{self.gpu_name}: no live buffer at 0x{addr:x}")
-
-    def live_buffers(self) -> Iterator[GpuBuffer]:
-        """All live buffers, in address order."""
-        return iter(sorted(self._live.values(), key=lambda b: b.addr))
 
 
 @dataclass(frozen=True)

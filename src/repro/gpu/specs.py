@@ -14,7 +14,7 @@ The memory-page granularity of the P2P protocol is 64 KB (§III.A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..units import GBps, GiB, KiB, MBps, MiB, us
@@ -57,11 +57,6 @@ class GPUSpec:
     ecc: bool = False
     # Internal memory bandwidth (kernels); only used by app perf models.
     mem_bandwidth: float = GBps(120.0)
-
-    def with_ecc(self, ecc: bool) -> "GPUSpec":
-        """A copy of this spec with ECC toggled (ECC trims ~12% internal BW)."""
-        scale = 0.88 if ecc and not self.ecc else (1 / 0.88 if not ecc and self.ecc else 1.0)
-        return replace(self, ecc=ecc, mem_bandwidth=self.mem_bandwidth * scale)
 
 
 FERMI_2050 = GPUSpec(

@@ -158,13 +158,6 @@ class MpiEndpoint:
         yield req.done
         return req
 
-    def sendrecv(self, dst, send_addr, src, recv_addr, nbytes, tag: Any = 0):
-        """Generator: simultaneous send + receive (halo-exchange staple)."""
-        rreq = yield from self.irecv(src, recv_addr, nbytes, tag)
-        sreq = yield from self.isend(dst, send_addr, nbytes, tag)
-        yield self.sim.all_of([rreq.done, sreq.done])
-        return rreq, sreq
-
     def wait_all(self, requests):
         """Generator: wait for every request in *requests*."""
         pending = [r.done for r in requests if not r.done.processed]
@@ -295,21 +288,6 @@ class MpiEndpoint:
     # Collectives (linear implementations — cluster sizes are ≤ 12)
     # ------------------------------------------------------------------
 
-    def barrier(self, tag: Any = "_barrier"):
-        """Generator: linear fan-in to rank 0, fan-out back."""
-        n = len(self.world.cluster)
-        if n == 1:
-            return
-        scratch = self.world.scratch(self.rank)
-        if self.rank == 0:
-            for src in range(1, n):
-                yield from self.recv(src, scratch, 1, tag=(tag, "in"))
-            for dst in range(1, n):
-                yield from self.send(dst, scratch, 1, tag=(tag, "out"))
-        else:
-            yield from self.send(0, scratch, 1, tag=(tag, "in"))
-            yield from self.recv(0, scratch, 1, tag=(tag, "out"))
-
     def allreduce(self, value, op=None, tag: Any = "_allreduce"):
         """Generator: reduce a Python value with *op* (default sum) to all.
 
@@ -359,7 +337,7 @@ class MpiWorld:
         return self._endpoints[rank]
 
     def scratch(self, rank: int) -> int:
-        """A small host scratch address on *rank* (collectives plumbing)."""
+        """A small host scratch address on *rank* (control-message plumbing)."""
         return self._scratch[rank]
 
     @property

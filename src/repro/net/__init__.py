@@ -7,7 +7,6 @@ fabric and NIC into a cluster the experiments drive.
 """
 
 from .cluster import ApenetCluster, ClusterNode, build_apenet_cluster, torus_for_ranks
-from .collectives import Collective, make_collectives
 from .packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES, ApePacket, MessageInfo
 from .topology import DIMS, Coord, TorusShape
 
@@ -23,6 +22,4 @@ __all__ = [
     "ClusterNode",
     "build_apenet_cluster",
     "torus_for_ranks",
-    "Collective",
-    "make_collectives",
 ]

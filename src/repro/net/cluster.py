@@ -85,10 +85,6 @@ class ApenetCluster:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def link_utilizations(self) -> dict[str, float]:
-        """Wire busy fraction of every directed torus link (diagnostics)."""
-        return {link.name: link.utilization() for link in self.links.values()}
-
 
 def build_apenet_cluster(
     sim: Simulator,

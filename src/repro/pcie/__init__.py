@@ -4,7 +4,7 @@ See :mod:`repro.pcie.fabric` for the transaction engines and
 :mod:`repro.pcie.topology` for ready-made host platforms.
 """
 
-from .analyzer import BusAnalyzer, PhaseTiming
+from .analyzer import BusAnalyzer
 from .device import AddressWindow, HostMemory, PCIeDevice, ReadBehavior, WriteBehavior
 from .fabric import FabricLink, FabricNode, PCIeFabric, TransferRecord
 from .tlp import (
@@ -18,11 +18,10 @@ from .tlp import (
     wire_size,
     write_efficiency,
 )
-from .topology import Platform, dual_socket_platform, plx_platform, westmere_platform
+from .topology import Platform, plx_platform, westmere_platform
 
 __all__ = [
     "BusAnalyzer",
-    "PhaseTiming",
     "AddressWindow",
     "HostMemory",
     "PCIeDevice",
@@ -44,5 +43,4 @@ __all__ = [
     "Platform",
     "plx_platform",
     "westmere_platform",
-    "dual_socket_platform",
 ]

@@ -1,54 +1,17 @@
 """Bus analyzer: an interposer recording traffic on one fabric link.
 
 Models the "PCIe X8 Gen2 active interposer" from the paper's Fig 3 setup.
-Attach to a link, run traffic, then query the trace for transaction timing
-(first read request, first completion, data-stream duration, request rate).
+Attach to a link, run traffic, then read the captured TLPs from
+:attr:`BusAnalyzer.records` (the fig3 experiment derives its phase timing
+from them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
-
 from ..sim import Simulator
 from .fabric import FabricLink, TransferRecord
-from .tlp import TlpKind
 
-__all__ = ["BusAnalyzer", "PhaseTiming"]
-
-
-@dataclass
-class PhaseTiming:
-    """Summary of one observed transfer phase (Fig 3 quantities)."""
-
-    first_request: Optional[float]  # first MRd seen
-    first_completion: Optional[float]  # first data (CplD or MWr) seen
-    last_data: Optional[float]  # last data TLP seen
-    data_bytes: int  # total payload bytes
-    request_count: int
-    request_interval_mean: Optional[float]  # mean gap between read requests
-
-    @property
-    def head_latency(self) -> Optional[float]:
-        """Time from first request to first data."""
-        if self.first_request is None or self.first_completion is None:
-            return None
-        return self.first_completion - self.first_request
-
-    @property
-    def data_duration(self) -> Optional[float]:
-        """Span of the data stream."""
-        if self.first_completion is None or self.last_data is None:
-            return None
-        return self.last_data - self.first_completion
-
-    @property
-    def data_rate(self) -> Optional[float]:
-        """Sustained payload rate over the data stream (bytes/ns)."""
-        dur = self.data_duration
-        if not dur:
-            return None
-        return self.data_bytes / dur
+__all__ = ["BusAnalyzer"]
 
 
 class BusAnalyzer:
@@ -58,52 +21,7 @@ class BusAnalyzer:
         self.sim = sim
         self.name = name
         self.records: list[TransferRecord] = []
-        self._links: list[FabricLink] = []
 
     def attach(self, link: FabricLink) -> None:
         """Start capturing traffic on *link* (both directions)."""
         link.taps.append(self.records.append)
-        self._links.append(link)
-
-    def clear(self) -> None:
-        """Drop captured records."""
-        self.records.clear()
-
-    def of_kind(self, kind: TlpKind) -> list[TransferRecord]:
-        """All records of TLP type *kind*, in time order."""
-        return [r for r in self.records if r.kind == kind]
-
-    def between(self, t0: float, t1: float) -> list[TransferRecord]:
-        """All records in the time window [t0, t1]."""
-        return [r for r in self.records if t0 <= r.time <= t1]
-
-    def payload_bytes(self, kinds: Iterable[TlpKind] = (TlpKind.MEM_WRITE, TlpKind.COMPLETION)) -> int:
-        """Total payload bytes seen for the given TLP kinds."""
-        kindset = set(kinds)
-        return sum(r.payload_bytes for r in self.records if r.kind in kindset)
-
-    def phase_timing(self) -> PhaseTiming:
-        """Extract Fig-3-style phase timing from the captured trace."""
-        reads = self.of_kind(TlpKind.MEM_READ)
-        data = [
-            r
-            for r in self.records
-            if r.kind in (TlpKind.COMPLETION, TlpKind.MEM_WRITE) and r.payload_bytes
-        ]
-        first_req = reads[0].time if reads else None
-        first_data = data[0].time if data else None
-        last_data = data[-1].time if data else None
-        data_bytes = sum(r.payload_bytes for r in data)
-        if len(reads) > 1:
-            gaps = [b.time - a.time for a, b in zip(reads, reads[1:])]
-            mean_gap = sum(gaps) / len(gaps)
-        else:
-            mean_gap = None
-        return PhaseTiming(
-            first_request=first_req,
-            first_completion=first_data,
-            last_data=last_data,
-            data_bytes=data_bytes,
-            request_count=len(reads),
-            request_interval_mean=mean_gap,
-        )

@@ -97,13 +97,6 @@ class PCIeDevice:
             self.fabric.index_window(self, win)
         return win
 
-    def window_for(self, addr: int) -> AddressWindow:
-        """The window containing *addr* (raises KeyError if none)."""
-        for win in self.windows:
-            if win.contains(addr):
-                return win
-        raise KeyError(f"{self.name}: address 0x{addr:x} not in any window")
-
     # -- target-side hooks ---------------------------------------------------
 
     def describe_read(self, addr: int) -> ReadBehavior:

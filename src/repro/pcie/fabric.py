@@ -1,10 +1,9 @@
 """The PCIe fabric: topology, routing, and split-transaction engines.
 
 The fabric is a tree (root complex at the top, switches below, endpoints at
-the leaves — a dual-socket platform is modelled as a virtual top node whose
-children are the two root complexes joined by QPI-latency links).  Each edge
-is a full-duplex pair of :class:`~repro.sim.channel.Channel` objects sized
-from :class:`~repro.pcie.tlp.LinkParams`.
+the leaves).  Each edge is a full-duplex pair of
+:class:`~repro.sim.channel.Channel` objects sized from
+:class:`~repro.pcie.tlp.LinkParams`.
 
 Transactions:
 

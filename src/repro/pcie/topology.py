@@ -4,9 +4,6 @@
   and the NIC hang off the same PLX PCIe switch, one hop apart.
 * :func:`westmere_platform` — GPU and NIC on different root-complex ports
   (the common Cluster I arrangement): traffic crosses the chipset.
-* :func:`dual_socket_platform` — two root complexes joined by QPI, with the
-  GPU and NIC on different sockets: the pathological Sandy Bridge case the
-  paper warns about (§III.A).
 
 Each builder returns a :class:`Platform` handle exposing the fabric, the
 host memory device, and named attachment points for GPUs and NICs.
@@ -21,7 +18,7 @@ from .device import HostMemory, PCIeDevice
 from .fabric import FabricNode, PCIeFabric
 from .tlp import LinkParams
 
-__all__ = ["Platform", "plx_platform", "westmere_platform", "dual_socket_platform"]
+__all__ = ["Platform", "plx_platform", "westmere_platform"]
 
 
 @dataclass
@@ -63,7 +60,6 @@ class Platform:
 _RC_LATENCY = 300.0  # root complex <-> memory controller
 _RC_PORT_LATENCY = 150.0  # root-complex PCIe port forwarding
 _PLX_LATENCY = 110.0
-_QPI_LATENCY = 400.0
 
 
 def plx_platform(sim: Simulator, name: str = "plx") -> Platform:
@@ -93,29 +89,3 @@ def westmere_platform(sim: Simulator, name: str = "westmere") -> Platform:
     mem = HostMemory(sim, name=f"{name}.dram")
     fab.add_endpoint(mem, root, LinkParams(gen=2, lanes=16), latency=_RC_LATENCY)
     return Platform(sim, fab, mem, slots={"gpu": root, "nic": root, "root": root})
-
-
-def dual_socket_platform(sim: Simulator, name: str = "2s") -> Platform:
-    """Two sockets joined by QPI; GPU and NIC on different sockets.
-
-    The virtual top node represents the QPI interconnect; each socket's
-    root complex hangs below it with QPI-crossing latency, so peer-to-peer
-    between the sockets pays two QPI traversals (the configuration where
-    the paper notes "performance may suffer or malfunctionings can arise").
-    """
-    fab = PCIeFabric(sim)
-    top = fab.add_root(f"{name}.qpi")
-    rc0 = fab.add_switch(
-        f"{name}.rc0", top, LinkParams(gen=2, lanes=16), latency=_QPI_LATENCY
-    )
-    rc1 = fab.add_switch(
-        f"{name}.rc1", top, LinkParams(gen=2, lanes=16), latency=_QPI_LATENCY
-    )
-    mem = HostMemory(sim, name=f"{name}.dram")
-    fab.add_endpoint(mem, rc0, LinkParams(gen=2, lanes=16), latency=_RC_LATENCY)
-    return Platform(
-        sim,
-        fab,
-        mem,
-        slots={"gpu": rc0, "nic": rc1, "socket0": rc0, "socket1": rc1},
-    )

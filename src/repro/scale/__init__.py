@@ -19,7 +19,6 @@ from .flow import (
     BulkTransfer,
     FlowCalibration,
     FlowNetwork,
-    FlowRecord,
     ParityReport,
     TransferAggregates,
     calibrate,
@@ -35,7 +34,6 @@ __all__ = [
     "BulkTransfer",
     "FlowCalibration",
     "FlowNetwork",
-    "FlowRecord",
     "ParityReport",
     "ScaleBfsResult",
     "TransferAggregates",

@@ -57,7 +57,6 @@ __all__ = [
     "BulkTransfer",
     "TransferAggregates",
     "FlowCalibration",
-    "FlowRecord",
     "FlowNetwork",
     "ParityReport",
     "calibrate",
@@ -411,30 +410,12 @@ def calibrate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FlowRecord:
-    """One bulk PUT as the flow engine saw it."""
-
-    src: int
-    dst: int
-    nbytes: int
-    start: float
-    completion: Optional[float]
-    n_fragments: int
-    wire_bytes: int
-    route: Tuple[Tuple[int, int, int], ...]
-
-    @property
-    def delivered(self) -> bool:
-        return self.completion is not None
-
-
 class FlowNetwork:
     """Batched bulk-transfer simulator over one torus.
 
-    Feed it :meth:`bulk_put` calls (in post order) and read
-    :meth:`aggregates`; byte/packet/route aggregates are bit-identical
-    to the exact driver, completion times carry the calibrated model's
+    Feed it a batch through :meth:`run_transfers`, which returns the
+    batch's aggregates; byte/packet/route aggregates are bit-identical to
+    the exact driver, completion times carry the calibrated model's
     documented tolerance.  No DES events are created — a 16^3 torus costs
     dictionary updates, not packets.
     """
@@ -448,7 +429,6 @@ class FlowNetwork:
         self.shape = TorusShape(*dims)
         self.config = config or DEFAULT_CONFIG
         self.routes = RouteTable(self.shape, dead_links)
-        self.records: List[FlowRecord] = []
         self.link_bytes: Dict[Tuple[int, int, int], int] = {}
         self.link_packets: Dict[Tuple[int, int, int], int] = {}
         self.link_busy: Dict[Tuple[int, int, int], float] = {}
@@ -519,11 +499,11 @@ class FlowNetwork:
         cal = self.calibration(tr.src_kind, tr.dst_kind)
         inj = max(tr.start, self._tx_free.get(tr.src, 0.0))
         self._tx_free[tr.src] = inj + cal.tx_occupancy(n, last)
-        return (inj, seq, tr, route, cal, n, last, wire, link_occ)
+        return (inj, seq, tr, route, cal, n, last, link_occ)
 
-    def _serve(self, admitted) -> FlowRecord:
+    def _serve(self, admitted) -> float:
         """Phase 2 for one admitted transfer: fabric/RX queues, completion."""
-        inj, _seq, tr, route, cal, n, last, wire, link_occ = admitted
+        inj, _seq, tr, route, cal, n, last, link_occ = admitted
         latency = cal.completion_latency(n, last, len(route))
         completion = inj + latency
         rx_key = ("rx", tr.dst)
@@ -536,9 +516,6 @@ class FlowNetwork:
             completion = max(completion, max(link_free, inj) + link_occ + tail)
             self._free[("link", hop)] = max(link_free, inj) + link_occ
         self._free[rx_key] = completion
-        rec = FlowRecord(
-            tr.src, tr.dst, tr.nbytes, tr.start, completion, n, wire, route
-        )
         scope = self._obs_scope()
         if scope is not None:
             scope.span_at(
@@ -552,32 +529,7 @@ class FlowNetwork:
                 fragments=n,
                 hops=len(route),
             )
-        return rec
-
-    def bulk_put(
-        self,
-        src: int,
-        dst: int,
-        nbytes: int,
-        start: float = 0.0,
-        src_kind: BufferKind = BufferKind.HOST,
-        dst_kind: BufferKind = BufferKind.HOST,
-    ) -> FlowRecord:
-        """Post one bulk PUT as a flow record; returns its outcome.
-
-        Incremental form: the flow is admitted and served immediately, so
-        call in post order.  For batches with overlapping lifetimes prefer
-        :meth:`run_transfers`, which serves in injection order like the
-        fabric does.
-        """
-        tr = BulkTransfer(src, dst, nbytes, start, src_kind, dst_kind)
-        admitted = self._admit(tr, len(self.records))
-        if admitted is None:
-            rec = FlowRecord(src, dst, nbytes, start, None, 0, 0, ())
-        else:
-            rec = self._serve(admitted)
-        self.records.append(rec)
-        return rec
+        return completion
 
     def run_transfers(self, transfers: Sequence[BulkTransfer]) -> TransferAggregates:
         """Schedule a batch (posted like the exact driver posts) and aggregate.
@@ -589,35 +541,24 @@ class FlowNetwork:
             range(len(transfers)), key=lambda i: (transfers[i].start, i)
         )
         admitted = []
-        recs: List[Optional[FlowRecord]] = [None] * len(transfers)
         for seq, i in enumerate(post_order):
-            tr = transfers[i]
-            item = self._admit(tr, seq)
-            if item is None:
-                recs[i] = FlowRecord(tr.src, tr.dst, tr.nbytes, tr.start, None, 0, 0, ())
-            else:
+            item = self._admit(transfers[i], seq)
+            if item is not None:
                 admitted.append((item, i))
+        completions: List[Optional[float]] = [None] * len(transfers)
         for item, i in sorted(admitted, key=lambda pair: (pair[0][0], pair[0][1])):
-            recs[i] = self._serve(item)
-        self.records.extend(recs[i] for i in post_order)
-        return self._aggregate(recs)
-
-    def _aggregate(self, recs) -> TransferAggregates:
-        completions = tuple(r.completion for r in recs)
-        delivered = sum(r.nbytes for r in recs if r.delivered)
+            completions[i] = self._serve(item)
         finished = [c for c in completions if c is not None]
         return TransferAggregates(
-            bytes_delivered=delivered,
-            completions=completions,
+            bytes_delivered=sum(
+                tr.nbytes for tr, c in zip(transfers, completions) if c is not None
+            ),
+            completions=tuple(completions),
             link_bytes=dict(self.link_bytes),
             link_packets=dict(self.link_packets),
             link_busy=dict(self.link_busy),
             makespan=max(finished) if finished else 0.0,
         )
-
-    def aggregates(self) -> TransferAggregates:
-        """Aggregates over every flow posted so far (post order)."""
-        return self._aggregate(self.records)
 
 
 # ---------------------------------------------------------------------------

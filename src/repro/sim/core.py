@@ -183,7 +183,7 @@ class Timeout(Event):
     :meth:`Simulator._push`.
     """
 
-    __slots__ = ("delay", "_cancelled")
+    __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # One chained comparison rejects negative, NaN and +inf alike: any
@@ -202,45 +202,11 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.delay = delay
-        self._cancelled = False
         self._state = _TRIGGERED
         seq = sim._seq + 1
         sim._seq = seq
         self._seq = seq
         heappush(sim._heap, (sim.now + delay, seq, self))
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has disarmed this timer."""
-        return self._cancelled
-
-    def cancel(self) -> bool:
-        """Disarm the timer; returns True if it was still armed.
-
-        The scheduled entry stays in the queue and pops as a no-op at its
-        original time — this keeps event counts (and therefore every
-        downstream seq number) identical whether or not a cancel happened
-        before or after the deadline, which is what lets retransmission
-        layers cancel freely without perturbing bit-identity.
-
-        A timer some waiter currently ``yield``s on (or that an AllOf /
-        AnyOf condition watches) must not be cancelled: the waiter would
-        silently never resume.  Such cancels raise
-        :class:`SimulationError`; fire-and-forget callbacks are dropped.
-        """
-        if self._state != _TRIGGERED or self._cancelled:
-            return False
-        for cb in self.callbacks:
-            if isinstance(getattr(cb, "__self__", None), Event):
-                raise SimulationError(
-                    "cannot cancel a timeout that a process or condition "
-                    "is waiting on: the waiter would never resume"
-                )
-        self.callbacks.clear()
-        self._cancelled = True
-        self._ok = True
-        self._value = None
-        return True
 
 
 class Process(Event):
@@ -484,7 +450,7 @@ class Simulator:
     def pending_entries(self) -> list[tuple[float, int, Event]]:
         """Snapshot of pending ``(t, seq, event)`` entries, sorted.
 
-        Used by the sanitizer's finalize and by diagnostics.
+        Used by the sanitizer's finalize.
         """
         return sorted(self._heap)
 

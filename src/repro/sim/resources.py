@@ -56,11 +56,6 @@ class Resource:
         """Number of currently held slots."""
         return self._in_use
 
-    @property
-    def queue_len(self) -> int:
-        """Number of waiting acquirers."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that fires once a slot is held."""
         ev = Event(self.sim)
@@ -169,9 +164,7 @@ class ByteFifo:
 
     ``put(n)`` completes once *n* bytes have been accepted (the bytes are
     reserved atomically, FIFO among producers); ``get(n)`` completes once
-    *n* bytes have been drained.  ``get_upto(n)`` completes as soon as at
-    least one byte is available and takes ``min(level, n)`` bytes; its event
-    value is the number of bytes taken.
+    *n* bytes have been drained.
 
     A ``put`` larger than the capacity is rejected: the caller must chunk.
     """
@@ -184,7 +177,7 @@ class ByteFifo:
         self.name = name
         self._level = 0
         self._putters: Deque[tuple[Event, int]] = deque()
-        self._getters: Deque[tuple[Event, int, bool]] = deque()
+        self._getters: Deque[tuple[Event, int]] = deque()
         # Instrumentation
         self.total_in = 0
         self.total_out = 0
@@ -252,26 +245,7 @@ class ByteFifo:
             ev.succeed(nbytes)
             self._settle(level_before)
             return ev
-        self._getters.append((ev, nbytes, False))
-        self._drain()
-        return ev
-
-    def get_upto(self, nbytes: int) -> Event:
-        """Remove up to *nbytes* (at least 1); event value = bytes taken."""
-        nbytes = int(nbytes)
-        if nbytes <= 0:
-            raise SimulationError("get_upto() needs a positive byte count")
-        ev = Event(self.sim)
-        if not self._getters and self._level > 0:
-            # Uncontended fast path (see get()).
-            take = min(nbytes, self._level)
-            level_before = self._level
-            self._level -= take
-            self.total_out += take
-            ev.succeed(take)
-            self._settle(level_before)
-            return ev
-        self._getters.append((ev, nbytes, True))
+        self._getters.append((ev, nbytes))
         self._drain()
         return ev
 
@@ -295,15 +269,8 @@ class ByteFifo:
                     progressed = True
             # Serve head consumer if satisfiable.
             if self._getters:
-                ev, n, upto = self._getters[0]
-                if upto and self._level > 0:
-                    take = min(n, self._level)
-                    self._getters.popleft()
-                    self._level -= take
-                    self.total_out += take
-                    ev.succeed(take)
-                    progressed = True
-                elif not upto and self._level >= n:
+                ev, n = self._getters[0]
+                if self._level >= n:
                     self._getters.popleft()
                     self._level -= n
                     self.total_out += n

@@ -1,6 +1,5 @@
 """Integration tests: distributed BFS over the simulated interconnects."""
 
-import numpy as np
 import pytest
 
 from repro.apps.bfs import BfsConfig, run_bfs
@@ -89,17 +88,3 @@ def test_explicit_root():
     res = run_bfs(BfsConfig(scale=10, np_=2, root=5, validate=True))
     assert res.validation_errors == []
     assert res.levels[5] == 0
-
-
-def test_multi_root_suite():
-    from repro.apps.bfs import BfsConfig, run_bfs_suite
-
-    suite = run_bfs_suite(BfsConfig(scale=11, np_=2, validate=True), n_roots=3)
-    assert len(suite.results) == 3
-    assert all(r.validation_errors == [] for r in suite.results)
-    # Distinct roots were used (the root is the unique level-0 vertex).
-    import numpy as np
-
-    roots = {int(np.flatnonzero(r.levels == 0)[0]) for r in suite.results}
-    assert len(roots) == 3
-    assert suite.min_teps <= suite.harmonic_mean_teps <= suite.max_teps

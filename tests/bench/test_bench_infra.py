@@ -11,7 +11,6 @@ from repro.bench import (
     get,
     render_series_table,
     render_table,
-    series_to_csv,
 )
 
 
@@ -85,14 +84,6 @@ def test_ascii_plot_renders():
 
 def test_ascii_plot_empty():
     assert ascii_plot([Series("none")]) == "(empty plot)"
-
-
-def test_series_csv():
-    csv = series_to_csv(make_series())
-    lines = csv.splitlines()
-    assert lines[0] == "x,alpha,beta"
-    assert lines[1].startswith("1024,")
-    assert len(lines) == 4
 
 
 # ---------------------------------------------------------------------------

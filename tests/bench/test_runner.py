@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -171,6 +172,39 @@ def test_cache_key_distinguishes_experiment_and_mode():
     }
     assert len(keys) == 3
     assert cache_key("fig3", quick=True) == cache_key("fig3", quick=True)
+
+
+def _cache_key_of_copy(pkg_parent: Path) -> str:
+    """``cache_key("fig8", True)`` computed by a fresh interpreter that
+    imports the ``repro`` package found under *pkg_parent*."""
+    env = dict(os.environ, PYTHONPATH=str(pkg_parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.bench.runner as r; print(r.__file__); "
+         "print(r.cache_key('fig8', True))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    module_file, key = out.stdout.split()
+    assert Path(module_file).is_relative_to(pkg_parent)
+    return key
+
+
+def test_cache_key_changes_with_package_source(tmp_path):
+    """A cached row computed by older code must not be served to newer
+    code: one changed byte anywhere in the package changes the key, while
+    an identical copy elsewhere on disk keeps it."""
+    src = Path(repro.__file__).resolve().parent
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("a", "b", "c"):
+        shutil.copytree(src, tmp_path / name / "repro", ignore=ignore)
+    specs = tmp_path / "c" / "repro" / "gpu" / "specs.py"
+    text = specs.read_bytes()
+    assert b"Spec sheets" in text
+    specs.write_bytes(text.replace(b"Spec sheets", b"Spec Sheets", 1))
+
+    key_a = _cache_key_of_copy(tmp_path / "a")
+    assert _cache_key_of_copy(tmp_path / "b") == key_a
+    assert _cache_key_of_copy(tmp_path / "c") != key_a
 
 
 # ---------------------------------------------------------------------------

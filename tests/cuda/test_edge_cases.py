@@ -82,21 +82,6 @@ def test_stream_op_failure_propagates_to_waiter():
     assert sim.run_process(proc2()) > 0
 
 
-def test_event_completed_state():
-    sim, rt = build()
-    stream = CudaStream(sim)
-
-    def proc():
-        stream.enqueue(lambda: sim.timeout(us(2)))
-        ev = stream.record_event()
-        assert not ev.completed
-        yield ev.wait()
-        return ev.completed, ev.record_time
-
-    done, t = sim.run_process(proc())
-    assert done and t == pytest.approx(us(2))
-
-
 def test_classify_requires_known_pointers():
     sim, rt = build()
     h = rt.host_alloc(64)

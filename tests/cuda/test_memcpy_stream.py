@@ -1,4 +1,4 @@
-"""Tests for memcpy paths and CUDA stream/event semantics."""
+"""Tests for memcpy paths and CUDA stream semantics."""
 
 import numpy as np
 import pytest
@@ -112,6 +112,7 @@ def test_d2d_same_gpu_copy():
 
 
 def test_p2p_copy_between_gpus():
+    """A cudaMemcpy between two GPUs is refused, not run as a host copy."""
     sim, plat, rt = build(n_gpus=2)
     a = rt.device_alloc(0, 4096)
     b = rt.device_alloc(1, 4096)
@@ -120,8 +121,9 @@ def test_p2p_copy_between_gpus():
     def proc():
         yield from memcpy_sync(rt, b.addr, a.addr, 4096)
 
-    sim.run_process(proc())
-    assert b.data.min() == 11
+    with pytest.raises(ValueError, match="between two GPUs"):
+        sim.run_process(proc())
+    assert b.data.max() == 0
 
 
 def test_h2h_copy():
@@ -198,52 +200,6 @@ def test_two_streams_overlap():
         return sim.now
 
     assert sim.run_process(proc()) == pytest.approx(us(10))
-
-
-def test_stream_synchronize_waits_for_all():
-    sim, plat, rt = build()
-    stream = CudaStream(sim)
-
-    def proc():
-        stream.enqueue(lambda: sim.timeout(us(3)))
-        stream.enqueue(lambda: sim.timeout(us(4)))
-        yield stream.synchronize()
-        return sim.now
-
-    assert sim.run_process(proc()) == pytest.approx(us(7))
-
-
-def test_stream_synchronize_idle_returns_immediately():
-    sim, plat, rt = build()
-    stream = CudaStream(sim)
-
-    def proc():
-        yield stream.synchronize()
-        return sim.now
-
-    assert sim.run_process(proc()) == 0.0
-
-
-def test_cuda_event_record_and_cross_stream_wait():
-    sim, plat, rt = build()
-    s1 = CudaStream(sim, "s1")
-    s2 = CudaStream(sim, "s2")
-    log = []
-
-    def proc():
-        s1.enqueue(lambda: sim.timeout(us(8)))
-        ev = s1.record_event()
-        s2.wait_event(ev)
-        done = s2.enqueue(
-            lambda: (lambda t: (t.callbacks.append(lambda _: log.append(sim.now)), t)[1])(
-                sim.timeout(us(1))
-            )
-        )
-        yield done
-
-    sim.run_process(proc())
-    # s2's op could only run after s1's event at t=8us.
-    assert log[0] == pytest.approx(us(9))
 
 
 def test_kernel_and_copy_overlap_on_distinct_streams():

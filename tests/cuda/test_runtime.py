@@ -75,24 +75,6 @@ def test_pointer_query_charges_host_time():
     assert elapsed == pytest.approx(rt.costs.attribute_query_cost)
 
 
-def test_p2p_tokens_only_for_device_pointers():
-    sim, plat, rt = build()
-    h = rt.host_alloc(64)
-    d = rt.device_alloc(0, 64)
-
-    def ask(addr):
-        def proc():
-            tok = yield from rt.get_p2p_tokens(addr)
-            return tok
-
-        return sim.run_process(proc())
-
-    tok = ask(d.addr)
-    assert tok.va_space_token == 0x5A5A_0000
-    with pytest.raises(ValueError):
-        ask(h.addr)
-
-
 def test_host_buffer_data_round_trip():
     import numpy as np
 

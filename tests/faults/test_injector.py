@@ -59,16 +59,6 @@ def test_plan_rejects_invalid_values(kw):
         FaultPlan(**kw)
 
 
-def test_plan_active_flag():
-    assert not FaultPlan().active
-    assert not FaultPlan(seed=99, max_retries=3).active  # policy alone is inert
-    assert FaultPlan(link_ber=1e-9).active
-    assert FaultPlan(link_drop_rate=0.01).active
-    assert FaultPlan(tlp_ber=1e-9).active
-    assert FaultPlan(nios_stall_rate=0.1).active
-    assert FaultPlan(nios_slowdown=2.0).active
-
-
 def test_plan_is_frozen_and_hashable():
     plan = FaultPlan(seed=1, link_ber=1e-6)
     with pytest.raises(Exception):

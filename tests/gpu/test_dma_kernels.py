@@ -58,19 +58,6 @@ def test_same_engine_serializes():
     assert ends[1] >= ends[0] * 1.9  # back to back, not overlapped
 
 
-def test_device_to_peer_moves_data():
-    sim, plat, (g0, g1) = build(two_gpus=True)
-    src = g0.alloc(kib(64))
-    dst = g1.alloc(kib(64))
-    src.data[:] = 77
-
-    def proc():
-        yield g0.dma.device_to_peer(src.addr, dst.addr, kib(64))
-
-    sim.run_process(proc())
-    assert dst.data.min() == 77
-
-
 def test_compute_engine_utilization():
     sim, plat, (gpu,) = build()
 

@@ -124,30 +124,6 @@ def test_tag_matching_is_selective():
     assert d2.data.min() == 2
 
 
-def test_sendrecv_exchanges():
-    sim, cluster, world = make_mpi_pair()
-    a, b = world.endpoint(0), world.endpoint(1)
-    sa = cluster.node(0).runtime.host_alloc(128)
-    ra = cluster.node(0).runtime.host_alloc(128)
-    sb = cluster.node(1).runtime.host_alloc(128)
-    rb = cluster.node(1).runtime.host_alloc(128)
-    sa.data[:] = 10
-    sb.data[:] = 20
-
-    def rank0():
-        yield from a.sendrecv(1, sa.addr, 1, ra.addr, 128, tag="hx")
-
-    def rank1():
-        yield from b.sendrecv(0, sb.addr, 0, rb.addr, 128, tag="hx")
-
-    p0 = sim.process(rank0())
-    p1 = sim.process(rank1())
-    sim.run()
-    assert p0.processed and p1.processed
-    assert ra.data.min() == 20
-    assert rb.data.min() == 10
-
-
 # ---------------------------------------------------------------------------
 # GPU-pointer staging
 # ---------------------------------------------------------------------------
@@ -198,26 +174,6 @@ def test_gpu_large_message_pipelined():
 # ---------------------------------------------------------------------------
 # Collectives
 # ---------------------------------------------------------------------------
-
-
-def test_barrier_synchronizes():
-    sim, cluster, world = make_mpi_pair(n_nodes=4)
-    release_times = []
-
-    def ranker(r, delay):
-        def proc():
-            yield sim.timeout(delay)
-            yield from world.endpoint(r).barrier(tag=("b", 0))
-            release_times.append((r, sim.now))
-
-        return proc
-
-    for r, d in enumerate([0, us(50), us(120), us(20)]):
-        sim.process(ranker(r, d)())
-    sim.run()
-    assert len(release_times) == 4
-    # Nobody leaves before the slowest entered.
-    assert min(t for _, t in release_times) >= us(120)
 
 
 def test_allreduce_sum():

@@ -7,7 +7,6 @@ from repro.pcie import (
     BusAnalyzer,
     LinkParams,
     TlpKind,
-    dual_socket_platform,
     plx_platform,
     westmere_platform,
 )
@@ -53,7 +52,6 @@ def test_platform_slots_exist():
     for builder, slots in (
         (plx_platform, {"gpu", "nic", "root"}),
         (westmere_platform, {"gpu", "nic", "root"}),
-        (dual_socket_platform, {"gpu", "nic", "socket0", "socket1"}),
     ):
         plat = builder(Simulator())
         assert slots <= set(plat.slots)
@@ -66,35 +64,14 @@ def test_unknown_slot_raises():
         plat.attach(gpu, "floppy")
 
 
-def test_peer_latency_ordering_plx_westmere_qpi():
-    """The paper's §III.A platform story: PLX best, QPI crossing worst."""
+def test_peer_latency_ordering_plx_westmere():
+    """The paper's §III.A platform story: a PLX switch beats the chipset."""
     times = {}
-    for name, builder in (
-        ("plx", plx_platform),
-        ("westmere", westmere_platform),
-        ("qpi", dual_socket_platform),
-    ):
+    for name, builder in (("plx", plx_platform), ("westmere", westmere_platform)):
         plat = builder(Simulator())
         gpu, nic = attach_gpu_nic(plat)
         times[name] = peer_write_time(plat, gpu, nic)
-    assert times["plx"] < times["westmere"] < times["qpi"]
-
-
-def test_dual_socket_peer_traffic_crosses_qpi():
-    plat = dual_socket_platform(Simulator())
-    gpu, nic = attach_gpu_nic(plat)
-    hops = plat.fabric.path(nic.node, gpu.node)
-    # nic -> rc1 -> qpi-top -> rc0 -> gpu: four links.
-    assert len(hops) == 4
-
-
-def test_analyzer_phase_timing_empty():
-    sim = Simulator()
-    an = BusAnalyzer(sim)
-    t = an.phase_timing()
-    assert t.first_request is None
-    assert t.data_rate is None
-    assert t.request_interval_mean is None
+    assert times["plx"] < times["westmere"]
 
 
 def test_analyzer_windows_and_payload_totals():
@@ -112,11 +89,13 @@ def test_analyzer_windows_and_payload_totals():
     buf = gpu.alloc(kib(2))
     gpu.bar1.map(buf)
     sim.run_process(proc())
-    assert an.payload_bytes((TlpKind.MEM_WRITE,)) == kib(8)
-    assert an.payload_bytes((TlpKind.COMPLETION,)) == kib(2)
-    reads = an.of_kind(TlpKind.MEM_READ)
+    times = [r.time for r in an.records]
+    assert times == sorted(times)
+
+    def payload(kind):
+        return sum(r.payload_bytes for r in an.records if r.kind == kind)
+
+    assert payload(TlpKind.MEM_WRITE) == kib(8)
+    assert payload(TlpKind.COMPLETION) == kib(2)
+    reads = [r for r in an.records if r.kind == TlpKind.MEM_READ]
     assert len(reads) == 4  # 2 KiB at 512 B MRRS
-    window = an.between(reads[0].time, reads[-1].time)
-    assert all(reads[0].time <= r.time <= reads[-1].time for r in window)
-    an.clear()
-    assert an.records == []

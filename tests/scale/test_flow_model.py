@@ -13,6 +13,7 @@ import pytest
 from repro.net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
 from repro.net.topology import RouteTable, TorusShape
 from repro.scale import (
+    BulkTransfer,
     FlowNetwork,
     calibrate,
     fragment_count,
@@ -125,11 +126,10 @@ def test_dead_link_rank_may_be_any_integer_type():
 
 def test_unreachable_flow_record_is_undelivered():
     net = FlowNetwork((2, 1, 1), dead_links=[(0, 0, 1), (0, 0, -1)])
-    rec = net.bulk_put(0, 1, 4096)
-    assert rec.completion is None and not rec.delivered
-    agg = net.aggregates()
+    agg = net.run_transfers([BulkTransfer(0, 1, 4096)])
     assert agg.bytes_delivered == 0
     assert agg.completions == (None,)
+    assert agg.makespan == 0.0
     assert not agg.link_bytes  # nothing ever hit a wire
 
 
@@ -197,25 +197,8 @@ def test_back_to_back_flows_are_spaced_by_occupancy():
     net = FlowNetwork((2, 1, 1))
     cal = net.calibration()
     n, last = 9, MAX_PACKET_PAYLOAD
-    r1 = net.bulk_put(0, 1, 9 * MAX_PACKET_PAYLOAD)
-    r2 = net.bulk_put(0, 1, 9 * MAX_PACKET_PAYLOAD)
+    first, second = net.run_transfers(
+        [BulkTransfer(0, 1, 9 * MAX_PACKET_PAYLOAD)] * 2
+    ).completions
     # The steady-state same-path gap is the probed occupancy exactly.
-    assert r2.completion - r1.completion == pytest.approx(
-        cal.occupancy(n, last), rel=1e-12
-    )
-
-
-def test_run_transfers_matches_incremental_for_sorted_posts():
-    from repro.scale import BulkTransfer
-
-    transfers = [
-        BulkTransfer(0, 13, 8192, 0.0),
-        BulkTransfer(1, 26, 5000, 1000.0),
-        BulkTransfer(5, 22, 300, 2000.0),
-    ]
-    batch = FlowNetwork((3, 3, 3)).run_transfers(transfers)
-    inc = FlowNetwork((3, 3, 3))
-    for tr in transfers:
-        inc.bulk_put(tr.src, tr.dst, tr.nbytes, tr.start, tr.src_kind, tr.dst_kind)
-    assert batch.completions == inc.aggregates().completions
-    assert batch.link_bytes == inc.aggregates().link_bytes
+    assert second - first == pytest.approx(cal.occupancy(n, last), rel=1e-12)

@@ -345,7 +345,7 @@ def test_bad_delays_rejected(bad):
 
 
 # ---------------------------------------------------------------------------
-# Run/resume and timer cancellation keep the event stream intact
+# A bounded run resumed to the end keeps the event stream intact
 # ---------------------------------------------------------------------------
 
 
@@ -378,74 +378,3 @@ def test_bounded_run_then_run_keeps_fingerprint():
     assert split.now == 300.0 and split.pending_count() > 0
     split.run()
     assert _fingerprint(split) == _fingerprint(whole)
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    tm = sim.timeout(4.0, value="x")
-    assert tm.cancel() is True
-    assert tm.cancelled
-    assert tm.cancel() is False
-    assert tm.cancelled
-
-
-def test_cancel_waited_on_timeout_raises():
-    sim = Simulator()
-    captured = {}
-
-    def proc():
-        tm = sim.timeout(5.0)
-        captured["tm"] = tm
-        yield tm
-
-    sim.process(proc())
-    sim.run(until=1.0)
-    with pytest.raises(SimulationError, match="waiting on"):
-        captured["tm"].cancel()
-    sim.run()
-    assert sim.now == 5.0
-
-
-def test_cancel_fire_and_forget_keeps_event_count():
-    """A cancelled timer still pops, as a no-op: the event count (and every
-    downstream seq) is unchanged and its callbacks never run."""
-    fired = []
-
-    def run(do_cancel):
-        sim = Simulator()
-
-        def proc():
-            tm = sim.timeout(4.0, value="x")
-            tm.callbacks.append(fired.append)
-            if do_cancel:
-                assert tm.cancel() is True
-            yield sim.timeout(10.0)
-
-        sim.process(proc())
-        sim.run()
-        return _fingerprint(sim)
-
-    cancelled = run(True)
-    assert fired == []
-    assert cancelled == run(False)
-    assert len(fired) == 1
-
-
-def test_cancel_after_fire_is_a_noop():
-    """A retransmission layer cancelling timers it kept past their deadline
-    gets False back and leaves the event stream untouched."""
-    sim = Simulator()
-    timers = []
-
-    def retrier():
-        for k in range(20):
-            tm = sim.timeout(1.0 + 0.125 * (k % 8))
-            timers.append(tm)
-            yield tm
-
-    sim.process(retrier())
-    sim.run()
-    before = _fingerprint(sim)
-    assert [tm.cancel() for tm in timers] == [False] * len(timers)
-    assert not any(tm.cancelled for tm in timers)
-    assert _fingerprint(sim) == before

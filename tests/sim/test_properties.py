@@ -42,10 +42,9 @@ def test_bytefifo_conserves_bytes(sizes, capacity):
             yield fifo.put(n)
 
     def consumer():
-        remaining = sum(sizes)
-        while remaining:
-            taken = yield fifo.get_upto(37)
-            remaining -= taken
+        for n in sizes:
+            taken = yield fifo.get(n)
+            assert taken == n
 
     sim.process(producer())
     sim.process(consumer())

@@ -212,18 +212,6 @@ def test_bytefifo_get_blocks_until_enough_bytes():
     assert sim.run_process(consumer()) == 20.0
 
 
-def test_bytefifo_get_upto_partial():
-    sim = Simulator()
-    fifo = ByteFifo(sim, capacity=1000)
-
-    def proc():
-        yield fifo.put(30)
-        taken = yield fifo.get_upto(100)
-        return taken
-
-    assert sim.run_process(proc()) == 30
-
-
 def test_bytefifo_oversized_put_rejected():
     sim = Simulator()
     fifo = ByteFifo(sim, capacity=100)
