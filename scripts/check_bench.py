@@ -1,25 +1,14 @@
 #!/usr/bin/env python
-"""Gate a run artifact against its committed baseline.
+"""Gate a quick-sweep run artifact against its committed baseline.
 
-Two modes:
-
-* default — gate a quick-sweep run artifact (``python -m repro.bench
-  --all --quick --json ...``) against ``benchmarks/baselines/sweep.json``.
-  The simulation is seedless, so the whole sweep is exact.  The gate
-  fails unless both files are quick mode with the same calibration hash,
-  the artifact holds exactly the baseline's experiment ids and no error
-  record, and every experiment's ``events`` and
-  :func:`repro.bench.engine.deterministic_view` (title, rendered output,
-  comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
-  and ``jobs`` are recorded but not compared.
-* ``--scale`` — gate ``BENCH_scale.json`` (from ``python -m repro.bench
-  scale --scale-json ...``) against ``benchmarks/baselines/scale.json``:
-  the exact-vs-flow parity probe must report bit-exact lossless
-  aggregates and completion deviations inside the documented tolerance,
-  every golden row (small tori) must match the committed numbers
-  *exactly* (the flow model is deterministic model time, not wall
-  time), all required torus sizes must be present, and the calibration
-  hash must match.
+``benchmarks/baselines/sweep.json`` is the one committed copy of every
+experiment's result.  The simulation is seedless, so the whole sweep is
+exact.  The gate fails unless both files are quick mode with the same
+calibration hash, the artifact holds exactly the baseline's experiment
+ids and no error record, and every experiment's ``events`` and
+:func:`repro.bench.engine.deterministic_view` (title, rendered output,
+comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
+and ``jobs`` are recorded but not compared.
 
 Exit code 0 when every check passes, 1 otherwise.  Run from the
 repository root:
@@ -29,7 +18,9 @@ repository root:
 
 The baseline is an ordinary run artifact, so ``check_bench.py b.json
 --baseline a.json`` checks that two sweeps (say ``--jobs 1`` and
-``--jobs 2``) agree.
+``--jobs 2``) agree.  Tier-1 runs 13 of the experiments in-process and
+gates each against its own record here
+(``tests/bench/test_check_bench.py``).
 
 Refreshing the baseline after a deliberate model change, in the same
 commit as the change:
@@ -47,23 +38,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "sweep.json"
-DEFAULT_SCALE_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "scale.json"
-
-#: Golden-row fields that must match the committed baseline exactly.
-SCALE_GOLDEN_FIELDS = (
-    "n_ranks",
-    "n_vertices",
-    "n_edges",
-    "root",
-    "n_levels",
-    "reached",
-    "traversed",
-    "levels_checksum",
-    "total_time_ns",
-    "teps",
-    "comm_bytes",
-    "max_link_load",
-)
 
 
 def load(path: Path) -> dict:
@@ -166,114 +140,24 @@ def check_sweep(artifact: dict, baseline: dict) -> list[str]:
     return failures
 
 
-def check_scale(artifact: dict, baseline: dict) -> list[str]:
-    """Gate failures for a ``BENCH_scale.json`` artifact (empty = pass)."""
-    failures: list[str] = []
-
-    parity = artifact.get("parity")
-    if not isinstance(parity, dict):
-        return [f"artifact has no parity report: keys={sorted(artifact)}"]
-    if not parity.get("lossless_ok"):
-        failures.append(
-            "parity: lossless aggregates (bytes/link bytes/packet counts/"
-            "routes) are NOT bit-exact against the per-packet reference"
-        )
-    if not parity.get("within_tolerance"):
-        failures.append(
-            f"parity: completion times deviate beyond the documented "
-            f"tolerance (max rel {parity.get('completion_max_rel')!r}, "
-            f"tol {parity.get('time_rtol')!r})"
-        )
-    max_dev = float(baseline.get("max_parity_completion_rel", 2e-3))
-    dev = float(parity.get("completion_max_rel", float("inf")))
-    if dev > max_dev:
-        failures.append(
-            f"parity: completion max rel dev {dev:.3e} exceeds the "
-            f"committed ceiling {max_dev:.3e}"
-        )
-
-    rows = {
-        (tuple(r.get("dims", ())), r.get("scale")): r
-        for r in artifact.get("rows", [])
-    }
-    for ref in baseline.get("golden_rows", []):
-        key = (tuple(ref["dims"]), ref["scale"])
-        row = rows.get(key)
-        if row is None:
-            failures.append(f"golden row {key} missing from the artifact")
-            continue
-        for fld in SCALE_GOLDEN_FIELDS:
-            if fld not in ref:
-                continue
-            if row.get(fld) != ref[fld]:
-                failures.append(
-                    f"golden row {key}: {fld} = {row.get(fld)!r} != "
-                    f"committed {ref[fld]!r} (flow-mode rows are "
-                    "deterministic — an intentional model change must "
-                    "refresh benchmarks/baselines/scale.json)"
-                )
-    present_dims = {tuple(r.get("dims", ())) for r in artifact.get("rows", [])}
-    for dims in baseline.get("require_dims", []):
-        if tuple(dims) not in present_dims:
-            failures.append(f"required torus {tuple(dims)} missing from the sweep")
-
-    base_cal = baseline.get("calibration_hash")
-    cal = artifact.get("calibration_hash")
-    if base_cal and cal != base_cal:
-        failures.append(
-            f"calibration hash {cal!r} != baseline {base_cal!r}: the cost "
-            "model changed — refresh benchmarks/baselines/scale.json in "
-            "the same commit"
-        )
-    return failures
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="scripts/check_bench.py",
-        description="gate a run artifact against its committed baseline",
+        description="gate a quick-sweep run artifact against its committed baseline",
     )
-    parser.add_argument(
-        "artifact", help="path to a quick-sweep --json artifact or, with --scale, "
-        "BENCH_scale.json",
-    )
-    parser.add_argument(
-        "--scale", action="store_true",
-        help="gate a BENCH_scale.json scaling artifact instead of a sweep",
-    )
+    parser.add_argument("artifact", help="path to a quick-sweep --json artifact")
     parser.add_argument(
         "--baseline",
-        default=None,
-        help=f"committed baseline (default: {DEFAULT_BASELINE} or, with "
-        f"--scale, {DEFAULT_SCALE_BASELINE})",
+        default=str(DEFAULT_BASELINE),
+        help=f"committed baseline (default: {DEFAULT_BASELINE})",
     )
     args = parser.parse_args(argv)
 
-    baseline_path = args.baseline or (
-        DEFAULT_SCALE_BASELINE if args.scale else DEFAULT_BASELINE
-    )
     artifact = load(Path(args.artifact))
-    baseline = load(Path(baseline_path))
-
-    if args.scale:
-        failures = check_scale(artifact, baseline)
-        parity = artifact.get("parity", {})
-        for row in artifact.get("rows", []):
-            dims = row.get("dims", [])
-            print(
-                f"  {'x'.join(str(d) for d in dims):8s} scale {row.get('scale', '?'):>2} "
-                f" TEPS {float(row.get('teps', 0.0)):.4e}  "
-                f"levels {row.get('n_levels', '?')}  reached {row.get('reached', '?')}"
-            )
-        if isinstance(parity, dict):
-            print(
-                f"  parity: lossless={parity.get('lossless_ok')} "
-                f"completion dev {parity.get('completion_max_rel')}"
-            )
-    else:
-        sys.path.insert(0, str(SRC))  # check_sweep imports repro.bench.engine
-        failures = check_sweep(artifact, baseline)
+    baseline = load(Path(args.baseline))
+    sys.path.insert(0, str(SRC))  # check_sweep imports repro.bench.engine
+    failures = check_sweep(artifact, baseline)
     for failure in failures:
         print(f"FAIL: {failure}")
     verdict = "FAILED" if failures else "ok"

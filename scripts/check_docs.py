@@ -57,16 +57,14 @@ VALUE_FLAGS = {
         "--json",
         "--trace",
         "--cache-dir",
-        "--scale-json",
     },
-    "python -m repro.obs": {"-o", "--out", "-j", "--jobs"},
     "pytest": {"-m", "-k", "-n", "--cov", "--cov-fail-under"},
 }
 
 #: Known subcommands per dispatching CLI.
 SUBCOMMANDS = {
     "repro.analysis": {"lint", "sanitize", "docstrings"},
-    "repro.obs": {"summary", "diff", "export"},
+    "repro.obs": {"summary", "diff"},
 }
 
 
@@ -194,17 +192,12 @@ def check_command(command: str):
         rest = argv[3:]
         if module == "repro.bench":
             return _check_bench_args(rest)
-        if module in SUBCOMMANDS:
-            if rest and not rest[0].startswith("-"):
-                if rest[0] not in SUBCOMMANDS[module]:
-                    return [
-                        f"{module} has no subcommand {rest[0]!r} "
-                        f"(has: {', '.join(sorted(SUBCOMMANDS[module]))})"
-                    ]
-                if module == "repro.obs" and rest[0] == "export":
-                    return _check_experiment_ids(
-                        positional_args(rest[1:], VALUE_FLAGS["python -m repro.obs"])
-                    )
+        if module in SUBCOMMANDS and rest and not rest[0].startswith("-"):
+            if rest[0] not in SUBCOMMANDS[module]:
+                return [
+                    f"{module} has no subcommand {rest[0]!r} "
+                    f"(has: {', '.join(sorted(SUBCOMMANDS[module]))})"
+                ]
         return []
 
     # `python path/to/script.py ...`
@@ -216,19 +209,15 @@ def check_command(command: str):
     return []
 
 
-def _check_experiment_ids(ids):
+def _check_bench_args(rest):
     from repro.bench import harness
 
     known = set(harness.all_ids())
     return [
-        f"unknown experiment id {exp_id!r}" for exp_id in ids if exp_id not in known
+        f"unknown experiment id {exp_id!r}"
+        for exp_id in positional_args(rest, VALUE_FLAGS["python -m repro.bench"])
+        if exp_id not in known
     ]
-
-
-def _check_bench_args(rest):
-    return _check_experiment_ids(
-        positional_args(rest, VALUE_FLAGS["python -m repro.bench"])
-    )
 
 
 def smoke_run(command: str):

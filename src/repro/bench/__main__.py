@@ -9,9 +9,6 @@ Options:
 * ``--jobs N`` — fan out over N worker processes (default 1);
 * ``--no-cache`` — ignore and do not update the on-disk result cache;
 * ``--json PATH`` — also write the JSON results artifact to PATH;
-* ``--scale-json PATH`` — write the large-torus scaling artifact
-  (``BENCH_scale.json``) from the ``scale`` experiment's data
-  (implies ``--no-cache``);
 * ``--trace PATH`` — record every experiment under :mod:`repro.obs` and
   write one merged Chrome ``trace_event`` file (implies ``--no-cache``);
 * ``--full`` / ``--quick`` — paper's exact parameters vs trimmed sweeps.
@@ -23,12 +20,7 @@ import argparse
 import sys
 
 from .harness import all_ids, get
-from .runner import (
-    default_cache_dir,
-    run_experiments,
-    write_json,
-    write_scale_bench,
-)
+from .runner import default_cache_dir, run_experiments, write_json
 from .tables import fmt_ratio, render_table
 
 
@@ -68,11 +60,6 @@ def main(argv=None) -> int:
         help="write the JSON results artifact to PATH",
     )
     parser.add_argument(
-        "--scale-json", default=None, metavar="PATH",
-        help="write the large-torus scaling artifact (BENCH_scale.json) from "
-        "the scale experiment's data (implies --no-cache)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome trace_event JSON of the sweep to PATH "
         "(open in Perfetto; implies --no-cache)",
@@ -93,8 +80,6 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     ids = args.ids or all_ids()
-    if args.scale_json is not None and "scale" not in ids:
-        parser.error("--scale-json needs the 'scale' experiment in the sweep")
     try:
         for exp_id in ids:
             get(exp_id)
@@ -112,7 +97,7 @@ def main(argv=None) -> int:
         ids,
         quick=quick,
         jobs=args.jobs,
-        use_cache=not (args.no_cache or args.scale_json is not None),
+        use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=progress,
         trace=args.trace is not None,
@@ -145,14 +130,6 @@ def main(argv=None) -> int:
     if args.json:
         path = write_json(records, args.json, quick=quick, jobs=args.jobs)
         print(f"\nwrote {path}", file=sys.stderr)
-
-    if args.scale_json:
-        try:
-            path = write_scale_bench(records, args.scale_json, quick=quick)
-        except ValueError as exc:
-            print(f"scale-json: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {path}", file=sys.stderr)
 
     if args.trace:
         from ..obs import write_chrome_trace

@@ -6,15 +6,15 @@ the :mod:`repro.scale` flow-mode BFS over a ladder of tori with recovery
 enabled (one dead +X link at the origin, traffic detoured exactly as the
 recovery router would) and reports the TEPS curve, plus an in-sweep
 **parity probe**: a golden bulk-transfer scenario executed through both
-the exact per-packet stack and the batched flow engine, with the
-byte/route aggregates required to match bit-exactly and completion
-times within :data:`PARITY_TIME_RTOL`.
+the exact per-packet stack and the batched flow engine.  The run fails
+with :class:`~repro.bench.harness.ExperimentError`, before the BFS
+ladder, unless the byte/route aggregates match bit-exactly and
+completion times stay within :data:`PARITY_TIME_RTOL`.
 
 Everything in ``comparisons`` is deterministic (model time, not wall
-time), so the golden suite pins every row exactly and ``--jobs 1`` vs
-``--jobs 4`` sweeps are bit-identical.  The raw rows land in
-``data["scale_bench"]``, which the runner exports as ``BENCH_scale.json``
-for the ``scripts/check_bench.py --scale`` gate.
+time), so ``benchmarks/baselines/sweep.json`` pins the quick-mode rows,
+the rendered table and the raw rows in ``data["scale_bench"]`` exactly,
+like every other experiment's.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict
 from ...scale import BulkTransfer, FlowNetwork, compare_aggregates, run_exact
 from ...scale.bfs import run_scale_bfs
 from ...units import us
-from ..harness import ExperimentResult, register
+from ..harness import ExperimentError, ExperimentResult, register
 from ..tables import render_table
 
 __all__ = ["run_scale", "parity_probe", "CONFIGS_QUICK", "CONFIGS_FULL"]
@@ -54,10 +54,6 @@ CONFIGS_FULL = (
     ((12, 12, 12), 18),
     ((16, 16, 16), 20),
 )
-
-#: Configs small enough that their rows are pinned by golden tests
-#: (tests/bench/test_golden_scale.py) and by the committed baseline.
-GOLDEN_DIMS = ((4, 4, 4), (6, 6, 6))
 
 
 def parity_probe() -> dict:
@@ -110,26 +106,29 @@ def run_scale(quick: bool = True) -> ExperimentResult:
     ``shards=4`` is only recorded, it changes no number) whose
     communication cost comes from the probe-calibrated flow model; the
     in-sweep parity probe certifies that model against the exact
-    per-packet reference.
+    per-packet reference, and a failing probe stops the run.
     """
     configs = CONFIGS_QUICK if quick else CONFIGS_FULL
     parity = parity_probe()
+    if not parity["lossless_ok"]:
+        raise ExperimentError(
+            "parity probe: lossless aggregates (delivered bytes, per-link wire "
+            "bytes and packet counts, delivered set) differ from the exact "
+            "per-packet run"
+        )
+    if not parity["within_tolerance"]:
+        raise ExperimentError(
+            "parity probe: flow times outside the tolerance: completion max "
+            f"rel {parity['completion_max_rel']!r} and makespan rel "
+            f"{parity['makespan_rel']!r} (limit {PARITY_TIME_RTOL!r} each), "
+            f"link busy max rel {parity['busy_max_rel']!r} (limit 1e-06)"
+        )
 
     rows = []
     bench_rows = []
     comparisons = [
-        (
-            "parity: lossless aggregates bit-exact",
-            1.0 if parity["lossless_ok"] else 0.0,
-            1.0,
-            "bool",
-        ),
-        (
-            "parity: completions within tolerance",
-            1.0 if parity["within_tolerance"] else 0.0,
-            1.0,
-            "bool",
-        ),
+        ("parity: lossless aggregates bit-exact", float(parity["lossless_ok"]), 1.0, "bool"),
+        ("parity: completions within tolerance", float(parity["within_tolerance"]), 1.0, "bool"),
         ("parity: completion max rel dev", parity["completion_max_rel"], None, "rel"),
     ]
     for dims, graph_scale in configs:
@@ -161,7 +160,7 @@ def run_scale(quick: bool = True) -> ExperimentResult:
         title=(
             "TEPS vs nodes, flow mode, recovery enabled "
             f"(1 dead link, detoured) — parity probe: "
-            f"lossless={'ok' if parity['lossless_ok'] else 'FAIL'}, "
+            "lossless=ok, "
             f"max completion dev {parity['completion_max_rel']:.2e} "
             f"(tol {PARITY_TIME_RTOL:.0e})"
         ),
@@ -176,7 +175,6 @@ def run_scale(quick: bool = True) -> ExperimentResult:
                 "rows": bench_rows,
                 "parity": parity,
                 "dead_links": [list(d) for d in DEAD_LINKS],
-                "golden_dims": [list(d) for d in GOLDEN_DIMS],
             }
         },
     )

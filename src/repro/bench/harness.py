@@ -42,14 +42,6 @@ class ExperimentResult:
     )
     data: Any = None  # raw series/rows for programmatic use
 
-    def deviations(self) -> dict[str, float]:
-        """Relative deviation per compared quantity (measured vs paper)."""
-        out = {}
-        for name, measured, paper, _unit in self.comparisons:
-            if paper:
-                out[name] = (measured - paper) / paper
-        return out
-
 
 @dataclass
 class Experiment:

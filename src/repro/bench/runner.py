@@ -47,7 +47,6 @@ __all__ = [
     "default_cache_dir",
     "run_experiments",
     "write_json",
-    "write_scale_bench",
 ]
 
 #: Default location of the cache, relative to the working directory.
@@ -150,10 +149,9 @@ def cache_key(experiment_id: str, quick: bool) -> str:
 def calibration_hash() -> str:
     """Short content hash of every calibration constant.
 
-    Stamped into run artifacts (``--json``, ``BENCH_scale.json``) so a
-    result can never be compared across different model calibrations
-    unnoticed.  Computed once per process
-    (``tests/bench/test_calibration_once.py`` pins this).
+    Stamped into the ``--json`` run artifact so a result can never be
+    compared across different model calibrations unnoticed.  Computed
+    once per process (``tests/bench/test_calibration_once.py`` pins this).
     """
     global _calibration_hash_memo
     if _calibration_hash_memo is None:
@@ -383,44 +381,3 @@ def write_json(
         json.dump(doc, fh, indent=2)
     return path
 
-
-def write_scale_bench(
-    records: Sequence[RunRecord],
-    path: Path | str,
-    quick: bool = True,
-    run_id: Optional[str] = None,
-) -> Path:
-    """Write the machine-readable scaling artifact to *path*.
-
-    Extracts the TEPS rows and the exact-vs-flow parity report that the
-    ``scale`` experiment leaves in ``data["scale_bench"]`` and stamps
-    them with the package version and calibration hash — the
-    ``BENCH_scale.json`` consumed by ``scripts/check_bench.py --scale``.
-    Raises :class:`ValueError` when no record carries scale-bench data
-    (e.g. ``scale`` was not part of the sweep or errored).
-    """
-    bench = None
-    for record in records:
-        if record.status != "error" and record.data and "scale_bench" in record.data:
-            bench = record.data["scale_bench"]
-            break
-    if bench is None:
-        raise ValueError(
-            "no scale-bench data in this sweep: run the 'scale' "
-            "experiment (uncached) to produce BENCH_scale.json"
-        )
-    doc = {
-        "run_id": run_id or default_run_id(),
-        "repro_version": __version__,
-        "calibration_hash": calibration_hash(),
-        "mode": "quick" if quick else "full",
-        "rows": bench["rows"],
-        "parity": bench["parity"],
-        "dead_links": bench.get("dead_links", []),
-        "golden_dims": bench.get("golden_dims", []),
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    return path

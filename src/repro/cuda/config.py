@@ -29,16 +29,10 @@ class CudaCosts:
     sync_memcpy_overhead: float = us(10.0)
     # cudaMemcpyAsync enqueue (host returns immediately after this).
     async_enqueue_cost: float = us(1.2)
-    # cudaEventRecord / cudaStreamWaitEvent bookkeeping.
-    event_record_cost: float = us(0.5)
     # cudaStreamSynchronize / cudaEventSynchronize entry cost.
     sync_call_cost: float = us(1.0)
     # cuPointerGetAttribute query.
     attribute_query_cost: float = us(1.0)
-    # Kernel launch (host side).
-    kernel_launch_cost: float = us(5.0)
-    # cudaMalloc / cudaFree (not on any critical path we model).
-    malloc_cost: float = us(50.0)
 
 
 DEFAULT_COSTS = CudaCosts()

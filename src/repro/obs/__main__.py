@@ -1,16 +1,16 @@
 """CLI for the observability layer: ``python -m repro.obs <command>``.
 
-Three subcommands close the loop from simulation to analysis without
-leaving the terminal, mirroring how the paper instruments one transfer at a
-time (§IV's microbenchmarks, Fig 3's analyzer capture):
+Two subcommands analyse a Chrome trace without leaving the terminal,
+mirroring how the paper instruments one transfer at a time (§IV's
+microbenchmarks, Fig 3's analyzer capture):
 
-* ``export EXPERIMENT... -o trace.json`` — run registered experiments under
-  a fresh :class:`~repro.obs.TraceSession` each and write one merged Chrome
-  trace (open it in https://ui.perfetto.dev);
 * ``summary trace.json`` — per-component span statistics, latency
   histograms and queue-occupancy counter extrema;
 * ``diff a.json b.json`` — per-pipeline-stage comparison of two traces
   (P2P vs staged, clean vs faulty, before vs after a change).
+
+``python -m repro.bench EXPERIMENT... --trace trace.json`` writes the
+trace (open it in https://ui.perfetto.dev).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .chrome import validate_chrome_trace, write_chrome_trace
+from .chrome import validate_chrome_trace
 from .report import diff_traces, summarize_trace
 
 
@@ -50,31 +50,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    from ..bench import runner
-
-    records = runner.run_experiments(
-        args.experiments,
-        quick=not args.full,
-        jobs=args.jobs,
-        use_cache=False,
-        trace=True,
-    )
-    failed = [rec.experiment_id for rec in records if rec.status == "error"]
-    traces = {rec.experiment_id: rec.trace for rec in records if rec.trace is not None}
-    if failed:
-        print(f"error: experiment(s) failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    out = write_chrome_trace(args.output, traces)
-    n_events = sum(len(p["events"]) for p in traces.values())
-    print(f"wrote {out} ({len(traces)} experiment(s), {n_events} records)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect and export simulation traces (Chrome trace_event JSON).",
+        description="Inspect simulation traces (Chrome trace_event JSON).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -86,13 +65,6 @@ def main(argv=None) -> int:
     p_diff.add_argument("trace_a")
     p_diff.add_argument("trace_b")
     p_diff.set_defaults(fn=_cmd_diff)
-
-    p_export = sub.add_parser("export", help="run experiments and export a trace")
-    p_export.add_argument("experiments", nargs="+", help="registered experiment ids")
-    p_export.add_argument("-o", "--output", default="trace.json")
-    p_export.add_argument("--full", action="store_true", help="paper parameters")
-    p_export.add_argument("-j", "--jobs", type=int, default=1)
-    p_export.set_defaults(fn=_cmd_export)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -417,7 +417,9 @@ class FlowNetwork:
     batch's aggregates; byte/packet/route aggregates are bit-identical to
     the exact driver, completion times carry the calibrated model's
     documented tolerance.  No DES events are created — a 16^3 torus costs
-    dictionary updates, not packets.
+    dictionary updates, not packets.  Each batch starts on an idle
+    network: the instance keeps only the shape, config, routes and
+    calibrations.
     """
 
     def __init__(
@@ -429,11 +431,6 @@ class FlowNetwork:
         self.shape = TorusShape(*dims)
         self.config = config or DEFAULT_CONFIG
         self.routes = RouteTable(self.shape, dead_links)
-        self.link_bytes: Dict[Tuple[int, int, int], int] = {}
-        self.link_packets: Dict[Tuple[int, int, int], int] = {}
-        self.link_busy: Dict[Tuple[int, int, int], float] = {}
-        self._tx_free: Dict[int, float] = {}  # src rank -> TX feed free
-        self._free: Dict[tuple, float] = {}  # rx/link resource -> free time
         self._cals: Dict[Tuple[BufferKind, BufferKind], FlowCalibration] = {}
         self._obs_sim = None
 
@@ -483,39 +480,25 @@ class FlowNetwork:
     # crossing traffic queues by load, not by full latency, so cascades
     # cannot build transitively the way a naive critical-path model would.
 
-    def _admit(self, tr: BulkTransfer, seq: int):
-        """Phase 1 for one transfer: route, accounting, TX injection time."""
-        route = self.routes.path(tr.src, tr.dst)
-        if route is None:
-            return None
-        n = fragment_count(tr.nbytes)
-        last = last_fragment_bytes(tr.nbytes)
-        wire = wire_bytes(tr.nbytes)
-        link_occ = wire / self.config.link_bandwidth
-        for hop in route:
-            self.link_bytes[hop] = self.link_bytes.get(hop, 0) + wire
-            self.link_packets[hop] = self.link_packets.get(hop, 0) + n
-            self.link_busy[hop] = self.link_busy.get(hop, 0.0) + link_occ
-        cal = self.calibration(tr.src_kind, tr.dst_kind)
-        inj = max(tr.start, self._tx_free.get(tr.src, 0.0))
-        self._tx_free[tr.src] = inj + cal.tx_occupancy(n, last)
-        return (inj, seq, tr, route, cal, n, last, link_occ)
+    def _serve(self, admitted, free: Dict[tuple, float]) -> float:
+        """Phase 2 for one admitted transfer: fabric/RX queues, completion.
 
-    def _serve(self, admitted) -> float:
-        """Phase 2 for one admitted transfer: fabric/RX queues, completion."""
+        *free* maps each RX endpoint and link to the time the batch's
+        earlier flows release it.
+        """
         inj, _seq, tr, route, cal, n, last, link_occ = admitted
         latency = cal.completion_latency(n, last, len(route))
         completion = inj + latency
         rx_key = ("rx", tr.dst)
-        rx_free = self._free.get(rx_key)
+        rx_free = free.get(rx_key)
         if rx_free is not None:
             completion = max(completion, rx_free + cal.occupancy(n, last))
         tail = cal.per_fragment
         for hop in route:
-            link_free = self._free.get(("link", hop), 0.0)
+            link_free = free.get(("link", hop), 0.0)
             completion = max(completion, max(link_free, inj) + link_occ + tail)
-            self._free[("link", hop)] = max(link_free, inj) + link_occ
-        self._free[rx_key] = completion
+            free[("link", hop)] = max(link_free, inj) + link_occ
+        free[rx_key] = completion
         scope = self._obs_scope()
         if scope is not None:
             scope.span_at(
@@ -535,28 +518,49 @@ class FlowNetwork:
         """Schedule a batch (posted like the exact driver posts) and aggregate.
 
         Sources post in ``(start, index)`` order; the fabric serves in
-        deterministic ``(injection time, post index)`` order.
+        deterministic ``(injection time, post index)`` order.  The batch
+        is the unit: no link load or resource time carries over from an
+        earlier call, so the same batch always gives the same aggregates.
         """
+        link_bytes: Dict[Tuple[int, int, int], int] = {}
+        link_packets: Dict[Tuple[int, int, int], int] = {}
+        link_busy: Dict[Tuple[int, int, int], float] = {}
+        tx_free: Dict[int, float] = {}  # src rank -> TX feed free
         post_order = sorted(
             range(len(transfers)), key=lambda i: (transfers[i].start, i)
         )
         admitted = []
         for seq, i in enumerate(post_order):
-            item = self._admit(transfers[i], seq)
-            if item is not None:
-                admitted.append((item, i))
+            # Phase 1 for one transfer: route, accounting, TX injection time.
+            tr = transfers[i]
+            route = self.routes.path(tr.src, tr.dst)
+            if route is None:
+                continue
+            n = fragment_count(tr.nbytes)
+            last = last_fragment_bytes(tr.nbytes)
+            wire = wire_bytes(tr.nbytes)
+            link_occ = wire / self.config.link_bandwidth
+            for hop in route:
+                link_bytes[hop] = link_bytes.get(hop, 0) + wire
+                link_packets[hop] = link_packets.get(hop, 0) + n
+                link_busy[hop] = link_busy.get(hop, 0.0) + link_occ
+            cal = self.calibration(tr.src_kind, tr.dst_kind)
+            inj = max(tr.start, tx_free.get(tr.src, 0.0))
+            tx_free[tr.src] = inj + cal.tx_occupancy(n, last)
+            admitted.append(((inj, seq, tr, route, cal, n, last, link_occ), i))
         completions: List[Optional[float]] = [None] * len(transfers)
+        free: Dict[tuple, float] = {}  # rx/link resource -> free time
         for item, i in sorted(admitted, key=lambda pair: (pair[0][0], pair[0][1])):
-            completions[i] = self._serve(item)
+            completions[i] = self._serve(item, free)
         finished = [c for c in completions if c is not None]
         return TransferAggregates(
             bytes_delivered=sum(
                 tr.nbytes for tr, c in zip(transfers, completions) if c is not None
             ),
             completions=tuple(completions),
-            link_bytes=dict(self.link_bytes),
-            link_packets=dict(self.link_packets),
-            link_busy=dict(self.link_busy),
+            link_bytes=link_bytes,
+            link_packets=link_packets,
+            link_busy=link_busy,
             makespan=max(finished) if finished else 0.0,
         )
 

@@ -66,10 +66,6 @@ class Channel:
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
 
-    def serialization_time(self, nbytes: int) -> float:
-        """Pure wire time for *nbytes* at this channel's bandwidth."""
-        return nbytes / self.bandwidth
-
     def transfer(self, nbytes: int, payload: Any = None) -> Event:
         """Send *nbytes*; the event fires at delivery with value *payload*.
 

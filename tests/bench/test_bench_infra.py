@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import (
-    ExperimentResult,
     Series,
     all_ids,
     ascii_plot,
@@ -114,11 +113,6 @@ def test_experiment_metadata():
     exp = get("table1")
     assert exp.paper_ref == "Table I"
     assert callable(exp.runner)
-
-
-def test_experiment_result_deviation_math():
-    r = ExperimentResult("x", "t", "out", comparisons=[("q", 110.0, 100.0, "u")])
-    assert r.deviations() == {"q": pytest.approx(0.1)}
 
 
 def test_quick_experiment_runs_end_to_end():

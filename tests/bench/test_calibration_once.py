@@ -51,24 +51,17 @@ def test_calibration_walked_once_across_hash_and_cache_keys(monkeypatch):
 
 
 def test_artifact_writers_do_not_rewalk_the_config(monkeypatch, tmp_path):
-    """One run producing both artifacts stamps the hash from the memo."""
+    """Writing the run artifact stamps the hash from the memo."""
     counter = {"n": 0}
     _reset_memos(monkeypatch, counter)
 
-    scale = RunRecord(
-        experiment_id="scale",
-        data={"scale_bench": {"rows": [], "parity": {"lossless_ok": True},
-                              "dead_links": [], "golden_dims": []}},
-    )
-    runner.write_json([scale], tmp_path / "run.json", run_id="t")
-    runner.write_scale_bench([scale], tmp_path / "s.json", run_id="t")
+    runner.write_json([RunRecord(experiment_id="scale")], tmp_path / "run.json", run_id="t")
     for _ in range(3):
         runner.calibration_hash()
     assert counter["n"] == 1
 
     run = json.loads((tmp_path / "run.json").read_text())
-    s = json.loads((tmp_path / "s.json").read_text())
-    assert run["calibration_hash"] == s["calibration_hash"] == runner.calibration_hash()
+    assert run["calibration_hash"] == runner.calibration_hash()
 
 
 def test_memoised_hash_equals_direct_computation(monkeypatch):

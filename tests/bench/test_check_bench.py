@@ -1,9 +1,11 @@
 """The sweep gate: ``scripts/check_bench.py`` and ``benchmarks/baselines/sweep.json``.
 
 The gate's comparison is unit-tested on synthesized artifacts.  The
-committed baseline is checked for shape, and its cheap experiments are
-re-run and compared with it through the gate itself, so a stale
-baseline fails here before it fails the CI sweep.
+committed baseline is the one copy of every experiment's result: it is
+checked for shape, and 13 of its experiments are re-run in-process and
+compared with it through the gate itself (events, rows, rendered output
+and data), so a model change or a stale baseline fails here before it
+fails the CI sweep.
 """
 
 import importlib.util
@@ -13,12 +15,28 @@ from pathlib import Path
 import pytest
 
 from repro.bench import harness
-from repro.bench.runner import calibration_hash, run_experiments, write_json
+from repro.bench.runner import calibration_hash, write_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-#: Quick experiments cheap enough (about 0.5 s together) to re-run here.
-CHEAP_IDS = ("fig3", "fig8", "fig10", "ablation_memcpy", "ablation_scaleout", "ext_get", "selftest")
+#: Quick experiments re-run here against their committed records: the
+#: paper's headline table1, fig3, fig4, table2 and table4, the recovery
+#: and scale extensions, and the cheap rest.
+PINNED_IDS = (
+    "table1",
+    "fig3",
+    "fig4",
+    "table2",
+    "table4",
+    "recovery",
+    "scale",
+    "fig8",
+    "fig10",
+    "ablation_memcpy",
+    "ablation_scaleout",
+    "ext_get",
+    "selftest",
+)
 
 
 def _load_check_bench():
@@ -112,6 +130,12 @@ def test_changed_rendered_in_rowless_experiment_fails():
     assert _failures(art) == ["ext_get: rendered differs from the baseline"]
 
 
+def test_dropped_row_reports_the_row_count():
+    art = _sweep()
+    del art["records"][0]["comparisons"][1]
+    assert _failures(art) == ["fig8: 1 comparison rows != baseline 2"]
+
+
 def test_missing_id_fails():
     art = _sweep()
     del art["records"][1]
@@ -193,19 +217,29 @@ def test_check_bench_cli_rejects_non_object_json(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_committed_baseline_is_a_clean_quick_sweep():
-    baseline = check_bench.load(check_bench.DEFAULT_BASELINE)
-    assert baseline["mode"] == "quick"
-    assert baseline["calibration_hash"] == calibration_hash()
-    assert [r["experiment_id"] for r in baseline["records"]] == harness.all_ids()
-    assert [r for r in baseline["records"] if r["status"] == "error"] == []
+@pytest.fixture(scope="module")
+def committed_baseline():
+    return check_bench.load(check_bench.DEFAULT_BASELINE)
 
 
-def test_committed_baseline_is_current_for_cheap_experiments(tmp_path):
-    records = run_experiments(CHEAP_IDS, quick=True, jobs=1, use_cache=False)
-    artifact = json.loads(write_json(records, tmp_path / "run.json").read_text())
-    baseline = check_bench.load(check_bench.DEFAULT_BASELINE)
-    baseline["records"] = [
-        r for r in baseline["records"] if r["experiment_id"] in CHEAP_IDS
-    ]
+def test_committed_baseline_is_a_clean_quick_sweep(committed_baseline):
+    assert committed_baseline["mode"] == "quick"
+    assert committed_baseline["calibration_hash"] == calibration_hash()
+    records = committed_baseline["records"]
+    assert [r["experiment_id"] for r in records] == harness.all_ids()
+    assert [r for r in records if r["status"] == "error"] == []
+
+
+@pytest.mark.parametrize("exp_id", PINNED_IDS)
+def test_committed_baseline_is_current(exp_id, quick_record, committed_baseline, tmp_path):
+    """One in-process run of *exp_id* equals its committed record exactly.
+
+    ``sweep.json`` is written by ``--jobs 2`` workers, so this also shows
+    that a worker and an in-process run give the same result.
+    """
+    artifact = json.loads(write_json([quick_record(exp_id)], tmp_path / "run.json").read_text())
+    baseline = dict(
+        committed_baseline,
+        records=[r for r in committed_baseline["records"] if r["experiment_id"] == exp_id],
+    )
     assert check_bench.check_sweep(artifact, baseline) == []

@@ -1,72 +1,24 @@
-"""Golden-number regression tests for the `recovery` experiment.
+"""Shape checks of the quick-mode `recovery` experiment.
 
-Same contract as test_golden_numbers.py: the simulator is deterministic,
-so every measured row of the quick-mode `recovery` run is pinned with
-exact float equality.  Any drift is a behavioural change of the recovery
-layer (detection timing, detour routing, replay protocol, degradation
-thresholds) and must be acknowledged by updating these goldens and the
-EXPERIMENTS.md table together.
+``benchmarks/baselines/sweep.json`` pins every row exactly, and
+``tests/bench/test_check_bench.py`` gates one run against it.  These
+tests read the same run and state what the rows must show: a visible
+gap after the link kill, full recovery, and the HSG, partition and
+degradation scenarios.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import harness
-
-GOLDEN = {
-    "H-H goodput pre-kill": (684.4096384558294, "MB/s"),
-    "H-H recovery gap": (420.3416240601513, "us"),
-    "H-H goodput post-recovery": (684.4096384558327, "MB/s"),
-    "H-H time-to-detect": (20.153142857142957, "us"),
-    "H-H replays": (1.0, ""),
-    "H-H packets rerouted": (157.0, ""),
-    "G-G P2P goodput pre-kill": (667.8004700191555, "MB/s"),
-    "G-G P2P recovery gap": (422.72320300751915, "us"),
-    "G-G P2P goodput post-recovery": (667.8004700191544, "MB/s"),
-    "G-G P2P time-to-detect": (20.153142857142957, "us"),
-    "G-G P2P replays": (1.0, ""),
-    "G-G P2P packets rerouted": (159.0, ""),
-    "G-G staged goodput pre-kill": (551.6657527393784, "MB/s"),
-    "G-G staged recovery gap": (443.38267669173075, "us"),
-    "G-G staged goodput post-recovery": (551.6657527393791, "MB/s"),
-    "G-G staged time-to-detect": (20.153142857142957, "us"),
-    "G-G staged replays": (1.0, ""),
-    "G-G staged packets rerouted": (177.0, ""),
-    "HSG energy across kill": (-196.48655629671896, ""),
-    "HSG link deaths": (1.0, ""),
-    "HSG replays": (1.0, ""),
-    "partition unreachable verdicts": (3.0, ""),
-    "partition link deaths": (2.0, ""),
-    "degraded goodput": (856.0852314233138, "MB/s"),
-    "degraded puts": (32.0, ""),
-    "degraded fraction": (0.8, ""),
-    "mode switches": (1.0, ""),
-}
-
 
 @pytest.fixture(scope="module")
-def result():
-    return harness.run("recovery", quick=True)
-
-
-def test_golden_rows_exact(result):
-    measured = {name: (value, unit) for name, value, _paper, unit in result.comparisons}
-    assert set(measured) == set(GOLDEN), (
-        "comparison row set changed — update GOLDEN deliberately"
-    )
-    mismatches = {
-        name: (measured[name], golden)
-        for name, golden in GOLDEN.items()
-        if measured[name] != golden
-    }
-    assert not mismatches, (
-        f"recovery drifted from golden values (measured, golden): {mismatches}"
-    )
+def result(quick_record):
+    return quick_record("recovery")
 
 
 def test_goodput_dips_then_recovers(result):
-    """The ISSUE-level shape: a visible gap, then full recovery."""
+    """The recovery shape: a visible gap, then full recovery."""
     rows = {name: value for name, value, _p, _u in result.comparisons}
     for path in ("H-H", "G-G P2P", "G-G staged"):
         pre = rows[f"{path} goodput pre-kill"]
@@ -94,9 +46,3 @@ def test_hsg_and_partition_and_degradation(result):
     assert 0.0 < rows["degraded fraction"] < 1.0
     assert "spins identical" in result.rendered
     assert "unreachable" in result.rendered
-
-
-def test_recovery_run_is_deterministic(result):
-    again = harness.run("recovery", quick=True)
-    assert again.comparisons == result.comparisons  # bit-identical
-    assert again.rendered == result.rendered

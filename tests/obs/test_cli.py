@@ -1,11 +1,13 @@
-"""The ``python -m repro.obs`` CLI: summary, diff, export."""
+"""The trace CLIs: ``python -m repro.obs`` summary and diff, and the
+trace export of ``python -m repro.bench --trace``."""
 
 import json
 
 import pytest
 
 from repro.bench import harness
-from repro.obs import TraceSession, write_chrome_trace
+from repro.bench.__main__ import main as bench_main
+from repro.obs import TraceSession, validate_chrome_trace, write_chrome_trace
 from repro.obs.__main__ import main
 from repro.sim import Simulator
 from repro.units import ns
@@ -55,7 +57,7 @@ def cli_experiment():
     exp_id = "_t_obs_cli"
 
     def runner(quick):
-        """Toy experiment for CLI export tests."""
+        """Toy experiment for the trace export tests."""
         sim = Simulator()
 
         def proc():
@@ -82,7 +84,7 @@ def cli_failing_experiment():
     exp_id = "_t_obs_cli_boom"
 
     def runner(quick):
-        """Always-failing toy experiment for CLI export tests."""
+        """Always-failing toy experiment for the trace export tests."""
         raise RuntimeError("intentional")
 
     harness.register(exp_id, "cli-fail", "—")(runner)
@@ -92,20 +94,19 @@ def cli_failing_experiment():
         harness._REGISTRY.pop(exp_id, None)
 
 
-def test_export_writes_valid_trace(tmp_path, capsys, cli_experiment):
+def test_bench_trace_writes_valid_trace(tmp_path, capsys, cli_experiment):
     out = tmp_path / "exported.json"
-    assert main(["export", cli_experiment, "-o", str(out)]) == 0
+    assert bench_main([cli_experiment, "--trace", str(out)]) == 0
     doc = json.loads(out.read_text())
-    from repro.obs import validate_chrome_trace
-
     assert validate_chrome_trace(doc) == []
     assert any(ev["ph"] == "X" for ev in doc["traceEvents"])
-    assert "wrote" in capsys.readouterr().out
+    assert f"wrote {out} (1 experiment(s)" in capsys.readouterr().err
+    assert main(["summary", str(out)]) == 0
 
 
-def test_export_failing_experiment_exits_nonzero(
+def test_bench_trace_failing_experiment_exits_nonzero(
     tmp_path, capsys, cli_failing_experiment
 ):
     out = tmp_path / "never.json"
-    assert main(["export", cli_failing_experiment, "-o", str(out)]) == 1
-    assert "failed" in capsys.readouterr().err
+    assert bench_main([cli_failing_experiment, "--trace", str(out)]) == 1
+    assert f"# {cli_failing_experiment}: FAILED" in capsys.readouterr().out

@@ -22,6 +22,7 @@ from repro.scale import (
     run_scale_bfs,
     wire_bytes,
 )
+from repro.units import us
 
 pytestmark = pytest.mark.scale
 
@@ -202,3 +203,11 @@ def test_back_to_back_flows_are_spaced_by_occupancy():
     ).completions
     # The steady-state same-path gap is the probed occupancy exactly.
     assert second - first == pytest.approx(cal.occupancy(n, last), rel=1e-12)
+
+
+def test_a_batch_run_twice_on_one_network_gives_equal_aggregates():
+    """The batch is the unit: no link load or resource time carries over."""
+    net = FlowNetwork((3, 3, 3))
+    batch = [BulkTransfer(0, 13, 8192, 0.0), BulkTransfer(1, 26, 5000, us(150.0))]
+    first = net.run_transfers(batch)
+    assert net.run_transfers(batch) == first

@@ -92,13 +92,6 @@ def test_unknown_subcommand_is_flagged(check_docs):
     assert "no subcommand" in problem
 
 
-def test_export_ids_are_validated(check_docs):
-    (problem,) = check_docs.check_command(
-        "python -m repro.obs export bogus_exp -o out.json"
-    )
-    assert "unknown experiment id 'bogus_exp'" in problem
-
-
 def test_missing_script_and_pytest_target_are_flagged(check_docs):
     (problem,) = check_docs.check_command("python scripts/does_not_exist.py")
     assert "does not exist" in problem
