@@ -67,13 +67,6 @@ class BufList:
                 )
         self._entries.append(entry)
 
-    def deregister(self, vaddr: int) -> RegisteredBuffer:
-        """Remove and return the entry starting at *vaddr*."""
-        for i, e in enumerate(self._entries):
-            if e.vaddr == vaddr:
-                return self._entries.pop(i)
-        raise KeyError(f"{self.name}: no registration at 0x{vaddr:x}")
-
     def lookup(self, addr: int, nbytes: int = 1) -> tuple[Optional[RegisteredBuffer], int]:
         """Scan for the buffer containing the range; returns (entry, visited).
 

@@ -60,7 +60,7 @@ class ApenetCard(PCIeDevice):
 
         self.nios = NiosII(sim, f"{name}.nios")
         self.buflist = BufList(f"{name}.buflist")
-        self.host_v2p = HostV2P(f"{name}.hv2p")
+        self.host_v2p = HostV2P()
         self.gpu_v2p = GpuV2PSet(f"{name}.gv2p")
         self.gpus: list[GPUDevice] = []
         # BAR1-TX extension: registered GPU buffers' BAR1 mappings,

@@ -2,8 +2,8 @@
 
 Two flavours (§IV):
 
-* ``HOST_V2P`` — host pages are 4 KB; the map resolves host virtual
-  addresses to physical scatter-list entries for the RX DMA;
+* ``HOST_V2P`` — host pages are 4 KB; registering a host buffer
+  installs the pages it covers and pays per newly installed page;
 * ``GPU_V2P`` — "For each GPU card on the bus, a 4-level GPU V2P page table
   is maintained, which resolves virtual addresses to GPU page descriptors"
   (64 KB pages — reuses :class:`repro.gpu.memory.GpuPageTable`).
@@ -14,8 +14,6 @@ engines via the Nios II (``rx_v2p_cost``), not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..gpu.memory import GpuPageTable
 
 __all__ = ["HostV2P", "HOST_PAGE_SIZE", "GpuV2PSet"]
@@ -23,27 +21,15 @@ __all__ = ["HostV2P", "HOST_PAGE_SIZE", "GpuV2PSet"]
 HOST_PAGE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class HostPageEntry:
-    """One 4 KB host page mapping."""
-
-    virtual_addr: int
-    physical_addr: int
-
-
 class HostV2P:
-    """Host-side page map (4 KB granularity, 4-level constant walk)."""
+    """Host-side page map (4 KB granularity).
 
-    LEVELS = 4
+    Registration reads only how many pages a range newly installs, so the
+    map keeps just the base address of every mapped page.
+    """
 
-    def __init__(self, name: str = "host-v2p"):
-        self.name = name
-        self._pages: dict[int, HostPageEntry] = {}
-
-    @property
-    def pages_mapped(self) -> int:
-        """Number of installed page entries."""
-        return len(self._pages)
+    def __init__(self):
+        self._pages: set[int] = set()
 
     def map_range(self, vaddr: int, nbytes: int) -> int:
         """Install identity mappings covering [vaddr, vaddr+nbytes).
@@ -54,49 +40,9 @@ class HostV2P:
             raise ValueError("mapping needs a positive size")
         first = vaddr // HOST_PAGE_SIZE
         last = (vaddr + nbytes - 1) // HOST_PAGE_SIZE
-        added = 0
-        for page in range(first, last + 1):
-            key = page * HOST_PAGE_SIZE
-            if key not in self._pages:
-                self._pages[key] = HostPageEntry(key, key)
-                added += 1
-        return added
-
-    def unmap_range(self, vaddr: int, nbytes: int) -> int:
-        """Remove mappings covering the range; returns pages removed."""
-        first = vaddr // HOST_PAGE_SIZE
-        last = (vaddr + nbytes - 1) // HOST_PAGE_SIZE
-        removed = 0
-        for page in range(first, last + 1):
-            if self._pages.pop(page * HOST_PAGE_SIZE, None) is not None:
-                removed += 1
-        return removed
-
-    def lookup(self, vaddr: int) -> HostPageEntry:
-        """Translate one address (KeyError if unmapped)."""
-        key = vaddr // HOST_PAGE_SIZE * HOST_PAGE_SIZE
-        try:
-            return self._pages[key]
-        except KeyError:
-            raise KeyError(f"{self.name}: unmapped host vaddr 0x{vaddr:x}") from None
-
-    def is_mapped(self, vaddr: int) -> bool:
-        """True if *vaddr* translates."""
-        return (vaddr // HOST_PAGE_SIZE * HOST_PAGE_SIZE) in self._pages
-
-    def scatter_list(self, vaddr: int, nbytes: int) -> list[tuple[int, int]]:
-        """Physical (addr, len) chunks covering a virtual range."""
-        out: list[tuple[int, int]] = []
-        cur = vaddr
-        end = vaddr + nbytes
-        while cur < end:
-            entry = self.lookup(cur)
-            page_end = entry.virtual_addr + HOST_PAGE_SIZE
-            take = min(end, page_end) - cur
-            phys = entry.physical_addr + (cur - entry.virtual_addr)
-            out.append((phys, take))
-            cur += take
-        return out
+        before = len(self._pages)
+        self._pages.update(page * HOST_PAGE_SIZE for page in range(first, last + 1))
+        return len(self._pages) - before
 
 
 class GpuV2PSet:
@@ -111,8 +57,3 @@ class GpuV2PSet:
         if gpu_index not in self._tables:
             self._tables[gpu_index] = GpuPageTable(f"{self.name}[{gpu_index}]")
         return self._tables[gpu_index]
-
-    @property
-    def gpu_count(self) -> int:
-        """How many GPUs have tables."""
-        return len(self._tables)

@@ -90,23 +90,3 @@ class CSRGraph:
         neighbor_ids = self.col_idx[offsets + within]
         parent_ids = np.repeat(vertices, lengths)
         return neighbor_ids, parent_ids
-
-    def row_slice(self, lo: int, hi: int) -> "CSRGraph":
-        """A sub-CSR holding only rows [lo, hi) (columns stay global).
-
-        Row indices in the slice stay GLOBAL: callers pass global vertex
-        ids and the slice translates internally — matching how a 1-D
-        partitioned BFS addresses its local rows.
-        """
-        sub_ptr = self.row_ptr[lo : hi + 1] - self.row_ptr[lo]
-        sub_col = self.col_idx[self.row_ptr[lo] : self.row_ptr[hi]]
-        sliced = CSRGraph(hi - lo, sub_ptr, sub_col)
-        sliced._row_offset = lo  # type: ignore[attr-defined]
-        return sliced
-
-    def neighbors_of_set_global(self, vertices: np.ndarray):
-        """Like :meth:`neighbors_of_set` for a :meth:`row_slice` result."""
-        off = getattr(self, "_row_offset", 0)
-        local = np.asarray(vertices, dtype=np.int64) - off
-        nbrs, parents = self.neighbors_of_set(local)
-        return nbrs, parents + off

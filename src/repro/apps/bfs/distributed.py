@@ -131,12 +131,20 @@ class _BfsRank:
         self.chunk = math.ceil(n / cfg.np_)
         self.lo = rank * self.chunk
         self.hi = min(n, self.lo + self.chunk)
-        self.rows = graph.row_slice(self.lo, self.hi)
+        self.graph = graph
         self.levels = np.full(n, UNVISITED, dtype=np.int64)
         self.parents = np.full(n, UNVISITED, dtype=np.int64)
         self.model = BfsKernelModel(node.gpu.spec)
         self.breakdown = RankBreakdown(rank)
         self.frontier = np.empty(0, dtype=np.int64)
+
+    def bucket_bytes(self) -> np.ndarray:
+        """Worst-case bucket bytes per peer: the edges from this rank's
+        rows into the peer's vertex range (a bucket can never exceed it),
+        plus 64 bytes of slack."""
+        g = self.graph
+        owners = g.col_idx[g.row_ptr[self.lo] : g.row_ptr[self.hi]] // self.chunk
+        return np.bincount(owners, minlength=self.cfg.np_) * _PAIR_BYTES + 64
 
     def owner(self, vertices: np.ndarray) -> np.ndarray:
         """Owning rank of each vertex id (1-D block partition)."""
@@ -144,7 +152,7 @@ class _BfsRank:
 
     def expand(self) -> dict[int, np.ndarray]:
         """Neighbor (vertex, parent) buckets by destination rank."""
-        nbrs, pars = self.rows.neighbors_of_set_global(self.frontier)
+        nbrs, pars = self.graph.neighbors_of_set(self.frontier)
         owners = self.owner(nbrs)
         buckets: dict[int, np.ndarray] = {}
         for peer in range(self.cfg.np_):
@@ -308,10 +316,7 @@ class _ApenetComm:
         self._peers: list["_ApenetComm"] = []
         np_ = cfg.np_
         me = st.rank
-        # Exact worst-case bucket per peer: edges from my rows into the
-        # peer's vertex range (a bucket can never exceed it).
-        owners = st.rows.col_idx // st.chunk
-        sizes = np.bincount(owners, minlength=np_) * _PAIR_BYTES + 64
+        sizes = st.bucket_bytes()
         self.count_buf = self.node.gpu.alloc(max(8 * np_, 64))
         self.reduce_buf = self.node.gpu.alloc(max(8 * np_, 64))
         self.small_scratch = self.node.gpu.alloc(64)
@@ -465,8 +470,7 @@ class _MpiComm:
         me = st.rank
         node = world.cluster.node(me)
         rt = node.runtime
-        owners = st.rows.col_idx // st.chunk
-        sizes = np.bincount(owners, minlength=np_) * _PAIR_BYTES + 64
+        sizes = st.bucket_bytes()
         self.send_bufs = {
             p: node.gpu.alloc(int(sizes[p])) for p in range(np_) if p != me
         }

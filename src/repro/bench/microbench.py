@@ -25,6 +25,7 @@ from typing import Optional
 
 from ..apenet.buflist import BufferKind
 from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ..apenet.jobs import fragment_message
 from ..cuda.memcpy import memcpy_async, memcpy_sync
 from ..cuda.stream import CudaStream
 from ..net.cluster import build_apenet_cluster
@@ -448,7 +449,7 @@ def staged_unidirectional_bandwidth(
         window, chunk = 1, msg_size
     else:
         window, chunk = 2, pipeline_chunk
-    pieces = fragment_pieces(msg_size, chunk)
+    pieces = fragment_message(msg_size, chunk)
     gpu_src = alloc_kind(src_node, BufferKind.GPU, msg_size)
     host_src = alloc_kind(src_node, BufferKind.HOST, chunk * window)
     host_dst = alloc_kind(dst_node, BufferKind.HOST, chunk * window)
@@ -504,17 +505,6 @@ def staged_unidirectional_bandwidth(
     duration = completions[-1] - completions[k - 1]
     nbytes = (len(completions) - k) * msg_size
     return BandwidthResult(msg_size, nbytes / duration if duration > 0 else 0.0, n_messages, duration)
-
-
-def fragment_pieces(nbytes: int, chunk: int) -> list[tuple[int, int]]:
-    """(offset, size) pieces of at most *chunk* bytes covering a message."""
-    out = []
-    off = 0
-    while off < nbytes:
-        take = min(chunk, nbytes - off)
-        out.append((off, take))
-        off += take
-    return out
 
 
 def staged_pingpong_latency(

@@ -181,21 +181,23 @@ class RouteTable:
     Each hop decreases that distance by one, so per-hop forwarding is
     loop-free and consistent whichever node asks, and a pair whose
     dimension-ordered route crosses no dead link keeps exactly that
-    route.  The all-pairs arrays behind the rule (O(R²) bytes) are built
-    with NumPy on the first dead-link query.
+    route.  :meth:`walk` answers many pairs at once.  The all-pairs
+    arrays behind the rule (O(R²) bytes) are built with NumPy on the
+    first dead-link query or the first walk, healthy torus included.
     """
 
     def __init__(self, shape: TorusShape, dead: Iterable = ()):
         self.shape = shape
         self.dead = frozenset(_dead_link(shape, spec) for spec in dead)
         self._slots = [(dim, direction) for dim, direction, _ in shape.neighbors((0, 0, 0))]
-        self._next_slot: Optional[np.ndarray] = None
-        self._nbr: list[list[int]] = []
+        self._arrays_cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def _arrays(self) -> tuple[np.ndarray, list[list[int]]]:
-        """``(next_slot, nbr)`` by rank: first hop slot (-1: none), neighbours."""
-        if self._next_slot is not None:
-            return self._next_slot, self._nbr
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(next_slot, nbr, dist)``: first hop slot by ``[rank, goal]``
+        (-1: none), neighbour by ``[rank, slot]``, hop distance by
+        ``[rank, goal]`` (-1: cut off)."""
+        if self._arrays_cache is not None:
+            return self._arrays_cache
         shape = self.shape
         R = shape.size
         ranks = np.arange(R, dtype=np.int64)
@@ -234,8 +236,8 @@ class RouteTable:
                 & (dist[nbr[:, s], :] == dist - 1)
             )
             next_slot[closer] = s
-        self._next_slot, self._nbr = next_slot, nbr.tolist()
-        return self._next_slot, self._nbr
+        self._arrays_cache = (next_slot, nbr, dist)
+        return self._arrays_cache
 
     def next_hop(self, cur: Coord, dst: Coord) -> Optional[tuple[int, int]]:
         """First hop ``(dim, direction)`` from *cur* toward *dst*.
@@ -246,7 +248,7 @@ class RouteTable:
         if not self.dead:
             route = self.shape.route(cur, dst)
             return route[0] if route else None
-        next_slot, _ = self._arrays()
+        next_slot, _, _ = self._arrays()
         s = next_slot[self.shape.rank(cur), self.shape.rank(dst)]
         return self._slots[s] if s >= 0 else None
 
@@ -264,12 +266,45 @@ class RouteTable:
                 hops.append((shape.rank(cur), dim, direction))
                 cur = shape.neighbor(cur, dim, direction)
             return tuple(hops)
-        next_slot, nbr = self._arrays()
+        next_slot, nbr, _ = self._arrays()
         rank = int(src)
         while rank != dst:
             s = next_slot[rank, dst]
             if s < 0:
                 return None
             hops.append((rank, *self._slots[s]))
-            rank = nbr[rank][s]
+            rank = int(nbr[rank, s])
         return tuple(hops)
+
+    def walk(
+        self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hop counts and per-link loads of many routed pairs at once.
+
+        *src*, *dst* and *weight* are equal-length arrays: rank pairs and
+        what each pair sends.  Returns ``(hops, load)``: ``hops[i]`` is
+        ``len(path(src[i], dst[i]))``, or -1 when the pair is cut off, and
+        ``load[rank, slot]`` is the summed weight of the pairs whose
+        routes leave *rank* through *slot* (columns in
+        :meth:`TorusShape.neighbors` order).  A cut-off pair loads no
+        link.  All pairs follow the first-hop table together, one gather
+        and one ``bincount`` per hop, and each pair drops out when it
+        arrives.
+        """
+        next_slot, nbr, dist = self._arrays()
+        R, S = nbr.shape
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        hops = dist[src, dst].astype(np.int64)
+        moving = hops > 0
+        cur, goal = src[moving], dst[moving]
+        w = np.asarray(weight, dtype=np.float64)[moving]
+        load = np.zeros(R * S)
+        first_slot, next_rank = next_slot.ravel(), nbr.ravel()
+        while cur.size:
+            link = cur * S + first_slot[cur * R + goal]
+            load += np.bincount(link, weights=w, minlength=R * S)
+            cur = next_rank[link]
+            moving = cur != goal
+            cur, goal, w = cur[moving], goal[moving], w[moving]
+        return hops, load.reshape(R, S)

@@ -3,7 +3,7 @@
 Scales the paper's Fig. 12 BFS (``repro.apps.bfs``) from 12 nodes to
 16^3 = 4096-node tori by replacing the per-packet alltoall simulation
 with the :mod:`repro.scale.flow` latency/occupancy model plus NumPy
-link-load decomposition:
+link loads:
 
 * **Vertices** are partitioned contiguously across ranks (one rank per
   torus node, the same ``chunk = ceil(V/R)`` rule as
@@ -18,11 +18,10 @@ link-load decomposition:
   each peer it actually has candidates for.  (The per-packet
   ``_ApenetComm`` broadcasts counts to *all* peers — O(R^2) control
   messages per level, ~3M at 12^3 — a documented deviation, see
-  EXPERIMENTS.md.)  Per-link wire loads come from the dimension-ordered
-  routes via per-ring incidence tensors (one ``einsum`` per dimension,
-  never an R x R dense matrix), with dead-link detours patched in
-  pair-by-pair from a :class:`~repro.net.topology.RouteTable`, the route
-  oracle the recovery router forwards by, so they match its hops exactly.
+  EXPERIMENTS.md.)  Hop counts and per-link wire loads of every pair
+  come from one :meth:`~repro.net.topology.RouteTable.walk`, the route
+  oracle the recovery router forwards by, so dimension-ordered routes and
+  dead-link detours alike match its hops exactly.
 * **Level time** = max per-rank expand kernel + comm (max pair latency +
   max link serialisation + max RX fragment service) + max per-rank
   filter kernel + a tree-allreduce frontier vote; every term is a
@@ -63,29 +62,6 @@ COUNT_BYTES = 8
 #: Allreduce payload (one 8-byte frontier vote) per butterfly stage.
 VOTE_BYTES = 8
 
-def _incidence(extent: int) -> np.ndarray:
-    """Directed ring-edge incidence of shortest wrapped paths.
-
-    ``inc[a, b, e, s]`` is True when the shortest wrapped path from ring
-    position *a* to *b* (ties toward +1, mirroring
-    ``TorusShape._step``) traverses the directed edge whose source
-    position is *e* in direction ``(+1, -1)[s]``.
-    """
-    inc = np.zeros((extent, extent, extent, 2), dtype=bool)
-    for a in range(extent):
-        for b in range(extent):
-            delta = (b - a) % extent
-            step = delta if delta * 2 <= extent else delta - extent
-            direction = 1 if step > 0 else -1
-            pos = a
-            for _ in range(abs(step)):
-                # A hop's directed-edge key is its *source* position,
-                # matching RouteTable.path's ``(src_rank, dim, direction)``.
-                inc[a, b, pos, 0 if direction == 1 else 1] = True
-                pos = (pos + direction) % extent
-    return inc
-
-
 @dataclass(frozen=True)
 class ScaleBfsResult:
     """Outcome of one flow-mode BFS run (all fields deterministic)."""
@@ -109,138 +85,46 @@ class ScaleBfsResult:
     dead_links: int
 
 
-class _CommModel:
-    """Per-level communication timing and link-load model for one torus."""
+def _level_comm(
+    routes: RouteTable,
+    link_bandwidth: float,
+    cal: FlowCalibration,
+    src: np.ndarray,
+    dst: np.ndarray,
+    counts: np.ndarray,
+) -> Tuple[float, int, int]:
+    """Comm time + wire/load aggregates for one level's pair traffic.
 
-    def __init__(
-        self,
-        shape: TorusShape,
-        config: ApenetConfig,
-        cal: FlowCalibration,
-        routes: RouteTable,
-    ):
-        self.shape = shape
-        self.config = config
-        self.cal = cal
-        self.routes = routes
-        self.inc = (
-            _incidence(shape.nx),
-            _incidence(shape.ny),
-            _incidence(shape.nz),
+    ``src``/``dst``/``counts`` are the unique remote (src_rank,
+    dst_rank) pairs and candidate counts.  Returns ``(time_ns,
+    wire_bytes_total, max_link_load_bytes)``.
+    """
+    if src.size == 0:
+        return 0.0, 0, 0
+    data_bytes = counts * PAIR_BYTES
+    data_frags = np.maximum(1, -(-data_bytes // MAX_PACKET_PAYLOAD))
+    # Per-pair wire bytes: packed data message + 8-byte count message.
+    wire = (
+        data_bytes
+        + data_frags * PACKET_HEADER_BYTES
+        + COUNT_BYTES
+        + PACKET_HEADER_BYTES
+    )
+    hops, loads = routes.walk(src, dst, wire)
+    cut = np.flatnonzero(hops < 0)
+    if cut.size:
+        i = cut[0]
+        raise ValueError(
+            f"torus partitioned: rank {src[i]} cannot reach rank {dst[i]} "
+            f"under {len(routes.dead)} dead link(s)"
         )
-        self._ext = (shape.nx, shape.ny, shape.nz)
+    max_link_load = int(loads.max())
 
-    def _coords(self, ranks: np.ndarray):
-        nx, ny = self.shape.nx, self.shape.ny
-        return ranks % nx, (ranks // nx) % ny, ranks // (nx * ny)
-
-    def _distance(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Fault-free dimension-ordered hop counts, vectorised."""
-        total = np.zeros(src.shape, dtype=np.int64)
-        for ext, a, b in zip(self._ext, self._coords(src), self._coords(dst)):
-            d = (b - a) % ext
-            total += np.minimum(d, ext - d)
-        return total
-
-    def _affected(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Mask of pairs whose dimension-ordered route crosses a dead edge."""
-        x1, y1, z1 = self._coords(src)
-        x2, y2, z2 = self._coords(dst)
-        mask = np.zeros(src.shape, dtype=bool)
-        for (cx, cy, cz), dim, direction in sorted(self.routes.dead):
-            s = 0 if direction == 1 else 1
-            if dim == 0:
-                mask |= (y1 == cy) & (z1 == cz) & self.inc[0][x1, x2, cx, s]
-            elif dim == 1:
-                mask |= (x2 == cx) & (z1 == cz) & self.inc[1][y1, y2, cy, s]
-            else:
-                mask |= (x2 == cx) & (y2 == cy) & self.inc[2][z1, z2, cz, s]
-        return mask
-
-    def level_time(
-        self, src: np.ndarray, dst: np.ndarray, counts: np.ndarray
-    ) -> Tuple[float, int, int]:
-        """Comm time + wire/load aggregates for one level's pair traffic.
-
-        ``src``/``dst``/``counts`` are the unique remote (src_rank,
-        dst_rank) pairs and candidate counts.  Returns ``(time_ns,
-        wire_bytes_total, max_link_load_bytes)``.
-        """
-        if src.size == 0:
-            return 0.0, 0, 0
-        nx, ny, nz = self._ext
-
-        data_bytes = counts * PAIR_BYTES
-        data_frags = np.maximum(1, -(-data_bytes // MAX_PACKET_PAYLOAD))
-        # Per-pair wire bytes: packed data message + 8-byte count message.
-        wire = (
-            data_bytes
-            + data_frags * PACKET_HEADER_BYTES
-            + COUNT_BYTES
-            + PACKET_HEADER_BYTES
-        )
-
-        affected = (
-            self._affected(src, dst)
-            if self.routes.dead
-            else np.zeros(src.shape, dtype=bool)
-        )
-        clean = ~affected
-        hops = self._distance(src, dst).astype(np.float64)
-
-        # Per-link loads via per-ring decomposition: dimension-ordered
-        # routes cross X at (y1, z1), Y at (x2, z1), Z at (x2, y2).
-        x1, y1, z1 = self._coords(src)
-        x2, y2, z2 = self._coords(dst)
-        w = wire[clean].astype(np.float64)
-        specs = (
-            (0, y1, z1, ny, nz, x1, x2),
-            (1, x2, z1, nx, nz, y1, y2),
-            (2, x2, y2, nx, ny, z1, z2),
-        )
-        per_dim_loads = []
-        for dim, ring_a, ring_b, ring_ext, ring_ext2, a, b in specs:
-            ext = self._ext[dim]
-            ring = (ring_a[clean] + ring_ext * ring_b[clean]).astype(np.int64)
-            wmat = np.zeros((ring_ext * ring_ext2, ext, ext))
-            np.add.at(wmat, (ring, a[clean], b[clean]), w)
-            per_dim_loads.append(
-                np.einsum("rab,abes->res", wmat, self.inc[dim].astype(np.float64))
-            )
-
-        # Affected pairs were excluded from the decomposition; walk their
-        # recovery route hop by hop and merge the bytes back into the same
-        # per-link load arrays, so shared links sum exactly.
-        for i in np.nonzero(affected)[0]:
-            path = self.routes.path(int(src[i]), int(dst[i]))
-            if path is None:
-                raise ValueError(
-                    f"torus partitioned: rank {src[i]} cannot reach rank {dst[i]} "
-                    f"under {len(self.routes.dead)} dead link(s)"
-                )
-            hops[i] = float(len(path))
-            wi = float(wire[i])
-            for rank, dim, direction in path:
-                hx, hy, hz = self.shape.coord(rank)
-                if dim == 0:
-                    ring, pos = hy + ny * hz, hx
-                elif dim == 1:
-                    ring, pos = hx + nx * hz, hy
-                else:
-                    ring, pos = hx + nx * hy, hz
-                per_dim_loads[dim][ring, pos, 0 if direction == 1 else 1] += wi
-        max_link_load = max(
-            float(arr.max()) if arr.size else 0.0 for arr in per_dim_loads
-        )
-
-        latency = float(
-            self.cal.completion_latency_array(data_bytes + COUNT_BYTES, hops).max()
-        )
-        serialisation = max_link_load / self.config.link_bandwidth
-        rx_frags = np.zeros(self.shape.size, dtype=np.int64)
-        np.add.at(rx_frags, dst, data_frags + 1)
-        rx_busy = float(rx_frags.max()) * self.cal.per_fragment
-        return latency + serialisation + rx_busy, int(wire.sum()), int(max_link_load)
+    latency = float(cal.completion_latency_array(data_bytes + COUNT_BYTES, hops).max())
+    serialisation = max_link_load / link_bandwidth
+    rx_frags = np.bincount(dst, weights=data_frags + 1, minlength=routes.shape.size)
+    rx_busy = float(rx_frags.max()) * cal.per_fragment
+    return latency + serialisation + rx_busy, int(wire.sum()), max_link_load
 
 
 def run_scale_bfs(
@@ -287,7 +171,6 @@ def run_scale_bfs(
     parents[root] = root
     frontier = np.array([root], dtype=np.int64)
 
-    comm = _CommModel(shape, config, cal, routes)
     total_ns = 0.0
     comm_bytes = 0
     max_link_load = 0
@@ -316,8 +199,8 @@ def run_scale_bfs(
         remote = p_owner != n_owner
         pair_keys = p_owner[remote] * R + n_owner[remote]
         uniq, counts = np.unique(pair_keys, return_counts=True)
-        comm_ns, wire, peak = comm.level_time(
-            uniq // R, uniq % R, counts.astype(np.int64)
+        comm_ns, wire, peak = _level_comm(
+            routes, config.link_bandwidth, cal, uniq // R, uniq % R, counts.astype(np.int64)
         )
         comm_bytes += wire
         max_link_load = max(max_link_load, peak)

@@ -87,17 +87,6 @@ def test_csr_neighbors_of_set_matches_loop():
     np.testing.assert_array_equal(pars, expect_p)
 
 
-def test_csr_row_slice_global_addressing():
-    edges = rmat_edges(8, seed=3)
-    g = CSRGraph.from_edges(256, edges)
-    sub = g.row_slice(64, 128)
-    vs = np.array([64, 100, 127])
-    nbrs, pars = sub.neighbors_of_set_global(vs)
-    ref_n, ref_p = g.neighbors_of_set(vs)
-    np.testing.assert_array_equal(np.sort(nbrs), np.sort(ref_n))
-    np.testing.assert_array_equal(pars, ref_p)
-
-
 # ---------------------------------------------------------------------------
 # Serial BFS
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ The traversal layer of :func:`repro.scale.bfs.run_scale_bfs` must be
 indistinguishable from the single-process reference
 (:func:`repro.apps.bfs.serial.serial_bfs`) on the same R-MAT graph, for
 any shard count; the timing layer must respond to faults the way the
-recovery router does (slower, never faster; partition -> ValueError).
+recovery router does (partition -> ValueError).
 :class:`~repro.net.topology.RouteTable` — the vectorised all-pairs
 next-hop table every consumer routes by — is proven hop-identical to the
 independent per-hop oracle in ``tests/net/route_oracle.py`` by a
-hypothesis sweep over random shapes and fault seeds.
+hypothesis sweep over random shapes and fault seeds.  The BFS takes every
+pair's hops and link loads from ``RouteTable.walk``, which is checked
+pair by pair against ``path()`` on a healthy and a damaged torus, and its
+link loads are checked against the flow model's per-link bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from repro.apps.bfs.csr import CSRGraph
 from repro.apps.bfs.rmat import rmat_edges
 from repro.apps.bfs.serial import UNVISITED, serial_bfs, traversed_edges
 from repro.net.topology import RouteTable, TorusShape
-from repro.scale.bfs import run_scale_bfs
+from repro.scale.bfs import COUNT_BYTES, PAIR_BYTES, _level_comm, run_scale_bfs
+from repro.scale.flow import BulkTransfer, FlowNetwork, wire_bytes
 from tests.net.route_oracle import hop_route
 
 pytestmark = pytest.mark.scale
@@ -140,12 +144,57 @@ def test_detour_table_matches_hop_route(dims, fault_seed):
         assert got == expected, (dims, sorted(dead), src, dst)
 
 
-def test_detour_table_exhaustive_on_one_damaged_torus():
-    """All-pairs equality on one fixed shape, so no pair is ever sampled out."""
+@pytest.mark.parametrize(
+    "links",
+    [[], [(0, 0, 1), (0, 1, 1), (13, 2, -1), (14, 0, -1)]],
+    ids=["healthy", "damaged"],
+)
+def test_detour_table_exhaustive_on_one_damaged_torus(links):
+    """All-pairs equality on one fixed shape, so no pair is ever sampled out.
+
+    ``walk`` must give every pair ``len(path())`` hops and every link the
+    weight summed over ``path()``.  On the healthy torus ``path()`` is
+    :meth:`TorusShape.route`, so this pins the table's arrays, which the
+    scale BFS walks, to dimension order.
+    """
     shape = TorusShape(3, 3, 3)
-    links = [(0, 0, 1), (0, 1, 1), (13, 2, -1), (14, 0, -1)]
     table = RouteTable(shape, links)
     dead = _by_coord(shape, links)
-    for src in range(shape.size):
-        for dst in range(shape.size):
-            assert table.path(src, dst) == hop_route(shape, src, dst, dead)
+    slots = [(dim, direction) for dim, direction, _ in shape.neighbors((0, 0, 0))]
+    src, dst = (a.ravel() for a in np.indices((shape.size, shape.size)))
+    weight = np.random.default_rng(7).integers(1, 10_000, src.size)
+    hops, load = table.walk(src, dst, weight)
+    expected = np.zeros_like(load)
+    for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+        path = table.path(a, b)
+        assert path == hop_route(shape, a, b, dead)
+        assert hops[i] == len(path)
+        for rank, dim, direction in path:
+            expected[rank, slots.index((dim, direction))] += weight[i]
+    np.testing.assert_array_equal(load, expected)
+
+
+def test_bfs_link_loads_match_the_flow_model():
+    """One level's pair traffic loads the same links in the BFS level cost
+    and in ``FlowNetwork.run_transfers`` (whose per-link bytes the parity
+    probe certifies against the per-packet stack)."""
+    dims = (4, 3, 2)
+    dead = [(0, 0, 1), (5, 1, -1), (7, 2, 1), (13, 2, -1)]
+    R = dims[0] * dims[1] * dims[2]
+    # Every ordered pair talks, so detoured bytes pile onto busy links and
+    # the damaged torus's max load differs from the healthy one's.
+    src, dst = (a.ravel() for a in np.indices((R, R)))
+    src, dst = src[src != dst], dst[src != dst]
+    counts = np.random.default_rng(11).integers(1, 1500, src.size)  # 1-3 fragments
+    net = FlowNetwork(dims, dead_links=dead)
+    _time, wire, max_load = _level_comm(
+        net.routes, net.config.link_bandwidth, net.calibration(), src, dst, counts
+    )
+    transfers = []
+    for a, b, c in zip(src.tolist(), dst.tolist(), counts.tolist()):
+        transfers.append(BulkTransfer(a, b, c * PAIR_BYTES))
+        transfers.append(BulkTransfer(a, b, COUNT_BYTES))
+    agg = net.run_transfers(transfers)
+    assert None not in agg.completions
+    assert max_load == max(agg.link_bytes.values())
+    assert wire == sum(wire_bytes(tr.nbytes) for tr in transfers)
