@@ -10,7 +10,7 @@ Fabric windows:
 
 The card must be attached to a host PCIe fabric (it initiates descriptor
 reads, RX writes and mailbox writes) and wired into the torus by the
-cluster builder.
+cluster builder, whose route table every card's router shares.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..gpu.device import GPUDevice
-from ..net.topology import Coord, TorusShape
+from ..net.topology import Coord, RouteTable
 from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
 from ..sim import Simulator
 from .buflist import BufList
@@ -47,14 +47,14 @@ class ApenetCard(PCIeDevice):
         sim: Simulator,
         name: str,
         coord: Coord,
-        shape: TorusShape,
+        routes: RouteTable,
         config: ApenetConfig = DEFAULT_CONFIG,
         base: int = CARD_BASE_ADDRESS,
     ):
         super().__init__(sim, name)
         self.config = config
         self.coord = coord
-        self.shape = shape
+        self.shape = routes.shape
         self.regs_window = self.add_window(base, _REGS_SIZE, "regs")
         self.gpu_data_window = self.add_window(base + _REGS_SIZE, _GPU_DATA_SIZE, "gpu-data")
 
@@ -70,7 +70,7 @@ class ApenetCard(PCIeDevice):
 
         self.rx = RxEngine(sim, self)
         self.router = Router(
-            sim, coord, shape, config, deliver_local=self.rx.admit, name=f"{name}.rtr"
+            sim, coord, routes, config, deliver_local=self.rx.admit, name=f"{name}.rtr"
         )
         self.host_tx = HostTxEngine(sim, self)
         self.gpu_tx = GpuTxEngine(sim, self)

@@ -6,7 +6,10 @@ torus link blocks (X+, X−, Y+, Y−, Z+, Z−) and 2 local packet
 injection/extraction ports" (§III.B).
 
 One forwarding process per input source (each torus port plus the local
-injection FIFO).  Routing corrects X, then Y, then Z; packets that cross a
+injection FIFO).  Every hop comes from a
+:class:`~repro.net.topology.RouteTable`: the one all routers of the
+cluster share, or the recovery manager's once one is attached.  On a
+healthy torus the table corrects X, then Y, then Z.  Packets that cross a
 ring's wrap-around edge move to VC1 (see :mod:`repro.apenet.torus`), and the
 VC resets when the packet turns into a new dimension.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..net.packet import ApePacket
-from ..net.topology import Coord, TorusShape
+from ..net.topology import Coord, RouteTable
 from ..sim import PacketFifo, Simulator
 from .config import ApenetConfig
 from .torus import TorusLink, TorusPort
@@ -37,15 +40,19 @@ class Router:
         self,
         sim: Simulator,
         coord: Coord,
-        shape: TorusShape,
+        routes: RouteTable,
         config: ApenetConfig,
         deliver_local: Callable[[ApePacket], "object"],
         name: str = "router",
     ):
-        """``deliver_local(pkt)`` must return an Event (RX admission)."""
+        """``deliver_local(pkt)`` must return an Event (RX admission).
+
+        *routes* is the torus's route table, one shared by every router
+        of the cluster.
+        """
         self.sim = sim
         self.coord = coord
-        self.shape = shape
+        self.routes = routes
         self.config = config
         self.name = name
         self.deliver_local = deliver_local
@@ -63,9 +70,9 @@ class Router:
         self.packets_flushed = 0
         self.packets_unreachable = 0
         # Recovery manager (attached by the cluster builder): when present,
-        # forwarding consults its dead-link-aware detour routes instead of
-        # static dimension order, and a missing route becomes a structured
-        # unreachable verdict rather than a crash.
+        # forwarding asks it instead of *routes*, so hops follow its
+        # current dead-link-aware table, and a missing route becomes a
+        # structured unreachable verdict rather than a crash.
         self.recovery = None
         from .torus import VC_COUNT
 
@@ -100,17 +107,15 @@ class Router:
 
     def _next_hop(self, pkt: ApePacket) -> Optional[tuple[int, int]]:
         if self.recovery is not None:
-            # Dead-link-aware detour (falls back to static dimension order
-            # while no link has died); None here means partitioned.
+            # None here means partitioned.
             return self.recovery.next_hop(self.coord, pkt.dst_coord)
-        route = self.shape.route(self.coord, pkt.dst_coord)
-        return route[0] if route else None
+        return self.routes.next_hop(self.coord, pkt.dst_coord)
 
     def _vc_after_hop(self, vc: int, hop: tuple[int, int], prev_dim: Optional[int]) -> int:
         dim, direction = hop
         if prev_dim is not None and dim != prev_dim:
             vc = 0  # new dimension, fresh ring
-        extent = self.shape.dims[dim]
+        extent = self.routes.shape.dims[dim]
         at = self.coord[dim]
         crosses_dateline = (direction == 1 and at == extent - 1) or (
             direction == -1 and at == 0

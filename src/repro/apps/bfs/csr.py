@@ -58,10 +58,6 @@ class CSRGraph:
         """Stored (directed) edge count."""
         return len(self.col_idx)
 
-    def degree(self, v: int) -> int:
-        """Out-degree of vertex *v*."""
-        return int(self.row_ptr[v + 1] - self.row_ptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of vertex *v*."""
         return self.col_idx[self.row_ptr[v] : self.row_ptr[v + 1]]

@@ -120,17 +120,15 @@ def run_scaleout(quick: bool = True) -> ExperimentResult:
     ]
     for dims in shapes:
         shape = TorusShape(*dims)
-        # All-pairs mean hop count + the bisection-limited halo estimate.
-        n = shape.size
-        hops = [
-            shape.distance(shape.coord(a), shape.coord(b))
-            for a in range(n) for b in range(n) if a != b
-        ]
-        mean_hops = sum(hops) / len(hops)
-        # Measured ping-pong between the two most distant ranks.
         sim = Simulator()
         cluster = build_apenet_cluster(sim, shape)
-        far = max(range(n), key=lambda r: shape.distance(shape.coord(0), shape.coord(r)))
+        # All-pairs mean hop count of the routes the routers take.
+        routes = cluster.nodes[0].card.router.routes
+        n = shape.size
+        hops = [len(routes.path(a, b)) for a in range(n) for b in range(n) if a != b]
+        mean_hops = sum(hops) / len(hops)
+        # Measured ping-pong between the two most distant ranks.
+        far = max(range(n), key=lambda r: len(routes.path(0, r)))
         a, b = cluster.nodes[0], cluster.nodes[far]
         ha = a.runtime.host_alloc(64)
         hb = b.runtime.host_alloc(64)

@@ -117,6 +117,19 @@ def alloc_kind(node, kind: BufferKind, nbytes: int) -> int:
     return node.runtime.host_alloc(nbytes).addr
 
 
+def _steady_bandwidth(msg_size: int, times: list[float], n_messages: int) -> BandwidthResult:
+    """Delivered bandwidth over the steady-state window of sorted *times*.
+
+    *times* are message completion times.  The first quarter is the
+    pipeline filling and is left out: the window runs from the last of
+    those completions to the final one.
+    """
+    k = max(1, len(times) // 4)
+    duration = times[-1] - times[k - 1]
+    nbytes = (len(times) - k) * msg_size
+    return BandwidthResult(msg_size, nbytes / duration if duration > 0 else 0.0, n_messages, duration)
+
+
 def default_message_count(msg_size: int) -> int:
     """Enough messages to reach steady state without wasting events."""
     target_bytes = 8 * MiB
@@ -186,10 +199,7 @@ def loopback_read_bandwidth(
                 yield ev
 
     sim.run_process(proc())
-    k = max(1, len(times) // 4)
-    duration = times[-1] - times[k - 1]
-    nbytes = (len(times) - k) * msg_size
-    return BandwidthResult(msg_size, nbytes / duration if duration > 0 else 0.0, n_messages, duration)
+    return _steady_bandwidth(msg_size, times, n_messages)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +252,7 @@ def unidirectional_bandwidth(
     sim.run()
     if not rx.processed:
         raise DeadlockError("unidirectional receiver never finished")
-    k = max(1, len(completions) // 4)
-    duration = completions[-1] - completions[k - 1]
-    nbytes = (len(completions) - k) * msg_size
-    return BandwidthResult(msg_size, nbytes / duration if duration > 0 else 0.0, n_messages, duration)
+    return _steady_bandwidth(msg_size, completions, n_messages)
 
 
 def bidirectional_bandwidth(
@@ -299,12 +306,7 @@ def bidirectional_bandwidth(
     if not all(p.processed for p in procs):
         raise DeadlockError("bidirectional receivers never finished")
     completions.sort()
-    k = max(1, len(completions) // 4)
-    duration = completions[-1] - completions[k - 1]
-    nbytes = (len(completions) - k) * msg_size
-    return BandwidthResult(
-        msg_size, nbytes / duration if duration > 0 else 0.0, 2 * n_messages, duration
-    )
+    return _steady_bandwidth(msg_size, completions, 2 * n_messages)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +503,7 @@ def staged_unidirectional_bandwidth(
     sim.run()
     if not rx.processed:
         raise DeadlockError("staged receiver never finished")
-    k = max(1, len(completions) // 4)
-    duration = completions[-1] - completions[k - 1]
-    nbytes = (len(completions) - k) * msg_size
-    return BandwidthResult(msg_size, nbytes / duration if duration > 0 else 0.0, n_messages, duration)
+    return _steady_bandwidth(msg_size, completions, n_messages)
 
 
 def staged_pingpong_latency(

@@ -30,7 +30,7 @@ from ..gpu.specs import FERMI_2050, FERMI_2070, GPUSpec
 from ..pcie.tlp import LinkParams
 from ..pcie.topology import Platform, plx_platform, westmere_platform
 from ..sim import Simulator
-from .topology import Coord, TorusShape
+from .topology import Coord, RouteTable, TorusShape
 
 __all__ = ["ClusterNode", "ApenetCluster", "build_apenet_cluster", "torus_for_ranks"]
 
@@ -157,6 +157,10 @@ def build_apenet_cluster(
         raise ValueError(f"need {n} GPU specs, got {len(gpu_specs)}")
 
     cluster = ApenetCluster(sim, shape, config, faults=injector)
+    # One route table for the whole torus, shared by every router.  With a
+    # recovery manager it is the manager's healthy table, and the routers
+    # ask the manager, whose table follows the dead links.
+    routes = manager.healthy_routes if manager is not None else RouteTable(shape)
     card_link = LinkParams(gen=config.pcie_gen, lanes=config.pcie_lanes)
     gpu_link = LinkParams(gen=2, lanes=16)
 
@@ -173,7 +177,7 @@ def build_apenet_cluster(
             plat.attach(gpu, "gpu", gpu_link)
             runtime.add_device(gpu)
             gpus.append(gpu)
-        card = ApenetCard(sim, f"n{rank}.ape", coord, shape, config)
+        card = ApenetCard(sim, f"n{rank}.ape", coord, routes, config)
         plat.attach(card, "nic", card_link)
         for gpu in gpus:
             card.register_gpu(gpu)

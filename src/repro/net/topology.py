@@ -1,12 +1,13 @@
-"""3D torus topology math: coordinates, ranks, routes and dead-link detours.
+"""3D torus topology math and the torus's one routing rule.
 
 APEnet+ "implements a dimension-ordered static routing algorithm" (§III.B)
 over a 3D torus with six links per node (X±, Y±, Z±).  The paper's
 Cluster I is a 4×2 torus (8 nodes; the Z dimension is size 1).
-:class:`RouteTable` is the one route oracle: static dimension order on a
-healthy torus, deterministic shortest detours once links die (the
-fault-awareness layer of arXiv:1311.1741).  The packet router, the
-recovery manager, the flow model and the scale BFS all ask it.
+:class:`TorusShape` is the shape math.  :class:`RouteTable` is the only
+routing rule: on a healthy torus it gives dimension order, and once links
+die it gives deterministic shortest detours (the fault-awareness layer of
+arXiv:1311.1741).  The packet router, the recovery manager, the flow
+model and the scale BFS all forward by it.
 """
 
 from __future__ import annotations
@@ -17,17 +18,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["TorusShape", "RouteTable", "Coord", "DIMS", "OPPOSITE"]
+__all__ = ["TorusShape", "RouteTable", "Coord"]
 
 Coord = tuple[int, int, int]
-
-# Port naming: (dimension index, direction). "X+" = (0, +1), etc.
-DIMS = ("X", "Y", "Z")
-
-
-def OPPOSITE(direction: int) -> int:
-    """The reverse link direction."""
-    return -direction
 
 
 @dataclass(frozen=True)
@@ -85,42 +78,11 @@ class TorusShape:
         delta[dim] = direction
         return self.wrap(tuple(c + d for c, d in zip(coord, delta)))
 
-    def _step(self, delta: int, extent: int) -> int:
-        """Shortest-path direction for a signed offset on a ring."""
-        if delta == 0:
-            return 0
-        # Wrap to (-extent/2, extent/2]; ties go positive (deterministic).
-        delta %= extent
-        if delta * 2 > extent:
-            delta -= extent
-        return 1 if delta > 0 else -1
-
-    def route(self, src: Coord, dst: Coord) -> list[tuple[int, int]]:
-        """Dimension-ordered hop list [(dim, direction), ...] src -> dst.
-
-        Corrects X fully, then Y, then Z, taking the shorter way around
-        each ring (static, deterministic).
-        """
-        src = self.wrap(src)
-        dst = self.wrap(dst)
-        hops: list[tuple[int, int]] = []
-        cur = list(src)
-        for dim, extent in enumerate(self.dims):
-            while cur[dim] != dst[dim]:
-                step = self._step(dst[dim] - cur[dim], extent)
-                hops.append((dim, step))
-                cur[dim] = (cur[dim] + step) % extent
-        return hops
-
-    def distance(self, src: Coord, dst: Coord) -> int:
-        """Hop count of the dimension-ordered route."""
-        return len(self.route(src, dst))
-
     def neighbors(self, coord: Coord) -> Iterator[tuple[int, int, Coord]]:
         """Outgoing links of *coord* as (dim, direction, neighbor).
 
         Deterministic order (dims ascending, +1 before -1).  This is the
-        slot order of :class:`RouteTable`, whose detours break ties by it,
+        slot order of :class:`RouteTable`, whose rule breaks ties by it,
         so routes are stable run to run.  Extent-1 dimensions have no links.
         """
         for dim, extent in enumerate(self.dims):
@@ -163,7 +125,7 @@ def _dead_link(shape: TorusShape, spec) -> tuple[Coord, int, int]:
 
 
 class RouteTable:
-    """The torus route oracle: static dimension order or dead-link detours.
+    """The torus's routing rule, healthy or damaged.
 
     *dead* lists dead directed links as ``(src, dim, direction)``, the
     sender-side identity of a link (on an extent-2 ring the +1 and -1
@@ -173,17 +135,18 @@ class RouteTable:
     ``ValueError``.  The table is immutable: a new dead set means a new
     table.
 
-    With no dead links every answer is :meth:`TorusShape.route`.  With
-    dead links the route is the lexicographically smallest shortest
-    surviving path, hops compared in :meth:`TorusShape.neighbors` slot
-    order: from node *v* toward goal *g* the next hop is the first alive
-    slot whose neighbour is one hop closer to *g* in the damaged torus.
-    Each hop decreases that distance by one, so per-hop forwarding is
-    loop-free and consistent whichever node asks, and a pair whose
+    The route is the lexicographically smallest shortest surviving path,
+    hops compared in :meth:`TorusShape.neighbors` slot order: from node
+    *v* toward goal *g* the next hop is the first alive slot whose
+    neighbour is one hop closer to *g*.  On a healthy torus that is
+    dimension order: X is corrected first, then Y, then Z, each the
+    shorter way round its ring, and a half-ring tie goes +1.  Each hop
+    decreases the distance by one, so per-hop forwarding is loop-free
+    and consistent whichever node asks, and a pair whose
     dimension-ordered route crosses no dead link keeps exactly that
-    route.  :meth:`walk` answers many pairs at once.  The all-pairs
-    arrays behind the rule (O(R²) bytes) are built with NumPy on the
-    first dead-link query or the first walk, healthy torus included.
+    route.  :meth:`next_hop`, :meth:`path` and :meth:`walk` (many pairs
+    at once) all read the same all-pairs arrays (O(R²) bytes), which
+    NumPy builds on the first query.
     """
 
     def __init__(self, shape: TorusShape, dead: Iterable = ()):
@@ -245,9 +208,6 @@ class RouteTable:
         None when *cur* is *dst* or when every surviving path is severed
         (the explicit "unreachable" verdict).
         """
-        if not self.dead:
-            route = self.shape.route(cur, dst)
-            return route[0] if route else None
         next_slot, _, _ = self._arrays()
         s = next_slot[self.shape.rank(cur), self.shape.rank(dst)]
         return self._slots[s] if s >= 0 else None
@@ -258,18 +218,13 @@ class RouteTable:
         The hops :meth:`next_hop` gives at every node on the way; None
         when every surviving path is severed.
         """
-        shape = self.shape
-        cur, goal = shape.coord(src), shape.coord(dst)
-        hops = []
-        if not self.dead:
-            for dim, direction in shape.route(cur, goal):
-                hops.append((shape.rank(cur), dim, direction))
-                cur = shape.neighbor(cur, dim, direction)
-            return tuple(hops)
         next_slot, nbr, _ = self._arrays()
-        rank = int(src)
-        while rank != dst:
-            s = next_slot[rank, dst]
+        rank, goal = int(src), int(dst)
+        if not (0 <= rank < len(nbr) and 0 <= goal < len(nbr)):
+            raise ValueError(f"ranks {src} -> {dst} out of range for {len(nbr)} nodes")
+        hops = []
+        while rank != goal:
+            s = next_slot[rank, goal]
             if s < 0:
                 return None
             hops.append((rank, *self._slots[s]))

@@ -52,8 +52,10 @@ class RecoveryManager:
         # attached by the cluster builder when an injector is present.
         self.fault_stats = fault_stats
         # Every router's forwarding oracle; its ``dead`` set holds the
-        # dead directed links, keyed (src_coord, dim, direction).
-        self.routes = RouteTable(shape)
+        # dead directed links, keyed (src_coord, dim, direction).  The
+        # first one, the healthy torus's, stays as the reroute reference
+        # and is the table the cluster builder hands to every card.
+        self.routes = self.healthy_routes = RouteTable(shape)
         self._degraded: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -127,13 +129,13 @@ class RecoveryManager:
     def next_hop(self, cur: Coord, dst: Coord) -> Optional[tuple[int, int]]:
         """Forwarding decision for one packet (counts rerouted hops).
 
-        A hop counts as rerouted when it differs from the static
-        dimension-ordered first hop.  None means unreachable: every
-        surviving path to *dst* is severed (callers must already have
-        handled the arrived case).
+        A hop counts as rerouted when it differs from the healthy
+        torus's first hop.  None means unreachable: every surviving path
+        to *dst* is severed (callers must already have handled the
+        arrived case).
         """
         hop = self.routes.next_hop(cur, dst)
-        if hop is not None and self.routes.dead and hop != self.shape.route(cur, dst)[0]:
+        if hop is not None and self.routes.dead and hop != self.healthy_routes.next_hop(cur, dst):
             self.stats.packets_rerouted += 1
         return hop
 

@@ -19,8 +19,8 @@ link loads:
   ``_ApenetComm`` broadcasts counts to *all* peers — O(R^2) control
   messages per level, ~3M at 12^3 — a documented deviation, see
   EXPERIMENTS.md.)  Hop counts and per-link wire loads of every pair
-  come from one :meth:`~repro.net.topology.RouteTable.walk`, the route
-  oracle the recovery router forwards by, so dimension-ordered routes and
+  come from one :meth:`~repro.net.topology.RouteTable.walk`, the routing
+  rule every packet router forwards by, so dimension-ordered routes and
   dead-link detours alike match its hops exactly.
 * **Level time** = max per-rank expand kernel + comm (max pair latency +
   max link serialisation + max RX fragment service) + max per-rank

@@ -33,10 +33,10 @@ cross-traffic (each contender pushes later flows back by its
 serialisation load, not by its full latency); the parity suite in
 ``tests/scale/`` measures and pins the documented tolerances.
 
-Routes come from :class:`~repro.net.topology.RouteTable`, the route
-oracle the per-packet router forwards by (through
-:class:`~repro.recovery.manager.RecoveryManager`), so flow paths, dead-link
-detours included, are bit-identical to the per-packet router's.
+Routes come from :class:`~repro.net.topology.RouteTable`, the torus's
+one routing rule, which the per-packet router forwards by too (directly
+or through :class:`~repro.recovery.manager.RecoveryManager`), so flow
+paths, healthy or detoured, are bit-identical to the per-packet router's.
 """
 
 from __future__ import annotations

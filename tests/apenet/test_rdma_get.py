@@ -119,14 +119,14 @@ def test_concurrent_gets_route_to_right_waiters():
 def test_get_requires_linked_peers():
     from repro.apenet import ApenetCard, ApenetEndpoint
     from repro.cuda import CudaRuntime
-    from repro.net.topology import TorusShape
+    from repro.net.topology import RouteTable, TorusShape
     from repro.pcie import plx_platform
     from repro.sim import Simulator
 
     sim = Simulator()
     plat = plx_platform(sim)
     rt = CudaRuntime(sim, plat)
-    card = ApenetCard(sim, "solo", (0, 0, 0), TorusShape(1, 1, 1))
+    card = ApenetCard(sim, "solo", (0, 0, 0), RouteTable(TorusShape(1, 1, 1)))
     plat.attach(card, "nic")
     ep = ApenetEndpoint(card, rt)
     with pytest.raises(RuntimeError, match="link_peers"):

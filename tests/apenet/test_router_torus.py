@@ -4,7 +4,7 @@ import pytest
 
 from repro.apenet import DEFAULT_CONFIG, Router, TorusLink, TorusPort
 from repro.net.packet import ApePacket, MessageInfo
-from repro.net.topology import TorusShape
+from repro.net.topology import RouteTable, TorusShape
 from repro.sim import Simulator
 from repro.units import Gbps, us
 
@@ -103,7 +103,7 @@ def build_router(coord=(0, 0, 0), shape=TorusShape(4, 2, 1), **cfg_kw):
         return None
 
     cfg = DEFAULT_CONFIG.with_(**cfg_kw) if cfg_kw else DEFAULT_CONFIG
-    rtr = Router(sim, coord, shape, cfg, deliver_local=deliver)
+    rtr = Router(sim, coord, RouteTable(shape), cfg, deliver_local=deliver)
     return sim, rtr, delivered
 
 
@@ -165,14 +165,14 @@ def test_missing_link_raises():
 def test_dimension_order_route_used():
     """A packet for (1,1,0) must leave on X first, then Y at the next hop."""
     sim = Simulator()
-    shape = TorusShape(4, 2, 1)
+    routes = RouteTable(TorusShape(4, 2, 1))  # one table, shared as in a cluster
     cfg = DEFAULT_CONFIG
     arrivals = []
 
-    r0 = Router(sim, (0, 0, 0), shape, cfg, deliver_local=lambda p: None, name="r0")
-    r1 = Router(sim, (1, 0, 0), shape, cfg, deliver_local=lambda p: None, name="r1")
+    r0 = Router(sim, (0, 0, 0), routes, cfg, deliver_local=lambda p: None, name="r0")
+    r1 = Router(sim, (1, 0, 0), routes, cfg, deliver_local=lambda p: None, name="r1")
     r11 = Router(
-        sim, (1, 1, 0), shape, cfg,
+        sim, (1, 1, 0), routes, cfg,
         deliver_local=lambda p: arrivals.append(p) or None, name="r11",
     )
     # Wire the two hops of the DOR route (plus nothing else).
@@ -189,3 +189,17 @@ def test_dimension_order_route_used():
     assert len(arrivals) == 1
     assert r0.packets_forwarded == 1
     assert r1.packets_forwarded == 1
+
+
+def test_cluster_routers_share_one_route_table():
+    """The cluster builds one route table for all its routers, not one each;
+    with a recovery manager attached it is the manager's healthy table."""
+    from repro.net.cluster import build_apenet_cluster
+    from repro.recovery import RecoveryPolicy
+
+    for recovery in (None, RecoveryPolicy()):
+        cluster = build_apenet_cluster(Simulator(), TorusShape(4, 2, 1), recovery=recovery)
+        routes = cluster.nodes[0].card.router.routes
+        assert routes.shape == cluster.shape and not routes.dead
+        assert all(node.card.router.routes is routes for node in cluster.nodes)
+    assert routes is cluster.recovery.healthy_routes

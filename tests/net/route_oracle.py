@@ -1,9 +1,11 @@
-"""Independent per-pair route oracle that the production route table is tested against.
+"""Independent per-pair route oracles that the production route table is tested against.
 
 :class:`repro.net.topology.RouteTable` answers every route query from
-all-pairs NumPy arrays.  The two functions here compute the same routes
-one pair at a time in plain Python and share no code with it:
+all-pairs NumPy arrays.  The functions here compute the same routes one
+pair at a time in plain Python and share no code with it:
 
+* :func:`dimension_order` is the paper's static rule for a healthy
+  torus, written out ring by ring.
 * :func:`route_avoiding` runs an ordered breadth-first search over the
   damaged torus.  Nodes expand in FIFO order and neighbours in
   :meth:`TorusShape.neighbors` order, so among equal-length routes it
@@ -17,6 +19,23 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.topology import Coord, TorusShape
+
+
+def dimension_order(shape: TorusShape, src: int, dst: int) -> tuple[tuple[int, int, int], ...]:
+    """Static dimension-ordered route ``((rank, dim, direction), ...)`` between ranks.
+
+    Corrects X fully, then Y, then Z, each the shorter way round its
+    ring; a destination exactly half a ring away is reached going +1.
+    """
+    cur, goal = shape.coord(src), shape.coord(dst)
+    hops: list[tuple[int, int, int]] = []
+    for dim, extent in enumerate(shape.dims):
+        ahead = (goal[dim] - cur[dim]) % extent
+        direction = 1 if 2 * ahead <= extent else -1
+        while cur[dim] != goal[dim]:
+            hops.append((shape.rank(cur), dim, direction))
+            cur = shape.neighbor(cur, dim, direction)
+    return tuple(hops)
 
 
 def route_avoiding(

@@ -6,6 +6,8 @@ and an explicit ``None`` verdict when the dead-link set partitions the
 torus.
 """
 
+import pytest
+
 from repro.net.topology import RouteTable, TorusShape
 
 
@@ -79,3 +81,12 @@ def test_src_equals_dst_is_empty_route():
     shape = TorusShape(2, 2, 2)
     assert detour(shape, (1, 1, 1), (1, 1, 1), frozenset()) == []
     assert detour(shape, (1, 1, 1), (1, 1, 1), {((1, 1, 1), 0, 1)}) == []
+
+
+@pytest.mark.parametrize("dead", [(), [(0, 0, 1)]], ids=["healthy", "damaged"])
+def test_path_rejects_ranks_off_the_torus(dead):
+    """A rank outside the torus raises instead of wrapping onto another node."""
+    table = RouteTable(TorusShape(4, 1, 1), dead)
+    for src, dst in [(-1, 0), (0, -1), (4, 0), (0, 4)]:
+        with pytest.raises(ValueError, match="out of range"):
+            table.path(src, dst)

@@ -23,6 +23,7 @@ from repro.scale import (
     wire_bytes,
 )
 from repro.units import us
+from tests.net.route_oracle import dimension_order
 
 pytestmark = pytest.mark.scale
 
@@ -63,15 +64,14 @@ def test_path_fault_free_is_dimension_ordered():
     for src, dst in [(0, 13), (5, 22), (26, 0), (7, 7)]:
         route = table.path(src, dst)
         assert route is not None
-        assert len(route) == shape.distance(shape.coord(src), shape.coord(dst))
+        assert len(route) == len(dimension_order(shape, src, dst))
         # Walking the hop list must land on dst.
         cur = shape.coord(src)
         for rank, dim, direction in route:
             assert rank == shape.rank(cur)
             cur = shape.neighbor(cur, dim, direction)
         assert shape.rank(cur) == dst
-        static = shape.route(shape.coord(src), shape.coord(dst))
-        assert [(dim, direction) for _, dim, direction in route] == static
+        assert route == dimension_order(shape, src, dst)
 
 
 def test_path_detours_around_dead_link():

@@ -152,10 +152,11 @@ def test_detour_table_matches_hop_route(dims, fault_seed):
 def test_detour_table_exhaustive_on_one_damaged_torus(links):
     """All-pairs equality on one fixed shape, so no pair is ever sampled out.
 
-    ``walk`` must give every pair ``len(path())`` hops and every link the
-    weight summed over ``path()``.  On the healthy torus ``path()`` is
-    :meth:`TorusShape.route`, so this pins the table's arrays, which the
-    scale BFS walks, to dimension order.
+    ``path()`` must match the per-hop oracle, and ``walk`` must give every
+    pair ``len(path())`` hops and every link the weight summed over
+    ``path()``.  ``next_hop()``, ``path()`` and ``walk`` read the same
+    arrays, healthy torus or damaged; ``tests/net/test_topology.py`` pins
+    the healthy ones to dimension order on ten shapes.
     """
     shape = TorusShape(3, 3, 3)
     table = RouteTable(shape, links)

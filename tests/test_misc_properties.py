@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from repro.apenet import fragment_message
 from repro.net import TorusShape
+from repro.net.topology import RouteTable
 from repro.pcie import fragment as pcie_fragment
 from repro.units import fmt_size, parse_size
+from tests.net.route_oracle import dimension_order
 
 
 @given(
@@ -18,17 +20,17 @@ from repro.units import fmt_size, parse_size
 )
 @settings(max_examples=100)
 def test_torus_routes_always_land(nx, ny, nz, a, b):
-    """Dimension-ordered routes reach their destination on any torus."""
+    """The route table's healthy-torus routes are dimension-ordered and land."""
     shape = TorusShape(nx, ny, nz)
-    src = shape.coord(a % shape.size)
-    dst = shape.coord(b % shape.size)
-    cur = src
-    route = shape.route(src, dst)
-    dims = [d for d, _ in route]
+    src, dst = a % shape.size, b % shape.size
+    route = RouteTable(shape).path(src, dst)
+    assert route == dimension_order(shape, src, dst)
+    dims = [d for _, d, _ in route]
     assert dims == sorted(dims)  # strict dimension order
-    for dim, step in route:
+    cur = shape.coord(src)
+    for _, dim, step in route:
         cur = shape.neighbor(cur, dim, step)
-    assert cur == dst
+    assert cur == shape.coord(dst)
     # Shortest-path bound per ring.
     assert len(route) <= nx // 2 + ny // 2 + nz // 2 + 3
 
