@@ -8,7 +8,10 @@ calibration hash, the artifact holds exactly the baseline's experiment
 ids and no error record, and every experiment's ``events`` and
 :func:`repro.bench.engine.deterministic_view` (title, rendered output,
 comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
-and ``jobs`` are recorded but not compared.
+and ``jobs`` are recorded but not compared.  After the verdict, one
+informational line per experiment shows its ``wall_s`` in the baseline
+and in the artifact, their ratio and its event count; they do not
+change the verdict or the exit code.
 
 Exit code 0 when every check passes, 1 otherwise.  Run from the
 repository root:
@@ -140,6 +143,34 @@ def check_sweep(artifact: dict, baseline: dict) -> list[str]:
     return failures
 
 
+def _seconds(value) -> str:
+    return f"{value:.3f}" if isinstance(value, (int, float)) else "?"
+
+
+def wall_time_lines(artifact: dict, baseline: dict) -> list[str]:
+    """Wall time baseline -> artifact, per experiment found in both files.
+
+    Each line gives the ratio artifact / baseline and the artifact's event
+    count.  Informational: wall time is never gated.
+    """
+    malformed: list[str] = []  # already reported by check_sweep
+    want = _records(baseline, "baseline", malformed)
+    lines = []
+    for exp_id, record in _records(artifact, "artifact", malformed).items():
+        if exp_id not in want:
+            continue
+        wall, ref_wall = record.get("wall_s"), want[exp_id].get("wall_s")
+        try:
+            ratio = f"x{wall / ref_wall:.2f}"
+        except (TypeError, ZeroDivisionError):
+            ratio = "x?"
+        lines.append(
+            f"{exp_id}: wall_s {_seconds(ref_wall)} -> {_seconds(wall)} "
+            f"({ratio}), {record.get('events')} events"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -166,6 +197,8 @@ def main(argv=None) -> int:
         f"[{artifact.get('run_id', '?')}, calibration "
         f"{artifact.get('calibration_hash', '?')}] -> {verdict}"
     )
+    for line in wall_time_lines(artifact, baseline):
+        print(f"  {line}")
     return 1 if failures else 0
 
 

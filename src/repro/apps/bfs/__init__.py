@@ -6,7 +6,7 @@ the simulated APEnet+ RDMA path so that the GPU-P2P transmit
 optimisations show up as end-to-end traversal speedups.
 """
 
-from .csr import CSRGraph
+from .csr import CSRGraph, rmat_graph
 from .distributed import BfsConfig, BfsResult, RankBreakdown, run_bfs
 from .perf import BfsKernelModel
 from .rmat import EDGEFACTOR, rmat_edges
@@ -16,6 +16,7 @@ __all__ = [
     "rmat_edges",
     "EDGEFACTOR",
     "CSRGraph",
+    "rmat_graph",
     "serial_bfs",
     "validate_bfs",
     "traversed_edges",

@@ -3,7 +3,8 @@
 Supporting data structure for the §VI BFS application study: adjacency
 stored as offset/edge arrays so frontier expansion is a contiguous,
 coalesced scan — the layout real GPU graph500 kernels use, which keeps
-the simulated per-level work model faithful.
+the simulated per-level work model faithful.  :func:`rmat_graph` is the
+one builder of the BFS graphs: graph500's kernel 1, run once per graph.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+from .rmat import EDGEFACTOR, rmat_edges
+
+__all__ = ["CSRGraph", "rmat_graph"]
 
 
 class CSRGraph:
@@ -86,3 +89,33 @@ class CSRGraph:
         neighbor_ids = self.col_idx[offsets + within]
         parent_ids = np.repeat(vertices, lengths)
         return neighbor_ids, parent_ids
+
+
+#: The most recently built graph as ``((scale, edgefactor, seed), graph)``.
+#: It is read as one tuple and replaced as one tuple, so two concurrent
+#: callers can at worst build the same graph twice.
+_last_graph: tuple = (None, None)
+
+
+def rmat_graph(scale: int, edgefactor: int = EDGEFACTOR, seed: int = 1) -> CSRGraph:
+    """The CSR form of :func:`~repro.apps.bfs.rmat.rmat_edges`'s graph.
+
+    graph500 builds its graph once (kernel 1) and runs every search on it
+    (kernel 2).  The graph is a pure function of ``(scale, edgefactor,
+    seed)``, so the most recently built one is kept and returned again for
+    the same arguments.  Its ``row_ptr`` and ``col_idx`` are read-only, so
+    no caller can change the graph another caller shares.  A call with new
+    arguments drops the kept graph before it builds the next one, so the
+    process holds at most one.
+    """
+    global _last_graph
+    key = (scale, edgefactor, seed)
+    held = _last_graph
+    if held[0] == key:
+        return held[1]
+    _last_graph = held = (None, None)  # let the old graph go first
+    graph =CSRGraph.from_edges(1 << scale, rmat_edges(scale, edgefactor, seed=seed))
+    graph.row_ptr.flags.writeable = False
+    graph.col_idx.flags.writeable = False
+    _last_graph = (key, graph)
+    return graph

@@ -36,9 +36,8 @@ from ...ib.cluster import build_ib_cluster
 from ...net.cluster import build_apenet_cluster, torus_for_ranks
 from ...sim import DeadlockError, Simulator
 from ...units import Gbps, us
-from .csr import CSRGraph
+from .csr import CSRGraph, rmat_graph
 from .perf import BfsKernelModel
-from .rmat import rmat_edges
 from .serial import UNVISITED, serial_bfs, traversed_edges, validate_bfs
 
 __all__ = [
@@ -191,9 +190,9 @@ class _BfsRank:
 
 def run_bfs(cfg: BfsConfig) -> BfsResult:
     """Execute one configuration end to end."""
-    # Build the graph once (shared, read-only across the simulated ranks).
-    edges = rmat_edges(cfg.scale, cfg.edgefactor, seed=cfg.seed)
-    graph = CSRGraph.from_edges(cfg.n_vertices, edges)
+    # One read-only graph, shared by the simulated ranks and by every run
+    # of the same graph.
+    graph = rmat_graph(cfg.scale, cfg.edgefactor, cfg.seed)
     degrees = np.diff(graph.row_ptr)
     root = cfg.root if cfg.root is not None else int(np.argmax(degrees))
 

@@ -30,7 +30,7 @@ from ..gpu.specs import FERMI_2050, FERMI_2070, GPUSpec
 from ..pcie.tlp import LinkParams
 from ..pcie.topology import Platform, plx_platform, westmere_platform
 from ..sim import Simulator
-from .topology import Coord, RouteTable, TorusShape
+from .topology import Coord, TorusShape, healthy_table
 
 __all__ = ["ClusterNode", "ApenetCluster", "build_apenet_cluster", "torus_for_ranks"]
 
@@ -160,7 +160,7 @@ def build_apenet_cluster(
     # One route table for the whole torus, shared by every router.  With a
     # recovery manager it is the manager's healthy table, and the routers
     # ask the manager, whose table follows the dead links.
-    routes = manager.healthy_routes if manager is not None else RouteTable(shape)
+    routes = manager.healthy_routes if manager is not None else healthy_table(shape)
     card_link = LinkParams(gen=config.pcie_gen, lanes=config.pcie_lanes)
     gpu_link = LinkParams(gen=2, lanes=16)
 

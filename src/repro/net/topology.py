@@ -7,18 +7,20 @@ Cluster I is a 4×2 torus (8 nodes; the Z dimension is size 1).
 routing rule: on a healthy torus it gives dimension order, and once links
 die it gives deterministic shortest detours (the fault-awareness layer of
 arXiv:1311.1741).  The packet router, the recovery manager, the flow
-model and the scale BFS all forward by it.
+model and the scale BFS all forward by it.  :func:`healthy_table` keeps
+one healthy table per shape for the packet clusters.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["TorusShape", "RouteTable", "Coord"]
+__all__ = ["TorusShape", "RouteTable", "Coord", "healthy_table"]
 
 Coord = tuple[int, int, int]
 
@@ -146,7 +148,7 @@ class RouteTable:
     dimension-ordered route crosses no dead link keeps exactly that
     route.  :meth:`next_hop`, :meth:`path` and :meth:`walk` (many pairs
     at once) all read the same all-pairs arrays (O(R²) bytes), which
-    NumPy builds on the first query.
+    NumPy builds on the first query and marks read-only.
     """
 
     def __init__(self, shape: TorusShape, dead: Iterable = ()):
@@ -199,6 +201,8 @@ class RouteTable:
                 & (dist[nbr[:, s], :] == dist - 1)
             )
             next_slot[closer] = s
+        for array in (next_slot, nbr, dist):
+            array.flags.writeable = False
         self._arrays_cache = (next_slot, nbr, dist)
         return self._arrays_cache
 
@@ -263,3 +267,17 @@ class RouteTable:
             moving = cur != goal
             cur, goal, w = cur[moving], goal[moving], w[moving]
         return hops, load.reshape(R, S)
+
+
+@functools.lru_cache(maxsize=32)
+def healthy_table(shape: TorusShape) -> RouteTable:
+    """The healthy torus's :class:`RouteTable`, one per shape per process.
+
+    Every packet cluster and recovery manager of *shape* shares it, so
+    the all-pairs arrays of a shape are built once, not once per cluster.
+    A process builds clusters on a handful of small shapes; the bound only
+    stops an unusual caller from pinning tables without limit.  Damaged
+    tables, and the flow model's and the scale BFS's tables (O(R²), about
+    50 MB at 16³), are built per call and never kept here.
+    """
+    return RouteTable(shape)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..net.topology import Coord, RouteTable, TorusShape
+from ..net.topology import Coord, RouteTable, TorusShape, healthy_table
 from ..sim import Simulator
 from ..sim.stats import FaultStats, RecoveryStats
 from .policy import RecoveryPolicy
@@ -53,9 +53,9 @@ class RecoveryManager:
         self.fault_stats = fault_stats
         # Every router's forwarding oracle; its ``dead`` set holds the
         # dead directed links, keyed (src_coord, dim, direction).  The
-        # first one, the healthy torus's, stays as the reroute reference
-        # and is the table the cluster builder hands to every card.
-        self.routes = self.healthy_routes = RouteTable(shape)
+        # first one, the shape's shared healthy table, stays as the reroute
+        # reference and is the table the cluster builder hands to every card.
+        self.routes = self.healthy_routes = healthy_table(shape)
         self._degraded: set[str] = set()
 
     # ------------------------------------------------------------------

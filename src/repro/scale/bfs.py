@@ -42,9 +42,8 @@ import numpy as np
 
 from ..apenet.buflist import BufferKind
 from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
-from ..apps.bfs.csr import CSRGraph
+from ..apps.bfs.csr import rmat_graph
 from ..apps.bfs.perf import BfsKernelModel
-from ..apps.bfs.rmat import rmat_edges
 from ..apps.bfs.serial import UNVISITED, traversed_edges
 from ..gpu import FERMI_2050
 from ..net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
@@ -157,7 +156,7 @@ def run_scale_bfs(
     kernel = BfsKernelModel(gpu_spec)
 
     n_vertices = 1 << scale
-    graph = CSRGraph.from_edges(n_vertices, rmat_edges(scale, edgefactor, seed=seed))
+    graph = rmat_graph(scale, edgefactor, seed)
     degrees = np.diff(graph.row_ptr).astype(np.int64)
     if root is None:
         root = int(np.nonzero(degrees > 0)[0][0])

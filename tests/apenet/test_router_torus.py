@@ -193,13 +193,22 @@ def test_dimension_order_route_used():
 
 def test_cluster_routers_share_one_route_table():
     """The cluster builds one route table for all its routers, not one each;
-    with a recovery manager attached it is the manager's healthy table."""
+    with a recovery manager attached it is the manager's healthy table.
+    Every cluster of one shape shares that healthy table, whose arrays are
+    read-only once built."""
     from repro.net.cluster import build_apenet_cluster
     from repro.recovery import RecoveryPolicy
 
+    tables = []
     for recovery in (None, RecoveryPolicy()):
         cluster = build_apenet_cluster(Simulator(), TorusShape(4, 2, 1), recovery=recovery)
         routes = cluster.nodes[0].card.router.routes
         assert routes.shape == cluster.shape and not routes.dead
         assert all(node.card.router.routes is routes for node in cluster.nodes)
+        tables.append(routes)
     assert routes is cluster.recovery.healthy_routes
+    assert tables[0] is tables[1]
+    assert routes.next_hop((0, 0, 0), (1, 1, 0)) == (0, 1)
+    next_slot, _, _ = routes._arrays()
+    with pytest.raises(ValueError):
+        next_slot[0, 1] = 2

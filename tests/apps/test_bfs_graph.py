@@ -1,11 +1,24 @@
 """Unit + property tests for the BFS substrate (RMAT, CSR, serial BFS)."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.bfs import CSRGraph, rmat_edges, serial_bfs, traversed_edges, validate_bfs
+from repro.apps.bfs import (
+    BfsConfig,
+    CSRGraph,
+    csr,
+    rmat_edges,
+    rmat_graph,
+    run_bfs,
+    serial_bfs,
+    traversed_edges,
+    validate_bfs,
+)
+from repro.scale.bfs import run_scale_bfs
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +97,90 @@ def test_csr_neighbors_of_set_matches_loop():
             expect_p.append(v)
     np.testing.assert_array_equal(nbrs, expect_n)
     np.testing.assert_array_equal(pars, expect_p)
+
+
+# ---------------------------------------------------------------------------
+# rmat_graph: the one graph builder
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def rmat_edges_calls(monkeypatch):
+    """Empty the graph slot and count the edge lists ``rmat_graph`` generates."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rmat_edges(*args, **kwargs)
+
+    monkeypatch.setattr(csr, "_last_graph", (None, None))
+    monkeypatch.setattr(csr, "rmat_edges", counting)
+    return calls
+
+
+def _assert_fresh_build(graph, scale, edgefactor, seed):
+    fresh = CSRGraph.from_edges(1 << scale, rmat_edges(scale, edgefactor, seed=seed))
+    assert graph.n_vertices == fresh.n_vertices
+    np.testing.assert_array_equal(graph.row_ptr, fresh.row_ptr)
+    np.testing.assert_array_equal(graph.col_idx, fresh.col_idx)
+
+
+def test_rmat_graph_same_key_same_object(rmat_edges_calls):
+    g = rmat_graph(8, 16, seed=5)
+    assert rmat_graph(8, 16, seed=5) is g
+    assert len(rmat_edges_calls) == 1
+    _assert_fresh_build(g, 8, 16, 5)
+
+
+@pytest.mark.parametrize("key", [(8, 16, 6), (8, 8, 5), (9, 16, 5)], ids=["seed", "edgefactor", "scale"])
+def test_rmat_graph_key_holds_every_argument(key, rmat_edges_calls):
+    """A key differing from the held one in any one argument builds anew."""
+    rmat_graph(8, 16, seed=5)
+    scale, edgefactor, seed = key
+    _assert_fresh_build(rmat_graph(scale, edgefactor, seed=seed), scale, edgefactor, seed)
+    assert len(rmat_edges_calls) == 2
+
+
+@pytest.mark.parametrize("field", ["row_ptr", "col_idx"])
+def test_rmat_graph_arrays_are_read_only(field, rmat_edges_calls):
+    array = getattr(rmat_graph(6, 16, seed=1), field)
+    with pytest.raises(ValueError):
+        array[0] = 1
+    with pytest.raises(ValueError):
+        array[1:3] += 1
+
+
+def test_rmat_graph_new_key_drops_the_old_graph_before_building(rmat_edges_calls, monkeypatch):
+    old = weakref.ref(rmat_graph(7, 16, seed=1))
+    alive_during_build = []
+    counting = csr.rmat_edges
+
+    def spying(*args, **kwargs):
+        alive_during_build.append(old() is not None)
+        return counting(*args, **kwargs)
+
+    monkeypatch.setattr(csr, "rmat_edges", spying)
+    new = rmat_graph(7, 16, seed=2)
+    assert alive_during_build == [False]
+    assert old() is None
+    assert rmat_graph(7, 16, seed=2) is new
+
+
+def test_run_bfs_validates_on_a_slot_hit(rmat_edges_calls):
+    cfg = BfsConfig(scale=10, np_=2, validate=True)
+    first, second = run_bfs(cfg), run_bfs(cfg)
+    assert len(rmat_edges_calls) == 1
+    assert first.validation_errors == [] and second.validation_errors == []
+    np.testing.assert_array_equal(first.levels, second.levels)
+    np.testing.assert_array_equal(first.parents, second.parents)
+
+
+def test_run_bfs_and_run_scale_bfs_share_one_graph(rmat_edges_calls):
+    app = run_bfs(BfsConfig(scale=9, edgefactor=16, seed=11, np_=2, validate=False))
+    flow = run_scale_bfs((2, 2, 2), 9, edgefactor=16, seed=11)
+    assert len(rmat_edges_calls) == 1
+    assert flow.n_edges == rmat_graph(9, 16, seed=11).n_directed_edges
+    assert app.traversed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Shared fixtures for the bench tests: one quick run per pinned experiment."""
 
+from unittest import mock
+
 import pytest
 
 from repro.bench.runner import run_experiments
+from repro.scale import flow
 
 
 @pytest.fixture(scope="session")
@@ -11,13 +14,18 @@ def quick_record():
 
     Each experiment executes at most once per session, in-process through
     the runner's :class:`~repro.bench.engine.ExecutionEngine`, uncached,
-    and every test that asks for it reads the same record.
+    and every test that asks for it reads the same record.  It runs
+    against an empty flow-model calibration memo, as in a fresh
+    ``--jobs N`` worker, whatever ran earlier in the session: a filled memo
+    skips the calibration probes and their kernel events.  The memo is
+    restored afterwards.
     """
     memo = {}
 
     def get(exp_id):
         if exp_id not in memo:
-            (memo[exp_id],) = run_experiments([exp_id], quick=True, use_cache=False)
+            with mock.patch.dict(flow._CAL_CACHE, clear=True):
+                (memo[exp_id],) = run_experiments([exp_id], quick=True, use_cache=False)
         return memo[exp_id]
 
     return get

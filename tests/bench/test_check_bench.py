@@ -190,6 +190,16 @@ def test_check_bench_cli_roundtrip(tmp_path, capsys):
     assert "-> ok" in capsys.readouterr().out
 
     art = _sweep()
+    art["records"][0]["wall_s"] = 0.5
+    art_path.write_text(json.dumps(art))
+    rc = check_bench.main([str(art_path), "--baseline", str(base_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "-> ok" in out
+    assert "fig8: wall_s 0.250 -> 0.500 (x2.00), 100 events" in out
+    assert "ext_get: wall_s 0.250 -> 0.250 (x1.00), 40 events" in out
+
+    art = _sweep()
     art["records"][0]["events"] = 101
     art_path.write_text(json.dumps(art))
     rc = check_bench.main([str(art_path), "--baseline", str(base_path)])
