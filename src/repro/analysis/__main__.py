@@ -5,11 +5,14 @@
     exit 1 when findings remain (the CI ``analysis`` job gates on this).
 
 ``python -m repro.analysis sanitize EXPERIMENT...``
-    Run each experiment twice — a normal baseline and a run with
-    ``REPRO_SANITIZE=1`` — then verify (a) every simulator finished with
-    zero sanitizer violations and (b) the sanitized comparison rows are
-    **bit-identical** to the baseline, extending the golden-number
-    identity proof to sanitized mode.  Exit 1 on any violation or drift.
+    Run each experiment twice through the execution engine — a normal
+    baseline and a run with ``REPRO_SANITIZE=1`` — then verify (a) both
+    runs succeeded, (b) every simulator finished with zero sanitizer
+    violations and (c) the sanitized run's deterministic view (rows,
+    rendered output and data) is **bit-identical** to the baseline's,
+    extending the golden-number identity proof to sanitized mode.  Event
+    counts are not compared: an in-process rerun can skip memoised work.
+    Exit 1 on any error, violation or drift.
 
 ``python -m repro.analysis docstrings PATH...``
     Documentation contract: every module must open with a one-paragraph
@@ -42,35 +45,46 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from ..bench import harness  # deferred: pulls in the whole model
+    # Deferred: the engine pulls in the whole model.
+    from ..bench.engine import ENGINE, deterministic_view
 
     quick = not args.full
     failed = False
     for exp_id in args.experiments:
-        baseline = harness.run(exp_id, quick=quick)
+        baseline = ENGINE.execute(exp_id, quick)
         reset_registry()
         os.environ["REPRO_SANITIZE"] = "1"
         try:
-            sanitized = harness.run(exp_id, quick=quick)
+            sanitized = ENGINE.execute(exp_id, quick)
         finally:
             os.environ.pop("REPRO_SANITIZE", None)
         reports = collect_reports()
         violations = [v for r in reports for v in r.violations]
-        identical = baseline.comparisons == sanitized.comparisons
+        errors = [p["error"] for p in (baseline, sanitized) if "error" in p]
+        base_view, san_view = deterministic_view(baseline), deterministic_view(sanitized)
+        identical = base_view == san_view
         events = sum(r.events_processed for r in reports)
-        status = "OK" if (identical and not violations) else "FAIL"
+        ok = identical and not violations and not errors
         print(
-            f"[{status}] {exp_id}: {len(reports)} simulator(s), {events} events, "
-            f"{len(violations)} violation(s), golden rows "
+            f"[{'OK' if ok else 'FAIL'}] {exp_id}: {len(reports)} simulator(s), "
+            f"{events} events, {len(violations)} violation(s), deterministic view "
             f"{'identical' if identical else 'DRIFTED'}"
         )
+        for err in errors:
+            print("  error: " + err.rstrip().replace("\n", "\n  "))
         for v in violations:
             print("  " + v.render())
-        if not identical:
-            for base_row, san_row in zip(baseline.comparisons, sanitized.comparisons):
-                if base_row != san_row:
-                    print(f"  drift: {base_row} -> {san_row}")
-        failed = failed or bool(violations) or not identical
+        for key in sorted(base_view.keys() | san_view.keys()):
+            base, san = base_view.get(key), san_view.get(key)
+            if base == san:
+                continue
+            if key == "comparisons" and base and san and len(base) == len(san):
+                for base_row, san_row in zip(base, san):
+                    if base_row != san_row:
+                        print(f"  drift: {base_row} -> {san_row}")
+            else:
+                print(f"  drift: {key} differs")
+        failed = failed or not ok
     return 1 if failed else 0
 
 

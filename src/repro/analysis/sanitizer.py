@@ -19,7 +19,7 @@ Checks, reported as structured :class:`Violation` records inside a
 * **resource-leak** — a :class:`~repro.sim.resources.Resource` finishing
   with held slots (an acquire whose release never ran);
 * **blocked-putter** — a producer still blocked on a full
-  Store/ByteFifo/PacketFifo at the end (data accepted by the model but
+  ByteFifo/PacketFifo at the end (data accepted by the model but
   never drained);
 * **channel-backlog** — a :class:`~repro.sim.channel.Channel` whose
   serializer is still busy past the final clock (in-flight transfer never
@@ -143,7 +143,7 @@ class Sanitizer:
         self._resources.append(resource)
 
     def register_container(self, container: Any) -> None:
-        """Track a Store/ByteFifo/PacketFifo for blocked-putter checking."""
+        """Track a Store/ByteFifo/PacketFifo for blocked-putter and idle-getter checks."""
         self._containers.append(container)
 
     def register_channel(self, channel: Any) -> None:

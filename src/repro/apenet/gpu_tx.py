@@ -60,8 +60,6 @@ class GpuTxEngine:
         self.pending: deque[_Chunk] = deque()
         self.outstanding = 0
         self._window_waiters: list[Event] = []
-        self.bytes_sent = 0
-        self.messages_sent = 0
         sim.process(self._loop(), name=f"{card.name}.gtx")
 
     def enqueue(self, job: TxJob) -> None:
@@ -79,7 +77,6 @@ class GpuTxEngine:
             gpu = self.card.gpus[job.gpu_index]
             if cfg.gpu_tx_method == "bar1":
                 yield from self._run_job_bar1(job, gpu)
-                self.messages_sent += 1
                 continue
             obs = self.sim._obs
             span = None
@@ -155,7 +152,6 @@ class GpuTxEngine:
                 yield self.sim.timeout(cfg.gpu_tx_msg_drain)
             if span is not None:
                 span.end()
-            self.messages_sent += 1
 
     # ------------------------------------------------------------------
     # BAR1-TX extension (paper conclusions): plain PCIe reads through a
@@ -186,9 +182,6 @@ class GpuTxEngine:
                 return None
             return buf.read_bytes(job.src_addr + offset, nbytes)
 
-        def _count(n: int) -> None:
-            self.bytes_sent += n
-
         # Same continuous-window transmit core as the host path, but the
         # reads target the BAR1 aperture: the GPU's BAR1 behaviour (rate
         # and latency; catastrophic on Fermi, fine on Kepler) throttles.
@@ -201,7 +194,6 @@ class GpuTxEngine:
             outstanding=cfg.bar1_read_outstanding,
             limiter=None,
             data_of=data_of,
-            on_bytes_sent=_count,
             obs_name="bar1_tx",
         )
 
@@ -244,7 +236,6 @@ class GpuTxEngine:
             # v1/v3 retire credit only when the packet has cleared into the
             # TX FIFO — v3's almost-full feedback (arrow 3 in Fig 2).
             self._retire(chunk.nbytes)
-        self.bytes_sent += chunk.nbytes
         chunk.injected.succeed()
         if chunk.last:
             chunk.job.local_done.succeed(chunk.job)

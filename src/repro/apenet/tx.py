@@ -37,7 +37,6 @@ def windowed_read_tx(
     outstanding: int,
     limiter: Optional[RateLimiter] = None,
     data_of: Optional[Callable[[int, int], Optional[np.ndarray]]] = None,
-    on_bytes_sent: Optional[Callable[[int], None]] = None,
     obs_name: str = "host_tx",
 ):
     """Generator: transmit *job* with pipelined reads + packetization.
@@ -83,8 +82,6 @@ def windowed_read_tx(
                 data=data,
             )
             yield card.router.inject(pkt)
-            if on_bytes_sent is not None:
-                on_bytes_sent(nbytes)
             free_space(nbytes)
         job.local_done.succeed(job)
         packetizer_done.succeed()
@@ -126,8 +123,6 @@ class HostTxEngine:
         cfg = card.config
         self.jobs: Store = Store(sim, name=f"{card.name}.htx.jobs")
         self.limiter = RateLimiter(sim, cfg.host_read_rate, f"{card.name}.htx.rd")
-        self.bytes_sent = 0
-        self.messages_sent = 0
         sim.process(self._loop(), name=f"{card.name}.htx")
 
     def enqueue(self, job: TxJob) -> None:
@@ -138,10 +133,6 @@ class HostTxEngine:
         cfg = self.card.config
         while True:
             job: TxJob = yield self.jobs.get()
-
-            def _count(n: int) -> None:
-                self.bytes_sent += n
-
             yield from windowed_read_tx(
                 self.sim,
                 self.card,
@@ -151,6 +142,4 @@ class HostTxEngine:
                 outstanding=cfg.host_read_outstanding,
                 limiter=self.limiter,
                 data_of=job.slice_data,
-                on_bytes_sent=_count,
             )
-            self.messages_sent += 1

@@ -9,7 +9,6 @@ one builder of the BFS graphs: graph500's kernel 1, run once per graph.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .rmat import EDGEFACTOR, rmat_edges
@@ -26,26 +25,19 @@ class CSRGraph:
         self.col_idx = col_idx
 
     @classmethod
-    def from_edges(
-        cls,
-        n_vertices: int,
-        edges: np.ndarray,
-        undirected: bool = True,
-        dedupe: bool = True,
-    ) -> "CSRGraph":
-        """Build from a (2, M) edge array.
+    def from_edges(cls, n_vertices: int, edges: np.ndarray) -> "CSRGraph":
+        """Build the undirected graph of a (2, M) edge array.
 
-        Self-loops are dropped; duplicate edges are removed when *dedupe*;
-        for undirected graphs both directions are stored (graph500 rules).
+        Self-loops are dropped, both directions of each edge are stored and
+        duplicate edges are removed (graph500 rules).
         """
         src, dst = np.asarray(edges[0]), np.asarray(edges[1])
         if src.min(initial=0) < 0 or max(src.max(initial=0), dst.max(initial=0)) >= n_vertices:
             raise ValueError("edge endpoint out of range")
         keep = src != dst  # no self-loops
         src, dst = src[keep], dst[keep]
-        if undirected:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if dedupe and len(src):
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        if len(src):
             key = src * n_vertices + dst
             _, unique_idx = np.unique(key, return_index=True)
             src, dst = src[unique_idx], dst[unique_idx]
@@ -114,7 +106,7 @@ def rmat_graph(scale: int, edgefactor: int = EDGEFACTOR, seed: int = 1) -> CSRGr
     if held[0] == key:
         return held[1]
     _last_graph = held = (None, None)  # let the old graph go first
-    graph =CSRGraph.from_edges(1 << scale, rmat_edges(scale, edgefactor, seed=seed))
+    graph = CSRGraph.from_edges(1 << scale, rmat_edges(scale, edgefactor, seed=seed))
     graph.row_ptr.flags.writeable = False
     graph.col_idx.flags.writeable = False
     _last_graph = (key, graph)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from ...apenet.buflist import BufferKind
-from ...apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ...apenet.config import DEFAULT_CONFIG
 from ...cuda.memcpy import memcpy_sync
 from ...gpu.kernels import KernelLaunch
 from ...mpi.comm import MpiWorld
@@ -49,6 +49,10 @@ __all__ = [
 
 _PAIR_BYTES = 8  # (vertex, parent) as two packed uint32s
 
+# Cluster II packs TWO M2075s per node, so two BFS ranks share one
+# ConnectX-2: approximated as an x4-slot per-rank share of the HCA.
+IB_PCIE_LANES = 4
+
 
 @dataclass
 class BfsConfig:
@@ -62,10 +66,6 @@ class BfsConfig:
     root: Optional[int] = None  # default: the highest-degree vertex's block
     validate: bool = True
     link_bandwidth: float = Gbps(28)
-    # Cluster II packs TWO M2075s per node, so two BFS ranks share one
-    # ConnectX-2: approximated as an x4-slot per-rank share of the HCA.
-    ib_pcie_lanes: int = 4
-    apenet_config: Optional[ApenetConfig] = None
 
     def __post_init__(self):
         if self.transport not in ("apenet", "ib"):
@@ -198,14 +198,12 @@ def run_bfs(cfg: BfsConfig) -> BfsResult:
 
     sim = Simulator()
     if cfg.transport == "apenet":
-        acfg = (cfg.apenet_config or DEFAULT_CONFIG).with_(
-            link_bandwidth=cfg.link_bandwidth
-        )
+        acfg = DEFAULT_CONFIG.with_(link_bandwidth=cfg.link_bandwidth)
         cluster = build_apenet_cluster(sim, torus_for_ranks(cfg.np_), acfg)
         nodes = cluster.nodes[: cfg.np_]
         comm_factory = lambda st: _ApenetComm(sim, cfg, st, nodes)
     else:
-        cluster = build_ib_cluster(sim, cfg.np_, pcie_lanes=cfg.ib_pcie_lanes)
+        cluster = build_ib_cluster(sim, cfg.np_, pcie_lanes=IB_PCIE_LANES)
         world = MpiWorld(cluster)
         nodes = cluster.nodes
         comm_factory = lambda st: _MpiComm(sim, cfg, st, world)

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ...apenet.buflist import BufferKind
-from ...apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ...apenet.config import DEFAULT_CONFIG
 from ...cuda.memcpy import memcpy_device_work, memcpy_sync
 from ...cuda.stream import CudaStream
 from ...gpu.kernels import KernelLaunch
@@ -58,6 +58,8 @@ from .perf import SPIN_BYTES, HsgKernelModel
 __all__ = ["HsgConfig", "HsgResult", "run_hsg", "grid_for_ranks"]
 
 HALO_CHUNK = 128 * KiB
+# The OMPI reference column ran on Cluster II, whose HCAs sit in x8 slots.
+MPI_PCIE_LANES = 8
 
 # Split faces are walked in this order: (name, axis, side, opposite face).
 _FACES = (
@@ -93,8 +95,6 @@ class HsgConfig:
     seed: int = 7
     # The HSG runs used the 20 Gbps link bitstream (Fig 11 caption).
     link_bandwidth: float = Gbps(20)
-    mpi_pcie_lanes: int = 8  # Cluster II for the OMPI reference column
-    apenet_config: Optional[ApenetConfig] = None
     # Chaos/robustness knobs (apenet transport only): a FaultPlan/-Injector
     # and a RecoveryPolicy/-Manager.  None keeps the run bit-identical to
     # one without these fields.
@@ -278,7 +278,7 @@ def run_hsg(cfg: HsgConfig) -> HsgResult:
     else:
         from ...mpi.gpu_aware import OpenMPIProtocol
 
-        cluster = build_ib_cluster(sim, cfg.np_, pcie_lanes=cfg.mpi_pcie_lanes)
+        cluster = build_ib_cluster(sim, cfg.np_, pcie_lanes=MPI_PCIE_LANES)
         world = MpiWorld(cluster, protocol_factory=OpenMPIProtocol)
         endpoints = [world.endpoint(r) for r in range(cfg.np_)]
         exchange = _mpi_exchange
@@ -320,8 +320,7 @@ def run_hsg(cfg: HsgConfig) -> HsgResult:
 
 
 def _apenet_cluster(sim: Simulator, cfg: HsgConfig):
-    base = cfg.apenet_config or DEFAULT_CONFIG
-    acfg = base.with_(link_bandwidth=cfg.link_bandwidth)
+    acfg = DEFAULT_CONFIG.with_(link_bandwidth=cfg.link_bandwidth)
     specs = None
     if cfg.np_ == 1:
         # Single-node L=512 only fits the 6 GB C2070 (§V.D).

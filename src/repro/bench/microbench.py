@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..apenet.buflist import BufferKind
-from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ..apenet.config import DEFAULT_CONFIG
 from ..apenet.jobs import fragment_message
 from ..cuda.memcpy import memcpy_async, memcpy_sync
 from ..cuda.stream import CudaStream
@@ -82,7 +82,6 @@ def make_cluster(
     nx: int = 2,
     ny: int = 1,
     nz: int = 1,
-    config: Optional[ApenetConfig] = None,
     gpu_spec=None,
     use_plx: bool = False,
     cuda_costs=None,
@@ -90,7 +89,7 @@ def make_cluster(
     recovery=None,
     **overrides,
 ):
-    """Fresh simulator + cluster, with optional config overrides.
+    """Fresh simulator + cluster: ``DEFAULT_CONFIG`` with any field overrides.
 
     ``faults`` — a :class:`~repro.faults.FaultPlan` or shared
     :class:`~repro.faults.FaultInjector` (chaos benchmarks); None keeps
@@ -100,7 +99,7 @@ def make_cluster(
     recovery-free and bit-identical to the default build.
     """
     sim = Simulator()
-    cfg = (config or DEFAULT_CONFIG).with_(**overrides) if overrides else (config or DEFAULT_CONFIG)
+    cfg = DEFAULT_CONFIG.with_(**overrides) if overrides else DEFAULT_CONFIG
     shape = TorusShape(nx, ny, nz)
     specs = [gpu_spec] * shape.size if gpu_spec is not None else None
     cluster = build_apenet_cluster(
@@ -141,13 +140,14 @@ def default_message_count(msg_size: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bar1_read_bandwidth(gpu_spec, nbytes: int = 1 << 20) -> BandwidthResult:
-    """GPU memory read through the BAR1 aperture (Table I's BAR1 rows).
+def bar1_read_bandwidth(gpu_spec) -> BandwidthResult:
+    """GPU memory read of 1 MiB through the BAR1 aperture (Table I's BAR1 rows).
 
     "BAR1 results taken on an ideal platform, APEnet+ and GPU linked by a
     PLX PCIe switch" — the card issues plain windowed PCIe reads against a
     BAR1-mapped buffer (no mailbox protocol involved).
     """
+    nbytes = MiB
     sim, cluster = make_cluster(1, 1, gpu_spec=gpu_spec, use_plx=True)
     node = cluster.nodes[0]
     buf = node.gpu.alloc(nbytes)
@@ -169,7 +169,6 @@ def loopback_read_bandwidth(
     src_kind: BufferKind,
     msg_size: int,
     n_messages: Optional[int] = None,
-    config: Optional[ApenetConfig] = None,
     **overrides,
 ) -> BandwidthResult:
     """Single-board memory-read bandwidth with flushed TX FIFOs.
@@ -178,7 +177,7 @@ def loopback_read_bandwidth(
     switch logic" — isolates the TX read path from RX processing.
     """
     overrides.setdefault("flush_tx", True)
-    sim, cluster = make_cluster(1, 1, config=config, **overrides)
+    sim, cluster = make_cluster(1, 1, **overrides)
     node = cluster.nodes[0]
     n_messages = n_messages or default_message_count(msg_size)
     src = alloc_kind(node, src_kind, msg_size)
@@ -213,17 +212,16 @@ def unidirectional_bandwidth(
     msg_size: int,
     n_messages: Optional[int] = None,
     loopback: bool = False,
-    config: Optional[ApenetConfig] = None,
     faults=None,
     **overrides,
 ) -> BandwidthResult:
     """Two-node (or loop-back) PUT bandwidth, receiver-side steady state."""
     if loopback:
-        sim, cluster = make_cluster(1, 1, config=config, faults=faults, **overrides)
+        sim, cluster = make_cluster(1, 1, faults=faults, **overrides)
         src_node = dst_node = cluster.nodes[0]
         dst_rank = 0
     else:
-        sim, cluster = make_cluster(2, 1, config=config, faults=faults, **overrides)
+        sim, cluster = make_cluster(2, 1, faults=faults, **overrides)
         src_node, dst_node = cluster.nodes[0], cluster.nodes[1]
         dst_rank = 1
     n_messages = n_messages or default_message_count(msg_size)
@@ -260,7 +258,6 @@ def bidirectional_bandwidth(
     dst_kind: BufferKind,
     msg_size: int,
     n_messages: Optional[int] = None,
-    config: Optional[ApenetConfig] = None,
     **overrides,
 ) -> BandwidthResult:
     """Two-node bandwidth with BOTH nodes transmitting simultaneously.
@@ -271,7 +268,7 @@ def bidirectional_bandwidth(
     AND its TX bookkeeping at once, the aggregate is well below 2x the
     uni-directional figure.  Reported: aggregate delivered bytes/ns.
     """
-    sim, cluster = make_cluster(2, 1, config=config, **overrides)
+    sim, cluster = make_cluster(2, 1, **overrides)
     n_messages = n_messages or default_message_count(msg_size)
     bufs = {}
     for node in cluster.nodes:
@@ -313,14 +310,15 @@ def bidirectional_bandwidth(
 # Ping-pong latency (Figs 8, 9)
 # ---------------------------------------------------------------------------
 
+# Ping-pong rounds per latency point, of which the first few are warm-up.
+_PINGPONG_ITERATIONS = 12
+_PINGPONG_SKIP = 2
+
 
 def pingpong_latency(
     src_kind: BufferKind,
     dst_kind: BufferKind,
     msg_size: int,
-    iterations: int = 12,
-    skip: int = 2,
-    config: Optional[ApenetConfig] = None,
     faults=None,
     **overrides,
 ) -> LatencyResult:
@@ -329,7 +327,7 @@ def pingpong_latency(
     The pong travels dst_kind -> src_kind, mirroring the OSU latency test's
     symmetric buffer placement.
     """
-    sim, cluster = make_cluster(2, 1, config=config, faults=faults, **overrides)
+    sim, cluster = make_cluster(2, 1, faults=faults, **overrides)
     a, b = cluster.nodes[0], cluster.nodes[1]
     buf_a = alloc_kind(a, src_kind, msg_size)
     buf_b = alloc_kind(b, dst_kind, msg_size)
@@ -337,14 +335,14 @@ def pingpong_latency(
 
     def node_b():
         yield from b.endpoint.register(buf_b, msg_size)
-        for _ in range(iterations):
+        for _ in range(_PINGPONG_ITERATIONS):
             yield from b.endpoint.wait_event()
             yield from b.endpoint.put(0, buf_b, buf_a, msg_size, src_kind=dst_kind)
 
     def node_a():
         yield from a.endpoint.register(buf_a, msg_size)
         yield sim.timeout(us(10))
-        for _ in range(iterations):
+        for _ in range(_PINGPONG_ITERATIONS):
             t0 = sim.now
             yield from a.endpoint.put(1, buf_a, buf_b, msg_size, src_kind=src_kind)
             yield from a.endpoint.wait_event()
@@ -355,7 +353,7 @@ def pingpong_latency(
     sim.run()
     if not pa.processed:
         raise DeadlockError("ping-pong initiator never finished")
-    kept = rtts[skip:]
+    kept = rtts[_PINGPONG_SKIP:]
     return LatencyResult(msg_size, sum(kept) / len(kept) / 2.0, len(kept))
 
 
@@ -370,7 +368,6 @@ def sender_gap(
     msg_size: int,
     n_messages: int = 48,
     staged: bool = False,
-    config: Optional[ApenetConfig] = None,
     **overrides,
 ) -> float:
     """Mean time between successive put() returns under a full queue (ns).
@@ -380,7 +377,7 @@ def sender_gap(
     subsequent transmissions."  With ``staged=True`` the sender performs the
     synchronous D2H staging copy before each put (P2P=OFF mode).
     """
-    sim, cluster = make_cluster(2, 1, config=config, **overrides)
+    sim, cluster = make_cluster(2, 1, **overrides)
     src_node, dst_node = cluster.nodes[0], cluster.nodes[1]
     send_kind = BufferKind.HOST if staged else src_kind
     src = alloc_kind(src_node, send_kind, msg_size)
@@ -429,14 +426,12 @@ _STAGE_CHUNK = 256 * KiB
 def staged_unidirectional_bandwidth(
     msg_size: int,
     n_messages: Optional[int] = None,
-    pipeline_chunk: int = _STAGE_CHUNK,
-    config: Optional[ApenetConfig] = None,
     faults=None,
     **overrides,
 ) -> BandwidthResult:
     """G-G bandwidth through host bounce buffers (P2P=OFF).
 
-    Messages up to *pipeline_chunk* use a single bounce buffer: the sender
+    Messages up to 256 KiB use a single bounce buffer: the sender
     performs one synchronous D2H copy, PUTs, and must wait for the
     receiver's drain credit before reusing the buffer (the buffer would
     otherwise be overwritten in flight).  Larger messages are chunked
@@ -444,13 +439,13 @@ def staged_unidirectional_bandwidth(
     which is why staging approaches the full H-H rate for multi-megabyte
     messages (Fig 7) while being badly serialized for small ones.
     """
-    sim, cluster = make_cluster(2, 1, config=config, faults=faults, **overrides)
+    sim, cluster = make_cluster(2, 1, faults=faults, **overrides)
     src_node, dst_node = cluster.nodes[0], cluster.nodes[1]
     n_messages = n_messages or default_message_count(msg_size)
-    if msg_size <= pipeline_chunk:
+    if msg_size <= _STAGE_CHUNK:
         window, chunk = 1, msg_size
     else:
-        window, chunk = 2, pipeline_chunk
+        window, chunk = 2, _STAGE_CHUNK
     pieces = fragment_message(msg_size, chunk)
     gpu_src = alloc_kind(src_node, BufferKind.GPU, msg_size)
     host_src = alloc_kind(src_node, BufferKind.HOST, chunk * window)
@@ -506,16 +501,10 @@ def staged_unidirectional_bandwidth(
     return _steady_bandwidth(msg_size, completions, n_messages)
 
 
-def staged_pingpong_latency(
-    msg_size: int,
-    iterations: int = 12,
-    skip: int = 2,
-    config: Optional[ApenetConfig] = None,
-    **overrides,
-) -> LatencyResult:
+def staged_pingpong_latency(msg_size: int, **overrides) -> LatencyResult:
     """G-G ping-pong with host staging (P2P=OFF): sync D2H before each send,
     async H2D on receive (the receive side overlaps with event polling)."""
-    sim, cluster = make_cluster(2, 1, config=config, **overrides)
+    sim, cluster = make_cluster(2, 1, **overrides)
     a, b = cluster.nodes[0], cluster.nodes[1]
     ga, ha = alloc_kind(a, BufferKind.GPU, msg_size), alloc_kind(a, BufferKind.HOST, msg_size)
     gb, hb = alloc_kind(b, BufferKind.GPU, msg_size), alloc_kind(b, BufferKind.HOST, msg_size)
@@ -524,7 +513,7 @@ def staged_pingpong_latency(
     def node_b():
         yield from b.endpoint.register(hb, msg_size)
         sb = CudaStream(sim, "b-stage")
-        for _ in range(iterations):
+        for _ in range(_PINGPONG_ITERATIONS):
             yield from b.endpoint.wait_event()
             # Drain the bounce buffer asynchronously (enqueue-only cost; the
             # pong uses its own buffer so it need not wait for the copy).
@@ -538,7 +527,7 @@ def staged_pingpong_latency(
         yield from a.endpoint.register(ha, msg_size)
         yield sim.timeout(us(10))
         sa = CudaStream(sim, "a-stage")
-        for _ in range(iterations):
+        for _ in range(_PINGPONG_ITERATIONS):
             t0 = sim.now
             yield from memcpy_sync(a.runtime, ha, ga, msg_size)
             yield from a.endpoint.put(1, ha, hb, msg_size, src_kind=BufferKind.HOST)
@@ -551,5 +540,5 @@ def staged_pingpong_latency(
     sim.run()
     if not pa.processed:
         raise DeadlockError("staged ping-pong initiator never finished")
-    kept = rtts[skip:]
+    kept = rtts[_PINGPONG_SKIP:]
     return LatencyResult(msg_size, sum(kept) / len(kept) / 2.0, len(kept))

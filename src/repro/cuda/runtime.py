@@ -37,11 +37,10 @@ _HOST_HEAP_BASE = 0x1_0000_0000
 
 @dataclass
 class HostBuffer:
-    """A (pinned) host-memory allocation with lazy real backing."""
+    """A pinned host-memory allocation with lazy real backing."""
 
     addr: int
     size: int
-    pinned: bool = True
     _data: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -121,13 +120,13 @@ class CudaRuntime:
     # Allocation (setup-time, no simulated cost)
     # ------------------------------------------------------------------
 
-    def host_alloc(self, nbytes: int, pinned: bool = True) -> HostBuffer:
+    def host_alloc(self, nbytes: int) -> HostBuffer:
         """Allocate a host buffer (cudaMallocHost equivalent)."""
         if nbytes <= 0:
             raise ValueError("host allocation must be positive")
         # 4 KB alignment like the host page size.
         size = (nbytes + 4095) // 4096 * 4096
-        buf = HostBuffer(self._host_brk, nbytes, pinned)
+        buf = HostBuffer(self._host_brk, nbytes)
         self._host_brk += size
         idx = bisect.bisect(self._host_starts, buf.addr)
         self._host_starts.insert(idx, buf.addr)

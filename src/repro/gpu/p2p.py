@@ -19,10 +19,9 @@ Externally visible constants (paper, Fig 3 / Table I):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
-
-from ..sim import Event, RateLimiter, Simulator
+from ..sim import Event, RateLimiter, Simulator, Store
 
 __all__ = ["P2PReadRequest", "P2PReadEngine", "GPU_READ_CHUNK", "REQUEST_DESCRIPTOR_BYTES"]
 
@@ -40,16 +39,12 @@ class P2PReadRequest:
     NIC's TX-FIFO window).
     ``carry_data`` — when True, the response write carries the actual bytes
     from device memory (for data-integrity tests).
-    ``on_complete`` — optional callback run when the response write has been
-    absorbed by the reply target.
     """
 
     src_addr: int
     nbytes: int
     reply_addr: int
     carry_data: bool = False
-    context: Any = None
-    on_complete: Optional[Callable[["P2PReadRequest"], None]] = None
 
     def __post_init__(self):
         if self.nbytes <= 0:
@@ -82,10 +77,6 @@ class P2PReadEngine:
         spec = gpu.spec
         self.head_latency = spec.p2p_read_head_latency
         self.limiter = RateLimiter(sim, spec.p2p_read_rate, f"{gpu.name}.p2p-rd")
-        self.requests_served = 0
-        self.bytes_served = 0
-        from ..sim import Store
-
         self._queue = Store(sim, name=f"{gpu.name}.p2p-q")
         sim.process(self._server(), name=f"{gpu.name}.p2p")
 
@@ -127,8 +118,6 @@ class P2PReadEngine:
                 yield self.sim.all_of([rest_ev, write_ev])
             else:
                 yield write_ev
-            self.requests_served += 1
-            self.bytes_served += req.nbytes
             obs = self.sim._obs
             if obs is not None:
                 # Retroactive span from mailbox submission to response done:
@@ -136,6 +125,4 @@ class P2PReadEngine:
                 obs.span_at(
                     "gpu", "p2p_read", t_submit, self.sim.now, nbytes=req.nbytes
                 )
-            if req.on_complete is not None:
-                req.on_complete(req)
             done.succeed(req)

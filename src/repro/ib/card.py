@@ -81,8 +81,6 @@ class IBCard(PCIeDevice):
         # every quantum's host write has finished (quanta writes interleave
         # on the PCIe path, so "last sent" is not "last landed").
         self._landed: dict[int, int] = {}
-        self.bytes_sent = 0
-        self.bytes_received = 0
         # Post + completion host-side costs (verbs + driver).
         self.post_cost = us(0.25)
         self.completion_cost = us(0.25)
@@ -159,7 +157,6 @@ class IBCard(PCIeDevice):
             wire_events.append(self.ib.send(self.lid, dst_lid, csize, msg))
             off += csize
             seq += 1
-        self.bytes_sent += nbytes
         # Local completion: last quantum handed to the wire.
         done.succeed(nbytes)
 
@@ -173,7 +170,6 @@ class IBCard(PCIeDevice):
     def _rx_proc(self, msg: IBMessage):
         # DMA-write the quantum into host memory.
         yield self.fabric.write(self, msg.dst_addr, msg.nbytes, payload=msg.data)
-        self.bytes_received += msg.nbytes
         landed = self._landed.get(msg.wire_id, 0) + msg.nbytes
         if landed < msg.total_bytes:
             self._landed[msg.wire_id] = landed

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..cuda.runtime import CudaRuntime
 from ..gpu.device import GPUDevice
-from ..gpu.specs import FERMI_2075, GPUSpec
+from ..gpu.specs import FERMI_2075
 from ..pcie.tlp import LinkParams
 from ..pcie.topology import Platform, westmere_platform
 from ..sim import Simulator
@@ -65,7 +65,6 @@ def build_ib_cluster(
     sim: Simulator,
     n_nodes: int,
     pcie_lanes: int = 8,
-    gpu_spec: GPUSpec = FERMI_2075,
     gpus_per_node: int = 1,
 ) -> IBCluster:
     """Build *n_nodes* Westmere nodes around one IB switch."""
@@ -80,7 +79,7 @@ def build_ib_cluster(
         runtime = CudaRuntime(sim, plat, name=f"ib{rank}.cuda")
         gpus = []
         for g in range(gpus_per_node):
-            gpu = GPUDevice(sim, f"ib{rank}.gpu{g}", gpu_spec, index=g)
+            gpu = GPUDevice(sim, f"ib{rank}.gpu{g}", FERMI_2075, index=g)
             plat.attach(gpu, "gpu", gpu_link)
             runtime.add_device(gpu)
             gpus.append(gpu)

@@ -15,20 +15,22 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..sim import Channel, Event, Simulator
-from ..units import Gbps, us
+from ..units import Gbps, ns, us
 
 __all__ = ["IBFabric", "IBPort", "IB_QDR_BANDWIDTH"]
 
 IB_QDR_BANDWIDTH = Gbps(32)  # 4 GB/s data per direction
+IB_PORT_LATENCY = ns(250.0)  # serdes + cable, per direction
+IB_SWITCH_LATENCY = us(0.1)  # crossbar forwarding
 
 
 class IBPort:
     """One switch port: an up (host->switch) and down (switch->host) wire."""
 
-    def __init__(self, sim: Simulator, lid: int, bandwidth: float, latency: float):
+    def __init__(self, sim: Simulator, lid: int):
         self.lid = lid
-        self.up = Channel(sim, bandwidth, latency, name=f"lid{lid}.up")
-        self.down = Channel(sim, bandwidth, latency, name=f"lid{lid}.down")
+        self.up = Channel(sim, IB_QDR_BANDWIDTH, IB_PORT_LATENCY, name=f"lid{lid}.up")
+        self.down = Channel(sim, IB_QDR_BANDWIDTH, IB_PORT_LATENCY, name=f"lid{lid}.down")
         # The attached HCA's delivery hook (set on attach).
         self.deliver: Optional[Callable[[Any], None]] = None
 
@@ -36,25 +38,14 @@ class IBPort:
 class IBFabric:
     """Crossbar switch + attached ports, addressed by LID."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth: float = IB_QDR_BANDWIDTH,
-        port_latency: float = 250.0,  # serdes + cable per direction
-        switch_latency: float = us(0.1),  # crossbar forwarding
-        name: str = "ib",
-    ):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.bandwidth = bandwidth
-        self.port_latency = port_latency
-        self.switch_latency = switch_latency
-        self.name = name
         self.ports: dict[int, IBPort] = {}
 
     def attach(self, deliver: Callable[[Any], None]) -> IBPort:
         """Plug an HCA in; returns its port (LID assigned sequentially)."""
         lid = len(self.ports)
-        port = IBPort(self.sim, lid, self.bandwidth, self.port_latency)
+        port = IBPort(self.sim, lid)
         port.deliver = deliver
         self.ports[lid] = port
         return port
@@ -67,11 +58,11 @@ class IBFabric:
         destination HCA's delivery hook on arrival.
         """
         if src_lid not in self.ports or dst_lid not in self.ports:
-            raise KeyError(f"{self.name}: unknown LID {src_lid}->{dst_lid}")
+            raise KeyError(f"ib: unknown LID {src_lid}->{dst_lid}")
         done = Event(self.sim)
         self.sim.process(
             self._send_proc(src_lid, dst_lid, nbytes, payload, done),
-            name=f"{self.name}.{src_lid}->{dst_lid}",
+            name=f"ib.{src_lid}->{dst_lid}",
         )
         return done
 
@@ -80,7 +71,7 @@ class IBFabric:
         dst = self.ports[dst_lid]
         if src_lid != dst_lid:
             yield src.up.transfer(nbytes)
-            yield self.sim.timeout(self.switch_latency)
+            yield self.sim.timeout(IB_SWITCH_LATENCY)
             yield dst.down.transfer(nbytes)
         else:
             # HCA-internal loop-back.

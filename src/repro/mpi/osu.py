@@ -10,13 +10,16 @@ Buffers may live on the host or the GPU ("D D" mode in OMB terms).
 
 from __future__ import annotations
 
-
 from ..ib.cluster import build_ib_cluster
 from ..sim import DeadlockError, Simulator
 from ..units import us
 from .comm import MpiWorld
 
 __all__ = ["osu_latency", "osu_bandwidth", "make_mpi_pair"]
+
+# osu_latency's ping-pong rounds, of which the first few are warm-up.
+_LATENCY_ITERATIONS = 12
+_LATENCY_SKIP = 2
 
 
 def make_mpi_pair(
@@ -37,16 +40,9 @@ def _alloc(node, gpu: bool, nbytes: int) -> int:
     return node.runtime.host_alloc(nbytes).addr
 
 
-def osu_latency(
-    msg_size: int,
-    gpu_buffers: bool = True,
-    iterations: int = 12,
-    skip: int = 2,
-    pcie_lanes: int = 8,
-    protocol_factory=None,
-) -> float:
-    """Half round-trip time in ns for *msg_size* messages."""
-    sim, cluster, world = make_mpi_pair(pcie_lanes, protocol_factory)
+def osu_latency(msg_size: int, gpu_buffers: bool = True) -> float:
+    """Half round-trip time in ns for *msg_size* messages (Cluster II, x8)."""
+    sim, cluster, world = make_mpi_pair()
     a, b = world.endpoint(0), world.endpoint(1)
     buf_a = _alloc(cluster.node(0), gpu_buffers, msg_size)
     buf_b = _alloc(cluster.node(1), gpu_buffers, msg_size)
@@ -54,14 +50,14 @@ def osu_latency(
 
     def rank0():
         yield sim.timeout(us(5))
-        for i in range(iterations):
+        for i in range(_LATENCY_ITERATIONS):
             t0 = sim.now
             yield from a.send(1, buf_a, msg_size, tag=("pp", i))
             yield from a.recv(1, buf_a, msg_size, tag=("pp", i, "r"))
             rtts.append(sim.now - t0)
 
     def rank1():
-        for i in range(iterations):
+        for i in range(_LATENCY_ITERATIONS):
             yield from b.recv(0, buf_b, msg_size, tag=("pp", i))
             yield from b.send(0, buf_b, msg_size, tag=("pp", i, "r"))
 
@@ -70,7 +66,7 @@ def osu_latency(
     sim.run()
     if not p0.processed:
         raise DeadlockError("OSU latency rank 0 never finished")
-    kept = rtts[skip:]
+    kept = rtts[_LATENCY_SKIP:]
     return sum(kept) / len(kept) / 2.0
 
 
@@ -80,10 +76,9 @@ def osu_bandwidth(
     window: int = 16,
     iterations: int = 4,
     pcie_lanes: int = 8,
-    protocol_factory=None,
 ) -> float:
     """Uni-directional bandwidth in bytes/ns (== GB/s)."""
-    sim, cluster, world = make_mpi_pair(pcie_lanes, protocol_factory)
+    sim, cluster, world = make_mpi_pair(pcie_lanes)
     a, b = world.endpoint(0), world.endpoint(1)
     buf_a = _alloc(cluster.node(0), gpu_buffers, msg_size)
     buf_b = _alloc(cluster.node(1), gpu_buffers, msg_size)

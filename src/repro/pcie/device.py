@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..sim import RateLimiter, Simulator
+from ..units import GBps, GiB, ns
 
 __all__ = ["ReadBehavior", "WriteBehavior", "AddressWindow", "PCIeDevice", "HostMemory"]
 
@@ -108,42 +109,35 @@ class PCIeDevice:
         raise NotImplementedError(f"{self.name} does not accept writes")
 
 
+#: Host DRAM window size, first-access read latency and DMA rate (each
+#: direction): generous on the Westmere platforms, where the paper's
+#: bottlenecks are elsewhere.
+HOST_MEMORY_SIZE = 64 * GiB
+HOST_READ_LATENCY = ns(150.0)
+HOST_DMA_RATE = GBps(12.8)
+
+
 class HostMemory(PCIeDevice):
     """System DRAM behind the root complex.
 
-    Served through the memory controller: modest first-access latency and a
-    rate limiter representing achievable DMA bandwidth to DRAM (generous on
-    the Westmere platforms — the bottlenecks in the paper are elsewhere).
+    Served through the memory controller: a first-access latency and a rate
+    limiter per direction representing achievable DMA bandwidth to DRAM.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        base: int = 0x0,
-        size: int = 1 << 36,
-        read_latency: float = 150.0,
-        write_rate: float = 12.8,
-        read_rate: float = 12.8,
-        name: str = "host-memory",
-    ):
+    def __init__(self, sim: Simulator, base: int = 0x0, name: str = "host-memory"):
         super().__init__(sim, name)
-        self.add_window(base, size, "dram")
+        self.add_window(base, HOST_MEMORY_SIZE, "dram")
         self._read = ReadBehavior(
-            latency=read_latency, limiter=RateLimiter(sim, read_rate, f"{name}.rd")
+            latency=HOST_READ_LATENCY, limiter=RateLimiter(sim, HOST_DMA_RATE, f"{name}.rd")
         )
         self._write = WriteBehavior(
-            limiter=RateLimiter(sim, write_rate, f"{name}.wr"), on_write=self._deliver
+            limiter=RateLimiter(sim, HOST_DMA_RATE, f"{name}.wr"), on_write=self._deliver
         )
-        # Observable delivery log for data-carrying tests: (addr, nbytes, payload)
-        self.write_log: list[tuple[int, int, Any]] = []
-        self.log_writes = False
         # Higher layers (e.g. the CUDA runtime's host-buffer heap) register
         # hooks to receive data-carrying writes into their address ranges.
         self.delivery_hooks: list[Callable[[int, int, Any], None]] = []
 
     def _deliver(self, addr: int, nbytes: int, payload: Any) -> None:
-        if self.log_writes:
-            self.write_log.append((addr, nbytes, payload))
         if payload is not None:
             for hook in self.delivery_hooks:
                 hook(addr, nbytes, payload)

@@ -8,8 +8,9 @@ the leaves).  Each edge is a full-duplex pair of
 Transactions:
 
 * :meth:`PCIeFabric.write` — posted write.  Payload is fragmented into
-  *quanta* (default 4 KiB of payload, i.e. a batch of MPS-sized TLPs whose
-  summed wire overhead is accounted exactly); quanta pipeline hop by hop.
+  *quanta* (:data:`WRITE_QUANTUM` of payload, i.e. a batch of MPS-sized
+  TLPs whose summed wire overhead is accounted exactly); quanta pipeline
+  hop by hop.
   The returned event fires when the last quantum has been absorbed by the
   target (including the target's sink rate limiter).
 * :meth:`PCIeFabric.read` — one split transaction (request ≤ MRRS): a
@@ -35,14 +36,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Optional
 
 from ..sim import Channel, Event, SimulationError, Simulator
+from ..units import KiB
 from .device import PCIeDevice
 from .tlp import DEFAULT_MPS, DEFAULT_MRRS, LinkParams, TlpKind, fragment, tlp_overhead
 
 __all__ = ["PCIeFabric", "FabricNode", "FabricLink", "TransferRecord"]
+
+#: Payload bytes per posted-write quantum: a batch of MPS-sized TLPs that
+#: crosses each hop as one transfer.
+WRITE_QUANTUM = 4 * KiB
 
 
 @dataclass
@@ -112,17 +117,8 @@ class FabricNode:
 class PCIeFabric:
     """A tree of PCIe links with address-routed split transactions."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        mps: int = DEFAULT_MPS,
-        mrrs: int = DEFAULT_MRRS,
-        write_quantum: int = 4096,
-    ):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.mps = mps
-        self.mrrs = mrrs
-        self.write_quantum = write_quantum
         self.nodes: dict[str, FabricNode] = {}
         self.root: Optional[FabricNode] = None
         # Address index: sorted list of (base, limit, device).
@@ -295,7 +291,6 @@ class PCIeFabric:
         addr: int,
         nbytes: int,
         payload: Any = None,
-        quantum: Optional[int] = None,
     ) -> Event:
         """Posted write of *nbytes* to *addr*; fires on target absorption."""
         if nbytes <= 0:
@@ -303,19 +298,13 @@ class PCIeFabric:
         target = self.resolve(addr)
         behavior = target.describe_write(addr)
         hops = self._route(self._device_node(initiator), self._device_node(target))
-        q = max(quantum or self.write_quantum, self.mps)
-        if q & (q - 1):
-            raise SimulationError(f"write quantum {q} must be a power of two")
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
             span = obs.span("pcie", "write", initiator=initiator.name, nbytes=nbytes)
             done.callbacks.append(span.end_event)
-        _Write(self, initiator.name, addr, nbytes, payload, behavior, hops, q, done)
+        _Write(self, initiator.name, addr, nbytes, payload, behavior, hops, done)
         return done
-
-    def _wire_bytes_for_write(self, addr: int, nbytes: int) -> int:
-        return nbytes + _tlp_count(addr, nbytes, self.mps) * _MWR_OVERHEAD
 
     # ------------------------------------------------------------------
     # Split-transaction reads
@@ -325,9 +314,9 @@ class PCIeFabric:
         """One split-transaction read (≤ MRRS); fires when data is back."""
         if nbytes <= 0:
             raise SimulationError("read needs a positive size")
-        if nbytes > self.mrrs:
+        if nbytes > DEFAULT_MRRS:
             raise SimulationError(
-                f"read of {nbytes} exceeds MRRS {self.mrrs}; "
+                f"read of {nbytes} exceeds MRRS {DEFAULT_MRRS}; "
                 "use read_pipelined for bulk transfers"
             )
         target = self.resolve(addr)
@@ -348,24 +337,15 @@ class PCIeFabric:
         addr: int,
         nbytes: int,
         outstanding: int = 4,
-        request_size: Optional[int] = None,
-        on_data: Optional[Callable[[int, int], None]] = None,
     ) -> Event:
         """Windowed bulk read: many MRRS-sized requests, bounded in flight.
 
-        ``on_data(chunk_addr, chunk_size)`` runs as each chunk's completions
-        arrive (used by DMA engines to forward data onward).  The returned
-        event fires when the final chunk lands.
+        The returned event fires when the final chunk lands.
         """
         if nbytes <= 0:
             raise SimulationError("read_pipelined needs a positive size")
         if outstanding < 1:
             raise SimulationError("need at least one outstanding request")
-        rs = request_size or self.mrrs
-        if rs < 1 or rs & (rs - 1):
-            raise SimulationError(f"request_size {rs} must be a positive power of two")
-        if rs > self.mrrs:
-            raise SimulationError(f"request_size {rs} exceeds MRRS {self.mrrs}")
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
@@ -377,7 +357,7 @@ class PCIeFabric:
                 outstanding=outstanding,
             )
             done.callbacks.append(span.end_event)
-        _ReadPipelined(self, initiator, addr, nbytes, outstanding, rs, on_data, done)
+        _ReadPipelined(self, initiator, addr, nbytes, outstanding, done)
         return done
 
 
@@ -454,9 +434,7 @@ class _Write(_Chain):
         "done",
     )
 
-    def __init__(
-        self, fabric, requester, addr, nbytes, payload, behavior, hops, quantum, done
-    ):
+    def __init__(self, fabric, requester, addr, nbytes, payload, behavior, hops, done):
         self.fabric = fabric
         self.step = _Write._send
         self.requester = requester
@@ -465,8 +443,10 @@ class _Write(_Chain):
         self.payload = payload
         self.behavior = behavior
         self.hops = hops
-        wire = fabric._wire_bytes_for_write
-        self.quanta = [(a, s, wire(a, s)) for a, s in fragment(addr, nbytes, quantum)]
+        self.quanta = [
+            (a, s, s + _tlp_count(a, s, DEFAULT_MPS) * _MWR_OVERHEAD)
+            for a, s in fragment(addr, nbytes, WRITE_QUANTUM)
+        ]
         self.sent = 0
         self.left = len(self.quanta)
         self.done = done
@@ -619,9 +599,8 @@ class _Read(_Chain):
         if hop < len(self.rev):
             self.hop = hop + 1
             link, direction = self.rev[hop]
-            fabric = self.fabric
-            wire = nbytes + _tlp_count(self.addr, nbytes, fabric.mps) * _CPLD_OVERHEAD
-            return fabric._cross(
+            wire = nbytes + _tlp_count(self.addr, nbytes, DEFAULT_MPS) * _CPLD_OVERHEAD
+            return self.fabric._cross(
                 link, direction, _CPLD, self.addr, nbytes, wire, self.requester
             )
         self.done.succeed(nbytes)
@@ -636,7 +615,6 @@ class _ReadPipelined(_Chain):
         "initiator",
         "nbytes",
         "outstanding",
-        "on_data",
         "chunks",
         "issued",
         "landed",
@@ -644,14 +622,13 @@ class _ReadPipelined(_Chain):
         "done",
     )
 
-    def __init__(self, fabric, initiator, addr, nbytes, outstanding, rs, on_data, done):
+    def __init__(self, fabric, initiator, addr, nbytes, outstanding, done):
         self.fabric = fabric
         self.step = _ReadPipelined._issue
         self.initiator = initiator
         self.nbytes = nbytes
         self.outstanding = outstanding
-        self.on_data = on_data
-        self.chunks = list(fragment(addr, nbytes, rs))
+        self.chunks = list(fragment(addr, nbytes, DEFAULT_MRRS))
         self.issued = 0
         self.landed = 0
         self.window: deque[Event] = deque()
@@ -669,13 +646,11 @@ class _ReadPipelined(_Chain):
             caddr, csize = chunks[self.issued]
             self.issued += 1
             ev = self.fabric.read(self.initiator, caddr, csize)
-            ev.callbacks.append(partial(self._land, caddr, csize))
+            ev.callbacks.append(self._land)
             window.append(ev)
         return None
 
-    def _land(self, caddr: int, csize: int, _event: Event) -> None:
+    def _land(self, _event: Event) -> None:
         self.landed += 1
-        if self.on_data is not None:
-            self.on_data(caddr, csize)
         if self.landed == len(self.chunks):
             self.done.succeed(self.nbytes)

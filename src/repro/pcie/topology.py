@@ -36,13 +36,12 @@ class Platform:
         device: PCIeDevice,
         slot: str,
         link: LinkParams = LinkParams(gen=2, lanes=8),
-        latency: float = None,
     ) -> FabricNode:
         """Plug *device* into the named slot.
 
-        When *latency* is omitted it follows the slot's silicon: a PLX
-        switch forwards in ~110 ns, a root-complex port in ~300 ns — the
-        platform difference behind the paper's "ideal platform" footnote.
+        The hop latency follows the slot's silicon: a PLX switch forwards
+        in ~110 ns, a root-complex port in ~150 ns — the platform
+        difference behind the paper's "ideal platform" footnote.
         """
         try:
             parent = self.slots[slot]
@@ -50,8 +49,7 @@ class Platform:
             raise KeyError(
                 f"unknown slot {slot!r}; available: {sorted(self.slots)}"
             ) from None
-        if latency is None:
-            latency = _PLX_LATENCY if parent.kind == "switch" else _RC_PORT_LATENCY
+        latency = _PLX_LATENCY if parent.kind == "switch" else _RC_PORT_LATENCY
         return self.fabric.add_endpoint(device, parent, link, latency)
 
 

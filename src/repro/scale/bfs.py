@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from ..apenet.buflist import BufferKind
-from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ..apenet.config import DEFAULT_CONFIG
 from ..apps.bfs.csr import rmat_graph
 from ..apps.bfs.perf import BfsKernelModel
 from ..apps.bfs.serial import UNVISITED, traversed_edges
@@ -60,6 +60,7 @@ COUNT_BYTES = 8
 
 #: Allreduce payload (one 8-byte frontier vote) per butterfly stage.
 VOTE_BYTES = 8
+
 
 @dataclass(frozen=True)
 class ScaleBfsResult:
@@ -131,35 +132,29 @@ def run_scale_bfs(
     scale: int,
     edgefactor: int = 16,
     seed: int = 1,
-    root: Optional[int] = None,
-    config: Optional[ApenetConfig] = None,
     dead_links: Iterable = (),
     shards: int = 1,
-    gpu_spec=FERMI_2050,
-    src_kind: BufferKind = BufferKind.GPU,
-    dst_kind: BufferKind = BufferKind.GPU,
 ) -> ScaleBfsResult:
-    """Run one flow-mode BFS over a ``dims`` torus.
+    """Run one flow-mode BFS over a ``dims`` torus of Fermi 2050 ranks.
 
     ``scale``/``edgefactor``/``seed`` parameterise the R-MAT graph
-    (``2**scale`` vertices).  ``shards`` has no effect: it is only
-    recorded in the result, capped at the rank count.  ``dead_links``
-    routes traffic around failures recovery-style; a partitioned torus
-    raises ``ValueError``.  ``root=None`` picks the first vertex with
-    nonzero degree.
+    (``2**scale`` vertices); the search starts at the first vertex with
+    nonzero degree, and every message moves GPU to GPU under
+    :data:`~repro.apenet.config.DEFAULT_CONFIG`.  ``shards`` has no
+    effect: it is only recorded in the result, capped at the rank count.
+    ``dead_links`` routes traffic around failures recovery-style; a
+    partitioned torus raises ``ValueError``.
     """
-    config = config or DEFAULT_CONFIG
     shape = TorusShape(*dims)
     R = shape.size
     routes = RouteTable(shape, dead_links)
-    cal = calibrate(config, src_kind, dst_kind)
-    kernel = BfsKernelModel(gpu_spec)
+    cal = calibrate(BufferKind.GPU, BufferKind.GPU)
+    kernel = BfsKernelModel(FERMI_2050)
 
     n_vertices = 1 << scale
     graph = rmat_graph(scale, edgefactor, seed)
     degrees = np.diff(graph.row_ptr).astype(np.int64)
-    if root is None:
-        root = int(np.nonzero(degrees > 0)[0][0])
+    root = int(np.nonzero(degrees > 0)[0][0])
 
     chunk = -(-n_vertices // R)
     shards = max(1, min(int(shards), R))
@@ -199,7 +194,8 @@ def run_scale_bfs(
         pair_keys = p_owner[remote] * R + n_owner[remote]
         uniq, counts = np.unique(pair_keys, return_counts=True)
         comm_ns, wire, peak = _level_comm(
-            routes, config.link_bandwidth, cal, uniq // R, uniq % R, counts.astype(np.int64)
+            routes, DEFAULT_CONFIG.link_bandwidth, cal, uniq // R, uniq % R,
+            counts.astype(np.int64),
         )
         comm_bytes += wire
         max_link_load = max(max_link_load, peak)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apenet.buflist import BufferKind
-from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ..apenet.config import DEFAULT_CONFIG
 from ..gpu import FERMI_2050
 from ..net.cluster import build_apenet_cluster
 from ..net.topology import RouteTable, TorusShape
@@ -49,11 +49,9 @@ def _alloc(node, kind: BufferKind, nbytes: int) -> int:
 def run_exact(
     dims: Tuple[int, int, int],
     transfers: Sequence[BulkTransfer],
-    config: Optional[ApenetConfig] = None,
     dead_links: Iterable = (),
 ) -> TransferAggregates:
     """Run *transfers* through the per-packet stack on a *dims* torus."""
-    config = config or DEFAULT_CONFIG
     shape = TorusShape(*dims)
     dead = RouteTable(shape, dead_links).dead
 
@@ -64,7 +62,7 @@ def run_exact(
     cluster = build_apenet_cluster(
         sim,
         shape,
-        config,
+        DEFAULT_CONFIG,
         gpu_specs=[FERMI_2050] * shape.size,
         recovery=manager,
     )

@@ -18,9 +18,10 @@ through the golden per-packet stack and fits
 * back-to-back *occupancy* knots (the steady-state gap between
   consecutive same-path messages, the LogP ``g`` of the flow model).
 
-Because the exact simulator is deterministic, calibration is a pure
-function of the :class:`~repro.apenet.config.ApenetConfig` and the
-buffer kinds; it is memoised module-wide.
+Because the exact simulator is deterministic and always runs
+:data:`~repro.apenet.config.DEFAULT_CONFIG`, calibration is a pure
+function of the buffer kinds; it is memoised module-wide per
+``(src_kind, dst_kind)`` pair.
 
 Contention between concurrent flows is modelled with per-resource
 *free times* (TX endpoint, RX endpoint, every traversed link): a flow
@@ -49,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..apenet.buflist import BufferKind
-from ..apenet.config import DEFAULT_CONFIG, ApenetConfig
+from ..apenet.config import DEFAULT_CONFIG
 from ..net.packet import MAX_PACKET_PAYLOAD, PACKET_HEADER_BYTES
 from ..net.topology import RouteTable, TorusShape
 
@@ -276,31 +277,20 @@ class FlowCalibration:
         return base + (hops - 1) * hop_cost
 
 
-_CAL_CACHE: Dict[tuple, FlowCalibration] = {}
-
-
-def _config_blob(config: ApenetConfig) -> str:
-    import dataclasses
-    import json
-
-    return json.dumps(
-        dataclasses.asdict(config), sort_keys=True, separators=(",", ":"), default=str
-    )
+_CAL_CACHE: Dict[Tuple[BufferKind, BufferKind], FlowCalibration] = {}
 
 
 def calibrate(
-    config: Optional[ApenetConfig] = None,
     src_kind: BufferKind = BufferKind.HOST,
     dst_kind: BufferKind = BufferKind.HOST,
 ) -> FlowCalibration:
     """Fit a :class:`FlowCalibration` by probing the exact per-packet stack.
 
     Deterministic (the DES is seedless), so the result is memoised per
-    ``(config, kinds)``.  Probes run on 2- and 4-node line tori and take a
+    ``(src_kind, dst_kind)``.  Probes run on 2- to 6-node tori and take a
     few tiny simulations each.
     """
-    config = config or DEFAULT_CONFIG
-    key = (_config_blob(config), src_kind, dst_kind)
+    key = (src_kind, dst_kind)
     cached = _CAL_CACHE.get(key)
     if cached is not None:
         return cached
@@ -311,7 +301,7 @@ def calibrate(
     half = MAX_PACKET_PAYLOAD // 2
 
     def probe(dims, transfers):
-        agg = run_exact(dims, transfers, config=config)
+        agg = run_exact(dims, transfers)
         return agg.completions
 
     def one(dims, src, dst, nbytes):
@@ -352,8 +342,7 @@ def calibrate(
     # evaluation time.
     t_h2 = one((4, 1, 1), 0, 2, 9 * full)
     t_h3 = one((6, 1, 1), 0, 3, 9 * full)
-    hop_base = (t_h3 - t_h2) - (full + PACKET_HEADER_BYTES) / config.link_bandwidth
-
+    hop_base = (t_h3 - t_h2) - (full + PACKET_HEADER_BYTES) / DEFAULT_CONFIG.link_bandwidth
 
     # Back-to-back occupancy: two identical PUTs posted immediately after
     # one another; the completion gap is the steady per-message spacing.
@@ -385,7 +374,7 @@ def calibrate(
     cal = FlowCalibration(
         src_kind=src_kind,
         dst_kind=dst_kind,
-        bandwidth=config.link_bandwidth,
+        bandwidth=DEFAULT_CONFIG.link_bandwidth,
         knots=LATENCY_KNOTS,
         knot_times=knot_times,
         single_byte_knots=SINGLE_BYTE_KNOTS,
@@ -418,32 +407,15 @@ class FlowNetwork:
     the exact driver, completion times carry the calibrated model's
     documented tolerance.  No DES events are created — a 16^3 torus costs
     dictionary updates, not packets.  Each batch starts on an idle
-    network: the instance keeps only the shape, config, routes and
-    calibrations.
+    network: the instance keeps only the shape and routes.
     """
 
-    def __init__(
-        self,
-        dims: Tuple[int, int, int],
-        config: Optional[ApenetConfig] = None,
-        dead_links: Iterable = (),
-    ):
+    def __init__(self, dims: Tuple[int, int, int], dead_links: Iterable = ()):
         self.shape = TorusShape(*dims)
-        self.config = config or DEFAULT_CONFIG
         self.routes = RouteTable(self.shape, dead_links)
-        self._cals: Dict[Tuple[BufferKind, BufferKind], FlowCalibration] = {}
         self._obs_sim = None
 
     # -- plumbing -----------------------------------------------------------
-
-    def calibration(
-        self, src_kind: BufferKind = BufferKind.HOST, dst_kind: BufferKind = BufferKind.HOST
-    ) -> FlowCalibration:
-        """The (memoised) calibration used for this network's config."""
-        key = (src_kind, dst_kind)
-        if key not in self._cals:
-            self._cals[key] = calibrate(self.config, src_kind, dst_kind)
-        return self._cals[key]
 
     def _obs_scope(self):
         # Flow spans: when a TraceSession is active, anchor a (zero-event)
@@ -539,12 +511,12 @@ class FlowNetwork:
             n = fragment_count(tr.nbytes)
             last = last_fragment_bytes(tr.nbytes)
             wire = wire_bytes(tr.nbytes)
-            link_occ = wire / self.config.link_bandwidth
+            link_occ = wire / DEFAULT_CONFIG.link_bandwidth
             for hop in route:
                 link_bytes[hop] = link_bytes.get(hop, 0) + wire
                 link_packets[hop] = link_packets.get(hop, 0) + n
                 link_busy[hop] = link_busy.get(hop, 0.0) + link_occ
-            cal = self.calibration(tr.src_kind, tr.dst_kind)
+            cal = calibrate(tr.src_kind, tr.dst_kind)
             inj = max(tr.start, tx_free.get(tr.src, 0.0))
             tx_free[tr.src] = inj + cal.tx_occupancy(n, last)
             admitted.append(((inj, seq, tr, route, cal, n, last, link_occ), i))

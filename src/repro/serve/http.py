@@ -33,12 +33,20 @@ __all__ = ["HttpFrontend"]
 #: Submission bodies are small JSON documents; anything bigger is abuse.
 MAX_BODY_BYTES = 1 << 20
 
-#: Upper bound on the request line + headers.
+#: Upper bound on the request line + headers (the stream reader's limit).
 MAX_HEADER_BYTES = 64 * 1024
 
 
 class _BadRequest(Exception):
     """Protocol-level parse failure -> 400."""
+
+    status = 400
+
+
+class _BodyTooLarge(_BadRequest):
+    """Declared body over :data:`MAX_BODY_BYTES` -> 413."""
+
+    status = 413
 
 
 class HttpFrontend:
@@ -52,7 +60,9 @@ class HttpFrontend:
 
     async def start(self, host: str, port: int) -> tuple[str, int]:
         """Bind and serve; returns the bound (host, port) — port 0 works."""
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_HEADER_BYTES
+        )
         sock = self._server.sockets[0]
         bound_host, bound_port = sock.getsockname()[:2]
         return bound_host, bound_port
@@ -72,8 +82,8 @@ class HttpFrontend:
             try:
                 method, path, body = await self._read_request(reader)
             except _BadRequest as exc:
-                route, status = "bad", 400
-                await self._respond(writer, 400, {}, {"error": str(exc)})
+                route, status = "bad", exc.status
+                await self._respond(writer, exc.status, {}, {"error": str(exc)})
                 return
             except (asyncio.IncompleteReadError, ConnectionError, TimeoutError):
                 return  # client went away mid-request; nothing to answer
@@ -98,9 +108,10 @@ class HttpFrontend:
                 pass
 
     async def _read_request(self, reader) -> tuple[str, str, Optional[dict]]:
-        head = await reader.readuntil(b"\r\n\r\n")
-        if len(head) > MAX_HEADER_BYTES:
-            raise _BadRequest("headers too large")
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            raise _BadRequest("headers too large") from None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
@@ -117,17 +128,18 @@ class HttpFrontend:
         body: Optional[dict] = None
         length = headers.get("content-length")
         if length is not None:
-            try:
-                n = int(length)
-            except ValueError:
-                raise _BadRequest("malformed Content-Length") from None
+            # 1*DIGIT (RFC 9110): int() alone would also take "-1", "+5"
+            # and "1_0".
+            if not (length.isascii() and length.isdigit()):
+                raise _BadRequest("malformed Content-Length")
+            n = int(length)
             if n > MAX_BODY_BYTES:
-                raise _BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
+                raise _BodyTooLarge(f"body exceeds {MAX_BODY_BYTES} bytes")
             raw = await reader.readexactly(n) if n else b""
             if raw:
                 try:
                     body = json.loads(raw)
-                except ValueError:
+                except (ValueError, RecursionError):  # nesting too deep
                     raise _BadRequest("body is not valid JSON") from None
         return method, target.split("?", 1)[0], body
 

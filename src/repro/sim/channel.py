@@ -13,7 +13,6 @@ bounded sustained rate without the notion of individual in-flight messages
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
 
 from .core import Event, SimulationError, Simulator
 
@@ -26,10 +25,6 @@ class Channel:
     ``transfer(nbytes)`` returns an event that fires when the *tail* of the
     message arrives at the far end: serialization time (``nbytes/bw``) is
     exclusive (transfers queue FIFO), propagation latency is pipelined.
-
-    If *deliver* is given, it is called with the transferred payload object
-    at arrival time — convenient for wiring stages together without an
-    explicit receiving process.
     """
 
     def __init__(
@@ -38,7 +33,6 @@ class Channel:
         bandwidth: float,
         latency: float = 0.0,
         name: str = "",
-        deliver: Optional[Callable[[Any], None]] = None,
     ):
         # `not (x > 0)` (rather than `x <= 0`) also rejects NaN, which
         # compares false against everything: a NaN bandwidth or latency
@@ -56,7 +50,6 @@ class Channel:
         self.bandwidth = float(bandwidth)  # bytes/ns
         self.latency = float(latency)
         self.name = name
-        self.deliver = deliver
         # Time at which the serializer becomes free.
         self._free_at = 0.0
         # Instrumentation
@@ -66,8 +59,8 @@ class Channel:
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
 
-    def transfer(self, nbytes: int, payload: Any = None) -> Event:
-        """Send *nbytes*; the event fires at delivery with value *payload*.
+    def transfer(self, nbytes: int) -> Event:
+        """Send *nbytes*; the event fires when the tail arrives.
 
         Zero-byte transfers are legal (pure-latency control messages).
         """
@@ -88,19 +81,11 @@ class Channel:
             obs.span_at(
                 "sim", self.name or "channel", start, done_at, nbytes=nbytes
             )
-        ev = self.sim.timeout(done_at - now, payload)
-        if self.deliver is not None:
-            deliver = self.deliver
-
-            def _cb(event: Event, _deliver=deliver) -> None:
-                _deliver(event.value)
-
-            ev.callbacks.append(_cb)
-        return ev
+        return self.sim.timeout(done_at - now)
 
     @property
     def backlog(self) -> float:
-        """Seconds-of-wire currently queued ahead of a new transfer (ns)."""
+        """Serialization time queued ahead of a new transfer, in ns."""
         return max(0.0, self._free_at - self.sim.now)
 
     def utilization(self) -> float:
@@ -131,7 +116,7 @@ class RateLimiter:
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
 
-    def consume(self, nbytes: int, payload: Any = None) -> Event:
+    def consume(self, nbytes: int) -> Event:
         """Occupy the device for ``nbytes/rate``; fires when done."""
         if nbytes < 0:
             raise SimulationError("negative consume size")
@@ -144,7 +129,7 @@ class RateLimiter:
             obs.span_at(
                 "sim", self.name or "rate", start, self._free_at, nbytes=nbytes
             )
-        return self.sim.timeout(self._free_at - now, payload)
+        return self.sim.timeout(self._free_at - now)
 
     @property
     def backlog(self) -> float:

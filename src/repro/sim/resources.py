@@ -2,7 +2,7 @@
 
 * :class:`Resource` — a counted semaphore with FIFO queuing (models servers
   like the Nios II microcontroller or a DMA engine).
-* :class:`Store` — an unbounded-or-bounded FIFO of Python objects.
+* :class:`Store` — an unbounded FIFO of Python objects.
 * :class:`ByteFifo` — a byte-capacity FIFO with producer back-pressure; the
   workhorse for modelling hardware FIFOs (TX FIFO, link buffers) where only
   the *amount* of data matters.
@@ -106,17 +106,13 @@ class Resource:
 
 
 class Store:
-    """A FIFO of arbitrary objects with optional item-count capacity."""
+    """An unbounded FIFO of arbitrary objects."""
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise SimulationError("Store capacity must be >= 1 or None")
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
         if sim._sanitizer is not None:
             sim._sanitizer.register_container(self)
 
@@ -124,14 +120,11 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Insert *item*; the returned event fires once it is stored."""
+        """Insert *item*; the returned event fires at the current time."""
         ev = Event(self.sim)
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(item)
-            self._wake_getters()
-        else:
-            self._putters.append((ev, item))
+        self._items.append(item)
+        ev.succeed(item)
+        self._wake_getters()
         return ev
 
     def get(self) -> Event:
@@ -139,7 +132,6 @@ class Store:
         ev = Event(self.sim)
         if self._items:
             ev.succeed(self._items.popleft())
-            self._wake_putters()
         else:
             self._getters.append(ev)
         return ev
@@ -147,16 +139,6 @@ class Store:
     def _wake_getters(self) -> None:
         while self._getters and self._items:
             self._getters.popleft().succeed(self._items.popleft())
-            self._wake_putters()
-
-    def _wake_putters(self) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            ev, item = self._putters.popleft()
-            self._items.append(item)
-            ev.succeed(item)
-            self._wake_getters()
 
 
 class ByteFifo:
@@ -303,8 +285,6 @@ class PacketFifo:
         self._items: Deque[Any] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
         self._getters: Deque[Event] = deque()
-        self.total_packets_in = 0
-        self.total_packets_out = 0
         self._peak = 0
         if sim._sanitizer is not None:
             sim._sanitizer.register_container(self)
@@ -345,7 +325,6 @@ class PacketFifo:
             level_before = self._level
             self._level += int(packet.size)
             self._items.append(packet)
-            self.total_packets_in += 1
             if self._level > self._peak:
                 self._peak = self._level
             ev.succeed(packet)
@@ -363,7 +342,6 @@ class PacketFifo:
             level_before = self._level
             pkt = self._items.popleft()
             self._level -= int(pkt.size)
-            self.total_packets_out += 1
             ev.succeed(pkt)
             self._settle(level_before)
             return ev
@@ -384,7 +362,6 @@ class PacketFifo:
                     self._putters.popleft()
                     self._level += int(pkt.size)
                     self._items.append(pkt)
-                    self.total_packets_in += 1
                     if self._level > self._peak:
                         self._peak = self._level
                     ev.succeed(pkt)
@@ -393,7 +370,6 @@ class PacketFifo:
                 ev = self._getters.popleft()
                 pkt = self._items.popleft()
                 self._level -= int(pkt.size)
-                self.total_packets_out += 1
                 ev.succeed(pkt)
                 progressed = True
         if self._level != level_before:

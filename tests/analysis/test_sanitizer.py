@@ -1,11 +1,15 @@
 """Tests for the runtime DES sanitizer (repro.analysis.sanitizer)."""
 
+import os
+
 import pytest
 
 from repro.analysis import SanitizerError, collect_reports, reset_registry
+from repro.analysis.__main__ import main
+from repro.bench import harness
 from repro.sim import SimulationError, Simulator
 from repro.sim.channel import Channel
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import ByteFifo, Resource, Store
 from repro.units import GBps, ns
 
 
@@ -107,16 +111,17 @@ def test_resource_leak_detected():
 
 def test_blocked_putter_detected():
     sim = Simulator(sanitize=True)
-    store = Store(sim, capacity=1, name="inject-queue")
+    fifo = ByteFifo(sim, capacity=64, name="tx-fifo")
 
     def producer():
-        yield store.put("a")
-        yield store.put("b")  # queue full, nobody consumes
+        yield fifo.put(64)
+        yield fifo.put(1)  # FIFO full, nobody drains it
 
     sim.process(producer())
     sim.run()
     report = sim.sanitizer_report()
     assert "blocked-putter" in kinds(report)
+    assert any(v.details.get("container") == "tx-fifo" for v in report.violations)
     assert "process-leak" in kinds(report)  # the stuck producer itself
 
 
@@ -263,3 +268,47 @@ def test_sanitized_run_is_bit_identical():
 
     assert run(False) == run(True)
     reset_registry()
+
+
+# ---------------------------------------------------------------------------
+# `python -m repro.analysis sanitize`
+# ---------------------------------------------------------------------------
+
+
+def test_sanitize_cli_passes_a_clean_experiment(capsys):
+    assert main(["sanitize", "ablation_scaleout"]) == 0
+    assert "[OK] ablation_scaleout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, report",
+    [
+        ("rendered", "drift: rendered differs"),
+        ("data", "drift: data differs"),
+        ("comparisons", "drift: ['metric', 0.0, 1.0, 'units'] -> ['metric', 1.0, 1.0, 'units']"),
+    ],
+)
+def test_sanitize_cli_fails_on_any_drift_in_the_view(field, report, capsys):
+    """One part of the deterministic view reads the sanitizer switch: the
+    rendered output, the data block or a row.  Each is compared."""
+    exp_id = f"_t_sanitize_drift_{field}"
+
+    def run(quick):
+        """Toy runner whose *field* depends on REPRO_SANITIZE."""
+        flag = os.environ.get("REPRO_SANITIZE", "0")
+        return harness.ExperimentResult(
+            experiment_id=exp_id,
+            title="sanitize drift",
+            rendered=flag if field == "rendered" else "same",
+            comparisons=[("metric", float(flag) if field == "comparisons" else 1.0, 1.0, "units")],
+            data=flag if field == "data" else None,
+        )
+
+    harness.register(exp_id, "sanitize drift", "—")(run)
+    try:
+        assert main(["sanitize", exp_id]) == 1
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
+    out = capsys.readouterr().out
+    assert f"[FAIL] {exp_id}" in out
+    assert report in out

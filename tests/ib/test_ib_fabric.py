@@ -25,7 +25,7 @@ def test_fabric_unknown_lid_rejected():
 
 def test_fabric_delivery_and_latency():
     sim = Simulator()
-    fab = IBFabric(sim, port_latency=250.0, switch_latency=100.0)
+    fab = IBFabric(sim)
     got = []
     fab.attach(lambda m: got.append((m, sim.now)))
     fab.attach(lambda m: got.append((m, sim.now)))

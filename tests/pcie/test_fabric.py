@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, LinkFailure
 from repro.pcie import (
+    DEFAULT_MRRS,
     BusAnalyzer,
     HostMemory,
     LinkParams,
@@ -160,27 +161,6 @@ def test_pipelined_read_beats_serial():
     assert pipelined < serial / 3  # windowing must hide the round-trip
 
 
-def test_pipelined_read_on_data_callback_order():
-    sim = Simulator()
-    fab, mem, nic, gpu = build_two_device_fabric(sim)
-    seen = []
-
-    def proc():
-        yield fab.read_pipelined(
-            nic,
-            0x200_0000_0000,
-            4096,
-            outstanding=2,
-            request_size=512,
-            on_data=lambda a, n: seen.append((a, n)),
-        )
-
-    sim.run_process(proc())
-    assert len(seen) == 8
-    assert [a for a, _ in seen] == sorted(a for a, _ in seen)
-    assert sum(n for _, n in seen) == 4096
-
-
 def test_reads_respect_target_rate_limiter():
     sim = Simulator()
     fab, mem, nic, gpu = build_two_device_fabric(sim, read_latency=100.0, read_rate=GBps(0.15))
@@ -222,12 +202,13 @@ def test_bus_analyzer_sees_reads_and_completions():
     analyzer.attach(fab.link_of("gpu"))
 
     def proc():
-        yield fab.read_pipelined(nic, 0x200_0000_0000, 8192, outstanding=4, request_size=512)
+        yield fab.read_pipelined(nic, 0x200_0000_0000, 8192, outstanding=4)
 
     sim.run_process(proc())
     reads = [r for r in analyzer.records if r.kind == TlpKind.MEM_READ]
     cpls = [r for r in analyzer.records if r.kind == TlpKind.COMPLETION]
     assert len(reads) == 16
+    assert {r.payload_bytes for r in reads} == {DEFAULT_MRRS}
     assert len(cpls) == 16
     data = [r for r in cpls if r.payload_bytes]
     assert data[0].time - reads[0].time >= 1800.0
@@ -277,10 +258,8 @@ def test_path_memo_follows_attach_and_returns_fresh_lists():
     [
         lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, 0),
         lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, -512),
-        lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, 4096, request_size=384),
-        lambda fab, nic: fab.write(nic, 0x200_0000_0000, 8192, quantum=3000),
     ],
-    ids=["pipelined-zero", "pipelined-negative", "request-size-not-pow2", "quantum-not-pow2"],
+    ids=["pipelined-zero", "pipelined-negative"],
 )
 def test_bad_arguments_rejected_at_the_call(call):
     sim = Simulator()
@@ -429,9 +408,7 @@ def test_shared_links_keep_same_time_order():
     on_gpu.attach(fab.link_of("gpu"))
     on_nic.attach(fab.link_of("nic"))
     events = {
-        "read_pipelined": fab.read_pipelined(
-            nic, 0x200_0000_0000, 8192, outstanding=4, request_size=512
-        ),
+        "read_pipelined": fab.read_pipelined(nic, 0x200_0000_0000, 8192, outstanding=4),
         "write 64K": fab.write(mem, 0x200_0000_0000, 64 * 1024),
         "read 512": fab.read(gpu, 0x100_0000_0000, 512),
         "write 4K": fab.write(nic, 0x1000, 4096),

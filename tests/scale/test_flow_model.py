@@ -196,7 +196,7 @@ def test_latency_is_exact_at_probed_knots():
 
 def test_back_to_back_flows_are_spaced_by_occupancy():
     net = FlowNetwork((2, 1, 1))
-    cal = net.calibration()
+    cal = calibrate()
     n, last = 9, MAX_PACKET_PAYLOAD
     first, second = net.run_transfers(
         [BulkTransfer(0, 1, 9 * MAX_PACKET_PAYLOAD)] * 2

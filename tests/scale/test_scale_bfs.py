@@ -24,12 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apenet.config import DEFAULT_CONFIG
 from repro.apps.bfs.csr import CSRGraph
 from repro.apps.bfs.rmat import rmat_edges
 from repro.apps.bfs.serial import UNVISITED, serial_bfs, traversed_edges
 from repro.net.topology import RouteTable, TorusShape
 from repro.scale.bfs import COUNT_BYTES, PAIR_BYTES, _level_comm, run_scale_bfs
-from repro.scale.flow import BulkTransfer, FlowNetwork, wire_bytes
+from repro.scale.flow import BulkTransfer, FlowNetwork, calibrate, wire_bytes
 from tests.net.route_oracle import hop_route
 
 pytestmark = pytest.mark.scale
@@ -189,7 +190,7 @@ def test_bfs_link_loads_match_the_flow_model():
     counts = np.random.default_rng(11).integers(1, 1500, src.size)  # 1-3 fragments
     net = FlowNetwork(dims, dead_links=dead)
     _time, wire, max_load = _level_comm(
-        net.routes, net.config.link_bandwidth, net.calibration(), src, dst, counts
+        net.routes, DEFAULT_CONFIG.link_bandwidth, calibrate(), src, dst, counts
     )
     transfers = []
     for a, b, c in zip(src.tolist(), dst.tolist(), counts.tolist()):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench import harness
 from repro.serve import HttpFrontend, ServeConfig, SimulationService
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES
 
 
 @pytest.fixture
@@ -101,6 +102,20 @@ def serve_test(coro_factory, **config_kw):
     asyncio.run(main())
 
 
+async def _raw_exchange(port, blob):
+    """Send *blob* as the whole request; returns (status, JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(blob)
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(), timeout=5)
+    writer.close()
+    await writer.wait_closed()
+    head_blob, _, body_blob = raw.partition(b"\r\n\r\n")
+    assert head_blob, "the server closed the connection without an answer"
+    assert b"application/json" in head_blob
+    return int(head_blob.split(b" ")[1]), json.loads(body_blob)
+
+
 async def _poll_terminal(port, request_id, timeout_s=30.0):
     deadline = asyncio.get_running_loop().time() + timeout_s
     while True:
@@ -179,6 +194,46 @@ def test_submit_validation_errors(toy_experiment):
         raw = await reader.read()
         writer.close()
         assert b"400" in raw.split(b"\r\n", 1)[0]
+
+    serve_test(body)
+
+
+def _post_submit(body_bytes, length=None):
+    """A POST /submit carrying *body_bytes*, declaring *length* if given."""
+    length = str(len(body_bytes)).encode() if length is None else length
+    head = b"POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: " + length
+    return head + b"\r\n\r\n" + body_bytes
+
+
+@pytest.mark.parametrize(
+    "blob, status, error",
+    [
+        (_post_submit(b"", length=b"-1"), 400, "malformed Content-Length"),
+        (_post_submit(b'{"x": 123}', length=b"1_0"), 400, "malformed Content-Length"),
+        (
+            b"GET /healthz HTTP/1.1\r\nX-Filler: " + b"x" * MAX_HEADER_BYTES + b"\r\n\r\n",
+            400,
+            "headers too large",
+        ),
+        (_post_submit(b"[" * 100_000), 400, "body is not valid JSON"),
+        (
+            _post_submit(b"", length=str(MAX_BODY_BYTES + 1).encode()),
+            413,
+            f"body exceeds {MAX_BODY_BYTES} bytes",
+        ),
+    ],
+    ids=[
+        "negative-length",
+        "underscore-length",
+        "header-too-large",
+        "nested-json",
+        "body-too-large",
+    ],
+)
+def test_malformed_request_gets_a_structured_answer(blob, status, error):
+    async def body(service, port):
+        assert await _raw_exchange(port, blob) == (status, {"error": error})
+        assert service.m_http.value(route="bad", code=str(status)) == 1
 
     serve_test(body)
 

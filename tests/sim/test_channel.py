@@ -47,18 +47,6 @@ def test_channel_zero_byte_control_message():
     assert sim.run_process(proc()) == 100.0
 
 
-def test_channel_payload_delivery_callback():
-    sim = Simulator()
-    received = []
-    ch = Channel(sim, bandwidth=GBps(1.0), latency=10.0, deliver=received.append)
-
-    def proc():
-        yield ch.transfer(100, payload="hello")
-
-    sim.run_process(proc())
-    assert received == ["hello"]
-
-
 def test_channel_bandwidth_accounting():
     sim = Simulator()
     ch = Channel(sim, bandwidth=GBps(1.0))

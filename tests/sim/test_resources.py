@@ -134,26 +134,6 @@ def test_store_get_blocks_until_put():
     assert sim.run_process(consumer()) == (25.0, "late")
 
 
-def test_store_capacity_blocks_putter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer():
-        for i in range(2):
-            yield store.put(i)
-            times.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(10)
-        yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [0.0, 10.0]
-
-
 # ---------------------------------------------------------------------------
 # ByteFifo
 # ---------------------------------------------------------------------------
