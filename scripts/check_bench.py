@@ -76,15 +76,9 @@ def _records(doc: dict, name: str, failures: list[str]) -> dict[str, dict]:
     return by_id
 
 
-def _row_failure(exp_id: str, row: list, ref: list) -> str:
-    if row[:1] == ref[:1] and row[2:] == ref[2:]:
-        return f"{exp_id}: row {ref[0]!r} = {row[1]!r} != baseline {ref[1]!r}"
-    return f"{exp_id}: row {row!r} != baseline {ref!r}"
-
-
 def check_sweep(artifact: dict, baseline: dict) -> list[str]:
     """Gate failures for a quick-sweep run artifact (empty = pass)."""
-    from repro.bench.engine import deterministic_view
+    from repro.bench.engine import deterministic_view, view_differences
 
     failures: list[str] = []
     for name, doc in (("artifact", artifact), ("baseline", baseline)):
@@ -122,24 +116,10 @@ def check_sweep(artifact: dict, baseline: dict) -> list[str]:
                 f"{exp_id}: events {record.get('events')!r} != baseline "
                 f"{ref.get('events')!r}"
             )
-        view, ref_view = deterministic_view(record), deterministic_view(ref)
-        for key in sorted(view.keys() | ref_view.keys()):
-            value, ref_value = view.get(key), ref_view.get(key)
-            if value == ref_value:
-                continue
-            if key == "comparisons" and isinstance(value, list) and isinstance(ref_value, list):
-                if len(value) != len(ref_value):
-                    failures.append(
-                        f"{exp_id}: {len(value)} comparison rows != baseline "
-                        f"{len(ref_value)}"
-                    )
-                failures.extend(
-                    _row_failure(exp_id, row, ref_row)
-                    for row, ref_row in zip(value, ref_value)
-                    if row != ref_row
-                )
-            else:
-                failures.append(f"{exp_id}: {key} differs from the baseline")
+        failures.extend(
+            f"{exp_id}: {line}"
+            for line in view_differences(deterministic_view(record), deterministic_view(ref))
+        )
     return failures
 
 

@@ -15,7 +15,6 @@ from .linter import lint_paths, lint_source
 from .rules import RULES, Finding
 from .sanitizer import (
     Sanitizer,
-    SanitizerError,
     SanitizerReport,
     Violation,
     collect_reports,
@@ -28,7 +27,6 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "Sanitizer",
-    "SanitizerError",
     "SanitizerReport",
     "Violation",
     "collect_reports",

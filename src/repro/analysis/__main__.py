@@ -46,7 +46,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     # Deferred: the engine pulls in the whole model.
-    from ..bench.engine import ENGINE, deterministic_view
+    from ..bench.engine import ENGINE, deterministic_view, view_differences
 
     quick = not args.full
     failed = False
@@ -61,8 +61,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         reports = collect_reports()
         violations = [v for r in reports for v in r.violations]
         errors = [p["error"] for p in (baseline, sanitized) if "error" in p]
-        base_view, san_view = deterministic_view(baseline), deterministic_view(sanitized)
-        identical = base_view == san_view
+        drift = view_differences(deterministic_view(sanitized), deterministic_view(baseline))
+        identical = not drift
         events = sum(r.events_processed for r in reports)
         ok = identical and not violations and not errors
         print(
@@ -74,16 +74,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             print("  error: " + err.rstrip().replace("\n", "\n  "))
         for v in violations:
             print("  " + v.render())
-        for key in sorted(base_view.keys() | san_view.keys()):
-            base, san = base_view.get(key), san_view.get(key)
-            if base == san:
-                continue
-            if key == "comparisons" and base and san and len(base) == len(san):
-                for base_row, san_row in zip(base, san):
-                    if base_row != san_row:
-                        print(f"  drift: {base_row} -> {san_row}")
-            else:
-                print(f"  drift: {key} differs")
+        for line in drift:
+            print(f"  drift: {line}")
         failed = failed or not ok
     return 1 if failed else 0
 

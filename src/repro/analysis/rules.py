@@ -259,7 +259,7 @@ class _RuleVisitor(ast.NodeVisitor):
     # -- UNIT001 ------------------------------------------------------------
 
     _UNIT_KWARGS = ("bandwidth", "latency", "rate")
-    _PIPE_CTORS = ("Channel", "RateLimiter")
+    _PIPE_CTORS = ("Channel",)
 
     def _check_call_units(self, node: ast.Call) -> None:
         for kw in node.keywords:

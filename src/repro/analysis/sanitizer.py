@@ -1,4 +1,4 @@
-"""Runtime DES sanitizer: causality, leak and shared-stats checking.
+"""Runtime DES sanitizer: causality and leak checking.
 
 Enabled per simulator (``Simulator(sanitize=True)``) or globally
 (``REPRO_SANITIZE=1``).  The sanitizer is **observation-only**: it never
@@ -21,35 +21,27 @@ Checks, reported as structured :class:`Violation` records inside a
 * **blocked-putter** — a producer still blocked on a full
   ByteFifo/PacketFifo at the end (data accepted by the model but
   never drained);
-* **channel-backlog** — a :class:`~repro.sim.channel.Channel` whose
+* **channel-backlog** — a :class:`~repro.sim.channel.Channel` (a link,
+  or a zero-latency rate limiter such as a GPU read engine) whose
   serializer is still busy past the final clock (in-flight transfer never
   delivered);
 * **process-leak** — a process still pending that is *not* parked on a
   consumer-side wait (idle ``get()`` on an empty queue is the normal rest
-  state of the card's service loops and is never flagged);
-* **stats-cross-process** — mutation of a guarded stats object (see
-  :meth:`Sanitizer.guard_stats`) from a different OS process: with the
-  fork-based parallel runner such writes silently vanish in the parent.
+  state of the card's service loops and is never flagged).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = [
     "Violation",
     "SanitizerReport",
     "Sanitizer",
-    "SanitizerError",
     "collect_reports",
     "reset_registry",
 ]
-
-
-class SanitizerError(RuntimeError):
-    """Raised when a sanitizer guard is violated (cross-process mutation)."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,7 @@ class Violation:
     """One structured sanitizer finding."""
 
     kind: str  # causality | event-leak | resource-leak | blocked-putter |
-    # channel-backlog | process-leak | stats-cross-process
+    # channel-backlog | process-leak
     message: str
     time: float  # sim.now when detected
     details: dict = field(default_factory=dict)
@@ -126,7 +118,6 @@ class Sanitizer:
 
     def __init__(self, sim: Any):
         self.sim = sim
-        self.origin_pid = os.getpid()
         self.violations: list[Violation] = []
         self.aborted = False
         self._resources: list[Any] = []
@@ -171,19 +162,6 @@ class Sanitizer:
     def mark_aborted(self) -> None:
         """An exception escaped run(); skip end-state checks at finalize."""
         self.aborted = True
-
-    # -- shared-stats guard ----------------------------------------------------
-
-    def guard_stats(self, stats: Any, getpid: Callable[[], int] = os.getpid):
-        """Wrap *stats* so mutations from another OS process raise.
-
-        With the fork-based parallel experiment runner, a worker mutating a
-        parent-owned stats object updates its private copy-on-write page —
-        the write silently vanishes.  The guard turns that into a loud
-        :class:`SanitizerError` in the offending process (and a recorded
-        violation when it happens in the owning process's registry).
-        """
-        return _GuardedStats(stats, self, getpid)
 
     # -- finalize ----------------------------------------------------------------
 
@@ -306,49 +284,3 @@ class Sanitizer:
             )
         return False
 
-
-class _GuardedStats:
-    """Attribute/method proxy enforcing single-process stats mutation."""
-
-    __slots__ = ("_target", "_sanitizer", "_getpid")
-
-    def __init__(self, target: Any, sanitizer: Sanitizer, getpid: Callable[[], int]):
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_sanitizer", sanitizer)
-        object.__setattr__(self, "_getpid", getpid)
-
-    def _check(self, action: str) -> None:
-        san = object.__getattribute__(self, "_sanitizer")
-        pid = object.__getattribute__(self, "_getpid")()
-        if pid != san.origin_pid:
-            san.violations.append(
-                Violation(
-                    "stats-cross-process",
-                    f"stats {action} from pid {pid} (owner pid "
-                    f"{san.origin_pid}); route updates through sim.stats in "
-                    "the owning process",
-                    getattr(san.sim, "now", 0.0),
-                    {"pid": pid, "owner_pid": san.origin_pid, "action": action},
-                )
-            )
-            raise SanitizerError(
-                f"cross-process stats {action}: pid {pid} != owner "
-                f"{san.origin_pid}; the write would be lost with the "
-                "fork-based parallel runner"
-            )
-
-    def __getattr__(self, name: str) -> Any:
-        attr = getattr(object.__getattribute__(self, "_target"), name)
-        if callable(attr):
-            check = object.__getattribute__(self, "_check")
-
-            def _guarded(*args, **kwargs):
-                check(f"call {name}()")
-                return attr(*args, **kwargs)
-
-            return _guarded
-        return attr
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__getattribute__(self, "_check")(f"write .{name}")
-        setattr(object.__getattribute__(self, "_target"), name, value)

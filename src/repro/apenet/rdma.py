@@ -70,7 +70,6 @@ class ApenetEndpoint:
         # Manager attached by the cluster builder; None keeps every code
         # path bit-identical to the recovery-free endpoint.
         self.recovery = None
-        self.reliable_puts = 0
         self._tx_seq: dict[int, int] = {}  # per-destination sequence numbers
         self._rput_waiting: dict[tuple[int, int], Event] = {}  # (dst, seq) -> ACK event
         self._rx_delivered: dict[int, set] = {}  # src rank -> delivered seqs
@@ -258,7 +257,6 @@ class ApenetEndpoint:
         policy = mgr.policy
         seq = self._tx_seq.get(dst_rank, 0) + 1
         self._tx_seq[dst_rank] = seq
-        self.reliable_puts += 1
         dst_coord = self.card.shape.coord(dst_rank)
         acked = Event(self.sim)
         self._rput_waiting[(dst_rank, seq)] = acked

@@ -68,7 +68,6 @@ class Router:
         self.packets_forwarded = 0
         self.packets_delivered = 0
         self.packets_flushed = 0
-        self.packets_unreachable = 0
         # Recovery manager (attached by the cluster builder): when present,
         # forwarding asks it instead of *routes*, so hops follow its
         # current dead-link-aware table, and a missing route becomes a
@@ -160,7 +159,6 @@ class Router:
                 # Partitioned: every surviving route to the destination is
                 # severed.  Discard with a structured verdict instead of
                 # crashing the run; the transaction layer reports it.
-                self.packets_unreachable += 1
                 self.recovery.record_unreachable(self.name, pkt)
                 if release:
                     release()

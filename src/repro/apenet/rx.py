@@ -54,7 +54,6 @@ class RxEngine:
         self.packets_processed = 0
         self.packets_dropped = 0
         self.bytes_received = 0
-        self.replay_fragments_suppressed = 0
         sim.process(self._loop(), name=f"{card.name}.rx")
 
     def admit(self, pkt: ApePacket) -> Event:
@@ -125,7 +124,6 @@ class RxEngine:
             # Suppress the payload DMA but keep the byte/completion
             # bookkeeping: the duplicate completion is what triggers the
             # endpoint's re-ACK, and it must not overwrite delivered data.
-            self.replay_fragments_suppressed += 1
             mgr = self.card.endpoint.recovery
             if mgr is not None:
                 mgr.stats.replay_fragments_suppressed += 1

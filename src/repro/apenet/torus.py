@@ -105,7 +105,6 @@ class TorusLink:
         self.direction = direction
         self.packets_sent = 0
         self.bytes_sent = 0
-        self.packets_lost = 0  # eaten by a dead link / absorbed escalation
         # Fault-injection site: attached by the cluster builder; None keeps
         # the send path identical to the fault-free simulator.
         self.faults: Optional["FaultInjector"] = None
@@ -166,7 +165,6 @@ class TorusLink:
                 # Link already declared dead: eat the packet without even
                 # reserving a credit — nothing will ever land, and the
                 # end-to-end transaction layer replays over the detour.
-                self.packets_lost += 1
                 return
         yield self.dst_port.reserve(vc, packet.size)
         t0 = self.sim.now
@@ -223,7 +221,6 @@ class TorusLink:
                     # held (nothing will land) and drop the frame; the
                     # reliable-PUT layer replays it end to end.
                     self.dst_port.release(vc, packet.size)
-                    self.packets_lost += 1
                     return
                 raise failure
             if fate == "corrupt":

@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..net.packet import ApePacket
-from ..sim import ByteFifo, Event, RateLimiter, Simulator, Store
+from ..sim import ByteFifo, Channel, Event, Simulator, Store
 from .jobs import TxJob
 
 __all__ = ["HostTxEngine", "windowed_read_tx"]
@@ -35,7 +35,7 @@ def windowed_read_tx(
     src_addr_of: Callable[[int], int],
     request_size: int,
     outstanding: int,
-    limiter: Optional[RateLimiter] = None,
+    limiter: Optional[Channel] = None,
     data_of: Optional[Callable[[int, int], Optional[np.ndarray]]] = None,
     obs_name: str = "host_tx",
 ):
@@ -103,7 +103,7 @@ def windowed_read_tx(
             yield in_flight.popleft()
         if limiter is not None:
             # Engine ceiling paces request issue.
-            yield limiter.consume(csize)
+            yield limiter.transfer(csize)
         state["reserved"] += csize
         ev = card.fabric.read(card, src_addr_of(off), csize)
         ev.callbacks.append(lambda _e, n=csize: staging.put(n))
@@ -122,7 +122,7 @@ class HostTxEngine:
         self.card = card
         cfg = card.config
         self.jobs: Store = Store(sim, name=f"{card.name}.htx.jobs")
-        self.limiter = RateLimiter(sim, cfg.host_read_rate, f"{card.name}.htx.rd")
+        self.limiter = Channel(sim, cfg.host_read_rate, name=f"{card.name}.htx.rd")
         sim.process(self._loop(), name=f"{card.name}.htx")
 
     def enqueue(self, job: TxJob) -> None:

@@ -27,6 +27,8 @@ well, and only ``wall_s`` varies.  Consumers that need bit-identity (the
 service's result bodies, the cache parity tests) compare
 :func:`deterministic_view` of a payload, which leaves out both telemetry
 keys; ``scripts/check_bench.py`` compares ``events`` alongside it.
+:func:`view_differences` is the one comparator of two views: the sweep
+gate and ``python -m repro.analysis sanitize`` both report through it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import traceback
 from ..sim import kernel_event_count
 from . import harness
 
-__all__ = ["ExecutionEngine", "deterministic_view"]
+__all__ = ["ExecutionEngine", "deterministic_view", "view_differences"]
 
 #: Payload keys that are pure functions of (experiment, quick, calibration,
 #: version) — everything except wall-clock/event telemetry and traces.
@@ -76,6 +78,39 @@ def deterministic_view(payload: dict) -> dict:
     crash-retry acceptance gate compares these views byte for byte.
     """
     return {k: payload[k] for k in DETERMINISTIC_KEYS if k in payload}
+
+
+def view_differences(view: dict, baseline: dict) -> list[str]:
+    """How *view* differs from the *baseline* view, one line per difference.
+
+    Comparison rows are compared row by row, so a moved number names its
+    row; any other key that differs is named whole.  Empty when the views
+    are equal.
+    """
+    lines: list[str] = []
+    for key in sorted(view.keys() | baseline.keys()):
+        value, ref_value = view.get(key), baseline.get(key)
+        if value == ref_value:
+            continue
+        if key == "comparisons" and isinstance(value, list) and isinstance(ref_value, list):
+            if len(value) != len(ref_value):
+                lines.append(
+                    f"{len(value)} comparison rows != baseline {len(ref_value)}"
+                )
+            lines.extend(
+                _row_difference(row, ref_row)
+                for row, ref_row in zip(value, ref_value)
+                if row != ref_row
+            )
+        else:
+            lines.append(f"{key} differs from the baseline")
+    return lines
+
+
+def _row_difference(row: list, ref: list) -> str:
+    if row[:1] == ref[:1] and row[2:] == ref[2:]:
+        return f"row {ref[0]!r} = {row[1]!r} != baseline {ref[1]!r}"
+    return f"row {row!r} != baseline {ref!r}"
 
 
 class ExecutionEngine:

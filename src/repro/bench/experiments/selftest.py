@@ -90,9 +90,10 @@ def observability_smoke():
 
     Returns a dict with the traced/untraced fingerprints, the identity
     verdict, the distinct components that produced spans, and the span
-    count.  Runs under a *local* session so the result is the same whether
-    or not an outer ``--trace`` session is active (nested sessions fan
-    out; see :mod:`repro.obs.session`).
+    count.  The traced run records to a *local* session, so the result is
+    the same whether or not an outer ``--trace`` session is active: a
+    nested activation records alone (see :mod:`repro.obs.session`), and
+    the outer trace holds the baseline run, which covers the same layers.
     """
     baseline = _obs_smoke_workload()
     session = TraceSession(label="selftest-smoke")

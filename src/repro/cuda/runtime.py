@@ -18,12 +18,12 @@ the device-side work it started.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..gpu.device import GPUDevice
+from ..pcie.device import MemoryBuffer
 from ..pcie.topology import Platform
 from ..sim import Simulator
 from .config import DEFAULT_COSTS, CudaCosts
@@ -35,43 +35,8 @@ __all__ = ["HostBuffer", "CudaRuntime"]
 _HOST_HEAP_BASE = 0x1_0000_0000
 
 
-@dataclass
-class HostBuffer:
+class HostBuffer(MemoryBuffer):
     """A pinned host-memory allocation with lazy real backing."""
-
-    addr: int
-    size: int
-    _data: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def end(self) -> int:
-        """One past the last byte."""
-        return self.addr + self.size
-
-    @property
-    def data(self) -> np.ndarray:
-        """Lazily-created byte view of the buffer contents."""
-        if self._data is None:
-            self._data = np.zeros(self.size, dtype=np.uint8)
-        return self._data
-
-    def contains(self, addr: int, nbytes: int = 1) -> bool:
-        """True if [addr, addr+nbytes) falls inside the buffer."""
-        return self.addr <= addr and addr + nbytes <= self.end
-
-    def write_bytes(self, addr: int, payload: np.ndarray) -> None:
-        """Copy *payload* into the buffer at fabric address *addr*."""
-        off = addr - self.addr
-        if off < 0 or off + len(payload) > self.size:
-            raise IndexError("write outside host buffer bounds")
-        self.data[off : off + len(payload)] = payload
-
-    def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
-        """Copy *nbytes* out of the buffer from fabric address *addr*."""
-        off = addr - self.addr
-        if off < 0 or off + nbytes > self.size:
-            raise IndexError("read outside host buffer bounds")
-        return self.data[off : off + nbytes].copy()
 
 
 class CudaRuntime:

@@ -19,7 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
-from ..sim import RateLimiter, Simulator
+from ..sim import Channel, Simulator
 from .bar1 import Bar1Aperture
 from .dma import DmaEngine
 from .kernels import ComputeEngine
@@ -65,16 +65,15 @@ class GPUDevice(PCIeDevice):
         self.page_table = GpuPageTable(name)
 
         # Shared internal read path: mailbox protocol and peer pulls contend.
-        self._read_limiter = RateLimiter(sim, spec.p2p_read_rate, f"{name}.rd")
-        self._bar1_read_limiter = RateLimiter(sim, spec.bar1_read_rate, f"{name}.bar1rd")
+        self._read_limiter = Channel(sim, spec.p2p_read_rate, name=f"{name}.rd")
+        self._bar1_read_limiter = Channel(sim, spec.bar1_read_rate, name=f"{name}.bar1rd")
         self._write_limiter = (
-            RateLimiter(sim, spec.p2p_write_rate, f"{name}.wr")
+            Channel(sim, spec.p2p_write_rate, name=f"{name}.wr")
             if spec.p2p_write_rate is not None
             else None
         )
 
-        self.p2p_engine = P2PReadEngine(sim, self)
-        self.p2p_engine.limiter = self._read_limiter  # share one internal path
+        self.p2p_engine = P2PReadEngine(sim, self, self._read_limiter)
         self.dma_engines = [DmaEngine(sim, self, i) for i in range(spec.copy_engines)]
         self.compute = ComputeEngine(sim, name)
 

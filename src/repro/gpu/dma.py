@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..sim import Event, RateLimiter, Resource, Simulator
+from ..sim import Channel, Event, Resource, Simulator
 
 __all__ = ["DmaEngine"]
 
@@ -29,8 +29,8 @@ class DmaEngine:
         self.index = index
         self.busy = Resource(sim, 1, f"{gpu.name}.ce{index}")
         spec = gpu.spec
-        self._d2h = RateLimiter(sim, spec.dma_d2h_rate, f"{gpu.name}.d2h{index}")
-        self._h2d = RateLimiter(sim, spec.dma_h2d_rate, f"{gpu.name}.h2d{index}")
+        self._d2h = Channel(sim, spec.dma_d2h_rate, name=f"{gpu.name}.d2h{index}")
+        self._h2d = Channel(sim, spec.dma_h2d_rate, name=f"{gpu.name}.h2d{index}")
         self.bytes_d2h = 0
         self.bytes_h2d = 0
 
@@ -65,7 +65,7 @@ class DmaEngine:
                 buf = self.gpu.allocator.buffer_at(device_addr)
                 payload = buf.read_bytes(device_addr, nbytes)
             # Engine ceiling and PCIe wire time overlap; the slower wins.
-            rate_ev = self._d2h.consume(nbytes)
+            rate_ev = self._d2h.transfer(nbytes)
             wire_ev = self.gpu.fabric.write(self.gpu, host_addr, nbytes)
             yield self.sim.all_of([rate_ev, wire_ev])
             if payload is not None:
@@ -99,7 +99,7 @@ class DmaEngine:
             span = obs.span("gpu", "dma_h2d", nbytes=nbytes)
         yield self.busy.acquire()
         try:
-            rate_ev = self._h2d.consume(nbytes)
+            rate_ev = self._h2d.transfer(nbytes)
             # The engine reads host memory with deep request pipelining
             # (GPU DMA engines keep dozens of reads in flight).
             wire_ev = self.gpu.fabric.read_pipelined(

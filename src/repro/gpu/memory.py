@@ -14,11 +14,11 @@ the 4-level page table").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..pcie.device import MemoryBuffer
 from .specs import GPU_PAGE_SIZE
 
 __all__ = [
@@ -36,51 +36,24 @@ class OutOfMemoryError(MemoryError):
 
 
 @dataclass
-class GpuBuffer:
+class GpuBuffer(MemoryBuffer):
     """One allocation in GPU global memory.
 
     ``addr`` is the device-virtual address (also used as the physical
     address in this model — the GPU V2P indirection is modelled separately
     by :class:`GpuPageTable` walk costs, not by actually relocating pages).
+    Freeing the buffer makes any later access to its bytes an error.
     """
 
-    addr: int
-    size: int
     gpu_name: str
-    _data: Optional[np.ndarray] = field(default=None, repr=False)
     freed: bool = False
-
-    @property
-    def end(self) -> int:
-        """One past the last byte."""
-        return self.addr + self.size
 
     @property
     def data(self) -> np.ndarray:
         """Lazily-created byte view of the buffer contents."""
         if self.freed:
             raise ValueError("use-after-free of GPU buffer")
-        if self._data is None:
-            self._data = np.zeros(self.size, dtype=np.uint8)
-        return self._data
-
-    def contains(self, addr: int, nbytes: int = 1) -> bool:
-        """True if [addr, addr+nbytes) falls inside the buffer."""
-        return self.addr <= addr and addr + nbytes <= self.end
-
-    def write_bytes(self, addr: int, payload: np.ndarray) -> None:
-        """Copy *payload* into the buffer at device address *addr*."""
-        off = addr - self.addr
-        if off < 0 or off + len(payload) > self.size:
-            raise IndexError("write outside buffer bounds")
-        self.data[off : off + len(payload)] = payload
-
-    def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
-        """Copy *nbytes* out of the buffer starting at device address *addr*."""
-        off = addr - self.addr
-        if off < 0 or off + nbytes > self.size:
-            raise IndexError("read outside buffer bounds")
-        return self.data[off : off + nbytes].copy()
+        return super().data
 
 
 class DeviceMemoryAllocator:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..sim import Event, RateLimiter, Simulator, Store
+from ..sim import Channel, Event, Simulator, Store
 
 __all__ = ["P2PReadRequest", "P2PReadEngine", "GPU_READ_CHUNK", "REQUEST_DESCRIPTOR_BYTES"]
 
@@ -60,10 +60,11 @@ class P2PReadEngine:
     """GPU-side server for mailbox read requests.
 
     Requests pipeline: each waits the fixed head latency (pipeline depth)
-    while the shared rate limiter serializes data production, so the
-    sustained rate is ``p2p_read_rate`` and a cold start costs
-    ``p2p_read_head_latency`` — exactly the two constants the paper
-    measured on the bus analyzer.
+    while *limiter*, the GPU's internal read path (a zero-latency
+    :class:`~repro.sim.channel.Channel` that peer pulls of global memory
+    share), serializes data production, so the sustained rate is
+    ``p2p_read_rate`` and a cold start costs ``p2p_read_head_latency`` —
+    exactly the two constants the paper measured on the bus analyzer.
     """
 
     # The response streams onto the bus while the internal fetch proceeds:
@@ -71,12 +72,11 @@ class P2PReadEngine:
     # overlap (they only serialize for the leading fragment).
     _FIRST_TLP = 256
 
-    def __init__(self, sim: Simulator, gpu: "Any"):
+    def __init__(self, sim: Simulator, gpu: "Any", limiter: Channel):
         self.sim = sim
         self.gpu = gpu
-        spec = gpu.spec
-        self.head_latency = spec.p2p_read_head_latency
-        self.limiter = RateLimiter(sim, spec.p2p_read_rate, f"{gpu.name}.p2p-rd")
+        self.head_latency = gpu.spec.p2p_read_head_latency
+        self.limiter = limiter
         self._queue = Store(sim, name=f"{gpu.name}.p2p-q")
         sim.process(self._server(), name=f"{gpu.name}.p2p")
 
@@ -99,9 +99,9 @@ class P2PReadEngine:
             if ready > self.sim.now:
                 yield self.sim.timeout(ready - self.sim.now)
             head = min(self._FIRST_TLP, req.nbytes)
-            yield self.limiter.consume(head)
+            yield self.limiter.transfer(head)
             rest_ev = (
-                self.limiter.consume(req.nbytes - head)
+                self.limiter.transfer(req.nbytes - head)
                 if req.nbytes > head
                 else None
             )

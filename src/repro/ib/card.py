@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 
 from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
-from ..sim import Event, RateLimiter, Simulator
+from ..sim import Channel, Event, Simulator
 from ..units import GBps, KiB, us
 from .fabric import IBFabric, IBPort
 
@@ -70,9 +70,10 @@ class IBCard(PCIeDevice):
         self.port: IBPort = ib_fabric.attach(self._on_wire_arrival)
         # DMA-read ceiling; defaults by slot width are set by the cluster
         # builder (x8 ≈ 3.2 GB/s, x4 ≈ 1.55 GB/s effective).
-        self.read_limiter = RateLimiter(
-            sim, pcie_read_rate if pcie_read_rate is not None else GBps(3.2),
-            f"{name}.rd",
+        self.read_limiter = Channel(
+            sim,
+            pcie_read_rate if pcie_read_rate is not None else GBps(3.2),
+            name=f"{name}.rd",
         )
         # Called with (IBMessage) when a full message has landed in host
         # memory; the MPI progress engine registers here.
@@ -130,11 +131,10 @@ class IBCard(PCIeDevice):
         off = 0
         seq = 0
         wire_id = next(self._wire_ids)
-        wire_events = []
         while off < nbytes:
             csize = min(_SEND_QUANTUM, nbytes - off)
             # Pull from host memory: engine ceiling + PCIe transaction.
-            rate_ev = self.read_limiter.consume(csize)
+            rate_ev = self.read_limiter.transfer(csize)
             read_ev = self.fabric.read_pipelined(
                 self, src_addr + off, csize, outstanding=16
             )
@@ -154,7 +154,7 @@ class IBCard(PCIeDevice):
                 wire_id=wire_id,
                 total_bytes=nbytes,
             )
-            wire_events.append(self.ib.send(self.lid, dst_lid, csize, msg))
+            self.ib.send(self.lid, dst_lid, csize, msg)
             off += csize
             seq += 1
         # Local completion: last quantum handed to the wire.

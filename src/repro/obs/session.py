@@ -158,60 +158,6 @@ class _SimScope:
         events.append(rec)
 
 
-class _FanoutSpan:
-    """A span mirrored into several sessions (nested activations)."""
-
-    __slots__ = ("_spans",)
-
-    def __init__(self, spans: list):
-        self._spans = spans
-
-    def end(self) -> None:
-        for sp in self._spans:
-            sp.end()
-
-    def end_event(self, _event=None) -> None:
-        self.end()
-
-    def __enter__(self) -> "_FanoutSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.end()
-
-
-class _FanoutScope:
-    """Forwards one simulator's records to every active session.
-
-    Only exists while sessions are *nested* (e.g. the selftest smoke phase
-    opening a local session under a global ``--trace``); the common case is
-    a single session and a plain :class:`_SimScope`.
-    """
-
-    __slots__ = ("scopes", "sim")
-
-    def __init__(self, scopes: list):
-        self.scopes = scopes
-        self.sim = scopes[0].sim
-
-    def span(self, component: str, name: str, **args: Any) -> _FanoutSpan:
-        return _FanoutSpan([s.span(component, name, **args) for s in self.scopes])
-
-    def span_at(
-        self, component: str, name: str, begin: float, end: float, **args: Any
-    ) -> None:
-        for s in self.scopes:
-            s.span_at(component, name, begin, end, **args)
-
-    def counter(self, component: str, track: str, value: float) -> None:
-        for s in self.scopes:
-            s.counter(component, track, value)
-
-    def instant(self, component: str, name: str, **args: Any) -> None:
-        for s in self.scopes:
-            s.instant(component, name, **args)
-
-
 class TraceSession:
     """Recording context for one traced run (or one experiment).
 
@@ -242,20 +188,22 @@ class TraceSession:
         self.runs += 1
         return _SimScope(self, sim, run)
 
-    def fanout_scope(self, sim, sessions: tuple) -> _FanoutScope:
-        """Bind *sim* to every active session (nested activations)."""
-        return _FanoutScope([s.scope_for(sim) for s in sessions])
-
     # -- activation ----------------------------------------------------------
 
     @contextmanager
     def activate(self) -> Iterator["TraceSession"]:
-        """Make this session receive records from new Simulators."""
-        _kernel.push_observer(self)
+        """Make this the session that new Simulators record to.
+
+        One session is active at a time.  A nested activation records
+        alone: the enclosing session gets no records from Simulators built
+        inside it, and is active again once it exits.
+        """
+        previous = _kernel._TRACE_SESSION
+        _kernel._TRACE_SESSION = self
         try:
             yield self
         finally:
-            _kernel.pop_observer(self)
+            _kernel._TRACE_SESSION = previous
 
     # -- inspection ----------------------------------------------------------
 

@@ -9,20 +9,34 @@ A device participates in the fabric in two roles:
   applies the returned :class:`ReadBehavior` / :class:`WriteBehavior`
   (first-access latency, sustained-rate limiter, delivery hook).
 
+The :class:`MemoryBuffer` is the byte store behind an allocation in any
+device's memory (a pinned host buffer, a GPU buffer): data-integrity runs
+move real bytes through it, timing-only runs never touch it.
+
 Behaviour objects are *shared* across transactions so that a single
-:class:`~repro.sim.channel.RateLimiter` naturally serializes concurrent
-accesses to the same internal engine (e.g. a GPU's BAR1 read path).
+zero-latency :class:`~repro.sim.channel.Channel` naturally serializes
+concurrent accesses to the same internal engine (e.g. a GPU's BAR1 read
+path).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..sim import RateLimiter, Simulator
+import numpy as np
+
+from ..sim import Channel, Simulator
 from ..units import GBps, GiB, ns
 
-__all__ = ["ReadBehavior", "WriteBehavior", "AddressWindow", "PCIeDevice", "HostMemory"]
+__all__ = [
+    "ReadBehavior",
+    "WriteBehavior",
+    "AddressWindow",
+    "MemoryBuffer",
+    "PCIeDevice",
+    "HostMemory",
+]
 
 
 @dataclass
@@ -31,24 +45,25 @@ class ReadBehavior:
 
     ``latency`` — time from request arrival to first completion data
     (device-internal; link traversal is added by the fabric).
-    ``limiter`` — optional shared rate limiter bounding sustained completion
-    production (None = only the link limits).
+    ``limiter`` — optional shared zero-latency channel bounding sustained
+    completion production (None = only the link limits).
     """
 
     latency: float
-    limiter: Optional[RateLimiter] = None
+    limiter: Optional[Channel] = None
 
 
 @dataclass
 class WriteBehavior:
     """How a device absorbs inbound posted writes.
 
-    ``limiter`` — optional shared sink-rate limiter.
+    ``limiter`` — optional shared zero-latency channel bounding the sink
+    rate.
     ``on_write`` — called as ``on_write(addr, nbytes, payload)`` when the
     last TLP of a write transaction arrives (payload rides on that TLP).
     """
 
-    limiter: Optional[RateLimiter] = None
+    limiter: Optional[Channel] = None
     on_write: Optional[Callable[[int, int, Any], None]] = None
 
 
@@ -68,6 +83,45 @@ class AddressWindow:
     def contains(self, addr: int) -> bool:
         """True if *addr* falls inside the window."""
         return self.base <= addr < self.limit
+
+
+@dataclass
+class MemoryBuffer:
+    """One allocation in a device's memory, with lazy real backing."""
+
+    addr: int
+    size: int
+    _data: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def end(self) -> int:
+        """One past the last byte."""
+        return self.addr + self.size
+
+    @property
+    def data(self) -> np.ndarray:
+        """Lazily-created byte view of the buffer contents."""
+        if self._data is None:
+            self._data = np.zeros(self.size, dtype=np.uint8)
+        return self._data
+
+    def contains(self, addr: int, nbytes: int = 1) -> bool:
+        """True if [addr, addr+nbytes) falls inside the buffer."""
+        return self.addr <= addr and addr + nbytes <= self.end
+
+    def write_bytes(self, addr: int, payload: np.ndarray) -> None:
+        """Copy *payload* into the buffer at fabric address *addr*."""
+        off = addr - self.addr
+        if off < 0 or off + len(payload) > self.size:
+            raise IndexError("write outside buffer bounds")
+        self.data[off : off + len(payload)] = payload
+
+    def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
+        """Copy *nbytes* out of the buffer from fabric address *addr*."""
+        off = addr - self.addr
+        if off < 0 or off + nbytes > self.size:
+            raise IndexError("read outside buffer bounds")
+        return self.data[off : off + nbytes].copy()
 
 
 class PCIeDevice:
@@ -128,10 +182,11 @@ class HostMemory(PCIeDevice):
         super().__init__(sim, name)
         self.add_window(base, HOST_MEMORY_SIZE, "dram")
         self._read = ReadBehavior(
-            latency=HOST_READ_LATENCY, limiter=RateLimiter(sim, HOST_DMA_RATE, f"{name}.rd")
+            latency=HOST_READ_LATENCY,
+            limiter=Channel(sim, HOST_DMA_RATE, name=f"{name}.rd"),
         )
         self._write = WriteBehavior(
-            limiter=RateLimiter(sim, HOST_DMA_RATE, f"{name}.wr"), on_write=self._deliver
+            limiter=Channel(sim, HOST_DMA_RATE, name=f"{name}.wr"), on_write=self._deliver
         )
         # Higher layers (e.g. the CUDA runtime's host-buffer heap) register
         # hooks to receive data-carrying writes into their address ranges.

@@ -538,7 +538,7 @@ class _Quantum(_Chain):
         self.step = _Quantum._absorb
         limiter = self.behavior.limiter
         if limiter is not None:
-            return limiter.consume(self.nbytes)
+            return limiter.transfer(self.nbytes)
         return self._absorb()
 
     def _absorb(self) -> None:
@@ -589,7 +589,7 @@ class _Read(_Chain):
         self.hop = 0
         limiter = self.behavior.limiter
         if limiter is not None:
-            return limiter.consume(self.nbytes)
+            return limiter.transfer(self.nbytes)
         return self._complete()
 
     def _complete(self) -> Optional[Event]:

@@ -344,32 +344,25 @@ def calibrate(
     t_h3 = one((6, 1, 1), 0, 3, 9 * full)
     hop_base = (t_h3 - t_h2) - (full + PACKET_HEADER_BYTES) / DEFAULT_CONFIG.link_bandwidth
 
-    # Back-to-back occupancy: two identical PUTs posted immediately after
-    # one another; the completion gap is the steady per-message spacing.
-    def back_to_back(nbytes):
-        pair = [
-            BulkTransfer(0, 1, nbytes, src_kind=src_kind, dst_kind=dst_kind),
-            BulkTransfer(0, 1, nbytes, src_kind=src_kind, dst_kind=dst_kind),
-        ]
-        c0, c1 = probe((2, 1, 1), pair)
+    # Occupancy: two equal PUTs from rank 0 posted back to back; the
+    # completion gap is the steady per-message spacing.  Both to rank 1 of
+    # the 2-node ring it is the whole path's; to ranks 1 and 2 (each one
+    # hop on a 2x2 mesh) it isolates the sender-side TX feed cost from any
+    # downstream pacing.
+    def gap(dims, second_dst, nbytes):
+        c0, c1 = probe(
+            dims,
+            [
+                BulkTransfer(0, 1, nbytes, src_kind=src_kind, dst_kind=dst_kind),
+                BulkTransfer(0, second_dst, nbytes, src_kind=src_kind, dst_kind=dst_kind),
+            ],
+        )
         return c1 - c0
 
-    occ_times = tuple(back_to_back(n * full) for n in OCCUPANCY_KNOTS)
-    occ_single_small = back_to_back(512)
-
-    # TX feed occupancy: same source, *distinct* destinations (both one
-    # hop on a 2x2 mesh), so the completion gap isolates the sender-side
-    # feed cost from any downstream pacing.
-    def tx_gap(nbytes):
-        pair = [
-            BulkTransfer(0, 1, nbytes, src_kind=src_kind, dst_kind=dst_kind),
-            BulkTransfer(0, 2, nbytes, src_kind=src_kind, dst_kind=dst_kind),
-        ]
-        c0, c1 = probe((2, 2, 1), pair)
-        return c1 - c0
-
-    occ_tx_times = tuple(tx_gap(n * full) for n in OCCUPANCY_KNOTS)
-    occ_tx_single_small = tx_gap(512)
+    occ_times = tuple(gap((2, 1, 1), 1, n * full) for n in OCCUPANCY_KNOTS)
+    occ_single_small = gap((2, 1, 1), 1, 512)
+    occ_tx_times = tuple(gap((2, 2, 1), 2, n * full) for n in OCCUPANCY_KNOTS)
+    occ_tx_single_small = gap((2, 2, 1), 2, 512)
 
     cal = FlowCalibration(
         src_kind=src_kind,
@@ -423,7 +416,7 @@ class FlowNetwork:
         # own computed times.  Costs one attribute test when tracing is off.
         from ..sim import core as _kernel
 
-        if not _kernel.active_observers():
+        if _kernel._TRACE_SESSION is None:
             return None
         if self._obs_sim is None:
             from ..sim import Simulator

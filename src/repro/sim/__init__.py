@@ -6,8 +6,8 @@ Public surface:
   :class:`AllOf`, :class:`AnyOf` — the event engine (:mod:`repro.sim.core`);
 * :class:`Resource`, :class:`Store`, :class:`ByteFifo`, :class:`PacketFifo`
   — shared-resource primitives (:mod:`repro.sim.resources`);
-* :class:`Channel`, :class:`RateLimiter` — bandwidth/latency pipes
-  (:mod:`repro.sim.channel`);
+* :class:`Channel` — the bandwidth/latency pipe, and with latency 0 the
+  rate limiter (:mod:`repro.sim.channel`);
 * :class:`OnlineStats`, :class:`FaultStats`, :func:`percentile` —
   statistics (:mod:`repro.sim.stats`).
 
@@ -16,7 +16,7 @@ ties at equal timestamps pop in schedule order, so every run is
 deterministic.
 """
 
-from .channel import Channel, RateLimiter
+from .channel import Channel
 from .core import (
     AllOf,
     AnyOf,
@@ -46,7 +46,6 @@ __all__ = [
     "ByteFifo",
     "PacketFifo",
     "Channel",
-    "RateLimiter",
     "OnlineStats",
     "FaultStats",
     "percentile",

@@ -1,13 +1,12 @@
-"""Bandwidth × latency transfer primitives.
+"""The bandwidth × latency transfer primitive.
 
 A :class:`Channel` models a serialized medium (a PCIe direction, a torus
 link, an internal bus): transfers are serialized at a fixed bandwidth and
 each transfer additionally experiences a fixed propagation latency that
 *overlaps* with following transfers (classic store-and-forward pipe).
-
-A :class:`RateLimiter` models a device that can absorb or emit data at a
-bounded sustained rate without the notion of individual in-flight messages
-(used for e.g. the GPU's internal read engine).
+With latency 0 it is a rate limiter: a device that absorbs or emits data
+at a bounded sustained rate, such as the GPU's internal read engine
+(Fig 3's 1536 MB/s) or a DMA engine's ceiling.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["Channel", "RateLimiter"]
+__all__ = ["Channel"]
 
 
 class Channel:
@@ -94,44 +93,3 @@ class Channel:
             return 0.0
         return min(1.0, self._busy_time / self.sim.now)
 
-
-class RateLimiter:
-    """Serializes work at a sustained byte rate, without latency.
-
-    ``consume(nbytes)`` returns an event firing when the device has had
-    enough rate-time to process the bytes.  Equivalent to a zero-latency
-    :class:`Channel` but kept separate for intent and cheaper bookkeeping.
-    """
-
-    def __init__(self, sim: Simulator, rate: float, name: str = ""):
-        if not rate > 0 or not math.isfinite(rate):
-            raise SimulationError(
-                f"RateLimiter rate must be positive and finite, got {rate!r}"
-            )
-        self.sim = sim
-        self.rate = float(rate)  # bytes/ns
-        self.name = name
-        self._free_at = 0.0
-        self.total_bytes = 0
-        if sim._sanitizer is not None:
-            sim._sanitizer.register_channel(self)
-
-    def consume(self, nbytes: int) -> Event:
-        """Occupy the device for ``nbytes/rate``; fires when done."""
-        if nbytes < 0:
-            raise SimulationError("negative consume size")
-        now = self.sim.now
-        start = max(now, self._free_at)
-        self._free_at = start + nbytes / self.rate
-        self.total_bytes += nbytes
-        obs = self.sim._obs
-        if obs is not None:
-            obs.span_at(
-                "sim", self.name or "rate", start, self._free_at, nbytes=nbytes
-            )
-        return self.sim.timeout(self._free_at - now)
-
-    @property
-    def backlog(self) -> float:
-        """Work queued ahead of new arrivals, in ns."""
-        return max(0.0, self._free_at - self.sim.now)

@@ -38,9 +38,6 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "kernel_event_count",
-    "push_observer",
-    "pop_observer",
-    "active_observers",
 ]
 
 _INF = float("inf")
@@ -57,34 +54,14 @@ def kernel_event_count() -> int:
     return _KERNEL_STATS["events"]
 
 
-# Active trace sessions (repro.obs.TraceSession), innermost last.  Like the
-# sanitizer, observation is opt-in and observation-only: when the tuple is
-# empty every Simulator carries ``_obs = None`` and the instrumented models
-# pay exactly one attribute load + is-None test per probe site.  The kernel
-# knows nothing about session internals — it only asks a session for a
-# per-simulator scope at construction time.
-_OBSERVERS: tuple = ()
-
-
-def push_observer(session) -> None:
-    """Activate *session*: Simulators created from now on report to it."""
-    global _OBSERVERS
-    _OBSERVERS = _OBSERVERS + (session,)
-
-
-def pop_observer(session) -> None:
-    """Deactivate *session* (removes the innermost matching entry)."""
-    global _OBSERVERS
-    for i in range(len(_OBSERVERS) - 1, -1, -1):
-        if _OBSERVERS[i] is session:
-            _OBSERVERS = _OBSERVERS[:i] + _OBSERVERS[i + 1 :]
-            return
-    raise SimulationError("pop_observer: session is not active")
-
-
-def active_observers() -> tuple:
-    """The currently active trace sessions (innermost last)."""
-    return _OBSERVERS
+# The active trace session (a repro.obs.TraceSession), or None.  Like the
+# sanitizer, observation is opt-in and observation-only: with no session
+# every Simulator carries ``_obs = None`` and the instrumented models pay
+# exactly one attribute load + is-None test per probe site.  The kernel
+# knows nothing about session internals — it only asks the session for a
+# per-simulator scope at construction time.  ``TraceSession.activate``
+# swaps a session in and restores the previous one on exit.
+_TRACE_SESSION = None
 
 
 class SimulationError(RuntimeError):
@@ -176,14 +153,13 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    Timeouts are the kernel's hottest allocation (every Channel transfer,
-    RateLimiter grant and firmware cost is one), so construction takes a
-    dedicated scheduling path: the event is born triggered and goes
-    straight onto the heap, skipping :meth:`Event.__init__` and
-    :meth:`Simulator._push`.
+    Timeouts are the kernel's hottest allocation (every Channel transfer
+    and firmware cost is one), so construction takes a dedicated
+    scheduling path: the event is born triggered and goes straight onto
+    the heap, skipping :meth:`Event.__init__` and :meth:`Simulator._push`.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # One chained comparison rejects negative, NaN and +inf alike: any
@@ -201,7 +177,6 @@ class Timeout(Event):
         self.callbacks = []
         self._value = value
         self._ok = True
-        self.delay = delay
         self._state = _TRIGGERED
         seq = sim._seq + 1
         sim._seq = seq
@@ -361,20 +336,10 @@ class Simulator:
         else:
             self._sanitizer = None
         # Observation-only tracing (repro.obs).  A scope binds this simulator
-        # to every active TraceSession; None when tracing is off, so probe
+        # to the active TraceSession; None when tracing is off, so probe
         # sites cost one attribute load + is-None test.
-        if _OBSERVERS:
-            if len(_OBSERVERS) == 1:
-                self._obs = _OBSERVERS[0].scope_for(self)
-            else:
-                self._obs = _OBSERVERS[0].fanout_scope(self, _OBSERVERS)
-        else:
-            self._obs = None
-
-    @property
-    def obs(self):
-        """The attached trace scope (see :mod:`repro.obs`), or None."""
-        return self._obs
+        session = _TRACE_SESSION
+        self._obs = None if session is None else session.scope_for(self)
 
     @property
     def sanitizer(self):
@@ -398,8 +363,7 @@ class Simulator:
     def _wake_event(self, ok: bool, value: Any) -> Event:
         """A pre-triggered event scheduled at the current time.
 
-        Kernel-internal: backs the Process init/wake machinery.  Skips the
-        delay guard of :meth:`_push` — a zero delay is always valid.
+        Kernel-internal: backs the Process init/wake machinery.
         """
         ev = Event(self)
         ev._ok = ok
@@ -425,27 +389,12 @@ class Simulator:
 
     # -- kernel -----------------------------------------------------------------
 
-    def _push(self, event: Event, delay: float = 0.0) -> None:
-        if not 0.0 <= delay < _INF:
-            if self._sanitizer is not None:
-                self._sanitizer.record_causality(delay, self.now, "schedule delay")
-            raise SimulationError(
-                f"cannot schedule {event!r} with a negative delay or "
-                f"non-finite delay ({delay!r}): it would corrupt heap ordering"
-            )
+    def _push(self, event: Event) -> None:
+        """Schedule a just-triggered *event* at the current time."""
         seq = self._seq + 1
         self._seq = seq
         event._seq = seq
-        heappush(self._heap, (self.now + delay, seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
-    def pending_count(self) -> int:
-        """Number of events currently scheduled."""
-        return len(self._heap)
+        heappush(self._heap, (self.now, seq, event))
 
     def pending_entries(self) -> list[tuple[float, int, Event]]:
         """Snapshot of pending ``(t, seq, event)`` entries, sorted.
@@ -454,26 +403,22 @@ class Simulator:
         """
         return sorted(self._heap)
 
-    def _drain(self, until: Optional[float], watched: Optional[Event]) -> None:
+    def _drain(self, watched: Optional[Event]) -> None:
         """The inlined hot loop behind :meth:`run` / :meth:`run_process`.
 
         Pops events in ``(time, seq)`` order with the heap and the pop
         pre-bound to locals, marks each event processed and runs its
-        callbacks in place.  Stops when the queue drains, the next event
-        lies beyond *until*, or *watched* leaves the pending state.
+        callbacks in place.  Stops when the queue drains or *watched*
+        leaves the pending state.
         """
         heap = self._heap
         pop = heappop
         now = self.now
-        unconditional = until is None and watched is None
         n = 0
         try:
             while heap:
-                if not unconditional:
-                    if until is not None and heap[0][0] > until:
-                        break
-                    if watched is not None and watched._state != _PENDING:
-                        break
+                if watched is not None and watched._state != _PENDING:
+                    break
                 t, _, event = pop(heap)
                 if t != now:
                     if t < now - 1e-9:
@@ -495,24 +440,13 @@ class Simulator:
             self.events_processed += n
             _KERNEL_STATS["events"] += n
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or the clock passes *until*.
-
-        When *until* is given the clock is left exactly at *until* (if the
-        simulation got that far), matching SimPy semantics.
-        """
+    def run(self) -> None:
+        """Run until the event queue drains."""
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            if until is None:
-                self._drain(None, None)
-            else:
-                if until < self.now:
-                    raise SimulationError(f"until={until} is in the past (now={self.now})")
-                self._drain(until, None)
-                if self.now < until:
-                    self.now = until
+            self._drain(None)
         except BaseException:
             # A run the model deliberately crashes (LinkFailure escalation,
             # process error) is not a clean end state; skip finalize checks.
@@ -530,7 +464,7 @@ class Simulator:
         """
         proc = self.process(gen, name)
         try:
-            self._drain(None, proc)
+            self._drain(proc)
         except BaseException:
             if self._sanitizer is not None:
                 self._sanitizer.mark_aborted()

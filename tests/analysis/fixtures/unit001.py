@@ -14,8 +14,8 @@ def keyword_literals(sim, Channel):
     )
 
 
-def positional_literal(sim, RateLimiter):
-    return RateLimiter(
+def positional_literal(sim, Channel):
+    return Channel(
         sim,
         2.5,  # expect: UNIT001
     )

@@ -4,14 +4,14 @@ Covers the recording half of ``repro.obs``: span lifecycle (explicit end,
 context manager, event-callback riding, idempotence), the zero-event
 ``span_at`` path, counters and instants, the bounded buffer with its
 ``dropped`` accounting, run indexing across multiple simulators, and the
-observer stack in the kernel (including nested sessions fanning out).
+kernel's one active session (a nested activation records alone).
 """
 
 import pytest
 
 from repro.obs import TraceSession
-from repro.sim import Channel, Resource, SimulationError, Simulator
-from repro.sim.core import active_observers, pop_observer
+from repro.sim import Channel, Resource, Simulator
+from repro.sim import core as kernel
 from repro.units import GBps, ns, us
 
 
@@ -22,7 +22,7 @@ def _spans(session):
 def test_no_session_means_obs_is_none():
     sim = Simulator()
     assert sim._obs is None
-    assert active_observers() == ()
+    assert kernel._TRACE_SESSION is None
 
 
 def test_span_records_begin_end_and_args():
@@ -143,14 +143,17 @@ def test_run_index_increments_per_simulator():
 
 
 def test_nested_sessions_fan_out_spans_and_counters():
+    """A nested activation records alone; the outer session resumes after."""
     outer = TraceSession(label="outer")
     inner = TraceSession(label="inner")
     with outer.activate():
+        Simulator()._obs.instant("sim", "before")
         with inner.activate():
+            assert kernel._TRACE_SESSION is inner
             sim = Simulator()
 
             def proc():
-                span = sim._obs.span("sim", "both", k=1)
+                span = sim._obs.span("sim", "inner", k=1)
                 yield sim.timeout(ns(7.0))
                 span.end()
                 sim._obs.counter("sim", "c", 1)
@@ -159,33 +162,15 @@ def test_nested_sessions_fan_out_spans_and_counters():
 
             sim.process(proc())
             sim.run()
-        # Inner deactivated: records now land only in outer.
-        sim2 = Simulator()
-        sim2._obs.instant("sim", "outer-only")
-    strip = [(r["ph"], r["name"]) for r in inner.events]
-    assert strip == [("X", "both"), ("C", "c"), ("i", "i"), ("X", "retro")]
-    assert [(r["ph"], r["name"]) for r in outer.events[:4]] == strip
-    assert outer.events[-1]["name"] == "outer-only"
-    assert "outer-only" not in {r["name"] for r in inner.events}
-
-
-def test_nested_fanout_span_context_manager_and_idempotence():
-    outer, inner = TraceSession(), TraceSession()
-    with outer.activate(), inner.activate():
-        sim = Simulator()
-
-        def proc():
-            with sim._obs.span("sim", "cm"):
-                yield sim.timeout(ns(3.0))
-            span = sim._obs.span("sim", "ride")
-            yield sim.timeout(ns(2.0))
-            span.end_event()
-            span.end()  # second end is a no-op in every session
-
-        sim.process(proc())
-        sim.run()
-    for session in (outer, inner):
-        assert [r["name"] for r in _spans(session)] == ["cm", "ride"]
+            assert [r["name"] for r in outer.events] == ["before"]
+        assert kernel._TRACE_SESSION is outer
+        Simulator()._obs.instant("sim", "after")
+    assert kernel._TRACE_SESSION is None
+    assert [(r["ph"], r["name"]) for r in inner.events] == [
+        ("X", "inner"), ("C", "c"), ("i", "i"), ("X", "retro"),
+    ]
+    assert [r["name"] for r in outer.events] == ["before", "after"]
+    assert (inner.runs, outer.runs) == (1, 2)
 
 
 def test_components_and_span_count():
@@ -209,16 +194,10 @@ def test_payload_shape_and_label_override():
     assert session.payload(label="other")["label"] == "other"
 
 
-def test_pop_observer_of_inactive_session_raises():
-    session = TraceSession()
-    with pytest.raises(SimulationError):
-        pop_observer(session)
-
-
 def test_activation_is_exception_safe():
     session = TraceSession()
     with pytest.raises(RuntimeError):
         with session.activate():
             raise RuntimeError("boom")
-    assert active_observers() == ()
+    assert kernel._TRACE_SESSION is None
     assert Simulator()._obs is None

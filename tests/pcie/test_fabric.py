@@ -14,7 +14,7 @@ from repro.pcie import (
     TlpKind,
     WriteBehavior,
 )
-from repro.sim import RateLimiter, SimulationError, Simulator
+from repro.sim import Channel, SimulationError, Simulator
 from repro.units import GBps
 
 
@@ -27,7 +27,7 @@ class SinkDevice(PCIeDevice):
         self.deliveries = []
         self._read = ReadBehavior(
             latency=read_latency,
-            limiter=RateLimiter(sim, read_rate) if read_rate else None,
+            limiter=Channel(sim, read_rate) if read_rate else None,
         )
         self._write = WriteBehavior(on_write=self._on_write)
 
@@ -266,7 +266,7 @@ def test_bad_arguments_rejected_at_the_call(call):
     fab, mem, nic, gpu = build_two_device_fabric(sim)
     with pytest.raises(SimulationError):
         call(fab, nic)
-    assert sim.pending_count() == 0  # nothing was started
+    assert sim.pending_entries() == []  # nothing was started
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
-"""Unit tests for Channel and RateLimiter."""
+"""Unit tests for Channel, with latency and as a zero-latency rate limiter."""
 
 import math
 
 import pytest
 
-from repro.sim import Channel, RateLimiter, SimulationError, Simulator
+from repro.sim import Channel, SimulationError, Simulator
 from repro.units import GBps, us
 
 
@@ -112,7 +112,7 @@ def test_channel_rejects_non_finite_latency(bad):
 def test_rate_limiter_rejects_non_positive_or_non_finite_rate(bad):
     sim = Simulator()
     with pytest.raises(SimulationError):
-        RateLimiter(sim, rate=bad)
+        Channel(sim, bad)
 
 
 def test_channel_backlog_reporting():
@@ -130,11 +130,11 @@ def test_channel_backlog_reporting():
 
 def test_rate_limiter_sustained_rate():
     sim = Simulator()
-    rl = RateLimiter(sim, rate=GBps(1.536))  # Fermi P2P read engine rate
+    rl = Channel(sim, GBps(1.536))  # Fermi P2P read engine rate
 
     def proc():
         for _ in range(4):
-            yield rl.consume(4096)
+            yield rl.transfer(4096)
         return sim.now
 
     elapsed = sim.run_process(proc())
@@ -144,12 +144,12 @@ def test_rate_limiter_sustained_rate():
 def test_rate_limiter_idle_periods_not_credited():
     """The limiter must not bank idle time (no burst above rate)."""
     sim = Simulator()
-    rl = RateLimiter(sim, rate=1.0)
+    rl = Channel(sim, GBps(1.0))
 
     def proc():
         yield sim.timeout(10_000)  # long idle
         t0 = sim.now
-        yield rl.consume(100)
+        yield rl.transfer(100)
         return sim.now - t0
 
     assert sim.run_process(proc()) == pytest.approx(100.0)
