@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Gate on documentation drift: every ``bash`` block must still be runnable.
+"""Gate on documentation drift: every ``bash`` block must still be runnable,
+and DESIGN.md's module map must match the package.
 
 Extracts fenced ```bash blocks from the repository's documentation
 (README.md, EXPERIMENTS.md, DESIGN.md, docs/OBSERVABILITY.md), then
@@ -11,7 +12,9 @@ Extracts fenced ```bash blocks from the repository's documentation
 2. **smoke-runs** a small allowlist of cheap commands end to end
    (``python -m repro.bench --list``, ``python -m repro.analysis lint
    --explain``, ...) so the commands a reader is most likely to paste
-   first are proven to work, not just to parse.
+   first are proven to work, not just to parse;
+3. **checks the module map** of DESIGN.md §3 — every path it lists must
+   exist, and every module under ``src/repro`` must be listed.
 
 Exit code 0 when every block passes, 1 otherwise (the CI lint job gates
 on this).  Run from the repository root:
@@ -21,6 +24,7 @@ on this).  Run from the repository root:
 
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 import sys
@@ -66,6 +70,12 @@ SUBCOMMANDS = {
     "repro.analysis": {"lint", "sanitize", "docstrings"},
     "repro.obs": {"summary", "diff"},
 }
+
+#: The DESIGN.md heading whose fenced block is the module map.
+MODULE_MAP_HEADING = "## 3. System inventory (module map)"
+
+#: Directories the module map lists as one entry, not module by module.
+MODULE_MAP_WHOLE_DIRS = {"src/repro/bench/experiments"}
 
 
 class Problem:
@@ -220,6 +230,47 @@ def _check_bench_args(rest):
     ]
 
 
+def module_map_entries(text: str) -> list[str]:
+    """Paths the module map in *text* lists, relative to the repository root.
+
+    Nesting is read from indentation: an entry sits in the nearest less
+    indented directory entry (a name ending in ``/``) above it.  A line
+    whose first word is not a ``*.py`` or ``dir/`` name continues the
+    description of the entry before it.
+    """
+    block = text.split(MODULE_MAP_HEADING, 1)[1].split("```", 2)[1]
+    entries = []
+    parents: list[tuple[int, str]] = []  # (indent, path) of enclosing directories
+    for line in block.splitlines():
+        words = line.split(maxsplit=1)
+        if not words or not re.fullmatch(r"[\w./]+(/|\.py)", words[0]):
+            continue
+        indent = len(line) - len(line.lstrip())
+        while parents and parents[-1][0] >= indent:
+            parents.pop()
+        path = (parents[-1][1] if parents else "") + words[0]
+        entries.append(path.rstrip("/"))
+        if path.endswith("/"):
+            parents.append((indent, path))
+    return entries
+
+
+def check_module_map(text: str, root: Path = REPO_ROOT) -> list[str]:
+    """Problems of the module map in *text* against the tree at *root*."""
+    listed = module_map_entries(text)
+    problems = [
+        f"module map lists {path}, which does not exist"
+        for path in listed
+        if not (root / path).exists()
+    ]
+    for module in sorted((root / "src" / "repro").rglob("*.py")):
+        rel = module.relative_to(root).as_posix()
+        whole_dir = rel.rsplit("/", 1)[0] in MODULE_MAP_WHOLE_DIRS
+        if module.name != "__init__.py" and rel not in listed and not whole_dir:
+            problems.append(f"module map does not list {rel}")
+    return problems
+
+
 def smoke_run(command: str):
     """Execute one allowlisted command; returns a problem string or None."""
     env, argv = split_command(command)
@@ -266,6 +317,11 @@ def main() -> int:
                 msg = smoke_run(command)
                 if msg:
                     problems.append(Problem(doc, lineno, command, msg))
+
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    map_line = design[: design.index(MODULE_MAP_HEADING)].count("\n") + 1
+    for msg in check_module_map(design):
+        problems.append(Problem("DESIGN.md", map_line, "module map", msg))
 
     for p in problems:
         print(p.render())

@@ -12,7 +12,7 @@ from .router import Router
 from .rx import RxCompletion, RxEngine
 from .torus import TorusLink, TorusPort, VC_COUNT
 from .tx import HostTxEngine
-from .v2p import HOST_PAGE_SIZE, GpuV2PSet, HostV2P
+from .v2p import HOST_PAGE_SIZE, PageMap
 
 __all__ = [
     "ApenetCard",
@@ -26,8 +26,7 @@ __all__ = [
     "BufList",
     "BufferKind",
     "RegisteredBuffer",
-    "HostV2P",
-    "GpuV2PSet",
+    "PageMap",
     "HOST_PAGE_SIZE",
     "Router",
     "TorusLink",

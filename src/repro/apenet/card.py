@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..gpu.device import GPUDevice
+from ..gpu.specs import GPU_PAGE_SIZE
 from ..net.topology import Coord, RouteTable
 from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
 from ..sim import Simulator
@@ -29,7 +30,7 @@ from .nios import NiosII
 from .router import Router
 from .rx import RxEngine
 from .tx import HostTxEngine
-from .v2p import GpuV2PSet, HostV2P
+from .v2p import HOST_PAGE_SIZE, PageMap
 from .buflist import BufferKind
 
 __all__ = ["ApenetCard", "CARD_BASE_ADDRESS"]
@@ -60,9 +61,9 @@ class ApenetCard(PCIeDevice):
 
         self.nios = NiosII(sim, f"{name}.nios")
         self.buflist = BufList(f"{name}.buflist")
-        self.host_v2p = HostV2P()
-        self.gpu_v2p = GpuV2PSet(f"{name}.gv2p")
+        self.host_v2p = PageMap(HOST_PAGE_SIZE)
         self.gpus: list[GPUDevice] = []
+        self.gpu_v2p: list[PageMap] = []  # one table per entry of ``gpus``
         # BAR1-TX extension: registered GPU buffers' BAR1 mappings,
         # keyed by buffer base address (see config.gpu_tx_method).
         self.bar1_tx_maps: dict[int, tuple] = {}
@@ -85,6 +86,7 @@ class ApenetCard(PCIeDevice):
     def register_gpu(self, gpu: GPUDevice) -> int:
         """Tell the card about a GPU on this node; returns its index."""
         self.gpus.append(gpu)
+        self.gpu_v2p.append(PageMap(GPU_PAGE_SIZE))
         return len(self.gpus) - 1
 
     @property

@@ -200,7 +200,7 @@ class GpuTxEngine:
     @staticmethod
     def _source_has_data(gpu, job: TxJob) -> bool:
         try:
-            return gpu.allocator.buffer_at(job.src_addr)._data is not None
+            return gpu.heap.buffer_at(job.src_addr)._data is not None
         except KeyError:
             return False
 

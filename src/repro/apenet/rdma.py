@@ -96,8 +96,8 @@ class ApenetEndpoint:
             kind = BufferKind.GPU
             gpu = self.runtime.device(attrs.device_index)
             card_index = self._card_gpu_index(gpu)
-            buf = gpu.allocator.buffer_at(addr)
-            pages = self.card.gpu_v2p.table(card_index).map_buffer(buf)
+            buf = gpu.heap.buffer_at(addr)
+            pages = self.card.gpu_v2p[card_index].map_range(buf.addr, buf.size)
             cost = _REGISTER_BASE_COST + pages * _REGISTER_GPU_PAGE_COST
             if (
                 self.card.config.gpu_tx_method == "bar1"
@@ -167,11 +167,10 @@ class ApenetEndpoint:
             gpu = self.runtime.device(attrs.device_index)
             gpu_index = self._card_gpu_index(gpu)
             # "the buffer mapping is automatically done, if necessary".
-            table = self.card.gpu_v2p.table(gpu_index)
-            if not table.is_mapped(local_addr):
+            if not self.card.gpu_v2p[gpu_index].is_mapped(local_addr):
                 yield from self.register(local_addr, nbytes)
         else:
-            host_buf = self.runtime.host_buffer_at(local_addr)
+            host_buf = self.runtime.host_heap.buffer_at(local_addr)
             if host_buf._data is not None:
                 off = local_addr - host_buf.addr
                 data = host_buf.data[off : off + nbytes]

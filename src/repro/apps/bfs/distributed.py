@@ -45,9 +45,11 @@ __all__ = [
     "BfsResult",
     "RankBreakdown",
     "run_bfs",
+    "PAIR_BYTES",
 ]
 
-_PAIR_BYTES = 8  # (vertex, parent) as two packed uint32s
+#: Bytes per transmitted candidate: (vertex, parent) as two packed uint32s.
+PAIR_BYTES = 8
 
 # Cluster II packs TWO M2075s per node, so two BFS ranks share one
 # ConnectX-2: approximated as an x4-slot per-rank share of the HCA.
@@ -143,7 +145,7 @@ class _BfsRank:
         plus 64 bytes of slack."""
         g = self.graph
         owners = g.col_idx[g.row_ptr[self.lo] : g.row_ptr[self.hi]] // self.chunk
-        return np.bincount(owners, minlength=self.cfg.np_) * _PAIR_BYTES + 64
+        return np.bincount(owners, minlength=self.cfg.np_) * PAIR_BYTES + 64
 
     def owner(self, vertices: np.ndarray) -> np.ndarray:
         """Owning rank of each vertex id (1-D block partition)."""

@@ -35,7 +35,7 @@ from ...faults import FaultPlan
 from ...recovery import RecoveryPolicy
 from ...units import Gbps, kib, us
 from ..harness import ExperimentError, ExperimentResult, register
-from ..microbench import alloc_kind, make_cluster
+from ..microbench import _steady_bandwidth, alloc_kind, make_cluster
 from ..tables import render_table
 
 H, G = BufferKind.HOST, BufferKind.GPU
@@ -237,9 +237,7 @@ def _degradation(n_msgs: int) -> dict:
         raise ExperimentError(
             f"degradation must flip mid-stream: {st.degraded_puts}/{st.gpu_puts}"
         )
-    k = max(1, len(completions) // 4)
-    duration = completions[-1] - completions[k - 1]
-    mbps = (len(completions) - k) * MSG / duration * 1000.0 if duration > 0 else 0.0
+    mbps = _steady_bandwidth(MSG, completions, n_msgs).MBps
     return {"MBps": mbps, "stats": st, "faults": cluster.faults.stats}
 
 

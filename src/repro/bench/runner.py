@@ -10,14 +10,14 @@ reproduction sweep is embarrassingly parallel.  This module provides:
   the service uses) or run them in-process (``jobs == 1``), with
   per-experiment wall-clock and simulated-event telemetry;
 * :class:`ResultCache` — an on-disk JSON cache keyed by a hash of the
-  experiment id, quick/full flag, every calibration constant, the
-  package version and the package's source code, so unchanged
+  experiment id, the quick/full flag and the package's source code
+  (which holds every calibration constant and the version), so unchanged
   experiments are skipped on re-runs;
 * :func:`write_json` — the ``results/run-<id>.json`` artifact that
   ``scripts/check_bench.py`` gates against ``benchmarks/baselines/sweep.json``.
 
 Determinism: the simulation is seedless and deterministic, so a given
-(experiment, quick, calibration, source) tuple always produces identical
+(experiment, quick, source) tuple always produces identical
 ``comparisons`` rows — which is what makes the cache sound and lets CI
 assert that parallel and serial sweeps agree bit-for-bit.
 """
@@ -92,20 +92,9 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-# DEFAULT_CONFIG is a frozen dataclass, so its dict form — walked for
-# every cache key and every artifact stamp — is computed once per
-# process, not once per experiment.
-_calibration_dict_memo: Optional[dict] = None
+# Both are computed once per process, not once per experiment.
 _calibration_hash_memo: Optional[str] = None
 _source_digest_memo: Optional[str] = None
-
-
-def _calibration_dict() -> dict:
-    """Memoised ``asdict(DEFAULT_CONFIG)`` (treat as read-only)."""
-    global _calibration_dict_memo
-    if _calibration_dict_memo is None:
-        _calibration_dict_memo = asdict(DEFAULT_CONFIG)
-    return _calibration_dict_memo
 
 
 def _source_digest() -> str:
@@ -130,16 +119,14 @@ def _source_digest() -> str:
 def cache_key(experiment_id: str, quick: bool) -> str:
     """Content hash identifying one experiment execution.
 
-    Covers the experiment id, the quick/full flag, every calibration
-    constant of :data:`~repro.apenet.config.DEFAULT_CONFIG`, the package
-    version and a digest of the package's source files — any change to
-    model constants or to the code invalidates all cached results.
+    Covers the experiment id, the quick/full flag and a digest of the
+    package's source files.  Every calibration constant and the package
+    version are source, so any change to model constants or to the code
+    invalidates all cached results.
     """
     ident = {
         "experiment": experiment_id,
         "quick": bool(quick),
-        "calibration": _calibration_dict(),
-        "version": __version__,
         "source": _source_digest(),
     }
     blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
@@ -155,9 +142,7 @@ def calibration_hash() -> str:
     """
     global _calibration_hash_memo
     if _calibration_hash_memo is None:
-        blob = json.dumps(
-            _calibration_dict(), sort_keys=True, separators=(",", ":")
-        )
+        blob = json.dumps(asdict(DEFAULT_CONFIG), sort_keys=True, separators=(",", ":"))
         _calibration_hash_memo = hashlib.sha256(blob.encode()).hexdigest()[:12]
     return _calibration_hash_memo
 

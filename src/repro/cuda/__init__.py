@@ -3,14 +3,13 @@
 from .config import DEFAULT_COSTS, CudaCosts
 from .memcpy import MemcpyKind, classify, memcpy_async, memcpy_device_work, memcpy_sync
 from .pointer import MemoryType, PointerAttributes
-from .runtime import CudaRuntime, HostBuffer
+from .runtime import CudaRuntime
 from .stream import CudaStream
 
 __all__ = [
     "CudaCosts",
     "DEFAULT_COSTS",
     "CudaRuntime",
-    "HostBuffer",
     "CudaStream",
     "MemcpyKind",
     "classify",

@@ -69,7 +69,7 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
 
     if kind is MemcpyKind.D2H:
         gpu = rt.owner_gpu(src)
-        host = rt.host_buffer_at(dst)
+        host = rt.host_heap.buffer_at(dst)
         array = host.data if (host._data is not None or _gpu_has_data(gpu, src)) else None
         return gpu.dma.device_to_host(
             src, dst, nbytes, host_array=array, host_offset=dst - host.addr
@@ -77,7 +77,7 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
 
     if kind is MemcpyKind.H2D:
         gpu = rt.owner_gpu(dst)
-        host = rt.host_buffer_at(src)
+        host = rt.host_heap.buffer_at(src)
         array = host.data if host._data is not None else None
         return gpu.dma.host_to_device(
             src, dst, nbytes, host_array=array, host_offset=src - host.addr
@@ -90,10 +90,10 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
         def _d2d():
             # On-device copy: read + write against device memory bandwidth.
             yield sim.timeout(nbytes / (gpu.spec.mem_bandwidth / 2))
-            src_buf = gpu.allocator.buffer_at(src)
+            src_buf = gpu.heap.buffer_at(src)
             if src_buf._data is not None:
                 data = src_buf.read_bytes(src, nbytes)
-                gpu.allocator.buffer_at(dst).write_bytes(dst, data)
+                gpu.heap.buffer_at(dst).write_bytes(dst, data)
             done.succeed(nbytes)
 
         sim.process(_d2d(), name=f"{gpu.name}.d2d")
@@ -104,10 +104,10 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
 
     def _h2h():
         yield sim.timeout(nbytes / _HOST_MEMCPY_RATE)
-        src_buf = rt.host_buffer_at(src)
+        src_buf = rt.host_heap.buffer_at(src)
         if src_buf._data is not None:
             data = src_buf.read_bytes(src, nbytes)
-            rt.host_buffer_at(dst).write_bytes(dst, data)
+            rt.host_heap.buffer_at(dst).write_bytes(dst, data)
         done.succeed(nbytes)
 
     sim.process(_h2h(), name="h2h")
@@ -116,7 +116,7 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
 
 def _gpu_has_data(gpu, addr: int) -> bool:
     try:
-        return gpu.allocator.buffer_at(addr)._data is not None
+        return gpu.heap.buffer_at(addr)._data is not None
     except KeyError:
         return False
 

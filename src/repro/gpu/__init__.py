@@ -1,17 +1,13 @@
-"""NVIDIA GPU device model: memory, GPUDirect P2P, BAR1, DMA, kernels."""
+"""NVIDIA GPU device model: GPUDirect P2P, BAR1, DMA, kernels.
+
+A GPU's global memory and its BAR1 windows are each one
+:class:`~repro.pcie.device.BufferHeap` of 64 KB pages.
+"""
 
 from .bar1 import Bar1Aperture, Bar1Error, Bar1Mapping
 from .device import GPUDevice, gpu_base_address
 from .dma import DmaEngine
 from .kernels import KERNEL_LAUNCH_OVERHEAD, ComputeEngine, KernelLaunch
-from .memory import (
-    DeviceMemoryAllocator,
-    GpuBuffer,
-    GpuPageTable,
-    OutOfMemoryError,
-    PageDescriptor,
-    page_descriptors,
-)
 from .p2p import GPU_READ_CHUNK, REQUEST_DESCRIPTOR_BYTES, P2PReadEngine, P2PReadRequest
 from .specs import (
     FERMI_2050,
@@ -33,12 +29,6 @@ __all__ = [
     "KEPLER_K10",
     "KEPLER_K20",
     "GPU_PAGE_SIZE",
-    "DeviceMemoryAllocator",
-    "GpuBuffer",
-    "GpuPageTable",
-    "PageDescriptor",
-    "page_descriptors",
-    "OutOfMemoryError",
     "P2PReadEngine",
     "P2PReadRequest",
     "GPU_READ_CHUNK",

@@ -5,21 +5,22 @@ memory-mapped address space, readable/writable with *standard* PCIe memory
 operations (§III).  Constraints modelled from the paper:
 
 * the aperture is small ("a few hundreds of megabytes ... a scarce
-  resource") — allocation fails when it is exhausted;
+  resource") — mapping fails when it is exhausted;
 * mapping "is an expensive operation, which requires a full reconfiguration
-  of the GPU" — a fixed time cost charged to the caller;
+  of the GPU" — the caller charges ``GPUSpec.bar1_map_cost``;
 * Fermi reads through BAR1 are extremely slow (150 MB/s, Table I);
   Kepler fixes this (1.6 GB/s).
 
 The rate asymmetry lives in the GPU device's ``describe_read`` for the
-BAR1 window; this module only manages the address-space bookkeeping.
+BAR1 window; this module only hands out and resolves windows, from one
+:class:`~repro.pcie.device.BufferHeap` of 64 KB pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memory import GpuBuffer
+from ..pcie.device import BufferHeap, MemoryBuffer, OutOfMemoryError
 from .specs import GPU_PAGE_SIZE
 
 __all__ = ["Bar1Mapping", "Bar1Aperture", "Bar1Error"]
@@ -34,7 +35,7 @@ class Bar1Mapping:
     """An active window: BAR1 addresses <-> one device buffer."""
 
     bar1_addr: int
-    buffer: GpuBuffer
+    buffer: MemoryBuffer
     size: int
 
     @property
@@ -50,55 +51,31 @@ class Bar1Mapping:
 
 
 class Bar1Aperture:
-    """Allocator for the BAR1 address window of one GPU."""
+    """The BAR1 address window of one GPU, mapped buffer by buffer."""
 
-    def __init__(self, base: int, size: int, map_cost: float, gpu_name: str = "gpu"):
-        self.base = base
-        self.size = size
-        self.map_cost = map_cost
+    def __init__(self, base: int, size: int, gpu_name: str):
         self.gpu_name = gpu_name
-        self._free: list[tuple[int, int]] = [(base, size)]
-        self._mappings: list[Bar1Mapping] = []
+        self._windows = BufferHeap(base, size, GPU_PAGE_SIZE, f"{gpu_name}.bar1")
+        self._mappings: dict[int, Bar1Mapping] = {}
 
-    @property
-    def used(self) -> int:
-        """Mapped bytes."""
-        return self.size - sum(s for _, s in self._free)
+    def map(self, buf: MemoryBuffer) -> Bar1Mapping:
+        """Map *buf* into the aperture (the caller charges the time)."""
+        try:
+            window = self._windows.alloc(buf.size)
+        except OutOfMemoryError as exc:
+            raise Bar1Error(
+                f"BAR1 aperture exhausted: {exc} — "
+                "BAR1 is a scarce resource (32-bit BIOS limit)"
+            ) from exc
+        mapping = Bar1Mapping(window.addr, buf, buf.size)
+        self._mappings[window.addr] = mapping
+        return mapping
 
-    @property
-    def free_bytes(self) -> int:
-        """Unmapped aperture bytes."""
-        return sum(s for _, s in self._free)
-
-    @staticmethod
-    def _round_up(n: int) -> int:
-        return (n + GPU_PAGE_SIZE - 1) // GPU_PAGE_SIZE * GPU_PAGE_SIZE
-
-    def map(self, buf: GpuBuffer) -> Bar1Mapping:
-        """Map *buf* into the aperture.
-
-        The *time* cost (``map_cost``, a full GPU reconfiguration) must be
-        charged by the caller — typically the CUDA runtime layer yields it.
-        """
-        need = self._round_up(buf.size)
-        for i, (addr, size) in enumerate(self._free):
-            if size >= need:
-                if size == need:
-                    del self._free[i]
-                else:
-                    self._free[i] = (addr + need, size - need)
-                mapping = Bar1Mapping(addr, buf, buf.size)
-                self._mappings.append(mapping)
-                return mapping
-        raise Bar1Error(
-            f"{self.gpu_name}: BAR1 aperture exhausted "
-            f"({self.free_bytes} free, {buf.size} requested) — "
-            "BAR1 is a scarce resource (32-bit BIOS limit)"
-        )
-
-    def translate(self, bar1_addr: int) -> tuple[GpuBuffer, int]:
+    def translate(self, bar1_addr: int) -> tuple[MemoryBuffer, int]:
         """Resolve a BAR1 address to (buffer, device_addr)."""
-        for m in self._mappings:
-            if m.bar1_addr <= bar1_addr < m.bar1_end:
-                return m.buffer, m.device_addr(bar1_addr)
-        raise Bar1Error(f"{self.gpu_name}: BAR1 address 0x{bar1_addr:x} not mapped")
+        try:
+            window = self._windows.buffer_at(bar1_addr)
+        except KeyError:
+            raise Bar1Error(f"{self.gpu_name}: BAR1 address 0x{bar1_addr:x} not mapped") from None
+        mapping = self._mappings[window.addr]
+        return mapping.buffer, mapping.device_addr(bar1_addr)

@@ -6,7 +6,9 @@ Address layout (one contiguous region per GPU, assigned by the platform):
   the GPUDirect P2P write path (posted writes land directly in buffers) and
   by the mailbox read protocol (:mod:`repro.gpu.p2p`).  Plain PCIe reads of
   this window model peer-initiated pulls and share the same internal read
-  limiter.
+  limiter.  Buffers come from :attr:`GPUDevice.heap`, a
+  :class:`~repro.pcie.device.BufferHeap` of 64 KB pages, the unit the P2P
+  protocol maps.
 * BAR1 aperture — standard memory-mapped access, mapped per-buffer
   (:mod:`repro.gpu.bar1`); reads are catastrophically slow on Fermi.
 * mailbox — where initiators post P2P read-request descriptors.
@@ -18,12 +20,11 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
+from ..pcie.device import BufferHeap, MemoryBuffer, PCIeDevice, ReadBehavior, WriteBehavior
 from ..sim import Channel, Simulator
 from .bar1 import Bar1Aperture
 from .dma import DmaEngine
 from .kernels import ComputeEngine
-from .memory import DeviceMemoryAllocator, GpuPageTable
 from .p2p import P2PReadEngine, P2PReadRequest
 from .specs import GPU_PAGE_SIZE, GPUSpec
 
@@ -60,9 +61,8 @@ class GPUDevice(PCIeDevice):
         mailbox_base = bar1_base + spec.bar1_size
         self.mailbox_window = self.add_window(mailbox_base, GPU_PAGE_SIZE, "mailbox")
 
-        self.allocator = DeviceMemoryAllocator(base, spec.vram, name)
-        self.bar1 = Bar1Aperture(bar1_base, spec.bar1_size, spec.bar1_map_cost, name)
-        self.page_table = GpuPageTable(name)
+        self.heap = BufferHeap(base, spec.vram, GPU_PAGE_SIZE, name)
+        self.bar1 = Bar1Aperture(bar1_base, spec.bar1_size, name)
 
         # Shared internal read path: mailbox protocol and peer pulls contend.
         self._read_limiter = Channel(sim, spec.p2p_read_rate, name=f"{name}.rd")
@@ -119,7 +119,7 @@ class GPUDevice(PCIeDevice):
         if payload is None:
             return
         data = np.asarray(payload, dtype=np.uint8)
-        buf = self.allocator.buffer_at(addr)  # raises if nothing is there
+        buf = self.heap.buffer_at(addr)  # raises if nothing is there
         buf.write_bytes(addr, data[:nbytes])
 
     def _on_bar1_write(self, addr: int, nbytes: int, payload: Any) -> None:
@@ -145,13 +145,9 @@ class GPUDevice(PCIeDevice):
     # Convenience
     # ------------------------------------------------------------------
 
-    def alloc(self, nbytes: int):
-        """Allocate device memory (see :class:`DeviceMemoryAllocator`)."""
-        return self.allocator.alloc(nbytes)
-
-    def free(self, buf) -> None:
-        """Free device memory."""
-        self.allocator.free(buf)
+    def alloc(self, nbytes: int) -> MemoryBuffer:
+        """Allocate device memory, in whole 64 KB pages."""
+        return self.heap.alloc(nbytes)
 
     @property
     def dma(self) -> DmaEngine:

@@ -62,7 +62,7 @@ class DmaEngine:
         try:
             payload = None
             if host_array is not None:
-                buf = self.gpu.allocator.buffer_at(device_addr)
+                buf = self.gpu.heap.buffer_at(device_addr)
                 payload = buf.read_bytes(device_addr, nbytes)
             # Engine ceiling and PCIe wire time overlap; the slower wins.
             rate_ev = self._d2h.transfer(nbytes)
@@ -107,7 +107,7 @@ class DmaEngine:
             )
             yield self.sim.all_of([rate_ev, wire_ev])
             if host_array is not None:
-                buf = self.gpu.allocator.buffer_at(device_addr)
+                buf = self.gpu.heap.buffer_at(device_addr)
                 chunk = np.asarray(
                     host_array[host_offset : host_offset + nbytes], dtype=np.uint8
                 )

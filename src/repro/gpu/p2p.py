@@ -107,7 +107,7 @@ class P2PReadEngine:
             )
             payload = None
             if req.carry_data:
-                buf = self.gpu.allocator.buffer_at(req.src_addr)
+                buf = self.gpu.heap.buffer_at(req.src_addr)
                 payload = buf.read_bytes(req.src_addr, req.nbytes)
             # Push the data to the initiator with a posted write; the wire
             # time overlaps the remaining internal fetch.

@@ -110,7 +110,7 @@ class MpiEndpoint:
         return self.node.runtime.pointer_attributes(addr).is_device
 
     def _host_data(self, addr: int, nbytes: int):
-        buf = self.node.runtime.host_buffer_at(addr)
+        buf = self.node.runtime.host_heap.buffer_at(addr)
         if buf._data is None:
             return None
         off = addr - buf.addr
@@ -275,10 +275,10 @@ class MpiEndpoint:
             yield self.sim.timeout(env.nbytes / _HOST_COPY_RATE + us(0.2))
             if span is not None:
                 span.end()
-            src_buf = self.node.runtime.host_buffer_at(eager_addr)
+            src_buf = self.node.runtime.host_heap.buffer_at(eager_addr)
             if src_buf._data is not None:
                 data = src_buf.read_bytes(eager_addr, env.nbytes)
-                dst_buf = self.node.runtime.host_buffer_at(posted.addr)
+                dst_buf = self.node.runtime.host_heap.buffer_at(posted.addr)
                 dst_buf.write_bytes(posted.addr, data)
             posted.req.done.succeed(posted.req)
 

@@ -19,9 +19,9 @@ Mechanics modelled here:
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
+from ..apenet.jobs import fragment_message
 from ..cuda.memcpy import memcpy_device_work, memcpy_sync
 from ..cuda.stream import CudaStream
 from ..sim import Event
@@ -76,13 +76,6 @@ class GpuProtocol:
 
     # -- helpers -----------------------------------------------------------
 
-    def _chunks(self, nbytes: int) -> list[tuple[int, int]]:
-        n = math.ceil(nbytes / self.chunk_size)
-        return [
-            (i * self.chunk_size, min(self.chunk_size, nbytes - i * self.chunk_size))
-            for i in range(n)
-        ]
-
     def _async_copy(self, dst: int, src: int, nbytes: int) -> Event:
         """Enqueue a copy on the shared stream; returns its completion."""
         return self.stream.enqueue(
@@ -105,7 +98,7 @@ class GpuProtocol:
         # Chunked pipeline through double vbufs on the single stream.
         # Vbufs are per-invocation: concurrent pipelines must not share.
         vbufs = self.runtime.host_alloc(2 * self.chunk_size)
-        chunks = self._chunks(nbytes)
+        chunks = fragment_message(nbytes, self.chunk_size)
         sub_done: list[Event] = []
 
         def pipeline():
@@ -149,7 +142,7 @@ class GpuProtocol:
             self.sim.process(finish(), name=f"mpi{self.ep.rank}.gpurecv")
             return
         vbufs = self.runtime.host_alloc(2 * self.chunk_size)
-        chunks = self._chunks(nbytes)
+        chunks = fragment_message(nbytes, self.chunk_size)
 
         def pipeline():
             copies: list[Event] = []

@@ -5,7 +5,16 @@ See :mod:`repro.pcie.fabric` for the transaction engines and
 """
 
 from .analyzer import BusAnalyzer
-from .device import AddressWindow, HostMemory, PCIeDevice, ReadBehavior, WriteBehavior
+from .device import (
+    AddressWindow,
+    BufferHeap,
+    HostMemory,
+    MemoryBuffer,
+    OutOfMemoryError,
+    PCIeDevice,
+    ReadBehavior,
+    WriteBehavior,
+)
 from .fabric import FabricLink, FabricNode, PCIeFabric, TransferRecord
 from .tlp import (
     DEFAULT_MPS,
@@ -23,6 +32,9 @@ from .topology import Platform, plx_platform, westmere_platform
 __all__ = [
     "BusAnalyzer",
     "AddressWindow",
+    "BufferHeap",
+    "MemoryBuffer",
+    "OutOfMemoryError",
     "HostMemory",
     "PCIeDevice",
     "ReadBehavior",

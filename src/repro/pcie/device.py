@@ -11,7 +11,10 @@ A device participates in the fabric in two roles:
 
 The :class:`MemoryBuffer` is the byte store behind an allocation in any
 device's memory (a pinned host buffer, a GPU buffer): data-integrity runs
-move real bytes through it, timing-only runs never touch it.
+move real bytes through it, timing-only runs never touch it.  One
+:class:`BufferHeap` hands out and finds every allocation of one memory:
+pinned host memory (:attr:`HostMemory.heap`), each GPU's global memory and
+each GPU's BAR1 windows.
 
 Behaviour objects are *shared* across transactions so that a single
 zero-latency :class:`~repro.sim.channel.Channel` naturally serializes
@@ -21,21 +24,25 @@ path).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ..sim import Channel, Simulator
-from ..units import GBps, GiB, ns
+from ..units import GBps, GiB, KiB, ns
 
 __all__ = [
     "ReadBehavior",
     "WriteBehavior",
     "AddressWindow",
     "MemoryBuffer",
+    "BufferHeap",
+    "OutOfMemoryError",
     "PCIeDevice",
     "HostMemory",
+    "HOST_PAGE_SIZE",
 ]
 
 
@@ -124,6 +131,53 @@ class MemoryBuffer:
         return self.data[off : off + nbytes].copy()
 
 
+class OutOfMemoryError(MemoryError):
+    """A :class:`BufferHeap` has no room left for an allocation."""
+
+
+class BufferHeap:
+    """Bump allocator over ``[base, base + size)`` in whole pages.
+
+    Nothing in the model frees memory, so each allocation starts where
+    the previous one's last page ends, and buffers stay sorted by address
+    for :meth:`buffer_at`'s bisect.
+    """
+
+    def __init__(self, base: int, size: int, page: int, name: str):
+        self.base = base
+        self.size = size
+        self.page = page
+        self.name = name
+        self._brk = base
+        self._starts: list[int] = []
+        self._bufs: list[MemoryBuffer] = []
+
+    def alloc(self, nbytes: int) -> MemoryBuffer:
+        """A new buffer of *nbytes*; the heap advances by whole pages."""
+        if nbytes <= 0:
+            raise ValueError("allocation size must be positive")
+        need = -(-nbytes // self.page) * self.page
+        free = self.base + self.size - self._brk
+        if need > free:
+            raise OutOfMemoryError(
+                f"{self.name}: cannot allocate {nbytes} bytes ({free} free of {self.size})"
+            )
+        buf = MemoryBuffer(self._brk, nbytes)
+        self._brk += need
+        self._starts.append(buf.addr)
+        self._bufs.append(buf)
+        return buf
+
+    def buffer_at(self, addr: int) -> MemoryBuffer:
+        """The buffer holding byte *addr*; ``KeyError`` if none does."""
+        i = bisect_right(self._starts, addr) - 1
+        if i >= 0:
+            buf = self._bufs[i]
+            if addr < buf.addr + buf.size:
+                return buf
+        raise KeyError(f"{self.name}: no buffer at 0x{addr:x}")
+
+
 class PCIeDevice:
     """Base class for anything that plugs into the fabric.
 
@@ -169,6 +223,10 @@ class PCIeDevice:
 HOST_MEMORY_SIZE = 64 * GiB
 HOST_READ_LATENCY = ns(150.0)
 HOST_DMA_RATE = GBps(12.8)
+#: Host page size: pinned buffers and the card's host V2P table use it.
+HOST_PAGE_SIZE = 4 * KiB
+#: Pinned host buffers are carved from the DRAM window from 4 GiB up.
+_PINNED_HEAP_OFFSET = 4 * GiB
 
 
 class HostMemory(PCIeDevice):
@@ -176,11 +234,19 @@ class HostMemory(PCIeDevice):
 
     Served through the memory controller: a first-access latency and a rate
     limiter per direction representing achievable DMA bandwidth to DRAM.
+    :attr:`heap` holds the pinned buffers; data-carrying inbound writes
+    land in them.
     """
 
     def __init__(self, sim: Simulator, base: int = 0x0, name: str = "host-memory"):
         super().__init__(sim, name)
         self.add_window(base, HOST_MEMORY_SIZE, "dram")
+        self.heap = BufferHeap(
+            base + _PINNED_HEAP_OFFSET,
+            HOST_MEMORY_SIZE - _PINNED_HEAP_OFFSET,
+            HOST_PAGE_SIZE,
+            f"{name}.heap",
+        )
         self._read = ReadBehavior(
             latency=HOST_READ_LATENCY,
             limiter=Channel(sim, HOST_DMA_RATE, name=f"{name}.rd"),
@@ -188,14 +254,15 @@ class HostMemory(PCIeDevice):
         self._write = WriteBehavior(
             limiter=Channel(sim, HOST_DMA_RATE, name=f"{name}.wr"), on_write=self._deliver
         )
-        # Higher layers (e.g. the CUDA runtime's host-buffer heap) register
-        # hooks to receive data-carrying writes into their address ranges.
-        self.delivery_hooks: list[Callable[[int, int, Any], None]] = []
 
     def _deliver(self, addr: int, nbytes: int, payload: Any) -> None:
-        if payload is not None:
-            for hook in self.delivery_hooks:
-                hook(addr, nbytes, payload)
+        if payload is None:
+            return
+        try:
+            buf = self.heap.buffer_at(addr)
+        except KeyError:
+            return  # outside every pinned buffer: nothing keeps the bytes
+        buf.write_bytes(addr, np.asarray(payload, dtype=np.uint8)[:nbytes])
 
     def describe_read(self, addr: int) -> ReadBehavior:
         return self._read

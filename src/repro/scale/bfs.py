@@ -43,6 +43,7 @@ import numpy as np
 from ..apenet.buflist import BufferKind
 from ..apenet.config import DEFAULT_CONFIG
 from ..apps.bfs.csr import rmat_graph
+from ..apps.bfs.distributed import PAIR_BYTES
 from ..apps.bfs.perf import BfsKernelModel
 from ..apps.bfs.serial import UNVISITED, traversed_edges
 from ..gpu import FERMI_2050
@@ -51,9 +52,6 @@ from ..net.topology import RouteTable, TorusShape
 from .flow import FlowCalibration, calibrate
 
 __all__ = ["ScaleBfsResult", "run_scale_bfs"]
-
-#: Bytes per transmitted candidate pair — matches ``repro.apps.bfs``.
-PAIR_BYTES = 8
 
 #: Bytes of the per-peer candidate-count message (sparse protocol).
 COUNT_BYTES = 8

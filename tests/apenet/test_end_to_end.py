@@ -213,7 +213,7 @@ def test_gpu_source_auto_registers_mapping():
 
     def proc():
         yield from n1.endpoint.register(dst.addr, kib(8))
-        assert not n0.card.gpu_v2p.table(0).is_mapped(src.addr)
+        assert not n0.card.gpu_v2p[0].is_mapped(src.addr)
         done = yield from n0.endpoint.put(
             1, src.addr, dst.addr, kib(8), src_kind=BufferKind.GPU
         )
@@ -222,7 +222,44 @@ def test_gpu_source_auto_registers_mapping():
 
     sim.run_process(proc())
     # "the buffer mapping is automatically done, if necessary" (§IV.A)
-    assert n0.card.gpu_v2p.table(0).is_mapped(src.addr)
+    assert n0.card.gpu_v2p[0].is_mapped(src.addr)
+
+
+def test_registration_charges_newly_mapped_pages():
+    from repro.apenet.rdma import (
+        _REGISTER_BASE_COST,
+        _REGISTER_GPU_PAGE_COST,
+        _REGISTER_HOST_PAGE_COST,
+    )
+    from repro.apenet.v2p import HOST_PAGE_SIZE
+    from repro.gpu import GPU_PAGE_SIZE
+
+    sim, cluster = build()
+    node = cluster.nodes[0]
+    gpu_a, gpu_b = (node.gpu.alloc(3 * GPU_PAGE_SIZE + 5) for _ in range(2))
+    host = node.runtime.host_alloc(2 * HOST_PAGE_SIZE + 1)
+
+    def cost(addr, nbytes):
+        t0 = sim.now
+        yield from node.endpoint.register(addr, nbytes)
+        return sim.now - t0
+
+    def proc():
+        costs = [(yield from cost(gpu_a.addr, gpu_a.size))]
+        costs.append((yield from cost(host.addr, host.size)))
+        # A GPU registration maps its whole buffer, so a later one for the
+        # rest of that buffer installs, and pays for, no page.
+        costs.append((yield from cost(gpu_b.addr, 8)))
+        costs.append((yield from cost(gpu_b.addr + 8, gpu_b.size - 8)))
+        return costs
+
+    gpu_cost = _REGISTER_BASE_COST + 4 * _REGISTER_GPU_PAGE_COST
+    assert sim.run_process(proc()) == pytest.approx([
+        gpu_cost,
+        _REGISTER_BASE_COST + 3 * _REGISTER_HOST_PAGE_COST,
+        gpu_cost,
+        _REGISTER_BASE_COST,
+    ])
 
 
 def test_large_transfer_conservation():

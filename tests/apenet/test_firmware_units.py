@@ -3,8 +3,8 @@ V2P tables."""
 
 import pytest
 
-from repro.apenet import BufferKind, BufList, HostV2P, NiosII, RegisteredBuffer
-from repro.apenet.v2p import HOST_PAGE_SIZE, GpuV2PSet
+from repro.apenet import BufferKind, BufList, NiosII, PageMap, RegisteredBuffer
+from repro.apenet.v2p import HOST_PAGE_SIZE
 from repro.sim import Simulator
 from repro.units import us
 
@@ -99,13 +99,9 @@ def test_buflist_rejects_overlap():
 
 
 def test_host_v2p_map_and_lookup():
-    v2p = HostV2P()
+    v2p = PageMap(HOST_PAGE_SIZE)
     added = v2p.map_range(0x1080, 3 * HOST_PAGE_SIZE)
     assert added == 4  # unaligned start covers an extra page
     assert v2p.map_range(0x1000, 4 * HOST_PAGE_SIZE) == 0  # a remap adds none
-
-
-def test_gpu_v2p_set_lazy_tables():
-    s = GpuV2PSet()
-    t0 = s.table(0)
-    assert s.table(0) is t0
+    assert v2p.is_mapped(0x1000) and v2p.is_mapped(0x4FFF)
+    assert not v2p.is_mapped(0x5000)

@@ -40,8 +40,8 @@ def test_put_from_second_gpu():
     sim.run_process(proc())
     assert dst.data.min() == 55
     # The V2P table for GPU index 1 was the one populated.
-    assert a.card.gpu_v2p.table(1).is_mapped(src.addr)
-    assert not a.card.gpu_v2p.table(0).is_mapped(src.addr)
+    assert a.card.gpu_v2p[1].is_mapped(src.addr)
+    assert not a.card.gpu_v2p[0].is_mapped(src.addr)
 
 
 def test_both_gpus_can_receive():

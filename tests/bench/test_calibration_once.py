@@ -1,11 +1,10 @@
-"""Regression: the calibration dict/hash are computed once per process.
+"""Regression: the calibration hash is computed once per process.
 
-Before the hoist, ``cache_key`` and ``calibration_hash`` each re-walked
-``asdict(DEFAULT_CONFIG)`` on every call — once per cached-experiment
-lookup and once per artifact stamp.  The memo in
-:mod:`repro.bench.runner` pins both: after the first computation no call
-path may walk the config dataclass again, and the memoised values must
-be byte-identical to the direct computation.
+``calibration_hash`` walks ``asdict(DEFAULT_CONFIG)`` behind its own
+memo, and ``cache_key`` never walks it (the source digest it hashes
+already covers the config module).  After the first computation no call
+path may walk the config dataclass again, and the memoised hash must be
+byte-identical to the direct computation.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ def _counting_asdict(counter):
 
 
 def _reset_memos(monkeypatch, counter):
-    monkeypatch.setattr(runner, "_calibration_dict_memo", None)
     monkeypatch.setattr(runner, "_calibration_hash_memo", None)
     monkeypatch.setattr(runner, "asdict", _counting_asdict(counter))
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cuda import CudaRuntime, MemoryType
-from repro.gpu import FERMI_2050, FERMI_2070, GPUDevice
+from repro.gpu import FERMI_2050, FERMI_2070, GPU_PAGE_SIZE, GPUDevice, gpu_base_address
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
+from repro.units import GiB
 
 
 def build(n_gpus=1):
@@ -25,8 +26,30 @@ def test_host_alloc_addresses_disjoint():
     a = rt.host_alloc(5000)
     b = rt.host_alloc(100)
     assert a.end <= b.addr
-    assert rt.host_buffer_at(a.addr + 4999) is a
-    assert rt.host_buffer_at(b.addr) is b
+    assert rt.host_heap.buffer_at(a.addr + 4999) is a
+    assert rt.host_heap.buffer_at(b.addr) is b
+
+
+def test_fresh_heaps_hand_out_addresses_from_their_bases():
+    """Host buffers start 4 GiB into DRAM in 4 KB steps; GPU buffers and
+    BAR1 windows start at their window bases in 64 KB steps.  These
+    addresses set every run's BUF_LIST order and page counts."""
+    sim, plat, rt = build(n_gpus=2)
+    host = plat.host_memory.windows[0].base + 4 * GiB
+    sizes = [1, 4096, 4097, 1]
+    assert [rt.host_alloc(n).addr for n in sizes] == [
+        host, host + 4096, host + 2 * 4096, host + 4 * 4096
+    ]
+    page = GPU_PAGE_SIZE
+    sizes = [1, page, page + 1, 1]
+    for i, gpu in enumerate(rt.devices):
+        base = gpu_base_address(i)
+        bufs = [gpu.alloc(n) for n in sizes]
+        assert [b.addr for b in bufs] == [base, base + page, base + 2 * page, base + 4 * page]
+        bar1 = gpu.bar1_window.base
+        assert [gpu.bar1.map(b).bar1_addr for b in bufs] == [
+            bar1, bar1 + page, bar1 + 2 * page, bar1 + 4 * page
+        ]
 
 
 def test_host_alloc_rejects_nonpositive():

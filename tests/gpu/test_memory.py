@@ -1,23 +1,20 @@
-"""Unit tests for GPU memory allocator, page descriptors, page tables."""
+"""GPU memory: the heap of 64 KB pages its buffers come from, and the
+per-GPU page map the card installs them in."""
 
 import numpy as np
 import pytest
 
-from repro.gpu import (
-    GPU_PAGE_SIZE,
-    DeviceMemoryAllocator,
-    GpuPageTable,
-    OutOfMemoryError,
-    page_descriptors,
-)
+from repro.apenet import PageMap
+from repro.gpu import GPU_PAGE_SIZE
+from repro.pcie import BufferHeap, OutOfMemoryError
 
 
-def make_alloc(vram=16 * GPU_PAGE_SIZE, base=0x1000_0000):
-    return DeviceMemoryAllocator(base, vram, "gpu0")
+def make_heap(vram=16 * GPU_PAGE_SIZE, base=0x1000_0000):
+    return BufferHeap(base, vram, GPU_PAGE_SIZE, "gpu0")
 
 
 def test_alloc_is_page_aligned():
-    a = make_alloc()
+    a = make_heap()
     b1 = a.alloc(100)
     b2 = a.alloc(100)
     assert b1.addr % GPU_PAGE_SIZE == 0
@@ -26,58 +23,28 @@ def test_alloc_is_page_aligned():
 
 
 def test_alloc_exhaustion():
-    a = make_alloc(vram=2 * GPU_PAGE_SIZE)
+    a = make_heap(vram=2 * GPU_PAGE_SIZE)
     a.alloc(GPU_PAGE_SIZE)
     a.alloc(1)
-    with pytest.raises(OutOfMemoryError):
+    message = r"^gpu0: cannot allocate 1 bytes \(0 free of 131072\)$"
+    with pytest.raises(OutOfMemoryError, match=message):
         a.alloc(1)
 
 
-def test_free_and_reuse():
-    a = make_alloc(vram=2 * GPU_PAGE_SIZE)
-    b1 = a.alloc(GPU_PAGE_SIZE)
-    a.free(b1)
-    b2 = a.alloc(2 * GPU_PAGE_SIZE)  # coalesced back to full size
-    assert b2.addr == a.base
-
-
-def test_free_coalesces_neighbours():
-    a = make_alloc(vram=4 * GPU_PAGE_SIZE)
-    bufs = [a.alloc(GPU_PAGE_SIZE) for _ in range(4)]
-    a.free(bufs[1])
-    a.free(bufs[2])
-    a.free(bufs[0])
-    big = a.alloc(3 * GPU_PAGE_SIZE)
-    assert big.addr == a.base
-
-
-def test_double_free_rejected():
-    a = make_alloc()
-    b = a.alloc(64)
-    a.free(b)
-    with pytest.raises(ValueError, match="double free"):
-        a.free(b)
-
-
-def test_use_after_free_rejected():
-    a = make_alloc()
-    b = a.alloc(64)
-    a.free(b)
-    with pytest.raises(ValueError, match="use-after-free"):
-        _ = b.data
-
-
 def test_buffer_at_resolves():
-    a = make_alloc()
+    a = make_heap()
     b = a.alloc(1000)
+    c = a.alloc(10)
     assert a.buffer_at(b.addr) is b
     assert a.buffer_at(b.addr + 999) is b
-    with pytest.raises(KeyError):
-        a.buffer_at(b.addr + 1000)
+    assert a.buffer_at(c.addr + 9) is c
+    for outside in (b.addr - 1, b.addr + 1000, c.addr + 10):  # padding holds no buffer
+        with pytest.raises(KeyError):
+            a.buffer_at(outside)
 
 
 def test_buffer_data_round_trip():
-    a = make_alloc()
+    a = make_heap()
     b = a.alloc(256)
     payload = np.arange(64, dtype=np.uint8)
     b.write_bytes(b.addr + 10, payload)
@@ -86,7 +53,7 @@ def test_buffer_data_round_trip():
 
 
 def test_buffer_bounds_checked():
-    a = make_alloc()
+    a = make_heap()
     b = a.alloc(100)
     with pytest.raises(IndexError):
         b.write_bytes(b.addr + 90, np.zeros(20, dtype=np.uint8))
@@ -94,49 +61,35 @@ def test_buffer_bounds_checked():
         b.read_bytes(b.addr - 1, 10)
 
 
-def test_used_free_accounting():
-    a = make_alloc(vram=8 * GPU_PAGE_SIZE)
-    assert a.used == 0
-    b = a.alloc(GPU_PAGE_SIZE + 1)  # rounds to 2 pages
-    assert a.used == 2 * GPU_PAGE_SIZE
-    a.free(b)
-    assert a.used == 0
-    assert a.free_bytes == 8 * GPU_PAGE_SIZE
-
-
 def test_page_descriptors_cover_buffer():
-    a = make_alloc()
-    b = a.alloc(3 * GPU_PAGE_SIZE + 5)
-    descs = page_descriptors(b)
-    assert len(descs) == 4
-    assert descs[0].virtual_addr == b.addr
-    assert all(d.virtual_addr % GPU_PAGE_SIZE == 0 for d in descs)
-    # Descriptor span covers the buffer end.
-    assert descs[-1].virtual_addr + GPU_PAGE_SIZE >= b.end
+    b = make_heap().alloc(3 * GPU_PAGE_SIZE + 5)
+    pages = PageMap(GPU_PAGE_SIZE)
+    assert pages.map_range(b.addr, b.size) == 4
+    assert pages.is_mapped(b.addr) and pages.is_mapped(b.end - 1)
+    assert not pages.is_mapped(b.addr + 4 * GPU_PAGE_SIZE)
 
 
 def test_page_table_lookup():
-    a = make_alloc()
-    b = a.alloc(2 * GPU_PAGE_SIZE)
-    pt = GpuPageTable("gpu0")
-    n = pt.map_buffer(b)
-    assert n == 2
-    assert pt.pages_mapped == 2
-    d = pt.lookup(b.addr + GPU_PAGE_SIZE + 123)
-    assert d.virtual_addr == b.addr + GPU_PAGE_SIZE
+    b = make_heap().alloc(2 * GPU_PAGE_SIZE)
+    pages = PageMap(GPU_PAGE_SIZE)
+    assert not pages.is_mapped(b.addr)
+    assert pages.map_range(b.addr, b.size) == 2
+    assert pages.is_mapped(b.addr + GPU_PAGE_SIZE + 123)
 
 
 def test_page_table_unmapped_raises():
-    pt = GpuPageTable("gpu0")
-    with pytest.raises(KeyError):
-        pt.lookup(0xDEAD0000)
-    assert not pt.is_mapped(0xDEAD0000)
+    pages = PageMap(GPU_PAGE_SIZE)
+    assert not pages.is_mapped(0xDEAD0000)
+    for nbytes in (0, -1):
+        with pytest.raises(ValueError, match="positive size"):
+            pages.map_range(0xDEAD0000, nbytes)
+    assert not pages.is_mapped(0xDEAD0000)
+    assert pages.map_range(0xDEAD0000, 1) == 1
+    assert not pages.is_mapped(0xDEAD0000 + GPU_PAGE_SIZE)
 
 
 def test_page_table_remap_idempotent():
-    a = make_alloc()
-    b = a.alloc(GPU_PAGE_SIZE)
-    pt = GpuPageTable()
-    pt.map_buffer(b)
-    pt.map_buffer(b)
-    assert pt.pages_mapped == 1
+    b = make_heap().alloc(GPU_PAGE_SIZE)
+    pages = PageMap(GPU_PAGE_SIZE)
+    assert pages.map_range(b.addr, b.size) == 1
+    assert pages.map_range(b.addr, b.size) == 0

@@ -125,3 +125,28 @@ def test_smoke_allowlist_commands_are_documented(check_docs):
             documented.add(" ".join((env or []) + (argv or [])))
     missing = check_docs.SMOKE_RUN - documented
     assert not missing, f"allowlisted but not documented: {missing}"
+
+
+def test_module_map_flags_missing_and_unlisted_modules(check_docs, tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "sim").mkdir(parents=True)
+    for name in ("__init__.py", "units.py", "sim/__init__.py", "sim/core.py"):
+        (pkg / name).write_text("")
+
+    def design(*entries):
+        return "\n".join([check_docs.MODULE_MAP_HEADING, "", "```", *entries, "```"])
+
+    listed = ["src/repro/", "  units.py    constants", "  sim/        kernel",
+              "    core.py   events,", "              processes"]
+    assert check_docs.check_module_map(design(*listed), tmp_path) == []
+    assert check_docs.check_module_map(design(*listed, "    gone.py   removed"), tmp_path) == [
+        "module map lists src/repro/sim/gone.py, which does not exist"
+    ]
+    assert check_docs.check_module_map(design(*listed[:3]), tmp_path) == [
+        "module map does not list src/repro/sim/core.py"
+    ]
+
+
+def test_design_module_map_matches_the_package(check_docs):
+    text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    assert check_docs.check_module_map(text) == []
