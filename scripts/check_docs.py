@@ -11,8 +11,8 @@ Extracts fenced ```bash blocks from the repository's documentation
    pytest/lint target paths must exist on disk;
 2. **smoke-runs** a small allowlist of cheap commands end to end
    (``python -m repro.bench --list``, ``python -m repro.analysis lint
-   --explain``, ...) so the commands a reader is most likely to paste
-   first are proven to work, not just to parse;
+   --explain``, the four README examples, ...) so the commands a reader
+   is most likely to paste first are proven to work, not just to parse;
 3. **checks the module map** of DESIGN.md §3 — every path it lists must
    exist, and every module under ``src/repro`` must be listed.
 
@@ -50,6 +50,12 @@ SMOKE_RUN = {
     "python -m repro.analysis lint --explain",
     "python -m repro.analysis docstrings src/repro",
     "PYTHONPATH=src python scripts/serve_smoke.py",
+    # The README examples verify a G-G PUT byte for byte and the HSG
+    # physics (about 19 s together on 2 vCPUs).
+    "python examples/quickstart.py",
+    "python examples/spin_glass_multigpu.py",
+    "python examples/graph_traversal.py",
+    "python examples/interconnect_explorer.py",
 }
 
 #: Flags that consume the following token, per CLI prefix.  Keeps the id /

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..gpu.bar1 import Bar1Mapping
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPU_PAGE_SIZE
 from ..net.topology import Coord, RouteTable
@@ -66,7 +67,7 @@ class ApenetCard(PCIeDevice):
         self.gpu_v2p: list[PageMap] = []  # one table per entry of ``gpus``
         # BAR1-TX extension: registered GPU buffers' BAR1 mappings,
         # keyed by buffer base address (see config.gpu_tx_method).
-        self.bar1_tx_maps: dict[int, tuple] = {}
+        self.bar1_tx_maps: dict[int, Bar1Mapping] = {}
         self.endpoint = None  # set by ApenetEndpoint
 
         self.rx = RxEngine(sim, self)

@@ -93,7 +93,6 @@ class GpuTxEngine:
             yield from self.card.nios.run(cfg.gpu_tx_msg_overhead, "gpu_tx")
             chunk_cost = cfg.gpu_chunk_nios_cost()
             window = cfg.effective_window()
-            carry = self._source_has_data(gpu, job)
             n = len(job.packets)
             # v2's prefetcher works in window-sized *batches*: it issues
             # read requests for one window's worth of data, waits for the
@@ -128,7 +127,6 @@ class GpuTxEngine:
                     src_addr=job.src_addr + offset,
                     nbytes=nbytes,
                     reply_addr=self.card.gpu_data_window.base,
-                    carry_data=carry,
                 )
                 self.card.fabric.write(
                     self.card,
@@ -160,28 +158,18 @@ class GpuTxEngine:
     # the P2P rate with far simpler hardware.
     # ------------------------------------------------------------------
 
-    def _bar1_translate(self, src_addr: int):
-        for base, (buf, mapping) in self.card.bar1_tx_maps.items():
-            if buf.contains(src_addr):
-                return buf, mapping.bar1_addr + (src_addr - buf.addr)
-        raise KeyError(
-            f"{self.card.name}: BAR1 TX needs a registered mapping for "
-            f"0x{src_addr:x}"
-        )
-
     def _run_job_bar1(self, job: TxJob, gpu):
         from .tx import windowed_read_tx
 
         cfg = self.card.config
         yield from self.card.nios.run(cfg.gpu_tx_msg_overhead, "gpu_tx")
-        buf, bar1_base = self._bar1_translate(job.src_addr)
-        carry = buf._data is not None
-
-        def data_of(offset: int, nbytes: int):
-            if not carry:
-                return None
-            return buf.read_bytes(job.src_addr + offset, nbytes)
-
+        mapping = self.card.bar1_tx_maps.get(job.src_buf.addr)
+        if mapping is None:
+            raise KeyError(
+                f"{self.card.name}: BAR1 TX needs a registered mapping for "
+                f"0x{job.src_addr:x}"
+            )
+        bar1_base = mapping.bar1_addr + (job.src_addr - job.src_buf.addr)
         # Same continuous-window transmit core as the host path, but the
         # reads target the BAR1 aperture: the GPU's BAR1 behaviour (rate
         # and latency; catastrophic on Fermi, fine on Kepler) throttles.
@@ -193,16 +181,8 @@ class GpuTxEngine:
             request_size=cfg.bar1_read_request,
             outstanding=cfg.bar1_read_outstanding,
             limiter=None,
-            data_of=data_of,
             obs_name="bar1_tx",
         )
-
-    @staticmethod
-    def _source_has_data(gpu, job: TxJob) -> bool:
-        try:
-            return gpu.heap.buffer_at(job.src_addr)._data is not None
-        except KeyError:
-            return False
 
     # ------------------------------------------------------------------
     # Response handling (wired to the card's gpu_data window)

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
 
 from ..net.packet import MAX_PACKET_PAYLOAD, MessageInfo
 from ..net.topology import Coord
+from ..pcie.device import MemoryBuffer
 from ..sim import Event
 from .buflist import BufferKind
 
@@ -30,7 +28,12 @@ def fragment_message(nbytes: int, chunk: int = MAX_PACKET_PAYLOAD) -> list[tuple
 
 @dataclass
 class TxJob:
-    """One RDMA PUT, as handed from the driver to a TX engine."""
+    """One RDMA PUT, as handed from the driver to a TX engine.
+
+    ``src_buf`` is the buffer holding ``src_addr``: a TX engine that reads
+    it with plain PCIe reads takes each packet's bytes from it as it
+    packetizes.
+    """
 
     message: MessageInfo
     src_addr: int
@@ -38,19 +41,13 @@ class TxJob:
     dst_coord: Coord
     src_coord: Coord
     local_done: Event
-    data: Optional[np.ndarray] = field(default=None, repr=False)
+    src_buf: MemoryBuffer = field(repr=False)
     packets: list[tuple[int, int]] = field(default_factory=list)
     gpu_index: int = 0  # source GPU (for GPU-kind jobs)
 
     def __post_init__(self):
         if not self.packets:
             self.packets = fragment_message(self.message.total_bytes)
-
-    def slice_data(self, offset: int, nbytes: int) -> Optional[np.ndarray]:
-        """The real bytes for one fragment (None in timing-only runs)."""
-        if self.data is None:
-            return None
-        return np.asarray(self.data[offset : offset + nbytes], dtype=np.uint8)
 
     @property
     def descriptor_bytes(self) -> int:

@@ -25,6 +25,7 @@ from typing import Any, Optional
 from ..cuda.runtime import CudaRuntime
 from ..net.packet import MessageInfo, next_message_id
 from ..net.topology import Coord
+from ..pcie.device import MemoryBuffer
 from ..sim import Event, Store
 from ..units import us
 from .buflist import BufferKind, RegisteredBuffer
@@ -73,7 +74,9 @@ class ApenetEndpoint:
         self._tx_seq: dict[int, int] = {}  # per-destination sequence numbers
         self._rput_waiting: dict[tuple[int, int], Event] = {}  # (dst, seq) -> ACK event
         self._rx_delivered: dict[int, set] = {}  # src rank -> delivered seqs
-        self._staging_buf = None  # lazy host bounce buffer for degraded PUTs
+        # Host bounce buffers of degraded PUTs, each with the local
+        # completion of the PUT that last read it.
+        self._bounce: list[tuple[MemoryBuffer, Event]] = []
 
     @property
     def rank(self) -> int:
@@ -107,7 +110,7 @@ class ApenetEndpoint:
                 # aperture — "an expensive operation, which requires a
                 # full reconfiguration of the GPU".
                 mapping = gpu.bar1.map(buf)
-                self.card.bar1_tx_maps[buf.addr] = (buf, mapping)
+                self.card.bar1_tx_maps[buf.addr] = mapping
                 cost += gpu.spec.bar1_map_cost
             entry = RegisteredBuffer(addr, nbytes, kind, gpu_index=card_index)
         else:
@@ -150,30 +153,32 @@ class ApenetEndpoint:
             src_kind = BufferKind.GPU if attrs.is_device else BufferKind.HOST
 
         mgr = self.recovery
+        bounce = None
         if mgr is not None and src_kind is BufferKind.GPU:
             mgr.stats.gpu_puts += 1
             if mgr.should_degrade(self.card):
                 # Sick NIC (Nios stall budget / TLP replay storm crossed):
                 # transparently fall back from P2P to host staging — bounce
                 # the source through host memory and post a HOST-kind PUT.
-                local_addr = yield from self._stage_degraded(local_addr, nbytes)
+                bounce = yield from self._stage_degraded(local_addr, nbytes)
+                local_addr = bounce.addr
                 src_kind = BufferKind.HOST
                 mgr.stats.degraded_puts += 1
 
         gpu_index = 0
-        data = None
         if src_kind is BufferKind.GPU:
             attrs = self.runtime.pointer_attributes(local_addr)
             gpu = self.runtime.device(attrs.device_index)
             gpu_index = self._card_gpu_index(gpu)
-            # "the buffer mapping is automatically done, if necessary".
-            if not self.card.gpu_v2p[gpu_index].is_mapped(local_addr):
-                yield from self.register(local_addr, nbytes)
+            src_buf = gpu.heap.buffer_at(local_addr)
         else:
-            host_buf = self.runtime.host_heap.buffer_at(local_addr)
-            if host_buf._data is not None:
-                off = local_addr - host_buf.addr
-                data = host_buf.data[off : off + nbytes]
+            src_buf = self.runtime.host_heap.buffer_at(local_addr)
+        if not src_buf.contains(local_addr, nbytes):
+            # The TX engines read the source buffer: fail here, not there.
+            raise ValueError(f"PUT of {nbytes} bytes overruns its source buffer")
+        # "the buffer mapping is automatically done, if necessary".
+        if src_kind is BufferKind.GPU and not self.card.gpu_v2p[gpu_index].is_mapped(local_addr):
+            yield from self.register(local_addr, nbytes)
 
         msg = MessageInfo(
             msg_id=next_message_id(),
@@ -190,9 +195,11 @@ class ApenetEndpoint:
             dst_coord=self.card.shape.coord(dst_rank),
             src_coord=self.coord,
             local_done=Event(self.sim),
-            data=data,
+            src_buf=src_buf,
             gpu_index=gpu_index,
         )
+        if bounce is not None:
+            self._bounce.append((bounce, job.local_done))
         obs = self.sim._obs
         if obs is not None:
             # Message-level span: post → local completion (TX pipeline
@@ -207,18 +214,23 @@ class ApenetEndpoint:
         return job.local_done
 
     def _stage_degraded(self, local_addr: int, nbytes: int):
-        """Generator: D2H-copy a GPU source into the host bounce buffer.
+        """Generator: D2H-copy a GPU source into a host bounce buffer.
 
-        Returns the staged address.  The bounce buffer is lazily allocated
-        and grown; a degraded endpoint reuses it for every PUT, like the
-        persistent staging buffers of the paper's host-staged path.
+        Returns the bounce buffer.  Like the persistent staging buffers of
+        the paper's host-staged path, a degraded endpoint reuses its bounce
+        buffers, but only one whose last PUT has completed locally (its TX
+        engine has read every byte); until then it allocates another.
         """
-        if self._staging_buf is None or self._staging_buf.size < nbytes:
-            self._staging_buf = self.runtime.host_alloc(max(nbytes, 65536))
+        for i, (buf, read_done) in enumerate(self._bounce):
+            if buf.size >= nbytes and read_done.triggered:
+                del self._bounce[i]
+                break
+        else:
+            buf = self.runtime.host_alloc(max(nbytes, 65536))
         from ..cuda.memcpy import memcpy_sync
 
-        yield from memcpy_sync(self.runtime, self._staging_buf.addr, local_addr, nbytes)
-        return self._staging_buf.addr
+        yield from memcpy_sync(self.runtime, buf.addr, local_addr, nbytes)
+        return buf
 
     # ------------------------------------------------------------------
     # Reliable PUT (end-to-end transaction layer, repro.recovery)

@@ -12,14 +12,16 @@ Users:
   kernel driver", §IV): engine ceiling 2.4 GB/s, reads of host DRAM;
 * the BAR1-TX extension in :mod:`repro.apenet.gpu_tx` — same mechanics,
   reads aimed at a GPU BAR1 aperture (the GPU's BAR1 rate throttles).
+
+The packetizer takes each packet's bytes from the job's source buffer when
+it builds the packet, after the reads that cover it have landed: by local
+completion every byte has been read, so the source may then be reused.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from ..net.packet import ApePacket
 from ..sim import ByteFifo, Channel, Event, Simulator, Store
@@ -36,14 +38,12 @@ def windowed_read_tx(
     request_size: int,
     outstanding: int,
     limiter: Optional[Channel] = None,
-    data_of: Optional[Callable[[int, int], Optional[np.ndarray]]] = None,
     obs_name: str = "host_tx",
 ):
     """Generator: transmit *job* with pipelined reads + packetization.
 
     ``src_addr_of(offset)`` maps a message offset to the fabric address to
-    read; ``data_of(offset, nbytes)`` supplies real payload bytes (or
-    None).  Returns when the job's last packet has been injected.
+    read.  Returns when the job's last packet has been injected.
     *obs_name* labels the per-job trace span ("host_tx" for the kernel
     driver path, "bar1_tx" for the BAR1 variant).
     """
@@ -70,7 +70,7 @@ def windowed_read_tx(
         n = len(job.packets)
         for i, (offset, nbytes) in enumerate(job.packets):
             yield staging.get(nbytes)
-            data = data_of(offset, nbytes) if data_of is not None else None
+            data = job.src_buf.read_bytes(job.src_addr + offset, nbytes)
             pkt = ApePacket(
                 dst_coord=job.dst_coord,
                 src_coord=job.src_coord,
@@ -141,5 +141,4 @@ class HostTxEngine:
                 request_size=cfg.host_read_request,
                 outstanding=cfg.host_read_outstanding,
                 limiter=self.limiter,
-                data_of=job.slice_data,
             )

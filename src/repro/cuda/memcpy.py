@@ -9,7 +9,9 @@ semantics).  Device-side work runs on the GPU DMA engines
 * **async** copies charge only an enqueue cost and run on a
   :class:`~repro.cuda.stream.CudaStream`.
 
-Real data moves whenever both sides have materialized backing arrays.
+The bytes move once, when the device work completes: the destination
+buffer takes what the source buffer reads, so an untracked source leaves
+the destination as it is.
 """
 
 from __future__ import annotations
@@ -66,59 +68,35 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
             "peer-to-peer traffic goes through the APEnet+ card"
         )
     sim = rt.sim
+    src_gpu, dst_gpu = rt.owner_gpu(src), rt.owner_gpu(dst)
+    src_buf = (rt.host_heap if src_gpu is None else src_gpu.heap).buffer_at(src)
+    dst_buf = (rt.host_heap if dst_gpu is None else dst_gpu.heap).buffer_at(dst)
 
     if kind is MemcpyKind.D2H:
-        gpu = rt.owner_gpu(src)
-        host = rt.host_heap.buffer_at(dst)
-        array = host.data if (host._data is not None or _gpu_has_data(gpu, src)) else None
-        return gpu.dma.device_to_host(
-            src, dst, nbytes, host_array=array, host_offset=dst - host.addr
-        )
-
-    if kind is MemcpyKind.H2D:
-        gpu = rt.owner_gpu(dst)
-        host = rt.host_heap.buffer_at(src)
-        array = host.data if host._data is not None else None
-        return gpu.dma.host_to_device(
-            src, dst, nbytes, host_array=array, host_offset=src - host.addr
-        )
-
-    if kind is MemcpyKind.D2D:
-        gpu = rt.owner_gpu(src)
+        done = src_gpu.dma.device_to_host(dst, nbytes)
+    elif kind is MemcpyKind.H2D:
+        done = dst_gpu.dma.host_to_device(src, nbytes)
+    elif kind is MemcpyKind.D2D:
         done = Event(sim)
 
         def _d2d():
             # On-device copy: read + write against device memory bandwidth.
-            yield sim.timeout(nbytes / (gpu.spec.mem_bandwidth / 2))
-            src_buf = gpu.heap.buffer_at(src)
-            if src_buf._data is not None:
-                data = src_buf.read_bytes(src, nbytes)
-                gpu.heap.buffer_at(dst).write_bytes(dst, data)
+            yield sim.timeout(nbytes / (src_gpu.spec.mem_bandwidth / 2))
             done.succeed(nbytes)
 
-        sim.process(_d2d(), name=f"{gpu.name}.d2d")
-        return done
+        sim.process(_d2d(), name=f"{src_gpu.name}.d2d")
+    else:  # H2H
+        done = Event(sim)
 
-    # H2H
-    done = Event(sim)
+        def _h2h():
+            yield sim.timeout(nbytes / _HOST_MEMCPY_RATE)
+            done.succeed(nbytes)
 
-    def _h2h():
-        yield sim.timeout(nbytes / _HOST_MEMCPY_RATE)
-        src_buf = rt.host_heap.buffer_at(src)
-        if src_buf._data is not None:
-            data = src_buf.read_bytes(src, nbytes)
-            rt.host_heap.buffer_at(dst).write_bytes(dst, data)
-        done.succeed(nbytes)
-
-    sim.process(_h2h(), name="h2h")
+        sim.process(_h2h(), name="h2h")
+    done.callbacks.append(
+        lambda _ev: dst_buf.write_bytes(dst, src_buf.read_bytes(src, nbytes))
+    )
     return done
-
-
-def _gpu_has_data(gpu, addr: int) -> bool:
-    try:
-        return gpu.heap.buffer_at(addr)._data is not None
-    except KeyError:
-        return False
 
 
 def memcpy_sync(rt: CudaRuntime, dst: int, src: int, nbytes: int):

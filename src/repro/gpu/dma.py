@@ -2,8 +2,9 @@
 
 Fermi Teslas have two copy engines, so one D2H and one H2D stream can
 overlap.  Engine throughput is the spec's ``dma_*_rate`` (≈5.5 GB/s D2H on
-the paper's platforms); each copy also moves real bytes when both sides
-have backing arrays.
+the paper's platforms).  An engine models time only: it is given the host
+address its PCIe traffic targets, and :mod:`repro.cuda.memcpy` moves a
+copy's bytes when the engine's work completes.
 
 The per-call *host-side* overhead of ``cudaMemcpy`` (~10 µs for synchronous
 calls, §V.C) belongs to the CUDA runtime layer, not the engine.
@@ -11,9 +12,7 @@ calls, §V.C) belongs to the CUDA runtime layer, not the engine.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-import numpy as np
+from typing import Any
 
 from ..sim import Channel, Event, Resource, Simulator
 
@@ -37,22 +36,13 @@ class DmaEngine:
     # The engine moves data over PCIe in large bursts; the fabric accounts
     # TLP overhead, the limiter accounts the engine's own ceiling.
 
-    def device_to_host(
-        self,
-        device_addr: int,
-        host_addr: int,
-        nbytes: int,
-        host_array: Optional[np.ndarray] = None,
-        host_offset: int = 0,
-    ) -> Event:
-        """DMA *nbytes* of device memory to host memory; fires when done."""
+    def device_to_host(self, host_addr: int, nbytes: int) -> Event:
+        """DMA *nbytes* of device memory to *host_addr*; fires when done."""
         done = Event(self.sim)
-        self.sim.process(
-            self._d2h_proc(device_addr, host_addr, nbytes, host_array, host_offset, done)
-        )
+        self.sim.process(self._d2h_proc(host_addr, nbytes, done))
         return done
 
-    def _d2h_proc(self, device_addr, host_addr, nbytes, host_array, host_offset, done):
+    def _d2h_proc(self, host_addr, nbytes, done):
         obs = self.sim._obs
         span = None
         if obs is not None:
@@ -60,16 +50,10 @@ class DmaEngine:
             span = obs.span("gpu", "dma_d2h", nbytes=nbytes)
         yield self.busy.acquire()
         try:
-            payload = None
-            if host_array is not None:
-                buf = self.gpu.heap.buffer_at(device_addr)
-                payload = buf.read_bytes(device_addr, nbytes)
             # Engine ceiling and PCIe wire time overlap; the slower wins.
             rate_ev = self._d2h.transfer(nbytes)
             wire_ev = self.gpu.fabric.write(self.gpu, host_addr, nbytes)
             yield self.sim.all_of([rate_ev, wire_ev])
-            if payload is not None:
-                host_array[host_offset : host_offset + nbytes] = payload
             self.bytes_d2h += nbytes
         finally:
             self.busy.release()
@@ -77,22 +61,13 @@ class DmaEngine:
             span.end()
         done.succeed(nbytes)
 
-    def host_to_device(
-        self,
-        host_addr: int,
-        device_addr: int,
-        nbytes: int,
-        host_array: Optional[np.ndarray] = None,
-        host_offset: int = 0,
-    ) -> Event:
-        """DMA *nbytes* of host memory into device memory; fires when done."""
+    def host_to_device(self, host_addr: int, nbytes: int) -> Event:
+        """DMA *nbytes* from *host_addr* into device memory; fires when done."""
         done = Event(self.sim)
-        self.sim.process(
-            self._h2d_proc(host_addr, device_addr, nbytes, host_array, host_offset, done)
-        )
+        self.sim.process(self._h2d_proc(host_addr, nbytes, done))
         return done
 
-    def _h2d_proc(self, host_addr, device_addr, nbytes, host_array, host_offset, done):
+    def _h2d_proc(self, host_addr, nbytes, done):
         obs = self.sim._obs
         span = None
         if obs is not None:
@@ -106,12 +81,6 @@ class DmaEngine:
                 self.gpu, host_addr, nbytes, outstanding=32
             )
             yield self.sim.all_of([rate_ev, wire_ev])
-            if host_array is not None:
-                buf = self.gpu.heap.buffer_at(device_addr)
-                chunk = np.asarray(
-                    host_array[host_offset : host_offset + nbytes], dtype=np.uint8
-                )
-                buf.write_bytes(device_addr, chunk)
             self.bytes_h2d += nbytes
         finally:
             self.busy.release()

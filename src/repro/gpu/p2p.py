@@ -14,6 +14,10 @@ Externally visible constants (paper, Fig 3 / Table I):
 * sustained response rate ≈ 1536 MB/s (Fermi), 1600 MB/s (Kepler);
 * each descriptor covers up to one 4 KB chunk; descriptor traffic is a
   small fixed-size write (~13% request-side link utilization at full rate).
+
+A descriptor names only an address and a size, as on the hardware: the GPU
+reads the bytes from its own heap as it serves the request, and the
+response write carries them (``None`` for an untracked buffer).
 """
 
 from __future__ import annotations
@@ -37,14 +41,11 @@ class P2PReadRequest:
 
     ``reply_addr`` — fabric address the GPU pushes the data to (e.g. the
     NIC's TX-FIFO window).
-    ``carry_data`` — when True, the response write carries the actual bytes
-    from device memory (for data-integrity tests).
     """
 
     src_addr: int
     nbytes: int
     reply_addr: int
-    carry_data: bool = False
 
     def __post_init__(self):
         if self.nbytes <= 0:
@@ -105,10 +106,9 @@ class P2PReadEngine:
                 if req.nbytes > head
                 else None
             )
-            payload = None
-            if req.carry_data:
-                buf = self.gpu.heap.buffer_at(req.src_addr)
-                payload = buf.read_bytes(req.src_addr, req.nbytes)
+            payload = self.gpu.heap.buffer_at(req.src_addr).read_bytes(
+                req.src_addr, req.nbytes
+            )
             # Push the data to the initiator with a posted write; the wire
             # time overlaps the remaining internal fetch.
             write_ev = self.gpu.fabric.write(

@@ -6,7 +6,8 @@ rendezvous protocols reduce to):
 1. the host posts a work request (doorbell write, small host cost),
 2. the HCA DMA-reads the source out of host memory (deeply pipelined
    MRRS reads; ceiling set by the PCIe slot — the x4 slot of Cluster I's
-   motherboards is faithfully supported),
+   motherboards is faithfully supported), taking each quantum's bytes
+   from the source buffer when its reads complete,
 3. 64 KiB quanta stream through the switch,
 4. the destination HCA DMA-writes the user/eager buffer and raises a
    completion that the MPI progress engine consumes.
@@ -108,25 +109,26 @@ class IBCard(PCIeDevice):
         dst_addr: int,
         nbytes: int,
         meta: Any = None,
-        data: Optional[np.ndarray] = None,
     ) -> Event:
-        """Post one RDMA write; fires at LOCAL completion (data on wire).
+        """Post one RDMA write from host memory; fires at LOCAL completion.
 
-        ``data`` optionally carries the real bytes end-to-end.  Remote
+        Local completion means the last quantum is on the wire.  Remote
         arrival is signalled through the destination card's ``on_receive``.
         """
         if nbytes <= 0:
             raise ValueError("rdma_write needs a positive size")
         done = Event(self.sim)
         self.sim.process(
-            self._send_proc(dst_lid, src_addr, dst_addr, nbytes, meta, data, done),
+            self._send_proc(dst_lid, src_addr, dst_addr, nbytes, meta, done),
             name=f"{self.name}.send",
         )
         return done
 
     _wire_ids = itertools.count(1)
 
-    def _send_proc(self, dst_lid, src_addr, dst_addr, nbytes, meta, data, done):
+    def _send_proc(self, dst_lid, src_addr, dst_addr, nbytes, meta, done):
+        # The HCA reads host memory only: no GPUDirect on ConnectX-2.
+        src_buf = self.fabric.resolve(src_addr).heap.buffer_at(src_addr)
         # Stream the message in quanta: DMA read and wire overlap.
         off = 0
         seq = 0
@@ -145,9 +147,9 @@ class IBCard(PCIeDevice):
                 dst_addr=dst_addr + off,
                 nbytes=csize,
                 meta=meta,
-                # Snapshot: the quantum was DMA-read just now; the source
-                # buffer may legitimately be reused before wire delivery.
-                data=None if data is None else np.array(data[off : off + csize]),
+                # The quantum was DMA-read just now; the source buffer may
+                # legitimately be reused before wire delivery.
+                data=src_buf.read_bytes(src_addr + off, csize),
                 seq=seq,
                 is_last=(off + csize >= nbytes),
                 offset=off,

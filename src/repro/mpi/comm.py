@@ -109,13 +109,6 @@ class MpiEndpoint:
     def _is_device(self, addr: int) -> bool:
         return self.node.runtime.pointer_attributes(addr).is_device
 
-    def _host_data(self, addr: int, nbytes: int):
-        buf = self.node.runtime.host_heap.buffer_at(addr)
-        if buf._data is None:
-            return None
-        off = addr - buf.addr
-        return buf.data[off : off + nbytes]
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -171,23 +164,22 @@ class MpiEndpoint:
     def _host_isend(self, dst, addr, nbytes, tag, req):
         hca = self.node.hca
         yield self.sim.timeout(hca.post_cost)
-        data = self._host_data(addr, nbytes)
         env = _Envelope("eager", self.rank, tag, nbytes, req_id=next(_req_ids))
         dst_ep = self.world.endpoint(dst)
         if nbytes <= EAGER_THRESHOLD:
             seq = self._eager_seq_tx.get(dst, 0)
             self._eager_seq_tx[dst] = seq + 1
             env.dst_addr = dst_ep._eager_slot(self.rank, seq)
-            ev = hca.rdma_write(
-                dst, addr, env.dst_addr, nbytes, meta=env, data=data
-            )
+            ev = hca.rdma_write(dst, addr, env.dst_addr, nbytes, meta=env)
             # Eager: the local buffer is reusable once the HCA has read it.
             ev.callbacks.append(lambda _e: req.done.succeed(req))
         else:
             env.kind = "rts"
             cts_ev = Event(self.sim)
             self._rdv_waiting_cts[env.req_id] = (addr, cts_ev)
-            hca.rdma_write(dst, addr, dst_ep._ctrl.addr, 64, meta=env)
+            # The envelope is built in this rank's control zone, not the
+            # user buffer, so the RTS carries no user bytes.
+            hca.rdma_write(dst, self._ctrl.addr, dst_ep._ctrl.addr, 64, meta=env)
             # Progress continues in _on_cts once the receiver matches.
             cts_ev.callbacks.append(
                 lambda ev, e=env, a=addr, n=nbytes, r=req, d=dst: self._rdv_send_data(
@@ -196,9 +188,8 @@ class MpiEndpoint:
             )
 
     def _rdv_send_data(self, dst, addr, nbytes, env, dst_addr, req):
-        data = self._host_data(addr, nbytes)
         denv = _Envelope("data", self.rank, env.tag, nbytes, req_id=env.req_id)
-        ev = self.node.hca.rdma_write(dst, addr, dst_addr, nbytes, meta=denv, data=data)
+        ev = self.node.hca.rdma_write(dst, addr, dst_addr, nbytes, meta=denv)
         ev.callbacks.append(lambda _e: req.done.succeed(req))
 
     def _host_irecv(self, src, addr, nbytes, tag, req):
@@ -263,7 +254,7 @@ class MpiEndpoint:
             dst_addr=posted.addr,
         )
         src_ep = self.world.endpoint(env.src)
-        self.node.hca.rdma_write(env.src, posted.addr, src_ep._ctrl.addr, 64, meta=cts)
+        self.node.hca.rdma_write(env.src, self._ctrl.addr, src_ep._ctrl.addr, 64, meta=cts)
 
     def _complete_eager(self, posted: _PostedRecv, env: _Envelope, eager_addr: int) -> None:
         # Copy out of the bounce ring into the user buffer.
@@ -275,11 +266,9 @@ class MpiEndpoint:
             yield self.sim.timeout(env.nbytes / _HOST_COPY_RATE + us(0.2))
             if span is not None:
                 span.end()
-            src_buf = self.node.runtime.host_heap.buffer_at(eager_addr)
-            if src_buf._data is not None:
-                data = src_buf.read_bytes(eager_addr, env.nbytes)
-                dst_buf = self.node.runtime.host_heap.buffer_at(posted.addr)
-                dst_buf.write_bytes(posted.addr, data)
+            heap = self.node.runtime.host_heap
+            data = heap.buffer_at(eager_addr).read_bytes(eager_addr, env.nbytes)
+            heap.buffer_at(posted.addr).write_bytes(posted.addr, data)
             posted.req.done.succeed(posted.req)
 
         self.sim.process(copier(), name=f"mpi{self.rank}.eagercp")

@@ -5,7 +5,8 @@ header, so when they land onto the destination card, the BUF_LIST is used to
 distinguish GPU from host buffers" (§IV.A).
 
 Packets are at most 4 KiB of payload plus a fixed header/footer envelope.
-The optional ``data`` field carries real bytes for integrity tests.
+``data`` holds the fragment's bytes as the TX engine read them from the
+source buffer (``None`` when that buffer is untracked).
 """
 
 from __future__ import annotations

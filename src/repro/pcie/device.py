@@ -10,8 +10,10 @@ A device participates in the fabric in two roles:
   (first-access latency, sustained-rate limiter, delivery hook).
 
 The :class:`MemoryBuffer` is the byte store behind an allocation in any
-device's memory (a pinned host buffer, a GPU buffer): data-integrity runs
-move real bytes through it, timing-only runs never touch it.  One
+device's memory (a pinned host buffer, a GPU buffer), and the one place
+that knows whether a run tracks bytes: a buffer nothing ever wrote reads
+as ``None``, so timing-only runs build no byte array, and every engine
+that models a read takes the bytes from the buffer when it reads.  One
 :class:`BufferHeap` hands out and finds every allocation of one memory:
 pinned host memory (:attr:`HostMemory.heap`), each GPU's global memory and
 each GPU's BAR1 windows.
@@ -94,7 +96,13 @@ class AddressWindow:
 
 @dataclass
 class MemoryBuffer:
-    """One allocation in a device's memory, with lazy real backing."""
+    """One allocation in a device's memory; it holds bytes once written.
+
+    Until something writes it (:meth:`write_bytes` with real bytes, or
+    host code through :attr:`data`) the buffer is untracked:
+    :meth:`read_bytes` returns ``None`` and a ``None`` write changes
+    nothing, so an untracked source leaves its destination as it is.
+    """
 
     addr: int
     size: int
@@ -107,7 +115,7 @@ class MemoryBuffer:
 
     @property
     def data(self) -> np.ndarray:
-        """Lazily-created byte view of the buffer contents."""
+        """Byte view of the contents; the first access zero-fills them."""
         if self._data is None:
             self._data = np.zeros(self.size, dtype=np.uint8)
         return self._data
@@ -116,19 +124,23 @@ class MemoryBuffer:
         """True if [addr, addr+nbytes) falls inside the buffer."""
         return self.addr <= addr and addr + nbytes <= self.end
 
-    def write_bytes(self, addr: int, payload: np.ndarray) -> None:
-        """Copy *payload* into the buffer at fabric address *addr*."""
+    def write_bytes(self, addr: int, payload: Optional[np.ndarray]) -> None:
+        """Copy *payload* in at fabric address *addr*; ``None`` changes nothing."""
+        if payload is None:
+            return
         off = addr - self.addr
         if off < 0 or off + len(payload) > self.size:
             raise IndexError("write outside buffer bounds")
         self.data[off : off + len(payload)] = payload
 
-    def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
-        """Copy *nbytes* out of the buffer from fabric address *addr*."""
+    def read_bytes(self, addr: int, nbytes: int) -> Optional[np.ndarray]:
+        """A copy of *nbytes* from fabric address *addr*; ``None`` if untracked."""
         off = addr - self.addr
         if off < 0 or off + nbytes > self.size:
             raise IndexError("read outside buffer bounds")
-        return self.data[off : off + nbytes].copy()
+        if self._data is None:
+            return None
+        return self._data[off : off + nbytes].copy()
 
 
 class OutOfMemoryError(MemoryError):

@@ -21,9 +21,11 @@ Transactions:
   MRRS-sized requests with a bounded number outstanding (how real DMA
   engines achieve bandwidth despite the read round-trip).
 
-Timing only: reads do not move Python data (the simulation gives callers
-global visibility of memory objects); writes may carry an opaque payload
-delivered to the target's ``on_write`` hook.
+Reads model time only: the initiator takes the bytes from the
+:class:`~repro.pcie.device.MemoryBuffer` that holds them when its read
+completes (the simulation gives callers global visibility of memory
+objects).  Writes may carry a payload, delivered to the target's
+``on_write`` hook.
 
 Each transaction runs as a small callback chain (:class:`_Chain`), not a
 generator :class:`~repro.sim.Process`: a Process per ≤MRRS read was most

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.apenet import BufferKind
+from repro.bench.microbench import make_cluster
+from repro.gpu import KEPLER_K20
 from repro.net import TorusShape, build_apenet_cluster
 from repro.sim import Simulator
 from repro.units import kib, mib, us
@@ -286,3 +288,55 @@ def test_large_transfer_conservation():
     sim.run_process(waiter())
     np.testing.assert_array_equal(dst.data, src.data)
     assert n1.card.rx.bytes_received == n
+
+
+def test_host_put_sends_the_bytes_it_read_before_local_completion():
+    """Once put's local completion fires, the source buffer may be reused."""
+    sim, cluster = build()
+    n0, n1 = cluster.nodes
+    src = n0.runtime.host_alloc(kib(16))
+    dst = n1.runtime.host_alloc(kib(16))
+    src.data[:] = 1
+
+    def proc():
+        yield from n1.endpoint.register(dst.addr, kib(16))
+        done = yield from n0.endpoint.put(
+            1, src.addr, dst.addr, kib(16), src_kind=BufferKind.HOST
+        )
+        yield done
+        src.data[:] = 2  # refill, as HSG does on this signal
+        yield from n1.endpoint.wait_event()
+
+    sim.run_process(proc())
+    assert (dst.data == 1).all()
+
+
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [
+        (BufferKind.HOST, {}),
+        (BufferKind.GPU, {}),
+        (BufferKind.GPU, {"gpu_spec": KEPLER_K20, "gpu_tx_method": "bar1"}),
+    ],
+    ids=["host", "gpu-p2p", "gpu-bar1-kepler"],
+)
+def test_put_between_untracked_buffers_is_timing_only(kind, overrides):
+    sim, cluster = make_cluster(2, 1, **overrides)
+    n0, n1 = cluster.nodes
+    if kind is BufferKind.GPU:
+        src, dst = n0.gpu.alloc(kib(16)), n1.gpu.alloc(kib(16))
+    else:
+        src, dst = n0.runtime.host_alloc(kib(16)), n1.runtime.host_alloc(kib(16))
+
+    def proc():
+        yield from n1.endpoint.register(dst.addr, kib(16))
+        yield from n0.endpoint.register(src.addr, kib(16))
+        done = yield from n0.endpoint.put(1, src.addr, dst.addr, kib(16), src_kind=kind)
+        yield done
+        rec = yield from n1.endpoint.wait_event()
+        return rec
+
+    assert sim.run_process(proc()).nbytes == kib(16)
+    # Neither side was ever written: pure timing, no arrays built.
+    assert src._data is None
+    assert dst._data is None

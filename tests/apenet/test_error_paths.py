@@ -32,6 +32,19 @@ def test_double_registration_overlap_rejected():
     sim.run_process(proc())
 
 
+@pytest.mark.parametrize("kind", [BufferKind.HOST, BufferKind.GPU])
+def test_put_overrunning_its_source_buffer_raises(kind):
+    sim, cluster = make_cluster(2, 1)
+    a = cluster.nodes[0]
+    src = a.gpu.alloc(kib(4)) if kind is BufferKind.GPU else a.runtime.host_alloc(kib(4))
+
+    def proc():
+        yield from a.endpoint.put(1, src.addr, 0x1000, kib(8), src_kind=kind)
+
+    with pytest.raises(ValueError, match="overruns its source buffer"):
+        sim.run_process(proc())
+
+
 def test_put_from_unknown_pointer_raises():
     sim, cluster = make_cluster(2, 1)
     a = cluster.nodes[0]

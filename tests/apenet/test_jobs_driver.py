@@ -7,6 +7,7 @@ from repro.apenet import BufferKind, fragment_message
 from repro.apenet.jobs import TxJob
 from repro.bench.microbench import make_cluster
 from repro.net.packet import MAX_PACKET_PAYLOAD, MessageInfo
+from repro.pcie import MemoryBuffer
 from repro.sim import Event
 from repro.units import kib, us
 
@@ -28,16 +29,18 @@ def test_fragment_message_small():
         fragment_message(0)
 
 
-def make_job(sim, nbytes=8192, data=None):
+def make_job(sim, nbytes=8192, src_buf=None):
     msg = MessageInfo(1, nbytes, 0, 1, 0x5000)
+    if src_buf is None:
+        src_buf = MemoryBuffer(0x1000, nbytes)
     return TxJob(
         message=msg,
-        src_addr=0x1000,
+        src_addr=src_buf.addr,
         src_kind=BufferKind.HOST,
         dst_coord=(1, 0, 0),
         src_coord=(0, 0, 0),
         local_done=Event(sim),
-        data=data,
+        src_buf=src_buf,
     )
 
 
@@ -49,12 +52,15 @@ def test_txjob_auto_fragments():
 
 
 def test_txjob_slice_data():
+    """A fragment's bytes are the slice of the buffer the job names."""
     sim, cluster = make_cluster(2, 1)
-    data = np.arange(8192, dtype=np.uint8)
-    job = make_job(sim, 8192, data=data)
-    chunk = job.slice_data(4096, 100)
-    np.testing.assert_array_equal(chunk, data[4096:4196])
-    assert make_job(sim, 8192).slice_data(0, 10) is None
+    src = cluster.nodes[0].runtime.host_alloc(8192)
+    job = make_job(sim, 8192, src_buf=src)
+    offset, nbytes = job.packets[1]
+    assert job.src_buf.read_bytes(job.src_addr + offset, nbytes) is None  # untracked
+    src.data[:] = np.arange(8192, dtype=np.uint8)
+    chunk = job.src_buf.read_bytes(job.src_addr + offset, nbytes)
+    np.testing.assert_array_equal(chunk, src.data[4096:8192])
 
 
 def test_driver_tx_queue_backpressure():

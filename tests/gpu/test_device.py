@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cuda import CudaRuntime
+from repro.cuda.memcpy import memcpy_device_work
 from repro.gpu import (
     FERMI_2050,
     GPU_READ_CHUNK,
@@ -64,9 +66,7 @@ def test_mailbox_read_protocol_pushes_data_back():
     sim, plat, gpu, nic = build()
     buf = gpu.alloc(4096)
     buf.data[:] = 7
-    req = P2PReadRequest(
-        src_addr=buf.addr, nbytes=4096, reply_addr=nic.base, carry_data=True
-    )
+    req = P2PReadRequest(src_addr=buf.addr, nbytes=4096, reply_addr=nic.base)
 
     def proc():
         yield plat.fabric.write(
@@ -177,33 +177,45 @@ def test_mailbox_window_is_write_only():
         gpu.describe_read(gpu.mailbox_window.base)
 
 
+def with_runtime(plat, gpu):
+    rt = CudaRuntime(plat.sim, plat)
+    rt.add_device(gpu)
+    return rt
+
+
 def test_dma_d2h_rate_and_data():
     sim, plat, gpu, nic = build()
+    rt = with_runtime(plat, gpu)
     buf = gpu.alloc(mib(1))
     buf.data[:] = 9
-    host = np.zeros(mib(1), dtype=np.uint8)
+    host = rt.host_alloc(mib(1))
 
     def proc():
         t0 = sim.now
-        yield gpu.dma.device_to_host(buf.addr, 0x1000, mib(1), host_array=host)
+        yield memcpy_device_work(rt, host.addr, buf.addr, mib(1))  # on gpu.dma
         return mib(1) / (sim.now - t0)
 
     bw = sim.run_process(proc())
     # cudaMemcpy D2H ~5.5 GB/s on Gen2 x16 platforms (engine-limited here).
     assert bw == pytest.approx(5.5, rel=0.15)
-    assert host.min() == 9
+    assert host.data.min() == 9
 
 
 def test_dma_h2d_moves_data():
     sim, plat, gpu, nic = build()
+    rt = with_runtime(plat, gpu)
     buf = gpu.alloc(65536)
-    host = np.arange(65536, dtype=np.uint8)
+    host = rt.host_alloc(65536)
+    host.data[:] = np.arange(65536, dtype=np.uint8)
 
     def proc():
-        yield gpu.dma.host_to_device(0x2000, buf.addr, 65536, host_array=host)
+        # The engine models time only; the copy's bytes move in cudaMemcpy.
+        yield gpu.dma.host_to_device(host.addr, 65536)
+        assert buf.read_bytes(buf.addr, 65536) is None
+        yield memcpy_device_work(rt, buf.addr, host.addr, 65536)
 
     sim.run_process(proc())
-    np.testing.assert_array_equal(buf.data, host)
+    np.testing.assert_array_equal(buf.data, host.data)
 
 
 def test_compute_engine_serializes_kernels():

@@ -22,16 +22,14 @@ def build(two_gpus=False):
 def test_two_copy_engines_overlap():
     """D2H on engine 0 and H2D on engine 1 proceed concurrently."""
     sim, plat, (gpu,) = build()
-    a = gpu.alloc(mib(1))
-    b = gpu.alloc(mib(1))
     done = {}
 
     def d2h():
-        yield gpu.dma_engines[0].device_to_host(a.addr, 0x1000, mib(1))
+        yield gpu.dma_engines[0].device_to_host(0x1000, mib(1))
         done["d2h"] = sim.now
 
     def h2d():
-        yield gpu.dma_engines[1].host_to_device(0x200000, b.addr, mib(1))
+        yield gpu.dma_engines[1].host_to_device(0x200000, mib(1))
         done["h2d"] = sim.now
 
     sim.process(d2h())
@@ -45,11 +43,10 @@ def test_two_copy_engines_overlap():
 
 def test_same_engine_serializes():
     sim, plat, (gpu,) = build()
-    a = gpu.alloc(kib(512))
     ends = []
 
     def copy(i):
-        yield gpu.dma.device_to_host(a.addr, 0x1000 + i * kib(512), kib(512))
+        yield gpu.dma.device_to_host(0x1000 + i * kib(512), kib(512))
         ends.append(sim.now)
 
     sim.process(copy(0))
@@ -77,11 +74,10 @@ def test_kernel_rejects_negative_duration():
 
 def test_dma_byte_counters():
     sim, plat, (gpu,) = build()
-    a = gpu.alloc(kib(64))
 
     def proc():
-        yield gpu.dma.device_to_host(a.addr, 0x1000, kib(64))
-        yield gpu.dma.host_to_device(0x1000, a.addr, kib(32))
+        yield gpu.dma.device_to_host(0x1000, kib(64))
+        yield gpu.dma.host_to_device(0x1000, kib(32))
 
     sim.run_process(proc())
     assert gpu.dma.bytes_d2h == kib(64)

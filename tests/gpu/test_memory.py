@@ -61,6 +61,21 @@ def test_buffer_bounds_checked():
         b.read_bytes(b.addr - 1, 10)
 
 
+def test_buffer_tracks_bytes_once_written():
+    b = make_heap().alloc(256)
+    b.write_bytes(b.addr, None)  # what an untracked source hands over
+    assert b.read_bytes(b.addr, 16) is None
+    assert b._data is None
+    with pytest.raises(IndexError):
+        b.read_bytes(b.addr + 250, 10)  # bounds hold before any write
+    b.write_bytes(b.addr + 8, np.full(8, 5, dtype=np.uint8))
+    out = b.read_bytes(b.addr, 16)
+    np.testing.assert_array_equal(out, [0] * 8 + [5] * 8)
+    out[:] = 9  # a copy, not a view of the buffer
+    b.write_bytes(b.addr + 8, None)
+    np.testing.assert_array_equal(b.read_bytes(b.addr + 8, 8), [5] * 8)
+
+
 def test_page_descriptors_cover_buffer():
     b = make_heap().alloc(3 * GPU_PAGE_SIZE + 5)
     pages = PageMap(GPU_PAGE_SIZE)

@@ -69,8 +69,7 @@ def test_hca_multi_quantum_message_completes_once():
     src.data[:] = 7
 
     def proc():
-        yield a.hca.rdma_write(b.hca.lid, src.addr, dst.addr, kib(256), meta="m",
-                               data=src.data)
+        yield a.hca.rdma_write(b.hca.lid, src.addr, dst.addr, kib(256), meta="m")
         yield sim.timeout(us(500))
 
     sim.run_process(proc())

@@ -32,6 +32,28 @@ def test_eager_send_recv_moves_data():
     np.testing.assert_array_equal(dst.data, src.data)
 
 
+@pytest.mark.parametrize("n", [1024, kib(256)], ids=["eager", "rendezvous"])
+def test_exchange_between_untracked_buffers_is_timing_only(n):
+    sim, cluster, world = make_mpi_pair()
+    a, b = world.endpoint(0), world.endpoint(1)
+    src = cluster.node(0).runtime.host_alloc(n)
+    dst = cluster.node(1).runtime.host_alloc(n)
+
+    def rank0():
+        yield from a.send(1, src.addr, n, tag=7)
+
+    def rank1():
+        yield from b.recv(0, dst.addr, n, tag=7)
+
+    sim.process(rank0())
+    p = sim.process(rank1())
+    sim.run()
+    assert p.processed
+    # Neither side was ever written: pure timing, no arrays built.
+    assert src._data is None
+    assert dst._data is None
+
+
 def test_rendezvous_send_recv_moves_data():
     sim, cluster, world = make_mpi_pair()
     a, b = world.endpoint(0), world.endpoint(1)
@@ -51,6 +73,9 @@ def test_rendezvous_send_recv_moves_data():
     sim.run()
     assert p.processed
     assert dst.data.min() == 42
+    # RTS and CTS carry envelopes, not user bytes: no control zone holds any.
+    assert a._ctrl._data is None
+    assert b._ctrl._data is None
 
 
 def test_unexpected_message_then_late_recv():
