@@ -4,15 +4,16 @@
     Run the DET/UNIT/SIM lint rules; print ``path:line:col`` diagnostics;
     exit 1 when findings remain (the CI ``analysis`` job gates on this).
 
-``python -m repro.analysis sanitize EXPERIMENT...``
-    Run each experiment twice through the execution engine — a normal
-    baseline and a run with ``REPRO_SANITIZE=1`` — then verify (a) both
-    runs succeeded, (b) every simulator finished with zero sanitizer
-    violations and (c) the sanitized run's deterministic view (rows,
-    rendered output and data) is **bit-identical** to the baseline's,
-    extending the golden-number identity proof to sanitized mode.  Event
-    counts are not compared: an in-process rerun can skip memoised work.
-    Exit 1 on any error, violation or drift.
+``python -m repro.analysis sanitize [EXPERIMENT...]``
+    Run each experiment (default: every registered one) twice through the
+    execution engine — a normal baseline and a run with
+    ``REPRO_SANITIZE=1`` — then verify (a) both runs succeeded, (b) every
+    simulator finished with zero sanitizer violations and (c) the
+    sanitized run's deterministic view (rows, rendered output and data) is
+    **bit-identical** to the baseline's, extending the golden-number
+    identity proof to sanitized mode.  Event counts are not compared: an
+    in-process rerun can skip memoised work.  Exit 1 on any error,
+    violation or drift.
 
 ``python -m repro.analysis docstrings PATH...``
     Documentation contract: every module must open with a one-paragraph
@@ -47,10 +48,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     # Deferred: the engine pulls in the whole model.
     from ..bench.engine import ENGINE, deterministic_view, view_differences
+    from ..bench.harness import all_ids
 
     quick = not args.full
     failed = False
-    for exp_id in args.experiments:
+    for exp_id in args.experiments or all_ids():
         baseline = ENGINE.execute(exp_id, quick)
         reset_registry()
         os.environ["REPRO_SANITIZE"] = "1"
@@ -109,7 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_san = sub.add_parser(
         "sanitize", help="sanitized golden-identity run of experiments"
     )
-    p_san.add_argument("experiments", nargs="+", help="experiment ids (e.g. selftest faults)")
+    p_san.add_argument("experiments", nargs="*", help="experiment ids (default: all)")
     p_san.add_argument(
         "--full", action="store_true", help="full (paper-parameter) mode instead of quick"
     )
@@ -124,8 +126,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_doc.set_defaults(func=_cmd_docstrings)
 
     args = parser.parse_args(argv)
-    if not getattr(args, "experiments", True):
-        parser.error("sanitize needs at least one experiment id")
     return args.func(args)
 
 

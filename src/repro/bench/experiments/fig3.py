@@ -40,15 +40,12 @@ def run(quick: bool = True) -> ExperimentResult:
     card_tap = BusAnalyzer(sim, "card-tap")
     card_tap.attach(node.platform.fabric.link_of(node.card.name))
     src = node.gpu.alloc(size).addr
-    t_post = {}
 
     def proc():
         yield from node.endpoint.register(src, size)
-        t_post["t"] = sim.now
-        done = yield from node.endpoint.put(
+        yield from node.endpoint.put(
             0, src, 0xDEAD_0000, size, src_kind=BufferKind.GPU
         )
-        yield done
 
     sim.run_process(proc())
 

@@ -186,16 +186,11 @@ def loopback_read_bandwidth(
     def proc():
         if src_kind is BufferKind.GPU:
             yield from node.endpoint.register(src, msg_size)
-        pending = []
         for _ in range(n_messages):
             done = yield from node.endpoint.put(
                 0, src, 0xDEAD_0000, msg_size, src_kind=src_kind
             )
             done.callbacks.append(lambda _ev: times.append(sim.now))
-            pending.append(done)
-        for ev in pending:
-            if not ev.processed:
-                yield ev
 
     sim.run_process(proc())
     return _steady_bandwidth(msg_size, times, n_messages)
@@ -245,11 +240,8 @@ def unidirectional_bandwidth(
                 dst_rank, src, dst, msg_size, src_kind=src_kind
             )
 
-    rx = sim.process(receiver())
     sim.process(sender())
-    sim.run()
-    if not rx.processed:
-        raise DeadlockError("unidirectional receiver never finished")
+    sim.run_process(receiver())
     return _steady_bandwidth(msg_size, completions, n_messages)
 
 
@@ -349,10 +341,7 @@ def pingpong_latency(
             rtts.append(sim.now - t0)
 
     sim.process(node_b())
-    pa = sim.process(node_a())
-    sim.run()
-    if not pa.processed:
-        raise DeadlockError("ping-pong initiator never finished")
+    sim.run_process(node_a())
     kept = rtts[_PINGPONG_SKIP:]
     return LatencyResult(msg_size, sum(kept) / len(kept) / 2.0, len(kept))
 
@@ -383,7 +372,6 @@ def sender_gap(
     src = alloc_kind(src_node, send_kind, msg_size)
     gpu_src = alloc_kind(src_node, BufferKind.GPU, msg_size) if staged else None
     dst = alloc_kind(dst_node, dst_kind, msg_size)
-    returns: list[float] = []
 
     def receiver():
         yield from dst_node.endpoint.register(dst, msg_size)
@@ -403,13 +391,9 @@ def sender_gap(
             yield from src_node.endpoint.put(
                 1, src, dst, msg_size, src_kind=send_kind
             )
-            returns.append(sim.now)
 
-    rx = sim.process(receiver())
     sim.process(sender())
-    sim.run()
-    if not rx.processed:
-        raise DeadlockError("sender-gap receiver never finished")
+    sim.run_process(receiver())
     # "Run times of the bandwidth test": first submission to full delivery,
     # per message.
     span = sim.now - t_start["t"]
@@ -493,11 +477,8 @@ def staged_unidirectional_bandwidth(
                 )
                 in_flight += 1
 
-    rx = sim.process(receiver())
     sim.process(sender())
-    sim.run()
-    if not rx.processed:
-        raise DeadlockError("staged receiver never finished")
+    sim.run_process(receiver())
     return _steady_bandwidth(msg_size, completions, n_messages)
 
 
@@ -536,9 +517,6 @@ def staged_pingpong_latency(msg_size: int, **overrides) -> LatencyResult:
             rtts.append(sim.now - t0)
 
     sim.process(node_b())
-    pa = sim.process(node_a())
-    sim.run()
-    if not pa.processed:
-        raise DeadlockError("staged ping-pong initiator never finished")
+    sim.run_process(node_a())
     kept = rtts[_PINGPONG_SKIP:]
     return LatencyResult(msg_size, sum(kept) / len(kept) / 2.0, len(kept))

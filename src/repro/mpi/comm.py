@@ -4,7 +4,9 @@ Implements the protocol structure that determines MVAPICH2/OpenMPI
 performance in the paper:
 
 * **eager** — small messages are RDMA-written into a pre-registered
-  per-peer bounce ring at the receiver and copied out on match;
+  per-peer bounce ring at the receiver and copied out on match (while a
+  peer's ring is full of messages not yet copied out, its small messages
+  go by rendezvous instead);
 * **rendezvous** — large messages handshake (RTS → CTS) and then
   RDMA-write straight into the posted receive buffer;
 * **GPU awareness** — device pointers are staged through host vbufs,
@@ -91,6 +93,7 @@ class MpiEndpoint:
             EAGER_THRESHOLD * _EAGER_SLOTS * max(1, n)
         )
         self._eager_seq_tx: dict[int, int] = {}  # per-destination counter
+        self._eager_busy: set[int] = set()  # slots not yet copied out
         self._ctrl = node.runtime.host_alloc(4096)
         # Rendezvous state: sender req_id -> (src_addr, CTS event);
         # receiver req_id -> posted recv awaiting the data message.
@@ -166,11 +169,15 @@ class MpiEndpoint:
         yield self.sim.timeout(hca.post_cost)
         env = _Envelope("eager", self.rank, tag, nbytes, req_id=next(_req_ids))
         dst_ep = self.world.endpoint(dst)
-        if nbytes <= EAGER_THRESHOLD:
-            seq = self._eager_seq_tx.get(dst, 0)
+        seq = self._eager_seq_tx.get(dst, 0)
+        slot = dst_ep._eager_slot(self.rank, seq)
+        # Never overwrite a message not yet copied out: while the peer's
+        # ring is full, small messages go by rendezvous too.
+        if nbytes <= EAGER_THRESHOLD and slot not in dst_ep._eager_busy:
             self._eager_seq_tx[dst] = seq + 1
-            env.dst_addr = dst_ep._eager_slot(self.rank, seq)
-            ev = hca.rdma_write(dst, addr, env.dst_addr, nbytes, meta=env)
+            dst_ep._eager_busy.add(slot)
+            env.dst_addr = slot
+            ev = hca.rdma_write(dst, addr, slot, nbytes, meta=env)
             # Eager: the local buffer is reusable once the HCA has read it.
             ev.callbacks.append(lambda _e: req.done.succeed(req))
         else:
@@ -269,6 +276,7 @@ class MpiEndpoint:
             heap = self.node.runtime.host_heap
             data = heap.buffer_at(eager_addr).read_bytes(eager_addr, env.nbytes)
             heap.buffer_at(posted.addr).write_bytes(posted.addr, data)
+            self._eager_busy.remove(eager_addr)
             posted.req.done.succeed(posted.req)
 
         self.sim.process(copier(), name=f"mpi{self.rank}.eagercp")

@@ -11,7 +11,7 @@ Buffers may live on the host or the GPU ("D D" mode in OMB terms).
 from __future__ import annotations
 
 from ..ib.cluster import build_ib_cluster
-from ..sim import DeadlockError, Simulator
+from ..sim import Simulator
 from ..units import us
 from .comm import MpiWorld
 
@@ -61,11 +61,8 @@ def osu_latency(msg_size: int, gpu_buffers: bool = True) -> float:
             yield from b.recv(0, buf_b, msg_size, tag=("pp", i))
             yield from b.send(0, buf_b, msg_size, tag=("pp", i, "r"))
 
-    p0 = sim.process(rank0())
     sim.process(rank1())
-    sim.run()
-    if not p0.processed:
-        raise DeadlockError("OSU latency rank 0 never finished")
+    sim.run_process(rank0())
     kept = rtts[_LATENCY_SKIP:]
     return sum(kept) / len(kept) / 2.0
 
@@ -106,10 +103,7 @@ def osu_bandwidth(
             yield from b.wait_all(reqs)
             yield from b.send(0, world.scratch(1), 4, tag=("ack", it))
 
-    p0 = sim.process(rank0())
     sim.process(rank1())
-    sim.run()
-    if not p0.processed:
-        raise DeadlockError("OSU bandwidth rank 0 never finished")
+    sim.run_process(rank0())
     total = msg_size * window * iterations
     return total / span["t"]

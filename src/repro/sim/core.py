@@ -403,22 +403,22 @@ class Simulator:
         """
         return sorted(self._heap)
 
-    def _drain(self, watched: Optional[Event]) -> None:
-        """The inlined hot loop behind :meth:`run` / :meth:`run_process`.
+    def run(self) -> None:
+        """Run until the event queue drains: the one way a run ends.
 
-        Pops events in ``(time, seq)`` order with the heap and the pop
-        pre-bound to locals, marks each event processed and runs its
-        callbacks in place.  Stops when the queue drains or *watched*
-        leaves the pending state.
+        The inlined hot loop pops events in ``(time, seq)`` order with the
+        heap and the pop pre-bound to locals, marks each event processed
+        and runs its callbacks in place.
         """
+        if self._running:
+            raise SimulationError("run() is not reentrant")
+        self._running = True
         heap = self._heap
         pop = heappop
         now = self.now
         n = 0
         try:
             while heap:
-                if watched is not None and watched._state != _PENDING:
-                    break
                 t, _, event = pop(heap)
                 if t != now:
                     if t < now - 1e-9:
@@ -436,17 +436,6 @@ class Simulator:
                 elif not event._ok and isinstance(event, Process):
                     # Crashed with nobody joined: surface, don't swallow.
                     raise event._value
-        finally:
-            self.events_processed += n
-            _KERNEL_STATS["events"] += n
-
-    def run(self) -> None:
-        """Run until the event queue drains."""
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        try:
-            self._drain(None)
         except BaseException:
             # A run the model deliberately crashes (LinkFailure escalation,
             # process error) is not a clean end state; skip finalize checks.
@@ -454,25 +443,19 @@ class Simulator:
                 self._sanitizer.mark_aborted()
             raise
         finally:
+            self.events_processed += n
+            _KERNEL_STATS["events"] += n
             self._running = False
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
-        """Convenience: run *gen* to completion and return its value.
+        """Run *gen* and the rest of the simulation to the end; return its value.
 
-        Drives the whole simulation until the process finishes (other
-        concurrent processes keep running while it does).
+        Other concurrent processes keep running after *gen* returns: the
+        run ends, as every run does, when the event queue drains.  A
+        process still pending then is a deadlock.
         """
         proc = self.process(gen, name)
-        try:
-            self._drain(proc)
-        except BaseException:
-            if self._sanitizer is not None:
-                self._sanitizer.mark_aborted()
-            raise
+        self.run()
         if proc._state == _PENDING:
             raise DeadlockError(f"deadlock: process {proc.name!r} never finished")
-        if not proc._ok:
-            if self._sanitizer is not None:
-                self._sanitizer.mark_aborted()
-            raise proc._value
         return proc._value

@@ -242,9 +242,10 @@ def test_sanitized_run_is_bit_identical():
 # ---------------------------------------------------------------------------
 
 
-def test_sanitize_cli_passes_a_clean_experiment(capsys):
-    assert main(["sanitize", "ablation_scaleout"]) == 0
-    assert "[OK] ablation_scaleout" in capsys.readouterr().out
+@pytest.mark.parametrize("exp_id", ["ablation_scaleout", "fig3", "ext_get"])
+def test_sanitize_cli_passes_a_clean_experiment(exp_id, capsys):
+    assert main(["sanitize", exp_id]) == 0
+    assert f"[OK] {exp_id}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

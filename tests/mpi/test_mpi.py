@@ -100,6 +100,40 @@ def test_unexpected_message_then_late_recv():
     assert dst.data.min() == 9
 
 
+@pytest.mark.parametrize("order", ["in-order", "last-first"])
+def test_eager_sends_beyond_the_ring_keep_their_bytes(order):
+    """More unexpected eager messages than one peer's bounce ring holds:
+    the seventeenth must not overwrite the first before it is copied out,
+    and a receive posted for it first must still complete."""
+    n_msgs, n = 17, 1024
+    sim, cluster, world = make_mpi_pair()
+    a, b = world.endpoint(0), world.endpoint(1)
+    srcs = [cluster.node(0).runtime.host_alloc(n) for _ in range(n_msgs)]
+    dsts = [cluster.node(1).runtime.host_alloc(n) for _ in range(n_msgs)]
+    for i, buf in enumerate(srcs):
+        buf.data[:] = i + 1
+    tags = list(range(n_msgs))
+    if order == "last-first":
+        tags = tags[-1:] + tags[:-1]
+
+    def rank0():
+        reqs = []
+        for i, buf in enumerate(srcs):
+            r = yield from a.isend(1, buf.addr, n, tag=i)
+            reqs.append(r)
+        yield from a.wait_all(reqs)
+
+    def rank1():
+        yield sim.timeout(us(200))  # every eager send has long arrived
+        for i in tags:
+            yield from b.recv(0, dsts[i].addr, n, tag=i)
+
+    sim.process(rank0())
+    sim.run_process(rank1())
+    assert [int(buf.data.min()) for buf in dsts] == list(range(1, n_msgs + 1))
+    assert [int(buf.data.max()) for buf in dsts] == list(range(1, n_msgs + 1))
+
+
 def test_late_rts_matching():
     """Rendezvous RTS arriving before the recv must match when posted."""
     sim, cluster, world = make_mpi_pair()

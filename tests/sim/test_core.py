@@ -301,3 +301,45 @@ def test_bad_delays_rejected(bad):
     # The guard must fire before anything is scheduled.
     assert sim.pending_entries() == []
 
+
+
+def test_run_process_drains_the_queue():
+    """The watched process returning does not end the run: everything the
+    model still has scheduled fires, as it would under run()."""
+    sim = Simulator()
+    fired = []
+
+    def background():
+        yield sim.timeout(50)
+        fired.append(sim.now)
+
+    def watched():
+        yield sim.timeout(10)
+        return sim.now
+
+    sim.process(background())
+    assert sim.run_process(watched()) == 10.0
+    assert fired == [50.0]
+    assert sim.now == 50.0
+    assert sim.pending_entries() == []
+
+
+def test_run_is_not_reentrant():
+    """Neither entry point may start a second loop inside a running one."""
+    sim = Simulator()
+    errors = []
+
+    def inner():
+        yield sim.timeout(1)
+
+    def outer():
+        yield sim.timeout(1)
+        for nested in (sim.run, lambda: sim.run_process(inner())):
+            try:
+                nested()
+            except SimulationError as exc:
+                errors.append(str(exc))
+
+    sim.process(outer())
+    sim.run()
+    assert errors == ["run() is not reentrant"] * 2
