@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Gate a quick-sweep run artifact against its committed baseline.
+"""Gate a run artifact against a baseline of the same mode.
 
-``benchmarks/baselines/sweep.json`` is the one committed copy of every
-experiment's result.  The simulation is seedless, so the whole sweep is
-exact.  The gate fails unless both files are quick mode with the same
-calibration hash, the artifact holds exactly the baseline's experiment
-ids and no error record, and every experiment's ``events`` and
+``benchmarks/baselines/sweep.json``, the default baseline, is the one
+committed copy of every experiment's quick-mode result.  The simulation
+is seedless, so every run is exact.  The gate fails unless both files
+are of one mode (quick or full) with the same calibration hash, the
+artifact holds exactly the baseline's experiment ids and no error
+record, and every experiment's ``events`` and
 :func:`repro.bench.engine.deterministic_view` (title, rendered output,
 comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
 and ``jobs`` are recorded but not compared.  After the verdict, one
@@ -16,12 +17,16 @@ change the verdict or the exit code.
 Exit code 0 when every check passes, 1 otherwise.  Run from the
 repository root:
 
-    PYTHONPATH=src python -m repro.bench --all --quick --no-cache --jobs 2 --json results/ci.json
+    REPRO_SANITIZE=1 PYTHONPATH=src python -m repro.bench --all --quick --no-cache --jobs 2 --json results/ci.json
     python scripts/check_bench.py results/ci.json
 
-The baseline is an ordinary run artifact, so ``check_bench.py b.json
---baseline a.json`` checks that two sweeps (say ``--jobs 1`` and
-``--jobs 2``) agree.  Tier-1 runs 13 of the experiments in-process and
+That is CI's ``bench`` job.  A sanitizer violation makes an error
+record, so the gate also proves that the sanitized sweep is clean and
+equal to the unsanitized baseline, event counts included.  The baseline
+is an ordinary run artifact, so ``check_bench.py b.json --baseline
+a.json`` checks that two runs agree: say ``--jobs 1`` and ``--jobs 2``,
+or a sanitized and an unsanitized full ``faults`` run (the nightly
+job).  Tier-1 runs 13 of the experiments in-process, sanitized, and
 gates each against its own record here
 (``tests/bench/test_check_bench.py``).
 
@@ -77,16 +82,16 @@ def _records(doc: dict, name: str, failures: list[str]) -> dict[str, dict]:
 
 
 def check_sweep(artifact: dict, baseline: dict) -> list[str]:
-    """Gate failures for a quick-sweep run artifact (empty = pass)."""
+    """Gate failures for a run artifact against a baseline of its mode (empty = pass)."""
     from repro.bench.engine import deterministic_view, view_differences
 
     failures: list[str] = []
-    for name, doc in (("artifact", artifact), ("baseline", baseline)):
-        if doc.get("mode") != "quick":
-            failures.append(
-                f"{name} is a {doc.get('mode')!r}-mode run: the sweep gate "
-                "compares quick sweeps only"
-            )
+    mode, base_mode = artifact.get("mode"), baseline.get("mode")
+    if mode != base_mode or mode not in ("quick", "full"):
+        failures.append(
+            f"artifact is a {mode!r}-mode run, baseline a {base_mode!r}-mode "
+            "run: the gate compares two quick or two full runs"
+        )
     cal, base_cal = artifact.get("calibration_hash"), baseline.get("calibration_hash")
     if cal != base_cal:
         failures.append(
@@ -155,9 +160,9 @@ def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="scripts/check_bench.py",
-        description="gate a quick-sweep run artifact against its committed baseline",
+        description="gate a run artifact against a baseline of the same mode",
     )
-    parser.add_argument("artifact", help="path to a quick-sweep --json artifact")
+    parser.add_argument("artifact", help="path to a --json run artifact")
     parser.add_argument(
         "--baseline",
         default=str(DEFAULT_BASELINE),

@@ -73,7 +73,7 @@ VALUE_FLAGS = {
 
 #: Known subcommands per dispatching CLI.
 SUBCOMMANDS = {
-    "repro.analysis": {"lint", "sanitize", "docstrings"},
+    "repro.analysis": {"lint", "docstrings"},
     "repro.obs": {"summary", "diff"},
 }
 

@@ -7,8 +7,8 @@ machine-checkable tooling rather than review.
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.linter` — AST lint
   rules DET001/UNIT001/SIM001, ``python -m repro.analysis lint src/``;
 * :mod:`repro.analysis.sanitizer` — runtime causality/leak checking for
-  ``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``, and the
-  ``python -m repro.analysis sanitize`` golden-identity gate.
+  ``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``, whose verdict
+  every experiment execution carries (:mod:`repro.bench.engine`).
 """
 
 from .linter import lint_paths, lint_source

@@ -91,8 +91,8 @@ class SanitizerReport:
         return "\n".join([head] + ["  " + v.render() for v in self.violations])
 
 
-#: Every sanitizer constructed since the last reset (the CLI's collection
-#: point for experiment runs that build simulators internally).
+#: Every sanitizer constructed since the last reset: the execution
+#: engine's collection point for the simulators an experiment builds.
 _REGISTRY: list["Sanitizer"] = []
 
 

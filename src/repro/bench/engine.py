@@ -19,7 +19,10 @@ failures):
   "wall_s", "events", "data"}`` plus ``"trace"`` when traced;
 * failure — ``{"experiment_id", "error", "error_class", "args",
   "wall_s", "events"}`` (the traceback string, the exception class name,
-  and the original request arguments).
+  and the original request arguments).  A run whose sanitized
+  simulators (``REPRO_SANITIZE=1``) report any violation fails too, with
+  ``error_class`` ``"SanitizerViolation"`` and the rendered violations
+  as ``error``: every front end reports it as it reports an exception.
 
 ``comparisons``/``rendered``/``data`` are pure functions of the request
 (the simulation is seedless).  ``events`` is exact from run to run as
@@ -28,12 +31,13 @@ service's result bodies, the cache parity tests) compare
 :func:`deterministic_view` of a payload, which leaves out both telemetry
 keys; ``scripts/check_bench.py`` compares ``events`` alongside it.
 :func:`view_differences` is the one comparator of two views: the sweep
-gate and ``python -m repro.analysis sanitize`` both report through it.
+gate reports through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 import traceback
 
@@ -45,6 +49,11 @@ __all__ = ["ExecutionEngine", "deterministic_view", "view_differences"]
 #: Payload keys that are pure functions of (experiment, quick, calibration,
 #: version) — everything except wall-clock/event telemetry and traces.
 DETERMINISTIC_KEYS = ("experiment_id", "title", "rendered", "comparisons", "data")
+
+#: The module holding the registry of sanitized simulators.  A simulator
+#: imports it only when it sanitizes, so while it is not loaded the
+#: registry is empty, and the engine never loads it itself.
+_SANITIZER_MODULE = "repro.analysis.sanitizer"
 
 
 def _jsonable(obj):
@@ -129,7 +138,17 @@ class ExecutionEngine:
         key (the session payload).  Tracing is observation-only, so the
         comparison rows are identical either way; each experiment gets its
         own session, so trace content is independent of worker scheduling.
+
+        Every execution carries its sanitizer verdict.  The registry of
+        sanitized simulators is emptied before the run and drained after
+        it, also when the experiment raised, so it holds nothing between
+        executions.  Any violation in a run that did not raise turns the
+        payload into a ``"SanitizerViolation"`` error payload; a run that
+        raised reports its exception.
         """
+        sanitizer = sys.modules.get(_SANITIZER_MODULE)
+        if sanitizer is not None:
+            sanitizer.reset_registry()
         session = None
         session_cm = None
         if trace:
@@ -140,6 +159,7 @@ class ExecutionEngine:
             session_cm.__enter__()
         t0 = time.perf_counter()
         ev0 = kernel_event_count()
+        error_class = error = None
         try:
             result = harness.run(experiment_id, quick=quick)
         except (KeyboardInterrupt, SystemExit):
@@ -150,24 +170,34 @@ class ExecutionEngine:
             # boundary: one failing experiment becomes an "error" payload
             # instead of killing the other workers; the class, args and
             # traceback are all preserved so nothing is swallowed.
-            return {
-                "experiment_id": experiment_id,
-                "error": traceback.format_exc(),
-                "error_class": type(exc).__name__,
-                "args": {"experiment_id": experiment_id, "quick": bool(quick)},
-                "wall_s": time.perf_counter() - t0,
-                "events": kernel_event_count() - ev0,
-            }
+            error_class, error = type(exc).__name__, traceback.format_exc()
         finally:
             if session_cm is not None:
                 session_cm.__exit__(None, None, None)
+        wall_s = time.perf_counter() - t0
+        events = kernel_event_count() - ev0
+        sanitizer = sys.modules.get(_SANITIZER_MODULE)
+        if sanitizer is not None:
+            violations = [v for r in sanitizer.collect_reports() for v in r.violations]
+            if violations and error is None:
+                error_class = "SanitizerViolation"
+                error = "\n".join(v.render() for v in violations)
+        if error is not None:
+            return {
+                "experiment_id": experiment_id,
+                "error": error,
+                "error_class": error_class,
+                "args": {"experiment_id": experiment_id, "quick": bool(quick)},
+                "wall_s": wall_s,
+                "events": events,
+            }
         payload = {
             "experiment_id": experiment_id,
             "title": result.title,
             "rendered": result.rendered,
             "comparisons": [list(row) for row in result.comparisons],
-            "wall_s": time.perf_counter() - t0,
-            "events": kernel_event_count() - ev0,
+            "wall_s": wall_s,
+            "events": events,
             "data": _jsonable(getattr(result, "data", None)),
         }
         if session is not None:

@@ -452,8 +452,11 @@ class Simulator:
 
         Other concurrent processes keep running after *gen* returns: the
         run ends, as every run does, when the event queue drains.  A
-        process still pending then is a deadlock.
+        process still pending then is a deadlock.  A nested call is
+        rejected before *gen* is scheduled, so *gen* never runs.
         """
+        if self._running:
+            raise SimulationError("run() is not reentrant")
         proc = self.process(gen, name)
         self.run()
         if proc._state == _PENDING:

@@ -5,12 +5,17 @@ import os
 import pytest
 
 from repro.analysis import collect_reports, reset_registry
-from repro.analysis.__main__ import main
+from repro.analysis.sanitizer import _REGISTRY
 from repro.bench import harness
+from repro.bench.__main__ import main as bench_main
+from repro.bench.engine import ExecutionEngine
+from repro.bench.runner import run_experiments
+from repro.bench.supervisor import WorkerSupervisor, WorkSpec
 from repro.sim import SimulationError, Simulator
 from repro.sim.channel import Channel
 from repro.sim.resources import ByteFifo, Resource, Store
 from repro.units import GBps, ns
+from tests.bench.test_check_bench import check_bench
 
 
 @pytest.fixture(autouse=True)
@@ -238,14 +243,89 @@ def test_sanitized_run_is_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# `python -m repro.analysis sanitize`
+# The verdict: every execution carries it, every front end reports it
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def leaky_experiment(monkeypatch):
+    """A registered toy that leaks a Resource slot, run with REPRO_SANITIZE=1."""
+    exp_id = "_t_sanitize_leak"
+
+    def run(quick):
+        """Toy runner that acquires a slot and never releases it."""
+        sim = Simulator()
+        res = Resource(sim, capacity=1, name="leaky-slot")
+
+        def holder():
+            yield res.acquire()
+
+        sim.run_process(holder())
+        return harness.ExperimentResult(
+            experiment_id=exp_id,
+            title="sanitizer leak",
+            rendered="",
+            comparisons=[("metric", 1.0, 1.0, "units")],
+        )
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    harness.register(exp_id, "sanitizer leak", "—")(run)
+    try:
+        yield exp_id
+    finally:
+        harness._REGISTRY.pop(exp_id, None)
+
+
+def test_engine_turns_a_violation_into_an_error_payload(leaky_experiment):
+    payload = ExecutionEngine().execute(leaky_experiment, quick=True)
+    assert payload["error_class"] == "SanitizerViolation"
+    assert payload["error"].startswith("[resource-leak]")
+    assert "'leaky-slot'" in payload["error"]
+    assert "comparisons" not in payload
+    assert _REGISTRY == []
+
+
+def test_runner_and_cli_report_a_violation(leaky_experiment, capsys):
+    [record] = run_experiments([leaky_experiment], use_cache=False)
+    assert record.status == "error"
+    assert record.error_class == "SanitizerViolation"
+    assert bench_main([leaky_experiment, "--no-cache"]) == 1
+    assert f"# {leaky_experiment}: FAILED" in capsys.readouterr().out
+
+
+def test_supervisor_reports_a_violation_as_an_execution_error(leaky_experiment):
+    """The service's outcome: terminal at once, since a rerun reproduces it."""
+    res = WorkerSupervisor().run(WorkSpec(leaky_experiment), deadline_s=60)
+    assert res.outcome == "execution-error"
+    assert res.attempts == 1
+    assert res.detail == "SanitizerViolation"
+
+
+def test_sanitized_sweep_leaves_the_registry_empty(leaky_experiment):
+    """Each execution drains the registry, leaky or clean."""
+    held = []
+    records = run_experiments(
+        [leaky_experiment, "fig3"],
+        use_cache=False,
+        progress=lambda record: held.append(len(_REGISTRY)),
+    )
+    assert [r.status for r in records] == ["error", "ok"]
+    assert held == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# `REPRO_SANITIZE=1 python -m repro.bench`, gated by scripts/check_bench.py
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("exp_id", ["ablation_scaleout", "fig3", "ext_get"])
-def test_sanitize_cli_passes_a_clean_experiment(exp_id, capsys):
-    assert main(["sanitize", exp_id]) == 0
-    assert f"[OK] {exp_id}" in capsys.readouterr().out
+def test_sanitize_cli_passes_a_clean_experiment(exp_id, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert bench_main([exp_id, "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert f"# {exp_id}: " in out
+    assert "FAILED" not in out
+    assert _REGISTRY == []
 
 
 @pytest.mark.parametrize(
@@ -256,10 +336,11 @@ def test_sanitize_cli_passes_a_clean_experiment(exp_id, capsys):
         ("comparisons", "drift: row 'metric' = 1.0 != baseline 0.0"),
     ],
 )
-def test_sanitize_cli_fails_on_any_drift_in_the_view(field, report, capsys):
+def test_sanitize_cli_fails_on_any_drift_in_the_view(field, report, tmp_path, monkeypatch, capsys):
     """One part of the deterministic view reads the sanitizer switch: the
-    rendered output, the data block or a row.  Each is compared."""
-    exp_id = f"_t_sanitize_drift_{field}"
+    rendered output, the data block or a row.  The sanitized artifact is
+    gated against the unsanitized one, and each part is compared."""
+    exp_id = "_t_sanitize_drift"
 
     def run(quick):
         """Toy runner whose *field* depends on REPRO_SANITIZE."""
@@ -272,11 +353,17 @@ def test_sanitize_cli_fails_on_any_drift_in_the_view(field, report, capsys):
             data=flag if field == "data" else None,
         )
 
+    baseline, artifact = tmp_path / "plain.json", tmp_path / "sanitized.json"
     harness.register(exp_id, "sanitize drift", "—")(run)
     try:
-        assert main(["sanitize", exp_id]) == 1
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert bench_main([exp_id, "--no-cache", "--json", str(baseline)]) == 0
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert bench_main([exp_id, "--no-cache", "--json", str(artifact)]) == 0
     finally:
         harness._REGISTRY.pop(exp_id, None)
+    capsys.readouterr()
+    assert check_bench.main([str(artifact), "--baseline", str(baseline)]) == 1
     out = capsys.readouterr().out
-    assert f"[FAIL] {exp_id}" in out
-    assert report in out
+    assert f"FAIL: _t_sanitize_{report}" in out
+    assert out.count("FAIL: ") == 1

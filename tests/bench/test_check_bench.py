@@ -2,10 +2,10 @@
 
 The gate's comparison is unit-tested on synthesized artifacts.  The
 committed baseline is the one copy of every experiment's result: it is
-checked for shape, and 13 of its experiments are re-run in-process and
-compared with it through the gate itself (events, rows, rendered output
-and data), so a model change or a stale baseline fails here before it
-fails the CI sweep.
+checked for shape, and 13 of its experiments are re-run in-process,
+sanitized, and compared with it through the gate itself (events, rows,
+rendered output and data), so a model change, a sanitizer violation or
+a stale baseline fails here before it fails the CI sweep.
 """
 
 import importlib.util
@@ -130,6 +130,12 @@ def test_changed_rendered_in_rowless_experiment_fails():
     assert _failures(art) == ["ext_get: rendered differs from the baseline"]
 
 
+def test_changed_data_block_fails():
+    art = _sweep()
+    art["records"][1]["data"] = {"points": [1, 3]}
+    assert _failures(art) == ["ext_get: data differs from the baseline"]
+
+
 def test_dropped_row_reports_the_row_count():
     art = _sweep()
     del art["records"][0]["comparisons"][1]
@@ -157,9 +163,21 @@ def test_error_record_fails():
 
 
 def test_full_mode_artifact_fails():
+    """A full run against the committed quick baseline is a mode mismatch."""
     failures = _failures(_sweep(mode="full"))
     assert len(failures) == 1
     assert "'full'-mode" in failures[0]
+    assert "baseline a 'quick'-mode run" in failures[0]
+
+
+def test_two_full_mode_artifacts_are_gated_like_quick_ones():
+    baseline = _sweep(mode="full")
+    assert check_bench.check_sweep(_sweep(mode="full"), baseline) == []
+    art = _sweep(mode="full")
+    art["records"][0]["comparisons"][0][1] = 4.75
+    assert check_bench.check_sweep(art, baseline) == [
+        "fig8: row 'latency 32B' = 4.75 != baseline 4.5"
+    ]
 
 
 def test_calibration_mismatch_asks_for_a_refresh():

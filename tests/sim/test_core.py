@@ -325,11 +325,14 @@ def test_run_process_drains_the_queue():
 
 
 def test_run_is_not_reentrant():
-    """Neither entry point may start a second loop inside a running one."""
+    """Neither entry point may start a second loop inside a running one,
+    and a rejected ``run_process`` leaves its generator unscheduled."""
     sim = Simulator()
     errors = []
+    inner_ran = []
 
     def inner():
+        inner_ran.append(sim.now)
         yield sim.timeout(1)
 
     def outer():
@@ -343,3 +346,4 @@ def test_run_is_not_reentrant():
     sim.process(outer())
     sim.run()
     assert errors == ["run() is not reentrant"] * 2
+    assert inner_ran == []
