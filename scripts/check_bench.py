@@ -9,10 +9,11 @@ artifact holds exactly the baseline's experiment ids and no error
 record, and every experiment's ``events`` and
 :func:`repro.bench.engine.deterministic_view` (title, rendered output,
 comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
-and ``jobs`` are recorded but not compared.  After the verdict, one
-informational line per experiment shows its ``wall_s`` in the baseline
-and in the artifact, their ratio and its event count; they do not
-change the verdict or the exit code.
+and ``jobs`` are recorded but not compared.  After the verdict comes a
+Markdown table, ready to paste into a change description, with one row
+per experiment found in both files: its event count, its ``wall_s`` in
+the baseline and in the artifact, and their ratio.  The table is
+informational; it does not change the verdict or the exit code.
 
 Exit code 0 when every check passes, 1 otherwise.  Run from the
 repository root:
@@ -132,26 +133,30 @@ def _seconds(value) -> str:
     return f"{value:.3f}" if isinstance(value, (int, float)) else "?"
 
 
-def wall_time_lines(artifact: dict, baseline: dict) -> list[str]:
-    """Wall time baseline -> artifact, per experiment found in both files.
+def wall_time_table(artifact: dict, baseline: dict) -> list[str]:
+    """Markdown table of wall time, baseline and artifact, per experiment
+    found in both files.
 
-    Each line gives the ratio artifact / baseline and the artifact's event
-    count.  Informational: wall time is never gated.
+    Each row gives the artifact's event count and the ratio artifact /
+    baseline.  Informational: wall time is never gated.
     """
     malformed: list[str] = []  # already reported by check_sweep
     want = _records(baseline, "baseline", malformed)
-    lines = []
+    lines = [
+        "| experiment | events | baseline wall_s | wall_s | ratio |",
+        "|---|---:|---:|---:|---:|",
+    ]
     for exp_id, record in _records(artifact, "artifact", malformed).items():
         if exp_id not in want:
             continue
         wall, ref_wall = record.get("wall_s"), want[exp_id].get("wall_s")
         try:
-            ratio = f"x{wall / ref_wall:.2f}"
+            ratio = f"{wall / ref_wall:.2f}"
         except (TypeError, ZeroDivisionError):
-            ratio = "x?"
+            ratio = "?"
         lines.append(
-            f"{exp_id}: wall_s {_seconds(ref_wall)} -> {_seconds(wall)} "
-            f"({ratio}), {record.get('events')} events"
+            f"| {exp_id} | {record.get('events')} | {_seconds(ref_wall)} "
+            f"| {_seconds(wall)} | {ratio} |"
         )
     return lines
 
@@ -182,8 +187,9 @@ def main(argv=None) -> int:
         f"[{artifact.get('run_id', '?')}, calibration "
         f"{artifact.get('calibration_hash', '?')}] -> {verdict}"
     )
-    for line in wall_time_lines(artifact, baseline):
-        print(f"  {line}")
+    print()
+    for line in wall_time_table(artifact, baseline):
+        print(line)
     return 1 if failures else 0
 
 

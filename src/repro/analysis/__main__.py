@@ -2,8 +2,8 @@
 
 The runtime sanitizer has no subcommand: every experiment execution
 carries its verdict (:meth:`repro.bench.engine.ExecutionEngine.execute`),
-so ``REPRO_SANITIZE=1 python -m repro.bench ... --no-cache`` is the
-sanitized run.
+so ``REPRO_SANITIZE=1 python -m repro.bench ...`` is the sanitized run
+(the result cache keys sanitized results apart from unsanitized ones).
 
 ``python -m repro.analysis lint PATH...``
     Run the DET/UNIT/SIM lint rules; print ``path:line:col`` diagnostics;

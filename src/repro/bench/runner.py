@@ -10,9 +10,9 @@ reproduction sweep is embarrassingly parallel.  This module provides:
   the service uses) or run them in-process (``jobs == 1``), with
   per-experiment wall-clock and simulated-event telemetry;
 * :class:`ResultCache` — an on-disk JSON cache keyed by a hash of the
-  experiment id, the quick/full flag and the package's source code
-  (which holds every calibration constant and the version), so unchanged
-  experiments are skipped on re-runs;
+  experiment id, the quick/full flag, the sanitizer mode and the
+  package's source code (which holds every calibration constant and the
+  version), so unchanged experiments are skipped on re-runs;
 * :func:`write_json` — the ``results/run-<id>.json`` artifact that
   ``scripts/check_bench.py`` gates against ``benchmarks/baselines/sweep.json``.
 
@@ -36,6 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .. import __version__
 from ..apenet.config import DEFAULT_CONFIG
+from ..sim import sanitize_default
 from . import harness
 from .engine import ENGINE
 
@@ -119,14 +120,18 @@ def _source_digest() -> str:
 def cache_key(experiment_id: str, quick: bool) -> str:
     """Content hash identifying one experiment execution.
 
-    Covers the experiment id, the quick/full flag and a digest of the
-    package's source files.  Every calibration constant and the package
-    version are source, so any change to model constants or to the code
-    invalidates all cached results.
+    Covers the experiment id, the quick/full flag, the sanitizer mode
+    (:func:`~repro.sim.sanitize_default`) and a digest of the package's
+    source files.  Every calibration constant and the package version
+    are source, so any change to model constants or to the code
+    invalidates all cached results.  Only clean runs are cached, so a hit
+    under ``REPRO_SANITIZE=1`` is a sanitized run that passed, and an
+    unsanitized result never answers a sanitized request.
     """
     ident = {
         "experiment": experiment_id,
         "quick": bool(quick),
+        "sanitize": sanitize_default(),
         "source": _source_digest(),
     }
     blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))

@@ -29,9 +29,9 @@ objects).  Writes may carry a payload, delivered to the target's
 
 Each transaction runs as a small callback chain (:class:`_Chain`), not a
 generator :class:`~repro.sim.Process`: a Process per ≤MRRS read was most
-of the simulator's host time.  A chain waits on the same events, in the
-same order, as the generator would, so timing and event order do not
-change (DESIGN.md §11).
+of the simulator's host time.  A chain waits on the event heap itself,
+in the ``(time, seq)`` slot of each event the generator would have
+waited on, so timing and event order do not change (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class FabricLink:
         self.down = Channel(sim, bw, latency, name=f"{parent.name}->{child.name}")
         self.taps: list[Callable[[TransferRecord], None]] = []
 
-    def channel(self, direction: str) -> Channel:
-        """The channel for *direction* ('up' or 'down')."""
-        return self.up if direction == "up" else self.down
-
     def notify(self, rec: TransferRecord) -> None:
         """Feed *rec* to any attached analyzer taps."""
         for tap in self.taps:
@@ -130,7 +126,8 @@ class PCIeFabric:
         # leaves the transaction paths bit-identical to the fault-free
         # fabric — the hook is a single predictable branch per hop.
         self.faults = None
-        # Route memo: (src, dst) node pair -> hops.  Cleared on attach.
+        # Route memo: (src, dst) node pair -> (link, direction, channel)
+        # hops.  Cleared on attach.
         self._routes: dict[tuple[FabricNode, FabricNode], tuple] = {}
 
     # ------------------------------------------------------------------
@@ -221,10 +218,11 @@ class PCIeFabric:
         self, src: FabricNode, dst: FabricNode
     ) -> list[tuple[FabricLink, str]]:
         """The ordered (link, direction) hops from *src* to *dst*."""
-        return list(self._route(src, dst))
+        return [(link, direction) for link, direction, _ in self._route(src, dst)]
 
     def _route(self, src: FabricNode, dst: FabricNode) -> tuple:
-        """:meth:`path` as a tuple, memoised per node pair until the next attach."""
+        """:meth:`path` as a tuple of ``(link, direction, channel)`` hops,
+        memoised per node pair until the next attach."""
         key = (src, dst)
         hops = self._routes.get(key)
         if hops is None:
@@ -239,18 +237,18 @@ class PCIeFabric:
         # Keyed by the node itself (identity hash): same membership semantics
         # as id()-keys but with no raw-address handling (DET001).
         dst_index = {n: i for i, n in enumerate(dst_chain)}
-        hops: list[tuple[FabricLink, str]] = []
+        hops: list[tuple[FabricLink, str, Channel]] = []
         # Climb from src until we hit a node on dst's ancestor chain.
         meet_idx = None
         for node in src_chain:
             if node in dst_index:
                 meet_idx = dst_index[node]
                 break
-            hops.append((node.uplink, "up"))
+            hops.append((node.uplink, "up", node.uplink.up))
         if meet_idx is None:
             raise SimulationError(f"no path {src.name} -> {dst.name}")
         # Descend from the meeting point to dst.
-        down = [(n.uplink, "down") for n in dst_chain[:meet_idx]]
+        down = [(n.uplink, "down", n.uplink.down) for n in dst_chain[:meet_idx]]
         hops.extend(reversed(down))
         return tuple(hops)
 
@@ -261,27 +259,26 @@ class PCIeFabric:
 
     def _cross(
         self,
-        link: FabricLink,
-        direction: str,
+        hop: tuple,
         kind: TlpKind,
         addr: int,
         payload: int,
         wire: int,
         requester: str,
-    ) -> Event:
-        """Send one hop's TLPs; the event fires when they reach the far end.
+    ) -> float:
+        """Send one hop's TLPs; return the delay until they reach the far end.
 
         Taps see the record first; fault injection then inflates the wire
         bytes by any LCRC-triggered replays (and may raise LinkFailure).
         """
+        link, direction, channel = hop
         if link.taps:
             link.notify(
                 TransferRecord(self.sim.now, kind, addr, payload, wire, direction, requester)
             )
-        channel = link.channel(direction)
         if self.faults is not None:
             wire += self.faults.tlp_extra_wire(channel.name, wire)
-        return channel.transfer(wire)
+        return channel.reserve(wire)
 
     # ------------------------------------------------------------------
     # Posted writes
@@ -385,34 +382,42 @@ def _reraise(event: Event) -> None:
 
 
 class _Chain:
-    """A fabric transaction driven by event callbacks instead of a Process.
+    """A fabric transaction driven by the event heap instead of a Process.
 
     ``step`` holds the stage to run next, as a plain function: a bound
     method stored on the chain would be a reference cycle, left for the
-    garbage collector.  A stage does what a generator
-    would do up to its next ``yield`` and returns that event, or None when
-    the transaction is over; the chain then waits on the event by
-    appending itself to its callbacks.  :meth:`_start` schedules the first
-    stage on a zero-delay wake event, in the slot a Process's init event
-    takes, so every transfer, limiter grant, fault draw and delivery keeps
-    the (time, seq) order a generator gave it.
+    garbage collector.  A stage does what a generator would do up to its
+    next ``yield`` and returns that wait as a delay, or None when the
+    transaction is over (or, for the windowed read, when the chain has
+    appended itself to the event it waits on).  The chain then pushes
+    itself onto the heap at ``now + delay``, in the ``(time, seq)`` slot
+    the generator's Timeout would have taken, carrying the ``callbacks``
+    and ``_state`` slots the run loop uses; it is in the heap at most
+    once.  :meth:`_start` pushes the first stage with no delay, in the
+    slot a Process's init event takes, so every transfer, limiter grant,
+    fault draw and delivery keeps the order a generator gave it.
     """
 
-    __slots__ = ("fabric", "step")
+    __slots__ = ("fabric", "step", "callbacks", "_state")
 
     def _start(self) -> None:
-        self.fabric.sim._wake_event(True, None).callbacks.append(self._resume)
+        self.callbacks = _RESUME
+        self.fabric.sim._schedule(self, 0.0)
 
-    def _resume(self, _event: Event) -> None:
+    def _resume(self, _event: Optional[Event] = None) -> None:
         try:
-            event = self.step(self)
+            delay = self.step(self)
+            if delay is not None:
+                self.callbacks = _RESUME
+                self.fabric.sim._schedule(self, delay)
         except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
             # fail a zero-delay event at this instant, as a crashed Process
             # did; the run loop re-raises the exception when it pops.
             self.fabric.sim._wake_event(False, exc).callbacks.append(_reraise)
-            return
-        if event is not None:
-            event.callbacks.append(self._resume)
+
+
+#: A queued chain's callbacks: the run loop calls ``_resume(chain)``.
+_RESUME = (_Chain._resume,)
 
 
 class _Write(_Chain):
@@ -454,7 +459,7 @@ class _Write(_Chain):
         self.done = done
         self._start()
 
-    def _send(self) -> Optional[Event]:
+    def _send(self) -> Optional[float]:
         """Start the quantum that just crossed the first hop; send the next."""
         quanta, hops, i = self.quanta, self.hops, self.sent
         if i and hops:
@@ -464,10 +469,7 @@ class _Write(_Chain):
             i += 1
             self.sent = i
             if hops:
-                link, direction = hops[0]
-                return self.fabric._cross(
-                    link, direction, _MWR, qaddr, qsize, wire, self.requester
-                )
+                return self.fabric._cross(hops[0], _MWR, qaddr, qsize, wire, self.requester)
             self._forward(i - 1)
         return None
 
@@ -528,19 +530,18 @@ class _Quantum(_Chain):
         self.done = done
         self._start()
 
-    def _hop(self) -> Optional[Event]:
+    def _hop(self) -> Optional[float]:
         """Cross the next hop; past the last, enter the target's limiter."""
         hop = self.hop
         if hop < len(self.hops):
             self.hop = hop + 1
-            link, direction = self.hops[hop]
             return self.fabric._cross(
-                link, direction, _MWR, self.addr, self.nbytes, self.wire, self.requester
+                self.hops[hop], _MWR, self.addr, self.nbytes, self.wire, self.requester
             )
         self.step = _Quantum._absorb
         limiter = self.behavior.limiter
         if limiter is not None:
-            return limiter.transfer(self.nbytes)
+            return limiter.reserve(self.nbytes)
         return self._absorb()
 
     def _absorb(self) -> None:
@@ -555,7 +556,17 @@ class _Read(_Chain):
     target's first-access latency and rate limiter pass, and MPS-chunked
     completions cross back."""
 
-    __slots__ = ("requester", "addr", "nbytes", "behavior", "fwd", "rev", "hop", "done")
+    __slots__ = (
+        "requester",
+        "addr",
+        "nbytes",
+        "wire",
+        "behavior",
+        "fwd",
+        "rev",
+        "hop",
+        "done",
+    )
 
     def __init__(self, fabric, requester, addr, nbytes, behavior, fwd, rev, done):
         self.fabric = fabric
@@ -563,6 +574,8 @@ class _Read(_Chain):
         self.requester = requester
         self.addr = addr
         self.nbytes = nbytes
+        # Completion wire bytes: the data plus one CplD header per MPS block.
+        self.wire = nbytes + _tlp_count(addr, nbytes, DEFAULT_MPS) * _CPLD_OVERHEAD
         self.behavior = behavior
         self.fwd = fwd
         self.rev = rev
@@ -570,42 +583,38 @@ class _Read(_Chain):
         self.done = done
         self._start()
 
-    def _request(self) -> Optional[Event]:
+    def _request(self) -> Optional[float]:
         """Cross the next request hop; at the target, its first access."""
         hop = self.hop
         if hop < len(self.fwd):
             self.hop = hop + 1
-            link, direction = self.fwd[hop]
             return self.fabric._cross(
-                link, direction, _MRD, self.addr, self.nbytes, _MRD_WIRE, self.requester
+                self.fwd[hop], _MRD, self.addr, self.nbytes, _MRD_WIRE, self.requester
             )
         self.step = _Read._pace
         latency = self.behavior.latency
         if latency > 0:
-            return self.fabric.sim.timeout(latency)
+            return latency
         return self._pace()
 
-    def _pace(self) -> Optional[Event]:
+    def _pace(self) -> Optional[float]:
         """Sustained-rate pacing at the target."""
         self.step = _Read._complete
         self.hop = 0
         limiter = self.behavior.limiter
         if limiter is not None:
-            return limiter.transfer(self.nbytes)
+            return limiter.reserve(self.nbytes)
         return self._complete()
 
-    def _complete(self) -> Optional[Event]:
+    def _complete(self) -> Optional[float]:
         """Cross the next completion hop; the last one lands the data."""
         hop = self.hop
-        nbytes = self.nbytes
         if hop < len(self.rev):
             self.hop = hop + 1
-            link, direction = self.rev[hop]
-            wire = nbytes + _tlp_count(self.addr, nbytes, DEFAULT_MPS) * _CPLD_OVERHEAD
             return self.fabric._cross(
-                link, direction, _CPLD, self.addr, nbytes, wire, self.requester
+                self.rev[hop], _CPLD, self.addr, self.nbytes, self.wire, self.requester
             )
-        self.done.succeed(nbytes)
+        self.done.succeed(self.nbytes)
         return None
 
 
@@ -637,14 +646,15 @@ class _ReadPipelined(_Chain):
         self.done = done
         self._start()
 
-    def _issue(self) -> Optional[Event]:
+    def _issue(self) -> None:
         """Issue reads while the window has room; else wait on the oldest."""
         chunks, window = self.chunks, self.window
         while self.issued < len(chunks):
             while len(window) >= self.outstanding:
                 oldest = window.popleft()
                 if not oldest.processed:
-                    return oldest
+                    oldest.callbacks.append(self._resume)
+                    return None
             caddr, csize = chunks[self.issued]
             self.issued += 1
             ev = self.fabric.read(self.initiator, caddr, csize)

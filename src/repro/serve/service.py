@@ -10,8 +10,8 @@ owns:
   immediately with HTTP 429 and a ``Retry-After`` hint, never queued
   unboundedly (overload degrades explicitly, not by OOM);
 * **request deduplication**: the coalescing key is the runner's
-  :func:`~repro.bench.runner.cache_key` (experiment, quick, source
-  digest) plus the trace flag — identical concurrent
+  :func:`~repro.bench.runner.cache_key` (experiment, quick, sanitizer
+  mode, source digest) plus the trace flag — identical concurrent
   submissions attach to one in-flight execution, and completed results
   are answered from the shared on-disk :class:`~repro.bench.runner.ResultCache`
   (the same cache ``python -m repro.bench`` reads and writes);

@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`Simulator`, :class:`Event`, :class:`Timeout`, :class:`Process`,
-  :class:`AllOf`, :class:`AnyOf` — the event engine (:mod:`repro.sim.core`);
+  :class:`AllOf`, :class:`AnyOf` — the event engine (:mod:`repro.sim.core`),
+  with :func:`kernel_event_count` and :func:`sanitize_default` (whether
+  ``REPRO_SANITIZE`` sanitizes new simulators);
 * :class:`Resource`, :class:`Store`, :class:`ByteFifo`, :class:`PacketFifo`
   — shared-resource primitives (:mod:`repro.sim.resources`);
 * :class:`Channel` — the bandwidth/latency pipe, and with latency 0 the
@@ -27,6 +29,7 @@ from .core import (
     Simulator,
     Timeout,
     kernel_event_count,
+    sanitize_default,
 )
 from .resources import ByteFifo, PacketFifo, Resource, Store
 from .stats import FaultStats, OnlineStats, percentile
@@ -41,6 +44,7 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "kernel_event_count",
+    "sanitize_default",
     "Resource",
     "Store",
     "ByteFifo",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Event, SimulationError, Simulator
+from .core import Event, SimulationError, Simulator, Timeout
 
 __all__ = ["Channel"]
 
@@ -24,6 +24,7 @@ class Channel:
     ``transfer(nbytes)`` returns an event that fires when the *tail* of the
     message arrives at the far end: serialization time (``nbytes/bw``) is
     exclusive (transfers queue FIFO), propagation latency is pipelined.
+    ``reserve(nbytes)`` books the same transfer and returns its delay.
     """
 
     def __init__(
@@ -51,27 +52,29 @@ class Channel:
         self.name = name
         # Time at which the serializer becomes free.
         self._free_at = 0.0
-        # Instrumentation
-        self.total_bytes = 0
-        self.total_transfers = 0
+        # Serialization time booked so far (utilization(), scale.exact).
         self._busy_time = 0.0
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
 
-    def transfer(self, nbytes: int) -> Event:
-        """Send *nbytes*; the event fires when the tail arrives.
+    def reserve(self, nbytes: int) -> float:
+        """Book *nbytes* on the serializer; return the delay until the tail
+        arrives.
 
-        Zero-byte transfers are legal (pure-latency control messages).
+        The one booking of the serializer: :meth:`transfer` waits this
+        delay on a Timeout, and a PCIe fabric chain waits it on the event
+        heap itself.  Zero-byte transfers are legal (pure-latency control
+        messages).
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
         now = self.sim.now
-        start = max(now, self._free_at)
+        start = self._free_at
+        if start < now:  # what max(now, start) gives, without the call
+            start = now
         ser = nbytes / self.bandwidth
         self._free_at = start + ser
         self._busy_time += ser
-        self.total_bytes += nbytes
-        self.total_transfers += 1
         done_at = start + ser + self.latency
         obs = self.sim._obs
         if obs is not None:
@@ -80,7 +83,11 @@ class Channel:
             obs.span_at(
                 "sim", self.name or "channel", start, done_at, nbytes=nbytes
             )
-        return self.sim.timeout(done_at - now)
+        return done_at - now
+
+    def transfer(self, nbytes: int) -> Event:
+        """Send *nbytes*; the event fires when the tail arrives."""
+        return Timeout(self.sim, self.reserve(nbytes))
 
     @property
     def backlog(self) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "kernel_event_count",
+    "sanitize_default",
 ]
 
 _INF = float("inf")
@@ -52,6 +53,12 @@ _KERNEL_STATS = {"events": 0}
 def kernel_event_count() -> int:
     """Total events processed by all Simulators in this process so far."""
     return _KERNEL_STATS["events"]
+
+
+def sanitize_default() -> bool:
+    """Whether a Simulator built with ``sanitize=None`` sanitizes: true when
+    ``REPRO_SANITIZE`` is set to anything but ``""`` or ``"0"``."""
+    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
 # The active trace session (a repro.obs.TraceSession), or None.  Like the
@@ -150,6 +157,18 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now}>"
 
 
+def _bad_delay(sim: "Simulator", delay: float) -> SimulationError:
+    """Record a negative, NaN or infinite *delay* with the sanitizer and
+    return the error to raise."""
+    if sim._sanitizer is not None:
+        sim._sanitizer.record_causality(delay, sim.now, "timeout delay")
+    return SimulationError(
+        f"timeout delay {delay!r} must be finite and non-negative: "
+        "a negative delay would schedule into the past, and a "
+        "NaN/inf delay would corrupt heap ordering"
+    )
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
@@ -166,13 +185,7 @@ class Timeout(Event):
         # of them would silently corrupt heap ordering (NaN compares false
         # against everything, so heappush would misplace the entry).
         if not 0.0 <= delay < _INF:
-            if sim._sanitizer is not None:
-                sim._sanitizer.record_causality(delay, sim.now, "timeout delay")
-            raise SimulationError(
-                f"timeout delay {delay!r} must be finite and non-negative: "
-                "a negative delay would schedule into the past, and a "
-                "NaN/inf delay would corrupt heap ordering"
-            )
+            raise _bad_delay(sim, delay)
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -328,7 +341,7 @@ class Simulator:
         # Observation-only runtime checking (repro.analysis.sanitizer).  All
         # hooks sit on cold paths, so sanitized runs are bit-identical.
         if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+            sanitize = sanitize_default()
         if sanitize:
             from ..analysis.sanitizer import Sanitizer
 
@@ -396,9 +409,25 @@ class Simulator:
         event._seq = seq
         heappush(self._heap, (self.now, seq, event))
 
+    def _schedule(self, entry: Any, delay: float) -> None:
+        """Push *entry* at ``now + delay``, the slot a Timeout would take.
+
+        Kernel-internal: a PCIe fabric chain (:mod:`repro.pcie.fabric`)
+        waits on the heap itself instead of on a Timeout.  *entry* is not
+        an Event; it carries the ``callbacks`` and ``_state`` slots
+        :meth:`run` uses.  The delay guard and the sanitizer's causality
+        record are Timeout's.
+        """
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(self, delay)
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._heap, (self.now + delay, seq, entry))
+
     def pending_entries(self) -> list[tuple[float, int, Event]]:
         """Snapshot of pending ``(t, seq, event)`` entries, sorted.
 
+        The third item is an Event or a fabric chain (:meth:`_schedule`).
         Used by the sanitizer's finalize.
         """
         return sorted(self._heap)
@@ -408,7 +437,8 @@ class Simulator:
 
         The inlined hot loop pops events in ``(time, seq)`` order with the
         heap and the pop pre-bound to locals, marks each event processed
-        and runs its callbacks in place.
+        and runs its callbacks in place.  A fabric chain pushed by
+        :meth:`_schedule` pops the same way and counts as one event.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")

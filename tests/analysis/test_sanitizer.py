@@ -1,5 +1,6 @@
 """Tests for the runtime DES sanitizer (repro.analysis.sanitizer)."""
 
+import json
 import os
 
 import pytest
@@ -326,6 +327,27 @@ def test_sanitize_cli_passes_a_clean_experiment(exp_id, monkeypatch, capsys):
     assert f"# {exp_id}: " in out
     assert "FAILED" not in out
     assert _REGISTRY == []
+
+
+def test_sanitized_cli_run_never_takes_an_unsanitized_cached_result(tmp_path, monkeypatch):
+    """The result cache keys the sanitizer mode: after an unsanitized run
+    warms the cache, a sanitized run executes (and gets its verdict), and
+    only a repeat sanitized run is a hit."""
+    cache = str(tmp_path / "cache")
+
+    def run(tag):
+        artifact = tmp_path / f"{tag}.json"
+        assert bench_main(["fig3", "--cache-dir", cache, "--json", str(artifact)]) == 0
+        (record,) = json.loads(artifact.read_text())["records"]
+        return record["status"]
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    assert run("plain") == "ok"
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert run("sanitized") == "ok"
+    assert run("sanitized-again") == "cached"
+    monkeypatch.delenv("REPRO_SANITIZE")
+    assert run("plain-again") == "cached"
 
 
 @pytest.mark.parametrize(

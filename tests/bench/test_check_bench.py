@@ -214,8 +214,8 @@ def test_check_bench_cli_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "-> ok" in out
-    assert "fig8: wall_s 0.250 -> 0.500 (x2.00), 100 events" in out
-    assert "ext_get: wall_s 0.250 -> 0.250 (x1.00), 40 events" in out
+    assert "| fig8 | 100 | 0.250 | 0.500 | 2.00 |" in out.splitlines()
+    assert "| ext_get | 40 | 0.250 | 0.250 | 1.00 |" in out.splitlines()
 
     art = _sweep()
     art["records"][0]["events"] = 101

@@ -1,5 +1,7 @@
 """Unit tests for the PCIe fabric: routing, writes, split reads."""
 
+import math
+
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, LinkFailure
@@ -299,6 +301,48 @@ def test_link_failure_surfaces_from_the_run_loop(op, failures):
         sim.run_process(proc())
     assert sim.now == 0.0
     assert len(fab.faults.stats.link_failures) == failures
+
+
+@pytest.mark.parametrize(
+    "op, events, done_at",
+    [
+        # start, 2 request hops, first access, limiter grant, 2 completion
+        # hops, done
+        (lambda fab, nic: fab.read(nic, 0x200_0000_0000, 512), 8, 2968.7017543859647),
+        # producer start, first hop, quantum start, second hop, absorbed, done
+        (lambda fab, nic: fab.write(nic, 0x200_0000_0000, 4096), 6, 2068.421052631579),
+        # 16 reads of 8 events each, plus the window's start and done
+        (
+            lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, 8192),
+            130,
+            12898.807017543862,
+        ),
+    ],
+    ids=["read 512", "write 4K", "read_pipelined 8K"],
+)
+def test_transaction_kernel_events_are_pinned(op, events, done_at):
+    """Every wait of a transaction is one heap entry, so these counts move
+    when a change adds or drops an event, whatever the sweep says."""
+    sim = Simulator()
+    fab, mem, nic, gpu = build_two_device_fabric(sim, read_latency=1800.0, read_rate=GBps(1.5))
+    done = op(fab, nic)
+    sim.run()
+    assert done.processed
+    assert (sim.events_processed, sim.now) == (events, done_at)
+
+
+def test_infinite_first_access_latency_fails_the_run():
+    # The request reaches the target, whose first access can never end: the
+    # chain's crash boundary fails the run at that instant, and the
+    # sanitizer records the delay as a causality violation.
+    sim = Simulator(sanitize=True)
+    fab, mem, nic, gpu = build_two_device_fabric(sim, read_latency=math.inf)
+    fab.read(nic, 0x200_0000_0000, 512)
+    with pytest.raises(SimulationError, match="timeout delay inf"):
+        sim.run()
+    assert sim.now == 24 / 3.8 + 150 + 24 / 7.6 + 150
+    assert [v.kind for v in sim.sanitizer.violations] == ["causality"]
+    assert sim.sanitizer.aborted
 
 
 # (time, kind, addr, payload, wire, direction, requester) seen by

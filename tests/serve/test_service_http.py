@@ -12,6 +12,7 @@ import multiprocessing
 import pytest
 
 from repro.bench import harness
+from repro.bench.runner import run_experiments
 from repro.serve import HttpFrontend, ServeConfig, SimulationService
 from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES
 
@@ -253,6 +254,30 @@ def test_cache_hit_answers_200_without_execution(tmp_path, toy_experiment):
         assert doc["result"]["rendered"] == "served"
         assert service.m_cache_hits.value() == 1
         assert service.m_completed.value(outcome="done") == 2
+
+    serve_test(body, use_cache=True, cache_dir=str(tmp_path))
+
+
+def test_sanitized_service_executes_over_an_unsanitized_cache(
+    tmp_path, toy_experiment, monkeypatch
+):
+    """A cache an unsanitized run warmed answers no sanitized request: the
+    service keys the sanitizer mode, runs the request and caches it apart."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    (warm,) = run_experiments([toy_experiment], cache_dir=tmp_path)
+    assert warm.status == "ok"
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+    async def body(service, port):
+        for expected_status, cached in ((202, False), (200, True)):
+            status, _, doc = await _request(
+                port, "POST", "/submit", {"experiment": toy_experiment}
+            )
+            assert status == expected_status
+            doc = await _poll_terminal(port, doc["request_id"])
+            assert doc["state"] == "done" and doc["cached"] is cached
+        assert service.m_cache_misses.value() == 1
+        assert service.m_cache_hits.value() == 1
 
     serve_test(body, use_cache=True, cache_dir=str(tmp_path))
 

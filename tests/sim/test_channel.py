@@ -50,15 +50,40 @@ def test_channel_zero_byte_control_message():
 def test_channel_bandwidth_accounting():
     sim = Simulator()
     ch = Channel(sim, bandwidth=GBps(1.0))
+    done = []
 
     def proc():
         for _ in range(10):
             yield ch.transfer(1000)
+            done.append(sim.now)
 
     sim.run_process(proc())
-    assert ch.total_bytes == 10_000
-    assert ch.total_transfers == 10
+    # Back to back at 1 B/ns: each 1000-byte transfer lands 1000 ns after
+    # the previous one, and the serializer was never idle.
+    assert done == [1000.0 * k for k in range(1, 11)]
     assert ch.utilization() == pytest.approx(1.0)
+
+
+def test_transfer_fires_reserve_delay_after_the_call():
+    sim = Simulator()
+    ch = Channel(sim, bandwidth=GBps(0.5), latency=150.0)
+    twin = Channel(sim, bandwidth=GBps(0.5), latency=150.0)
+    fired = []
+
+    def proc():
+        yield sim.timeout(40.0)
+        for nbytes in (700, 0, 64):
+            ch.transfer(300)  # a backlog the next booking queues behind
+            twin.reserve(300)
+            due = sim.now + twin.reserve(nbytes)
+            yield ch.transfer(nbytes)
+            fired.append((sim.now, due))
+
+    sim.run_process(proc())
+    # The same bookings on twin channels: transfer() fires exactly the
+    # delay reserve() returns after the call, backlog included.
+    assert [now for now, _ in fired] == [due for _, due in fired]
+    assert fired[0] == (2190.0, 2190.0)  # 40 + (300 + 700) / 0.5 + 150
 
 
 def test_channel_never_exceeds_capacity():
@@ -90,6 +115,9 @@ def test_channel_invalid_parameters():
     ch = Channel(sim, bandwidth=1.0)
     with pytest.raises(SimulationError):
         ch.transfer(-1)
+    with pytest.raises(SimulationError, match="negative"):
+        ch.reserve(-1)
+    assert ch.backlog == 0.0  # nothing was booked
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
