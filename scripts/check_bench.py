@@ -11,8 +11,10 @@ record, and every experiment's ``events`` and
 comparison rows, data) equal the baseline's.  ``wall_s``, ``run_id``
 and ``jobs`` are recorded but not compared.  After the verdict comes a
 Markdown table, ready to paste into a change description, with one row
-per experiment found in both files: its event count, its ``wall_s`` in
-the baseline and in the artifact, and their ratio.  The table is
+per experiment found in both files: its event count in the baseline and
+in the artifact, its ``wall_s`` in both, and their ratio.  A closing
+``total`` row sums each column over those experiments, so a baseline
+refresh shows every old and new count beside the sums.  The table is
 informational; it does not change the verdict or the exit code.
 
 Exit code 0 when every check passes, 1 otherwise.  Run from the
@@ -129,35 +131,56 @@ def check_sweep(artifact: dict, baseline: dict) -> list[str]:
     return failures
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
 def _seconds(value) -> str:
-    return f"{value:.3f}" if isinstance(value, (int, float)) else "?"
+    return f"{value:.3f}" if _is_number(value) else "?"
+
+
+def _table_row(name: str, ref_events, events, ref_wall, wall) -> str:
+    try:
+        ratio = f"{wall / ref_wall:.2f}"
+    except (TypeError, ZeroDivisionError):
+        ratio = "?"
+    return (
+        f"| {name} | {ref_events if _is_number(ref_events) else '?'} "
+        f"| {events if _is_number(events) else '?'} | {_seconds(ref_wall)} "
+        f"| {_seconds(wall)} | {ratio} |"
+    )
 
 
 def wall_time_table(artifact: dict, baseline: dict) -> list[str]:
-    """Markdown table of wall time, baseline and artifact, per experiment
-    found in both files.
+    """Markdown table of event counts and wall time, baseline and
+    artifact, per experiment found in both files.
 
-    Each row gives the artifact's event count and the ratio artifact /
-    baseline.  Informational: wall time is never gated.
+    Each row gives the ratio artifact / baseline of wall time, and a
+    closing ``total`` row sums every column (``?`` where a value is
+    missing).  Informational: wall time is never gated.
     """
     malformed: list[str] = []  # already reported by check_sweep
     want = _records(baseline, "baseline", malformed)
     lines = [
-        "| experiment | events | baseline wall_s | wall_s | ratio |",
-        "|---|---:|---:|---:|---:|",
+        "| experiment | baseline events | events | baseline wall_s | wall_s | ratio |",
+        "|---|---:|---:|---:|---:|---:|",
     ]
+    rows = []
     for exp_id, record in _records(artifact, "artifact", malformed).items():
         if exp_id not in want:
             continue
-        wall, ref_wall = record.get("wall_s"), want[exp_id].get("wall_s")
-        try:
-            ratio = f"{wall / ref_wall:.2f}"
-        except (TypeError, ZeroDivisionError):
-            ratio = "?"
-        lines.append(
-            f"| {exp_id} | {record.get('events')} | {_seconds(ref_wall)} "
-            f"| {_seconds(wall)} | {ratio} |"
+        ref = want[exp_id]
+        row = (
+            ref.get("events"),
+            record.get("events"),
+            ref.get("wall_s"),
+            record.get("wall_s"),
         )
+        rows.append(row)
+        lines.append(_table_row(exp_id, *row))
+    columns = list(zip(*rows)) or [()] * 4
+    totals = [sum(col) if all(map(_is_number, col)) else None for col in columns]
+    lines.append(_table_row("total", *totals))
     return lines
 
 

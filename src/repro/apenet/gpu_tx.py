@@ -24,7 +24,7 @@ the GPU-side protocol constants.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -40,14 +40,19 @@ __all__ = ["GpuTxEngine"]
 
 @dataclass
 class _Chunk:
-    """One in-flight GPU read chunk."""
+    """One in-flight GPU read chunk.
+
+    ``injected`` fires once the chunk's packet is in the TX FIFO; it is
+    ``None`` where the engine never waits on it (v3's chunks but the
+    last).
+    """
 
     job: TxJob
     seq: int
     offset: int
     nbytes: int
     last: bool
-    injected: Event = field(default=None)
+    injected: Optional[Event] = None
 
 
 class GpuTxEngine:
@@ -120,7 +125,14 @@ class GpuTxEngine:
                     yield self.sim.timeout(cfg.v2_request_interval)
                 if cfg.gpu_tx_version != GpuTxVersion.V2:
                     self.outstanding += nbytes
-                chunk = _Chunk(job, i, offset, nbytes, last=(i == n - 1), injected=Event(self.sim))
+                last = i == n - 1
+                # v3 waits only on the message's last chunk.
+                injected = (
+                    Event(self.sim)
+                    if last or cfg.gpu_tx_version != GpuTxVersion.V3
+                    else None
+                )
+                chunk = _Chunk(job, i, offset, nbytes, last, injected)
                 self.pending.append(chunk)
                 batch_tail = chunk
                 req = P2PReadRequest(
@@ -216,7 +228,8 @@ class GpuTxEngine:
             # v1/v3 retire credit only when the packet has cleared into the
             # TX FIFO — v3's almost-full feedback (arrow 3 in Fig 2).
             self._retire(chunk.nbytes)
-        chunk.injected.succeed()
+        if chunk.injected is not None:
+            chunk.injected.succeed()
         if chunk.last:
             chunk.job.local_done.succeed(chunk.job)
 

@@ -68,9 +68,9 @@ class TorusPort:
 
     def release(self, vc: int, nbytes: int) -> None:
         """Return credit after the packet leaves the port buffer."""
-        # get() on a ByteFifo used as a credit pool never blocks here because
-        # release always follows a successful reserve of the same size.
-        self.credits[vc].get(nbytes)
+        # Release always follows a successful reserve of the same size, so
+        # the credit bytes are there: take, not get.
+        self.credits[vc].take(nbytes)
 
 
 class TorusLink:

@@ -106,7 +106,8 @@ def windowed_read_tx(
             yield limiter.transfer(csize)
         state["reserved"] += csize
         ev = card.fabric.read(card, src_addr_of(off), csize)
-        ev.callbacks.append(lambda _e, n=csize: staging.put(n))
+        # The reservation above guarantees the room: fill, not put.
+        ev.callbacks.append(lambda _e, n=csize: staging.fill(n))
         in_flight.append(ev)
         off += csize
     yield packetizer_done

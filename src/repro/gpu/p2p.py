@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..sim import Channel, Event, Simulator, Store
+from ..sim import Channel, Simulator, Store
 
 __all__ = ["P2PReadRequest", "P2PReadEngine", "GPU_READ_CHUNK", "REQUEST_DESCRIPTOR_BYTES"]
 
@@ -81,11 +81,9 @@ class P2PReadEngine:
         self._queue = Store(sim, name=f"{gpu.name}.p2p-q")
         sim.process(self._server(), name=f"{gpu.name}.p2p")
 
-    def submit(self, req: P2PReadRequest) -> Event:
-        """Accept one descriptor; returns the response-delivered event."""
-        done = Event(self.sim)
-        self._queue.put((req, self.sim.now, done))
-        return done
+    def submit(self, req: P2PReadRequest) -> None:
+        """Accept one descriptor; the response write pushes the data back."""
+        self._queue.put((req, self.sim.now))
 
     def _server(self):
         """Serial protocol engine: one read-chunk response at a time.
@@ -95,7 +93,7 @@ class P2PReadEngine:
         full 1.8 µs while a saturated stream runs at the sustained rate.
         """
         while True:
-            req, t_submit, done = yield self._queue.get()
+            req, t_submit = yield self._queue.get()
             ready = t_submit + self.head_latency
             if ready > self.sim.now:
                 yield self.sim.timeout(ready - self.sim.now)
@@ -125,4 +123,3 @@ class P2PReadEngine:
                 obs.span_at(
                     "gpu", "p2p_read", t_submit, self.sim.now, nbytes=req.nbytes
                 )
-            done.succeed(req)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..sim import Channel, Event, Simulator
+from ..sim import Channel, Simulator
 from ..units import Gbps, ns, us
 
 __all__ = ["IBFabric", "IBPort", "IB_QDR_BANDWIDTH"]
@@ -50,23 +50,22 @@ class IBFabric:
         self.ports[lid] = port
         return port
 
-    def send(self, src_lid: int, dst_lid: int, nbytes: int, payload: Any) -> Event:
-        """Move *nbytes* from src port to dst port; fires at delivery.
+    def send(self, src_lid: int, dst_lid: int, nbytes: int, payload: Any) -> None:
+        """Move *nbytes* from src port to dst port.
 
         Serializes on the source's up wire and the destination's down wire
         (the crossbar itself is non-blocking); the payload is handed to the
-        destination HCA's delivery hook on arrival.
+        destination HCA's delivery hook on arrival, the one completion
+        signal a sender sees.
         """
         if src_lid not in self.ports or dst_lid not in self.ports:
             raise KeyError(f"ib: unknown LID {src_lid}->{dst_lid}")
-        done = Event(self.sim)
         self.sim.process(
-            self._send_proc(src_lid, dst_lid, nbytes, payload, done),
+            self._send_proc(src_lid, dst_lid, nbytes, payload),
             name=f"ib.{src_lid}->{dst_lid}",
         )
-        return done
 
-    def _send_proc(self, src_lid, dst_lid, nbytes, payload, done):
+    def _send_proc(self, src_lid, dst_lid, nbytes, payload):
         src = self.ports[src_lid]
         dst = self.ports[dst_lid]
         if src_lid != dst_lid:
@@ -78,4 +77,3 @@ class IBFabric:
             yield src.up.transfer(nbytes)
         if dst.deliver is not None:
             dst.deliver(payload)
-        done.succeed(nbytes)

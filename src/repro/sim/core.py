@@ -202,6 +202,11 @@ class Process(Event):
 
     The process is itself an event: other processes can ``yield`` it to
     join on its completion; its value is the generator's return value.
+    A process that returns while nothing has joined it is processed in
+    place, with its value, and queues no completion: a later joiner
+    resumes at the current instant, as on any processed event.  A crash
+    always goes through the queue, so an unjoined crash still surfaces
+    from :meth:`Simulator.run`.
     """
 
     __slots__ = ("_gen", "_send", "_throw", "_waiting_on", "name")
@@ -235,7 +240,12 @@ class Process(Event):
             else:
                 target = self._throw(trigger._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody joined: a queued completion would run no callback.
+                self._value = stop.value
+                self._state = _PROCESSED
             return
         except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
             # the exception is re-raised through the completion event (joiners

@@ -10,8 +10,10 @@
   with a ``size`` attribute); producers block while the FIFO is full.
 
 All wait operations return :class:`~repro.sim.core.Event` objects that a
-process ``yield``\\ s on.  Queuing disciplines are strictly FIFO, which keeps
-simulations deterministic.
+process ``yield``\\ s on.  An operation that never waits and whose event no
+caller reads — :meth:`Store.put`, :meth:`ByteFifo.fill` and
+:meth:`ByteFifo.take` — returns none, so it queues nothing.  Queuing
+disciplines are strictly FIFO, which keeps simulations deterministic.
 """
 
 from __future__ import annotations
@@ -119,13 +121,13 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
-        """Insert *item*; the returned event fires at the current time."""
-        ev = Event(self.sim)
+    def put(self, item: Any) -> None:
+        """Insert *item* and wake blocked getters, first in, first out.
+
+        A put never waits, so it makes no event.
+        """
         self._items.append(item)
-        ev.succeed(item)
         self._wake_getters()
-        return ev
 
     def get(self) -> Event:
         """Remove the oldest item; the event's value is the item."""
@@ -146,7 +148,10 @@ class ByteFifo:
 
     ``put(n)`` completes once *n* bytes have been accepted (the bytes are
     reserved atomically, FIFO among producers); ``get(n)`` completes once
-    *n* bytes have been drained.
+    *n* bytes have been drained.  ``fill(n)`` and ``take(n)`` are their
+    event-free forms for a caller that guarantees the room or the bytes
+    (a credit loop, a reserved window): they act at once, or raise
+    :class:`~repro.sim.core.SimulationError` and change nothing.
 
     A ``put`` larger than the capacity is rejected: the caller must chunk.
     """
@@ -199,17 +204,31 @@ class ByteFifo:
             # loop's first action and, by the drain-on-every-transition
             # invariant, a queued head putter can never currently fit), so
             # inlining the admission preserves the succeed order exactly.
-            level_before = self._level
-            self._level += nbytes
-            self.total_in += nbytes
-            if self._level > self._peak:
-                self._peak = self._level
             ev.succeed(nbytes)
-            self._settle(level_before)
+            self._store(nbytes)
             return ev
         self._putters.append((ev, nbytes))
         self._drain()
         return ev
+
+    def fill(self, nbytes: int) -> None:
+        """Store *nbytes* now, with no event: ``put`` for a caller that
+        guarantees the room.
+
+        Wakes queued consumers exactly as an uncontended ``put`` would.
+        Raises :class:`~repro.sim.core.SimulationError`, and changes
+        nothing, unless the bytes fit now with no producer queued ahead.
+        """
+        nbytes = int(nbytes)
+        if nbytes <= 0:
+            raise SimulationError("fill() needs a positive byte count")
+        if self._putters or nbytes > self.capacity - self._level:
+            raise SimulationError(
+                f"fill({nbytes}) on {self.name!r}: {self.free} bytes free, "
+                f"{len(self._putters)} producer(s) queued; the caller must "
+                "guarantee the room"
+            )
+        self._store(nbytes)
 
     def get(self, nbytes: int) -> Event:
         """Remove exactly *nbytes*; fires when they have all been taken."""
@@ -221,15 +240,48 @@ class ByteFifo:
             # Uncontended fast path (see put(); the symmetric argument —
             # a queued head putter cannot fit right now, so _drain would
             # serve this consumer first).
-            level_before = self._level
-            self._level -= nbytes
-            self.total_out += nbytes
             ev.succeed(nbytes)
-            self._settle(level_before)
+            self._remove(nbytes)
             return ev
         self._getters.append((ev, nbytes))
         self._drain()
         return ev
+
+    def take(self, nbytes: int) -> None:
+        """Remove *nbytes* now, with no event: ``get`` for a caller that
+        guarantees the bytes.
+
+        Admits queued producers exactly as an uncontended ``get`` would.
+        Raises :class:`~repro.sim.core.SimulationError`, and changes
+        nothing, unless the bytes are stored now with no consumer queued
+        ahead.
+        """
+        nbytes = int(nbytes)
+        if nbytes <= 0:
+            raise SimulationError("take() needs a positive byte count")
+        if self._getters or nbytes > self._level:
+            raise SimulationError(
+                f"take({nbytes}) on {self.name!r}: {self._level} bytes stored, "
+                f"{len(self._getters)} consumer(s) queued; the caller must "
+                "guarantee the bytes"
+            )
+        self._remove(nbytes)
+
+    def _store(self, nbytes: int) -> None:
+        """Admit *nbytes* that fit now, then serve the queues."""
+        level_before = self._level
+        self._level += nbytes
+        self.total_in += nbytes
+        if self._level > self._peak:
+            self._peak = self._level
+        self._settle(level_before)
+
+    def _remove(self, nbytes: int) -> None:
+        """Drain *nbytes* that are stored now, then serve the queues."""
+        level_before = self._level
+        self._level -= nbytes
+        self.total_out += nbytes
+        self._settle(level_before)
 
     def _drain(self) -> None:
         self._settle(self._level)

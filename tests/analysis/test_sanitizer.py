@@ -142,7 +142,7 @@ def test_idle_consumer_daemon_not_flagged():
             yield store.get()
 
     def producer():
-        yield store.put("pkt")
+        store.put("pkt")
         yield sim.timeout(ns(1))
 
     sim.process(daemon())

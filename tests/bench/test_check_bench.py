@@ -214,15 +214,28 @@ def test_check_bench_cli_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "-> ok" in out
-    assert "| fig8 | 100 | 0.250 | 0.500 | 2.00 |" in out.splitlines()
-    assert "| ext_get | 40 | 0.250 | 0.250 | 1.00 |" in out.splitlines()
+    table = out.splitlines()[-5:]
+    assert table == [
+        "| experiment | baseline events | events | baseline wall_s | wall_s | ratio |",
+        "|---|---:|---:|---:|---:|---:|",
+        "| fig8 | 100 | 100 | 0.250 | 0.500 | 2.00 |",
+        "| ext_get | 40 | 40 | 0.250 | 0.250 | 1.00 |",
+        "| total | 140 | 140 | 0.500 | 0.750 | 1.50 |",
+    ]
 
     art = _sweep()
     art["records"][0]["events"] = 101
+    art["records"][1]["events"] = None
     art_path.write_text(json.dumps(art))
     rc = check_bench.main([str(art_path), "--baseline", str(base_path)])
     assert rc == 1
-    assert "FAIL: fig8: events 101 != baseline 100" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL: fig8: events 101 != baseline 100" in out
+    assert out[-3:] == [
+        "| fig8 | 100 | 101 | 0.250 | 0.250 | 1.00 |",
+        "| ext_get | 40 | ? | 0.250 | 0.250 | 1.00 |",
+        "| total | 140 | ? | 0.500 | 0.500 | 1.00 |",
+    ]
 
 
 def test_check_bench_cli_unreadable_artifact(tmp_path, capsys):

@@ -30,10 +30,8 @@ def test_fabric_delivery_and_latency():
     fab.attach(lambda m: got.append((m, sim.now)))
     fab.attach(lambda m: got.append((m, sim.now)))
 
-    def proc():
-        yield fab.send(0, 1, 4096, "payload")
-
-    sim.run_process(proc())
+    assert fab.send(0, 1, 4096, "payload") is None
+    sim.run()
     msg, t = got[0]
     assert msg == "payload"
     # up wire + switch + down wire: 2*(4096/4 + 250) + 100.
@@ -48,11 +46,8 @@ def test_crossbar_is_nonblocking():
     for i in range(4):
         fab.attach(lambda m, i=i: arrivals.setdefault(i, sim.now))
 
-    def sender(src, dst):
-        yield fab.send(src, dst, mib(1), None)
-
-    sim.process(sender(0, 1))
-    sim.process(sender(2, 3))
+    fab.send(0, 1, mib(1), None)
+    fab.send(2, 3, mib(1), None)
     sim.run()
     # Both flows finish at the same time — no shared bottleneck.
     assert arrivals[1] == pytest.approx(arrivals[3])

@@ -105,4 +105,4 @@ def test_selftest_payload_is_exact_run_to_run():
     first = ExecutionEngine().execute("selftest", quick=True)
     second = ExecutionEngine().execute("selftest", quick=True)
     assert deterministic_view(first) == deterministic_view(second)
-    assert first["events"] == second["events"] == 1238
+    assert first["events"] == second["events"] == 1160

@@ -141,6 +141,48 @@ def test_process_join_returns_value():
     assert sim.run_process(parent()) == (4.0, "result")
 
 
+def test_unjoined_process_is_processed_as_it_returns():
+    """With nothing joined, a returning process takes its value at once
+    and queues no completion: an observer later in the same instant
+    already sees it done."""
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield sim.timeout(3)
+        return "v"
+
+    proc = sim.process(child())
+
+    def observer():
+        yield sim.timeout(3)  # pops right after the child's timeout
+        seen.append((sim.now, proc.processed, proc.value))
+
+    sim.process(observer())
+    sim.run()
+    assert seen == [(3.0, True, "v")]
+    assert not proc.is_alive
+    # Two start wakes and two timeouts; no completion event.
+    assert sim.events_processed == 4
+
+
+def test_late_joiner_of_a_returned_process_resumes_at_that_instant():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(4)
+        return "result"
+
+    proc = sim.process(child())
+
+    def joiner():
+        yield sim.timeout(4)  # pops after the child has returned
+        val = yield proc
+        return (sim.now, val)
+
+    assert sim.run_process(joiner()) == (4.0, "result")
+
+
 def test_process_crash_propagates_to_joiner():
     sim = Simulator()
 

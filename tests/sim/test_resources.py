@@ -105,7 +105,8 @@ def test_store_put_get_fifo():
 
     def producer():
         for i in range(3):
-            yield store.put(i)
+            store.put(i)
+            yield sim.timeout(1)
 
     def consumer():
         got = []
@@ -128,10 +129,32 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield sim.timeout(25)
-        yield store.put("late")
+        store.put("late")
 
     sim.process(producer())
     assert sim.run_process(consumer()) == (25.0, "late")
+
+
+def test_store_put_makes_no_event_and_wakes_getters_in_order():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def getter(tag):
+        item = yield store.get()
+        got.append((tag, item, sim.now))
+
+    def producer():
+        yield sim.timeout(7)
+        assert [store.put(i) for i in range(3)] == [None] * 3
+
+    for tag in "abc":
+        sim.process(getter(tag))
+    sim.process(producer())
+    sim.run()
+    assert got == [("a", 0, 7.0), ("b", 1, 7.0), ("c", 2, 7.0)]
+    # Four start wakes, the timeout and the three getters' items.
+    assert sim.events_processed == 8
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +241,112 @@ def test_bytefifo_conservation_counters():
     assert fifo.total_out == 320
     assert fifo.level == 0
     assert fifo.peak_level <= 64
+
+
+def _fill_wakes_getters(op):
+    """Bytes arrive at t=5 through *op* while two consumers wait; a third
+    process scheduled at t=5 before them logs too."""
+    sim = Simulator()
+    fifo = ByteFifo(sim, capacity=100)
+    log = []
+
+    def consumer(tag, n):
+        yield fifo.get(n)
+        log.append((tag, sim.now, fifo.level))
+
+    def bystander():
+        yield sim.timeout(5)
+        log.append(("bystander", sim.now, fifo.level))
+
+    def producer():
+        yield sim.timeout(5)
+        getattr(fifo, op)(70)  # put's event goes unread
+        log.append(("producer", sim.now, fifo.level))
+
+    sim.process(consumer("a", 30))
+    sim.process(consumer("b", 40))
+    sim.process(producer())
+    sim.process(bystander())
+    sim.run()
+    return log, (fifo.total_in, fifo.total_out, fifo.peak_level)
+
+
+def test_bytefifo_fill_wakes_queued_getters_like_put():
+    log, counters = _fill_wakes_getters("fill")
+    assert log == [
+        ("producer", 5.0, 0),
+        ("bystander", 5.0, 0),
+        ("a", 5.0, 0),
+        ("b", 5.0, 0),
+    ]
+    assert (log, counters) == _fill_wakes_getters("put")
+    assert counters == (70, 70, 70)
+
+
+def _take_admits_putters(op):
+    """Credit returns at t=5 through *op* while two producers wait on a
+    full FIFO; a third process scheduled at t=5 before them logs too."""
+    sim = Simulator()
+    fifo = ByteFifo(sim, capacity=100)
+    fifo.put(100)
+    log = []
+
+    def producer(tag, n):
+        yield fifo.put(n)
+        log.append((tag, sim.now, fifo.level))
+
+    def bystander():
+        yield sim.timeout(5)
+        log.append(("bystander", sim.now, fifo.level))
+
+    def releaser():
+        yield sim.timeout(5)
+        getattr(fifo, op)(70)  # get's event goes unread
+        log.append(("releaser", sim.now, fifo.level))
+
+    sim.process(producer("a", 30))
+    sim.process(producer("b", 40))
+    sim.process(releaser())
+    sim.process(bystander())
+    sim.run()
+    return log, (fifo.total_in, fifo.total_out, fifo.peak_level)
+
+
+def test_bytefifo_take_admits_queued_putters_like_get():
+    log, counters = _take_admits_putters("take")
+    assert log == [
+        ("releaser", 5.0, 100),
+        ("bystander", 5.0, 100),
+        ("a", 5.0, 100),
+        ("b", 5.0, 100),
+    ]
+    assert (log, counters) == _take_admits_putters("get")
+    assert counters == (170, 70, 100)
+
+
+def test_bytefifo_fill_and_take_raise_and_change_nothing():
+    sim = Simulator()
+    fifo = ByteFifo(sim, capacity=100)
+    fifo.fill(80)
+
+    def state():
+        return (fifo.level, fifo.total_in, fifo.total_out, fifo.peak_level)
+
+    assert state() == (80, 80, 0, 80)
+    for op, n in (("fill", 21), ("take", 81), ("fill", 0), ("take", -1)):
+        with pytest.raises(SimulationError):
+            getattr(fifo, op)(n)
+        assert state() == (80, 80, 0, 80)
+    # A queued producer or consumer is ahead: no cutting in, even though
+    # the bytes would fit or are there.
+    fifo.put(30)
+    with pytest.raises(SimulationError, match="room"):
+        fifo.fill(10)
+    fifo.take(80)  # admits the queued put
+    fifo.get(40)
+    with pytest.raises(SimulationError, match="bytes"):
+        fifo.take(10)
+    assert state() == (30, 110, 80, 80)
 
 
 def test_bytefifo_head_of_line_put_blocking():
