@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..sim.core import Chain
+
 __all__ = [
     "Violation",
     "SanitizerReport",
@@ -177,7 +179,10 @@ class Sanitizer:
 
         if not self.aborted:
             if heap:
-                with_waiters = sum(1 for _, _, ev in heap if ev.callbacks)
+                # A queued Chain waits on its own next stage.
+                with_waiters = sum(
+                    1 for _, _, ev in heap if isinstance(ev, Chain) or ev.callbacks
+                )
                 violations.append(
                     Violation(
                         "event-leak",

@@ -21,17 +21,21 @@ Transactions:
   MRRS-sized requests with a bounded number outstanding (how real DMA
   engines achieve bandwidth despite the read round-trip).
 
+A read's whole range must lie in one address window of its target, which
+is resolved, with its read behaviour and both routes, once per call.
+
 Reads model time only: the initiator takes the bytes from the
 :class:`~repro.pcie.device.MemoryBuffer` that holds them when its read
 completes (the simulation gives callers global visibility of memory
 objects).  Writes may carry a payload, delivered to the target's
 ``on_write`` hook.
 
-Each transaction runs as a small callback chain (:class:`_Chain`), not a
-generator :class:`~repro.sim.Process`: a Process per ≤MRRS read was most
-of the simulator's host time.  A chain waits on the event heap itself,
-in the ``(time, seq)`` slot of each event the generator would have
-waited on, so timing and event order do not change (DESIGN.md §11).
+Each transaction runs as a kernel callback chain
+(:class:`~repro.sim.Chain`), not a generator :class:`~repro.sim.Process`:
+a Process per ≤MRRS read was most of the simulator's host time.  The
+chain classes here hold only their stages; the kernel pushes each wait
+in the ``(time, seq)`` slot of the event the generator would have waited
+on, so timing and event order do not change (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..sim import Channel, Event, SimulationError, Simulator
+from ..sim import Chain, Channel, Event, SimulationError, Simulator
 from ..units import KiB
 from .device import PCIeDevice
 from .tlp import DEFAULT_MPS, DEFAULT_MRRS, LinkParams, TlpKind, fragment, tlp_overhead
@@ -196,10 +200,16 @@ class PCIeFabric:
         self._windows.append((win.base, win.limit, device))
         self._windows.sort()
 
-    def resolve(self, addr: int) -> PCIeDevice:
-        """The device owning *addr*."""
+    def resolve(self, addr: int, nbytes: int = 1) -> PCIeDevice:
+        """The device owning *addr*, whose window must hold all of
+        ``[addr, addr + nbytes)``."""
         for base, limit, dev in self._windows:
             if base <= addr < limit:
+                if addr + nbytes > limit:
+                    raise SimulationError(
+                        f"range [0x{addr:x}, 0x{addr + nbytes:x}) leaves "
+                        f"{dev.name}'s window [0x{base:x}, 0x{limit:x})"
+                    )
                 return dev
         raise SimulationError(f"address 0x{addr:x} does not route anywhere")
 
@@ -318,16 +328,27 @@ class PCIeFabric:
                 f"read of {nbytes} exceeds MRRS {DEFAULT_MRRS}; "
                 "use read_pipelined for bulk transfers"
             )
-        target = self.resolve(addr)
+        behavior, fwd, rev = self._read_path(initiator, addr, nbytes)
+        return self._read(initiator.name, addr, nbytes, behavior, fwd, rev)
+
+    def _read_path(self, initiator: PCIeDevice, addr: int, nbytes: int) -> tuple:
+        """The target's read behaviour and the request and completion
+        routes of a read of ``[addr, addr + nbytes)``."""
+        target = self.resolve(addr, nbytes)
         behavior = target.describe_read(addr)
         src, dst = self._device_node(initiator), self._device_node(target)
-        fwd, rev = self._route(src, dst), self._route(dst, src)
+        return behavior, self._route(src, dst), self._route(dst, src)
+
+    def _read(
+        self, requester: str, addr: int, nbytes: int, behavior, fwd: tuple, rev: tuple
+    ) -> Event:
+        """Start one split-transaction read on a resolved path; its done event."""
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
-            span = obs.span("pcie", "read", initiator=initiator.name, nbytes=nbytes)
+            span = obs.span("pcie", "read", initiator=requester, nbytes=nbytes)
             done.callbacks.append(span.end_event)
-        _Read(self, initiator.name, addr, nbytes, behavior, fwd, rev, done)
+        _Read(self, requester, addr, nbytes, behavior, fwd, rev, done)
         return done
 
     def read_pipelined(
@@ -345,6 +366,7 @@ class PCIeFabric:
             raise SimulationError("read_pipelined needs a positive size")
         if outstanding < 1:
             raise SimulationError("need at least one outstanding request")
+        path = self._read_path(initiator, addr, nbytes)
         done = Event(self.sim)
         obs = self.sim._obs
         if obs is not None:
@@ -356,7 +378,7 @@ class PCIeFabric:
                 outstanding=outstanding,
             )
             done.callbacks.append(span.end_event)
-        _ReadPipelined(self, initiator, addr, nbytes, outstanding, done)
+        _ReadPipelined(self, initiator.name, addr, nbytes, outstanding, path, done)
         return done
 
 
@@ -377,50 +399,7 @@ def _tlp_count(addr: int, nbytes: int, boundary: int) -> int:
     return (addr + nbytes - 1) // boundary - addr // boundary + 1
 
 
-def _reraise(event: Event) -> None:
-    raise event._value
-
-
-class _Chain:
-    """A fabric transaction driven by the event heap instead of a Process.
-
-    ``step`` holds the stage to run next, as a plain function: a bound
-    method stored on the chain would be a reference cycle, left for the
-    garbage collector.  A stage does what a generator would do up to its
-    next ``yield`` and returns that wait as a delay, or None when the
-    transaction is over (or, for the windowed read, when the chain has
-    appended itself to the event it waits on).  The chain then pushes
-    itself onto the heap at ``now + delay``, in the ``(time, seq)`` slot
-    the generator's Timeout would have taken, carrying the ``callbacks``
-    and ``_state`` slots the run loop uses; it is in the heap at most
-    once.  :meth:`_start` pushes the first stage with no delay, in the
-    slot a Process's init event takes, so every transfer, limiter grant,
-    fault draw and delivery keeps the order a generator gave it.
-    """
-
-    __slots__ = ("fabric", "step", "callbacks", "_state")
-
-    def _start(self) -> None:
-        self.callbacks = _RESUME
-        self.fabric.sim._schedule(self, 0.0)
-
-    def _resume(self, _event: Optional[Event] = None) -> None:
-        try:
-            delay = self.step(self)
-            if delay is not None:
-                self.callbacks = _RESUME
-                self.fabric.sim._schedule(self, delay)
-        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
-            # fail a zero-delay event at this instant, as a crashed Process
-            # did; the run loop re-raises the exception when it pops.
-            self.fabric.sim._wake_event(False, exc).callbacks.append(_reraise)
-
-
-#: A queued chain's callbacks: the run loop calls ``_resume(chain)``.
-_RESUME = (_Chain._resume,)
-
-
-class _Write(_Chain):
+class _Write(Chain):
     """A posted write's producer: each quantum's first hop, in order.
 
     Issuing every first hop from one chain lets competing initiators
@@ -429,6 +408,7 @@ class _Write(_Chain):
     """
 
     __slots__ = (
+        "fabric",
         "requester",
         "addr",
         "nbytes",
@@ -443,7 +423,6 @@ class _Write(_Chain):
 
     def __init__(self, fabric, requester, addr, nbytes, payload, behavior, hops, done):
         self.fabric = fabric
-        self.step = _Write._send
         self.requester = requester
         self.addr = addr
         self.nbytes = nbytes
@@ -457,7 +436,7 @@ class _Write(_Chain):
         self.sent = 0
         self.left = len(self.quanta)
         self.done = done
-        self._start()
+        super().__init__(fabric.sim, _Write._send)
 
     def _send(self) -> Optional[float]:
         """Start the quantum that just crossed the first hop; send the next."""
@@ -500,11 +479,12 @@ class _Write(_Chain):
             self.done.succeed(self.nbytes)
 
 
-class _Quantum(_Chain):
+class _Quantum(Chain):
     """One write quantum after its first hop: the remaining hops, then the
     target's sink limiter, then (for the last quantum) delivery."""
 
     __slots__ = (
+        "fabric",
         "requester",
         "addr",
         "nbytes",
@@ -518,7 +498,6 @@ class _Quantum(_Chain):
 
     def __init__(self, fabric, requester, addr, nbytes, wire, hops, behavior, delivery, done):
         self.fabric = fabric
-        self.step = _Quantum._hop
         self.requester = requester
         self.addr = addr
         self.nbytes = nbytes
@@ -528,7 +507,7 @@ class _Quantum(_Chain):
         self.behavior = behavior
         self.delivery = delivery
         self.done = done
-        self._start()
+        super().__init__(fabric.sim, _Quantum._hop)
 
     def _hop(self) -> Optional[float]:
         """Cross the next hop; past the last, enter the target's limiter."""
@@ -551,12 +530,13 @@ class _Quantum(_Chain):
         self.done.succeed(self.nbytes)
 
 
-class _Read(_Chain):
+class _Read(Chain):
     """One split transaction: a header-only MRd crosses to the target, the
     target's first-access latency and rate limiter pass, and MPS-chunked
     completions cross back."""
 
     __slots__ = (
+        "fabric",
         "requester",
         "addr",
         "nbytes",
@@ -570,7 +550,6 @@ class _Read(_Chain):
 
     def __init__(self, fabric, requester, addr, nbytes, behavior, fwd, rev, done):
         self.fabric = fabric
-        self.step = _Read._request
         self.requester = requester
         self.addr = addr
         self.nbytes = nbytes
@@ -581,7 +560,7 @@ class _Read(_Chain):
         self.rev = rev
         self.hop = 0
         self.done = done
-        self._start()
+        super().__init__(fabric.sim, _Read._request)
 
     def _request(self) -> Optional[float]:
         """Cross the next request hop; at the target, its first access."""
@@ -618,14 +597,19 @@ class _Read(_Chain):
         return None
 
 
-class _ReadPipelined(_Chain):
+class _ReadPipelined(Chain):
     """A windowed bulk read: *outstanding* reads in flight at most, each
-    new one issued when the oldest has landed."""
+    new one issued, on the path resolved once for the whole range, when
+    the oldest has landed."""
 
     __slots__ = (
-        "initiator",
+        "fabric",
+        "requester",
         "nbytes",
         "outstanding",
+        "behavior",
+        "fwd",
+        "rev",
         "chunks",
         "issued",
         "landed",
@@ -633,18 +617,18 @@ class _ReadPipelined(_Chain):
         "done",
     )
 
-    def __init__(self, fabric, initiator, addr, nbytes, outstanding, done):
+    def __init__(self, fabric, requester, addr, nbytes, outstanding, path, done):
         self.fabric = fabric
-        self.step = _ReadPipelined._issue
-        self.initiator = initiator
+        self.requester = requester
         self.nbytes = nbytes
         self.outstanding = outstanding
+        self.behavior, self.fwd, self.rev = path
         self.chunks = list(fragment(addr, nbytes, DEFAULT_MRRS))
         self.issued = 0
         self.landed = 0
         self.window: deque[Event] = deque()
         self.done = done
-        self._start()
+        super().__init__(fabric.sim, _ReadPipelined._issue)
 
     def _issue(self) -> None:
         """Issue reads while the window has room; else wait on the oldest."""
@@ -657,7 +641,9 @@ class _ReadPipelined(_Chain):
                     return None
             caddr, csize = chunks[self.issued]
             self.issued += 1
-            ev = self.fabric.read(self.initiator, caddr, csize)
+            ev = self.fabric._read(
+                self.requester, caddr, csize, self.behavior, self.fwd, self.rev
+            )
             ev.callbacks.append(self._land)
             window.append(ev)
         return None

@@ -7,7 +7,10 @@ SimPy, specialised for this project:
 * event ordering is fully deterministic — ties at equal timestamps are broken
   by schedule order (a monotonically increasing sequence number), so a given
   seed always produces an identical trace;
-* processes are plain generators that ``yield`` :class:`Event` objects.
+* processes are plain generators that ``yield`` :class:`Event` objects;
+* a :class:`Chain` is the cheap alternative to a process for a model's
+  hottest transactions: plain-function stages that wait on the event heap
+  itself, resumed by :meth:`Simulator.run` with one direct call.
 
 Example
 -------
@@ -33,6 +36,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Chain",
     "AllOf",
     "AnyOf",
     "SimulationError",
@@ -94,7 +98,7 @@ class Event:
     (at the current time, not retroactively).
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_seq")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -102,7 +106,6 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._state = _PENDING
-        self._seq = -1
 
     # -- state inspection ---------------------------------------------------
 
@@ -137,7 +140,10 @@ class Event:
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        self.sim._push(self)
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._heap, (sim.now, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -149,7 +155,10 @@ class Event:
         self._ok = False
         self._value = exc
         self._state = _TRIGGERED
-        self.sim._push(self)
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._heap, (sim.now, seq, self))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -175,7 +184,7 @@ class Timeout(Event):
     Timeouts are the kernel's hottest allocation (every Channel transfer
     and firmware cost is one), so construction takes a dedicated
     scheduling path: the event is born triggered and goes straight onto
-    the heap, skipping :meth:`Event.__init__` and :meth:`Simulator._push`.
+    the heap, skipping :meth:`Event.__init__`.
     """
 
     __slots__ = ()
@@ -193,7 +202,6 @@ class Timeout(Event):
         self._state = _TRIGGERED
         seq = sim._seq + 1
         sim._seq = seq
-        self._seq = seq
         heappush(sim._heap, (sim.now + delay, seq, self))
 
 
@@ -205,8 +213,9 @@ class Process(Event):
     A process that returns while nothing has joined it is processed in
     place, with its value, and queues no completion: a later joiner
     resumes at the current instant, as on any processed event.  A crash
-    always goes through the queue, so an unjoined crash still surfaces
-    from :meth:`Simulator.run`.
+    always goes through the queue as a failed completion, and
+    :meth:`Simulator.run` re-raises a failed event that pops with no
+    waiter, so an unjoined crash surfaces from the run.
     """
 
     __slots__ = ("_gen", "_send", "_throw", "_waiting_on", "name")
@@ -265,6 +274,69 @@ class Process(Event):
             wake.callbacks.append(self._resume)
         else:
             target.callbacks.append(self._resume)
+
+
+class Chain:
+    """A model transaction that waits on the event heap itself.
+
+    A chain is the kernel's cheap alternative to a :class:`Process` for
+    a model's hottest transactions (the PCIe fabric's reads and writes).
+    ``step`` holds the stage to run next, as a plain function of the
+    chain: a bound method stored on the chain would be a reference cycle,
+    left for the garbage collector.  A stage does what a generator would
+    do up to its next ``yield`` and returns that wait as a delay, or None
+    when the chain is over or has appended :meth:`_resume` to the
+    callbacks of a real event it waits on.
+
+    The protocol keeps every wait in the ``(time, seq)`` slot the
+    generator's event would have taken:
+
+    * construction pushes the chain with no delay, in the slot a
+      Process's init event takes, so work already scheduled for this
+      instant runs first;
+    * after a stage returns a delay the chain pushes itself at
+      ``now + delay``, in the slot a :class:`Timeout` would take, with
+      Timeout's delay guard and sanitizer causality record;
+    * a stage that raises (or returns a bad delay) ends the chain and
+      fails a zero-delay event at that instant, which :meth:`Simulator.run`
+      re-raises when it pops, as it does a crashed, unjoined Process.
+
+    A queued chain is a heap entry like an event and counts as one
+    event when it pops.  It has no callbacks list: its class-level
+    ``callbacks`` is None, which is how :meth:`Simulator.run` tells it
+    from an Event and resumes it with one direct call.  Only its own
+    stage pushes it, so it is in the heap at most once.
+    """
+
+    __slots__ = ("sim", "step")
+
+    #: Marks a chain for :meth:`Simulator.run` (an Event's is a list).
+    callbacks = None
+
+    def __init__(self, sim: "Simulator", step: Callable[["Chain"], Optional[float]]):
+        self.sim = sim
+        self.step = step
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._heap, (sim.now, seq, self))
+
+    def _resume(self, _event: Optional[Event] = None) -> None:
+        """Run the next stage and push the wait it returns."""
+        sim = self.sim
+        try:
+            delay = self.step(self)
+            if delay is None:
+                return
+            if not 0.0 <= delay < _INF:
+                raise _bad_delay(sim, delay)
+        except BaseException as exc:  # repro: noqa-SIM001 — crash boundary:
+            # fail a zero-delay event at this instant, as a crashed Process
+            # fails its completion; run() re-raises the exception when it pops.
+            sim._wake_event(False, exc)
+            return
+        seq = sim._seq + 1
+        sim._seq = seq
+        heappush(sim._heap, (sim.now + delay, seq, self))
 
 
 class _Condition(Event):
@@ -344,7 +416,7 @@ class Simulator:
 
     def __init__(self, sanitize: Optional[bool] = None):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | Chain]] = []
         self._seq = 0
         self._running = False
         self.events_processed = 0  # total events this simulator has run
@@ -386,7 +458,8 @@ class Simulator:
     def _wake_event(self, ok: bool, value: Any) -> Event:
         """A pre-triggered event scheduled at the current time.
 
-        Kernel-internal: backs the Process init/wake machinery.
+        Kernel-internal: backs the Process init/wake machinery and a
+        Chain's crash boundary.
         """
         ev = Event(self)
         ev._ok = ok
@@ -394,7 +467,6 @@ class Simulator:
         ev._state = _TRIGGERED
         seq = self._seq + 1
         self._seq = seq
-        ev._seq = seq
         heappush(self._heap, (self.now, seq, ev))
         return ev
 
@@ -412,43 +484,24 @@ class Simulator:
 
     # -- kernel -----------------------------------------------------------------
 
-    def _push(self, event: Event) -> None:
-        """Schedule a just-triggered *event* at the current time."""
-        seq = self._seq + 1
-        self._seq = seq
-        event._seq = seq
-        heappush(self._heap, (self.now, seq, event))
+    def pending_entries(self) -> list[tuple[float, int, Any]]:
+        """Snapshot of pending ``(t, seq, entry)`` entries, sorted.
 
-    def _schedule(self, entry: Any, delay: float) -> None:
-        """Push *entry* at ``now + delay``, the slot a Timeout would take.
-
-        Kernel-internal: a PCIe fabric chain (:mod:`repro.pcie.fabric`)
-        waits on the heap itself instead of on a Timeout.  *entry* is not
-        an Event; it carries the ``callbacks`` and ``_state`` slots
-        :meth:`run` uses.  The delay guard and the sanitizer's causality
-        record are Timeout's.
-        """
-        if not 0.0 <= delay < _INF:
-            raise _bad_delay(self, delay)
-        seq = self._seq + 1
-        self._seq = seq
-        heappush(self._heap, (self.now + delay, seq, entry))
-
-    def pending_entries(self) -> list[tuple[float, int, Event]]:
-        """Snapshot of pending ``(t, seq, event)`` entries, sorted.
-
-        The third item is an Event or a fabric chain (:meth:`_schedule`).
-        Used by the sanitizer's finalize.
+        Each entry is an :class:`Event` or a queued :class:`Chain`.  Used
+        by the sanitizer's finalize.
         """
         return sorted(self._heap)
 
     def run(self) -> None:
         """Run until the event queue drains: the one way a run ends.
 
-        The inlined hot loop pops events in ``(time, seq)`` order with the
-        heap and the pop pre-bound to locals, marks each event processed
-        and runs its callbacks in place.  A fabric chain pushed by
-        :meth:`_schedule` pops the same way and counts as one event.
+        The inlined hot loop pops entries in ``(time, seq)`` order with the
+        heap and the pop pre-bound to locals.  It resumes a :class:`Chain`
+        with one direct call; it marks an event processed and runs its
+        callbacks in place.  A failed event that pops with no callbacks
+        (a crashed Process nobody joined, a chain's crash, any failure
+        nobody waits on) is re-raised: an error never vanishes.  Either
+        kind of entry counts as one event.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -467,14 +520,17 @@ class Simulator:
                         raise SimulationError(f"time went backwards: {t} < {now}")
                     self.now = now = t
                 n += 1
-                event._state = _PROCESSED
                 callbacks = event.callbacks
+                if callbacks is None:  # a Chain: run its next stage
+                    event._resume()
+                    continue
+                event._state = _PROCESSED
                 if callbacks:
                     event.callbacks = []
                     for cb in callbacks:
                         cb(event)
-                elif not event._ok and isinstance(event, Process):
-                    # Crashed with nobody joined: surface, don't swallow.
+                elif not event._ok:
+                    # Failed with nobody waiting: surface, don't swallow.
                     raise event._value
         except BaseException:
             # A run the model deliberately crashes (LinkFailure escalation,

@@ -260,8 +260,11 @@ def test_path_memo_follows_attach_and_returns_fresh_lists():
     [
         lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, 0),
         lambda fab, nic: fab.read_pipelined(nic, 0x200_0000_0000, -512),
+        # The gpu's 1 MiB window ends at 0x200_0010_0000.
+        lambda fab, nic: fab.read(nic, 0x200_000F_FF00, 512),
+        lambda fab, nic: fab.read_pipelined(nic, 0x200_000F_F000, 8192),
     ],
-    ids=["pipelined-zero", "pipelined-negative"],
+    ids=["pipelined-zero", "pipelined-negative", "read-leaves-window", "pipelined-leaves-window"],
 )
 def test_bad_arguments_rejected_at_the_call(call):
     sim = Simulator()

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.cuda.stream import CudaStream
+from repro.sim import Chain, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -211,6 +214,27 @@ def test_unjoined_process_crash_surfaces():
         sim.run()
 
 
+def test_failed_event_nobody_waits_on_surfaces():
+    """Any failed event that pops with no callbacks is re-raised by run(),
+    not only a crashed Process."""
+    sim = Simulator()
+    sim.event().fail(ValueError("nobody reads this"))
+    with pytest.raises(ValueError, match="nobody reads this"):
+        sim.run()
+
+
+def test_failed_stream_item_nobody_waits_on_surfaces():
+    # The stream worker fails the item's done event; nobody yields it.
+    sim = Simulator()
+
+    def thunk():
+        raise ValueError("bad work item")
+
+    CudaStream(sim).enqueue(thunk)
+    with pytest.raises(ValueError, match="bad work item"):
+        sim.run()
+
+
 def test_deterministic_tie_break_is_schedule_order():
     sim = Simulator()
     order = []
@@ -389,3 +413,94 @@ def test_run_is_not_reentrant():
     sim.run()
     assert errors == ["run() is not reentrant"] * 2
     assert inner_ran == []
+
+
+class _Toy(Chain):
+    """A chain with no model behind it: each stage logs ``(now, "c")``,
+    then waits the next of *waits*, or raises it when it is an exception."""
+
+    __slots__ = ("waits", "log")
+
+    def __init__(self, sim, waits, log):
+        self.waits = list(waits)
+        self.log = log
+        super().__init__(sim, _Toy._stage)
+
+    def _stage(self):
+        self.log.append((self.sim.now, "c"))
+        if not self.waits:
+            return None
+        wait = self.waits.pop(0)
+        if isinstance(wait, BaseException):
+            raise wait
+        return wait
+
+
+def test_chain_waits_interleave_with_timeouts_in_schedule_order():
+    """A chain's start takes the slot of a Process's init event and each
+    wait the slot of a Timeout: at equal times everything pops in schedule
+    order, and each wait is one event."""
+    sim = Simulator()
+    log = []
+
+    def proc(tag):
+        yield sim.timeout(5)
+        log.append((sim.now, tag))
+        yield sim.timeout(5)
+        log.append((sim.now, tag))
+
+    sim.process(proc("p"))
+    _Toy(sim, [5, 5], log)
+    sim.process(proc("q"))
+    sim.run()
+    assert log == [
+        (0.0, "c"),
+        (5.0, "p"),
+        (5.0, "c"),
+        (5.0, "q"),
+        (10.0, "p"),
+        (10.0, "c"),
+        (10.0, "q"),
+    ]
+    # Each process: init and two timeouts; the chain: start and two waits.
+    assert sim.events_processed == 9
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_chain_bad_delay_fails_at_that_instant(bad):
+    sim = Simulator(sanitize=True)
+    log = []
+    _Toy(sim, [3.0, bad, 1.0], log)
+    with pytest.raises(SimulationError, match="timeout delay"):
+        sim.run()
+    assert sim.now == 3.0
+    assert log == [(0.0, "c"), (3.0, "c")]
+    assert [v.kind for v in sim.sanitizer.violations] == ["causality"]
+    assert sim.sanitizer.aborted
+
+
+def test_chain_crash_surfaces_after_the_rest_of_its_instant():
+    """A raising stage ends the chain and fails an event at that instant:
+    entries already queued for the instant run before run() re-raises."""
+    sim = Simulator()
+    log = []
+    _Toy(sim, [3.0, RuntimeError("stage failed")], log)
+
+    def later():
+        yield sim.timeout(3.0)
+        log.append((sim.now, "p"))
+
+    sim.process(later())
+    with pytest.raises(RuntimeError, match="stage failed"):
+        sim.run()
+    assert log == [(0.0, "c"), (3.0, "c"), (3.0, "p")]
+    assert sim.now == 3.0
+    assert sim.pending_entries() == []
+
+
+def test_queued_chain_is_a_pending_entry_with_a_waiter():
+    sim = Simulator(sanitize=True)
+    chain = _Toy(sim, [], [])
+    assert sim.pending_entries() == [(0.0, 1, chain)]
+    leaks = [v for v in sim.sanitizer_report().violations if v.kind == "event-leak"]
+    assert [v.details for v in leaks] == [{"count": 1, "with_waiters": 1}]

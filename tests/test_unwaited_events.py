@@ -29,7 +29,8 @@ def _unwaited_pops(monkeypatch, run) -> int:
     def pop(heap):
         nonlocal count
         entry = real_pop(heap)
-        if not entry[2].callbacks:
+        # A queued Chain has no callbacks list: it waits on its own stage.
+        if not isinstance(entry[2], core.Chain) and not entry[2].callbacks:
             count += 1
         return entry
 
