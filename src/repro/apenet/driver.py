@@ -31,7 +31,6 @@ class ApenetDriver:
         # the fabric (the memory/root complex device).
         self.host = host_initiator
         self.tx_slots = Resource(sim, card.config.tx_queue_slots, f"{card.name}.txq")
-        self.messages_submitted = 0
 
     def submit(self, job: TxJob):
         """Generator: charge host CPU costs and post the descriptors.
@@ -44,17 +43,12 @@ class ApenetDriver:
         job.local_done.callbacks.append(lambda _ev: self.tx_slots.release())
         # Host CPU: fragmentation + the first ring batch of descriptors.
         # The rest of a long message's descriptors are built while the
-        # engine is already transmitting (ring refill), so only the leading
-        # batch delays the first byte.
+        # engine is already transmitting (ring refill), overlapped with the
+        # card's DMA, so only the leading batch delays the first byte.
         first_batch = min(len(job.packets), 8)
         yield self.sim.timeout(
             cfg.driver_fragment_cost + first_batch * cfg.driver_descriptor_cost
         )
-        remaining = len(job.packets) - first_batch
-        if remaining > 0:
-            self.sim.process(
-                self._refill(remaining), name=f"{self.card.name}.drv.refill"
-            )
         # Post the descriptor burst (bounded by the ring size per write).
         burst = min(
             job.descriptor_bytes, cfg.tx_queue_slots * cfg.descriptor_write_bytes
@@ -62,9 +56,3 @@ class ApenetDriver:
         yield self.card.fabric.write(
             self.host, self.card.regs_window.base, burst, payload=job
         )
-        self.messages_submitted += 1
-
-    def _refill(self, n_descriptors: int):
-        # Background descriptor building: occupies host CPU time in
-        # parallel with the card's DMA (kept for utilization accounting).
-        yield self.sim.timeout(n_descriptors * self.card.config.driver_descriptor_cost)

@@ -6,14 +6,14 @@ micro-controller (Nios II), which is synthesized onto the Stratix IV FPGA"
 micro-controller is the main performance bottleneck" (§V.B).
 
 Modelled as a single non-preemptive server: RX packet processing and the
-software parts of the GPU TX flow control queue here FIFO.  Per-task-kind
-busy accounting exposes *why* a configuration is slow (the Fig 5 story:
-GPU_P2P_TX v3 frees Nios II cycles that the RX path then uses).
+software parts of the GPU TX flow control queue here FIFO.  Per-kind busy
+time, which shows *why* a configuration is slow (the Fig 5 story:
+GPU_P2P_TX v3 frees Nios II cycles that the RX path then uses), is the
+``cost`` of the ``nios:<kind>`` spans a :class:`~repro.obs.TraceSession`
+records; the model keeps no tally of its own.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from ..sim import Resource, Simulator
 
@@ -21,14 +21,12 @@ __all__ = ["NiosII"]
 
 
 class NiosII:
-    """Firmware CPU with FIFO task service and per-kind accounting."""
+    """Firmware CPU with FIFO task service."""
 
     def __init__(self, sim: Simulator, name: str = "nios"):
         self.sim = sim
         self.name = name
         self._cpu = Resource(sim, 1, name)
-        self.busy_by_kind: dict[str, float] = defaultdict(float)
-        self.tasks_by_kind: dict[str, int] = defaultdict(int)
         # Fault-injection site (stalls / uniform slowdown); attached by the
         # cluster builder, None leaves every task cost untouched.
         self.faults = None
@@ -53,13 +51,7 @@ class NiosII:
         yield self._cpu.acquire()
         try:
             yield self.sim.timeout(duration)
-            self.busy_by_kind[kind] += duration
-            self.tasks_by_kind[kind] += 1
         finally:
             self._cpu.release()
             if span is not None:
                 span.end()
-
-    def utilization(self) -> float:
-        """Busy fraction of elapsed simulation time."""
-        return self._cpu.utilization()

@@ -55,8 +55,6 @@ class ApenetEndpoint:
         # The event queue ring lives in host memory.
         self._event_buf = runtime.host_alloc(4096)
         self.event_addr = self._event_buf.addr
-        self.puts_posted = 0
-        self.gets_posted = 0
         # GET extension: a firmware mailbox where remote GET requests land
         # (installed at setup time, no simulated cost) plus per-request
         # completion routing.
@@ -210,7 +208,6 @@ class ApenetEndpoint:
             )
             job.local_done.callbacks.append(span.end_event)
         yield from self.driver.submit(job)
-        self.puts_posted += 1
         return job.local_done
 
     def _stage_degraded(self, local_addr: int, nbytes: int):
@@ -396,7 +393,6 @@ class ApenetEndpoint:
             src_kind=BufferKind.HOST,
             tag=("__get_req__", get_id, remote_addr, local_addr, nbytes, self.rank, tag),
         )
-        self.gets_posted += 1
         rec = yield arrival
         return rec
 

@@ -65,9 +65,6 @@ class Router:
         self.links: dict[tuple[int, int], TorusLink] = {}
         # Local injection FIFO — the card's TX FIFO drains into the switch.
         self.inject_fifo = PacketFifo(sim, config.tx_fifo_bytes, f"{name}.txfifo")
-        self.packets_forwarded = 0
-        self.packets_delivered = 0
-        self.packets_flushed = 0
         # Recovery manager (attached by the cluster builder): when present,
         # forwarding asks it instead of *routes*, so hops follow its
         # current dead-link-aware table, and a missing route becomes a
@@ -125,7 +122,6 @@ class Router:
         while True:
             pkt = yield self.inject_fifo.get()
             if self.config.flush_tx:
-                self.packets_flushed += 1
                 continue
             yield from self._forward(pkt, vc=0, prev_dim=None, release=None)
 
@@ -149,7 +145,6 @@ class Router:
             admission = self.deliver_local(pkt)
             if admission is not None:
                 yield admission
-            self.packets_delivered += 1
             if release:
                 release()
             return
@@ -168,6 +163,5 @@ class Router:
             )
         next_vc = self._vc_after_hop(vc, hop, prev_dim)
         yield from self.links[hop].send(pkt, next_vc)
-        self.packets_forwarded += 1
         if release:
             release()

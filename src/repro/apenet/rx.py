@@ -51,9 +51,6 @@ class RxEngine:
         self.card = card
         self.fifo = PacketFifo(sim, card.config.rx_fifo_bytes, f"{card.name}.rxfifo")
         self._msg_bytes: dict[int, int] = {}
-        self.packets_processed = 0
-        self.packets_dropped = 0
-        self.bytes_received = 0
         sim.process(self._loop(), name=f"{card.name}.rx")
 
     def admit(self, pkt: ApePacket) -> Event:
@@ -91,11 +88,9 @@ class RxEngine:
                 span.end()
             if entry is None:
                 # Buffer validation failed: the firmware drops the packet.
-                self.packets_dropped += 1
                 if obs is not None:
                     obs.instant("apenet", "rx_drop", nbytes=pkt.nbytes)
                 continue
-            self.packets_processed += 1
             # Hand off to the write DMA; the Nios II moves on.
             self.sim.process(self._writer(pkt), name=f"{self.card.name}.rx.wr")
 
@@ -133,7 +128,6 @@ class RxEngine:
             )
         if span is not None:
             span.end()
-        self.bytes_received += pkt.nbytes
         msg = pkt.message
         got = self._msg_bytes.get(msg.msg_id, 0) + pkt.nbytes
         if got < msg.total_bytes:

@@ -19,8 +19,9 @@ sender keeps the packet in a replay buffer and retransmits — after the NAK
 round trip for detected corruption, after an exponentially backed-off
 replay timer for silently dropped frames — until a bounded retry budget is
 exhausted, at which point a structured
-:class:`~repro.faults.LinkFailure` escalates.  Without an injector the
-send path is byte-for-byte the fault-free one: zero extra events.
+:class:`~repro.faults.LinkFailure` escalates.  A link without an injector
+runs the same send loop: every transmission is its clean first attempt,
+with no fate draw and zero extra events.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class TorusPort:
             ByteFifo(sim, capacity_per_vc, f"{name}.vc{v}") for v in range(VC_COUNT)
         ]
         self.queues = [Store(sim, name=f"{name}.q{v}") for v in range(VC_COUNT)]
-        self.packets_in = 0
 
     def reserve(self, vc: int, nbytes: int):
         """Event firing once *nbytes* of VC credit is held."""
@@ -63,7 +63,6 @@ class TorusPort:
 
     def deposit(self, packet: ApePacket, vc: int) -> None:
         """Hand an arrived packet to the router's input queue for its VC."""
-        self.packets_in += 1
         self.queues[vc].put(packet)
 
     def release(self, vc: int, nbytes: int) -> None:
@@ -118,6 +117,17 @@ class TorusLink:
         Drive with ``yield from link.send(pkt, vc)`` from a router process.
         The generator returns once the packet's tail has left the wire;
         delivery at the far port happens ``latency`` later, pipelined.
+
+        With a fault injector attached this is the ACK/NAK retransmission
+        path.  A clean transmission costs exactly what a fault-free one
+        costs: ACK bookkeeping rides the reverse link for free (as in the
+        real link blocks, where the replay buffer drains transparently).
+        Only a fault stalls the sender: a CRC-detected corruption costs the
+        NAK round trip (2x propagation), a silent drop costs the replay
+        timer with exponential backoff, and either way the frame
+        re-occupies the wire.  The port-buffer credit reserved up front
+        spans all attempts — the receiver's slot is held for the packet
+        until it lands or the link gives up.
         """
         obs = self.sim._obs
         span = None
@@ -125,52 +135,28 @@ class TorusLink:
             # Covers credit wait + serialization (the VCT hop of §III.A);
             # propagation is pipelined and excluded, like the model itself.
             span = obs.span("apenet", "link:" + self.name, nbytes=packet.size, vc=vc)
-        if self.faults is not None:
-            yield from self._send_reliable(packet, vc)
+        inj = self.faults
+        mgr = self.recovery
+        if (
+            inj is not None
+            and mgr is not None
+            and self.src_coord is not None
+            and mgr.is_dead(self.src_coord, self.dim, self.direction)
+        ):
+            # Link already declared dead: eat the packet without even
+            # reserving a credit — nothing will ever land, and the
+            # end-to-end transaction layer replays over the detour.
             if span is not None:
                 span.end()
             return
-        yield self.dst_port.reserve(vc, packet.size)
-        yield self.channel.transfer(packet.size)
-        if span is not None:
-            span.end()
-        self.packets_sent += 1
-        self.bytes_sent += packet.size
-        arrive = self.sim.timeout(self.latency)
-        arrive.callbacks.append(
-            lambda _ev, p=packet, v=vc: self.dst_port.deposit(p, v)
-        )
-
-    def _send_reliable(self, packet: ApePacket, vc: int):
-        """The ACK/NAK retransmission path (fault injector attached).
-
-        A clean transmission costs exactly what the fault-free path costs:
-        ACK bookkeeping rides the reverse link for free (as in the real
-        link blocks, where the replay buffer drains transparently).  Only
-        a fault stalls the sender: a CRC-detected corruption costs the NAK
-        round trip (2x propagation), a silent drop costs the replay timer
-        with exponential backoff, and either way the frame re-occupies the
-        wire.  The port-buffer credit reserved up front spans all attempts
-        — the receiver's slot is held for the packet until it lands or the
-        link gives up.
-        """
-        from ..faults import LinkFailure
-
-        inj = self.faults
-        plan = inj.plan
-        stats = inj.stats
-        mgr = self.recovery
-        if mgr is not None and self.src_coord is not None:
-            if mgr.is_dead(self.src_coord, self.dim, self.direction):
-                # Link already declared dead: eat the packet without even
-                # reserving a credit — nothing will ever land, and the
-                # end-to-end transaction layer replays over the detour.
-                return
         yield self.dst_port.reserve(vc, packet.size)
         t0 = self.sim.now
         attempts = 0
         while True:
             yield self.channel.transfer(packet.size)
+            if inj is None:
+                break  # fault-free: every transmission is clean
+            stats = inj.stats
             stats.wire_bytes += packet.size
             if inj.link_killed(self.name, self.sim.now):
                 # Hard kill: the wire eats every frame from the kill time
@@ -180,23 +166,19 @@ class TorusLink:
             else:
                 fate = inj.link_packet_fate(self.name, packet.size)
             if fate == "ok":
-                self.packets_sent += 1
-                self.bytes_sent += packet.size
                 stats.payload_bytes += packet.nbytes
                 if attempts:
                     stats.recovery_latency.add(self.sim.now - t0)
-                arrive = self.sim.timeout(self.latency)
-                arrive.callbacks.append(
-                    lambda _ev, p=packet, v=vc: self.dst_port.deposit(p, v)
-                )
-                return
+                break
             attempts += 1
             stats.retransmits += 1
             if fate == "corrupt":
                 stats.crc_errors += 1
             else:
                 stats.packets_dropped += 1
-            if attempts > plan.max_retries:
+            if attempts > inj.plan.max_retries:
+                from ..faults import LinkFailure
+
                 stats.record_link_failure(
                     site=self.name,
                     attempts=attempts,
@@ -221,6 +203,8 @@ class TorusLink:
                     # held (nothing will land) and drop the frame; the
                     # reliable-PUT layer replays it end to end.
                     self.dst_port.release(vc, packet.size)
+                    if span is not None:
+                        span.end()
                     return
                 raise failure
             if fate == "corrupt":
@@ -231,5 +215,13 @@ class TorusLink:
                 # Nothing came back: the replay timer fires, backed off
                 # exponentially per consecutive loss.
                 yield self.sim.timeout(
-                    plan.ack_timeout * plan.backoff ** (attempts - 1)
+                    inj.plan.ack_timeout * inj.plan.backoff ** (attempts - 1)
                 )
+        if span is not None:
+            span.end()
+        self.packets_sent += 1
+        self.bytes_sent += packet.size
+        arrive = self.sim.timeout(self.latency)
+        arrive.callbacks.append(
+            lambda _ev, p=packet, v=vc: self.dst_port.deposit(p, v)
+        )

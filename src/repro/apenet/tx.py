@@ -64,8 +64,6 @@ def windowed_read_tx(
             for w in waiters:
                 w.succeed()
 
-    packetizer_done = Event(sim)
-
     def packetizer():
         n = len(job.packets)
         for i, (offset, nbytes) in enumerate(job.packets):
@@ -84,9 +82,8 @@ def windowed_read_tx(
             yield card.router.inject(pkt)
             free_space(nbytes)
         job.local_done.succeed(job)
-        packetizer_done.succeed()
 
-    sim.process(packetizer(), name=f"{card.name}.tx.pkt")
+    packetizing = sim.process(packetizer(), name=f"{card.name}.tx.pkt")
 
     total = job.message.total_bytes
     in_flight: deque[Event] = deque()
@@ -110,7 +107,7 @@ def windowed_read_tx(
         ev.callbacks.append(lambda _e, n=csize: staging.fill(n))
         in_flight.append(ev)
         off += csize
-    yield packetizer_done
+    yield packetizing
     if span is not None:
         span.end()
 

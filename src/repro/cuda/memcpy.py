@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 
-from ..sim import Event
+from ..sim import Process
 from .runtime import CudaRuntime
 from .stream import CudaStream
 
@@ -53,8 +53,9 @@ def classify(rt: CudaRuntime, dst: int, src: int) -> MemcpyKind:
     return MemcpyKind.H2H
 
 
-def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Event:
-    """Start the device-side transfer; returns its completion event.
+def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Process:
+    """Start the device-side transfer; returns its process, which
+    completes with the byte count once the bytes have moved.
 
     No host cost is charged here — callers wrap this with sync/async
     semantics.
@@ -77,22 +78,18 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Even
     elif kind is MemcpyKind.H2D:
         done = dst_gpu.dma.host_to_device(src, nbytes)
     elif kind is MemcpyKind.D2D:
-        done = Event(sim)
-
         def _d2d():
             # On-device copy: read + write against device memory bandwidth.
             yield sim.timeout(nbytes / (src_gpu.spec.mem_bandwidth / 2))
-            done.succeed(nbytes)
+            return nbytes
 
-        sim.process(_d2d(), name=f"{src_gpu.name}.d2d")
+        done = sim.process(_d2d(), name=f"{src_gpu.name}.d2d")
     else:  # H2H
-        done = Event(sim)
-
         def _h2h():
             yield sim.timeout(nbytes / _HOST_MEMCPY_RATE)
-            done.succeed(nbytes)
+            return nbytes
 
-        sim.process(_h2h(), name="h2h")
+        done = sim.process(_h2h(), name="h2h")
     done.callbacks.append(
         lambda _ev: dst_buf.write_bytes(dst, src_buf.read_bytes(src, nbytes))
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..sim import Channel, Event, Resource, Simulator
+from ..sim import Channel, Process, Resource, Simulator
 
 __all__ = ["DmaEngine"]
 
@@ -30,19 +30,17 @@ class DmaEngine:
         spec = gpu.spec
         self._d2h = Channel(sim, spec.dma_d2h_rate, name=f"{gpu.name}.d2h{index}")
         self._h2d = Channel(sim, spec.dma_h2d_rate, name=f"{gpu.name}.h2d{index}")
-        self.bytes_d2h = 0
-        self.bytes_h2d = 0
 
     # The engine moves data over PCIe in large bursts; the fabric accounts
-    # TLP overhead, the limiter accounts the engine's own ceiling.
+    # TLP overhead, the limiter accounts the engine's own ceiling.  Each
+    # copy is a process that completes with its byte count.
 
-    def device_to_host(self, host_addr: int, nbytes: int) -> Event:
-        """DMA *nbytes* of device memory to *host_addr*; fires when done."""
-        done = Event(self.sim)
-        self.sim.process(self._d2h_proc(host_addr, nbytes, done))
-        return done
+    def device_to_host(self, host_addr: int, nbytes: int) -> Process:
+        """DMA *nbytes* of device memory to *host_addr*; the returned
+        process completes when the copy is done."""
+        return self.sim.process(self._d2h_proc(host_addr, nbytes))
 
-    def _d2h_proc(self, host_addr, nbytes, done):
+    def _d2h_proc(self, host_addr, nbytes):
         obs = self.sim._obs
         span = None
         if obs is not None:
@@ -54,20 +52,18 @@ class DmaEngine:
             rate_ev = self._d2h.transfer(nbytes)
             wire_ev = self.gpu.fabric.write(self.gpu, host_addr, nbytes)
             yield self.sim.all_of([rate_ev, wire_ev])
-            self.bytes_d2h += nbytes
         finally:
             self.busy.release()
         if span is not None:
             span.end()
-        done.succeed(nbytes)
+        return nbytes
 
-    def host_to_device(self, host_addr: int, nbytes: int) -> Event:
-        """DMA *nbytes* from *host_addr* into device memory; fires when done."""
-        done = Event(self.sim)
-        self.sim.process(self._h2d_proc(host_addr, nbytes, done))
-        return done
+    def host_to_device(self, host_addr: int, nbytes: int) -> Process:
+        """DMA *nbytes* from *host_addr* into device memory; the returned
+        process completes when the copy is done."""
+        return self.sim.process(self._h2d_proc(host_addr, nbytes))
 
-    def _h2d_proc(self, host_addr, nbytes, done):
+    def _h2d_proc(self, host_addr, nbytes):
         obs = self.sim._obs
         span = None
         if obs is not None:
@@ -81,9 +77,8 @@ class DmaEngine:
                 self.gpu, host_addr, nbytes, outstanding=32
             )
             yield self.sim.all_of([rate_ev, wire_ev])
-            self.bytes_h2d += nbytes
         finally:
             self.busy.release()
         if span is not None:
             span.end()
-        done.succeed(nbytes)
+        return nbytes

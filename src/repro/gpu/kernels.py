@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import Event, Resource, Simulator
+from ..sim import Process, Resource, Simulator
 from ..units import us
 
 __all__ = ["KernelLaunch", "ComputeEngine", "KERNEL_LAUNCH_OVERHEAD"]
@@ -40,27 +40,18 @@ class ComputeEngine:
         self.sim = sim
         self.gpu_name = gpu_name
         self._busy = Resource(sim, 1, f"{gpu_name}.sm")
-        self.kernels_run = 0
-        self.busy_ns = 0.0
 
-    def execute(self, kernel: KernelLaunch) -> Event:
-        """Run *kernel*; fires when the GPU finishes it."""
-        done = Event(self.sim)
-        self.sim.process(self._run(kernel, done), name=f"{self.gpu_name}.k:{kernel.name}")
-        return done
+    def execute(self, kernel: KernelLaunch) -> Process:
+        """Run *kernel*; the returned process completes with the kernel
+        when the GPU finishes it."""
+        return self.sim.process(
+            self._run(kernel), name=f"{self.gpu_name}.k:{kernel.name}"
+        )
 
-    def _run(self, kernel: KernelLaunch, done: Event):
+    def _run(self, kernel: KernelLaunch):
         yield self._busy.acquire()
         try:
             yield self.sim.timeout(kernel.duration)
-            self.kernels_run += 1
-            self.busy_ns += kernel.duration
         finally:
             self._busy.release()
-        done.succeed(kernel)
-
-    def utilization(self) -> float:
-        """Fraction of simulated time this GPU was computing."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.busy_ns / self.sim.now
+        return kernel

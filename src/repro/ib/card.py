@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
-from ..sim import Channel, Event, Simulator
+from ..sim import Channel, Process, Simulator
 from ..units import GBps, KiB, us
 from .fabric import IBFabric, IBPort
 
@@ -109,24 +109,23 @@ class IBCard(PCIeDevice):
         dst_addr: int,
         nbytes: int,
         meta: Any = None,
-    ) -> Event:
-        """Post one RDMA write from host memory; fires at LOCAL completion.
+    ) -> Process:
+        """Post one RDMA write from host memory; the returned process
+        completes at LOCAL completion, with the byte count.
 
         Local completion means the last quantum is on the wire.  Remote
         arrival is signalled through the destination card's ``on_receive``.
         """
         if nbytes <= 0:
             raise ValueError("rdma_write needs a positive size")
-        done = Event(self.sim)
-        self.sim.process(
-            self._send_proc(dst_lid, src_addr, dst_addr, nbytes, meta, done),
+        return self.sim.process(
+            self._send_proc(dst_lid, src_addr, dst_addr, nbytes, meta),
             name=f"{self.name}.send",
         )
-        return done
 
     _wire_ids = itertools.count(1)
 
-    def _send_proc(self, dst_lid, src_addr, dst_addr, nbytes, meta, done):
+    def _send_proc(self, dst_lid, src_addr, dst_addr, nbytes, meta):
         # The HCA reads host memory only: no GPUDirect on ConnectX-2.
         src_buf = self.fabric.resolve(src_addr).heap.buffer_at(src_addr)
         # Stream the message in quanta: DMA read and wire overlap.
@@ -160,7 +159,7 @@ class IBCard(PCIeDevice):
             off += csize
             seq += 1
         # Local completion: last quantum handed to the wire.
-        done.succeed(nbytes)
+        return nbytes
 
     # ------------------------------------------------------------------
     # Receive path

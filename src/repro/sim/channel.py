@@ -52,7 +52,7 @@ class Channel:
         self.name = name
         # Time at which the serializer becomes free.
         self._free_at = 0.0
-        # Serialization time booked so far (utilization(), scale.exact).
+        # Serialization time booked so far (scale.exact's link loads).
         self._busy_time = 0.0
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
@@ -88,15 +88,4 @@ class Channel:
     def transfer(self, nbytes: int) -> Event:
         """Send *nbytes*; the event fires when the tail arrives."""
         return Timeout(self.sim, self.reserve(nbytes))
-
-    @property
-    def backlog(self) -> float:
-        """Serialization time queued ahead of a new transfer, in ns."""
-        return max(0.0, self._free_at - self.sim.now)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed time the serializer was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self._busy_time / self.sim.now)
 

@@ -19,7 +19,7 @@ disciplines are strictly FIFO, which keeps simulations deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .core import Event, SimulationError, Simulator
 
@@ -47,9 +47,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        # Instrumentation: total busy integral for utilization reporting.
-        self._busy_since: Optional[float] = None
-        self._busy_time = 0.0
         if sim._sanitizer is not None:
             sim._sanitizer.register_resource(self)
 
@@ -69,8 +66,6 @@ class Resource:
         return ev
 
     def _grant(self, ev: Event) -> None:
-        if self._in_use == 0:
-            self._busy_since = self.sim.now
         self._in_use += 1
         ev.succeed(self)
 
@@ -79,9 +74,6 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
-            self._busy_time += self.sim.now - self._busy_since
-            self._busy_since = None
         if self._waiters and self._in_use < self.capacity:
             self._grant(self._waiters.popleft())
         self._sample_obs()
@@ -92,19 +84,6 @@ class Resource:
         if obs is not None and self.name:
             obs.counter("sim", self.name + ".in_use", float(self._in_use))
             obs.counter("sim", self.name + ".queue", float(len(self._waiters)))
-
-    def busy_time(self) -> float:
-        """Total time the resource had at least one holder."""
-        extra = 0.0
-        if self._busy_since is not None:
-            extra = self.sim.now - self._busy_since
-        return self._busy_time + extra
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulation time the resource was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.busy_time() / self.sim.now
 
 
 class Store:
@@ -165,10 +144,6 @@ class ByteFifo:
         self._level = 0
         self._putters: Deque[tuple[Event, int]] = deque()
         self._getters: Deque[tuple[Event, int]] = deque()
-        # Instrumentation
-        self.total_in = 0
-        self.total_out = 0
-        self._peak = 0
         if sim._sanitizer is not None:
             sim._sanitizer.register_container(self)
 
@@ -181,11 +156,6 @@ class ByteFifo:
     def free(self) -> int:
         """Bytes of remaining space."""
         return self.capacity - self._level
-
-    @property
-    def peak_level(self) -> int:
-        """High-water mark of stored bytes."""
-        return self._peak
 
     def put(self, nbytes: int) -> Event:
         """Reserve *nbytes* of space; fires once the bytes are stored."""
@@ -271,16 +241,12 @@ class ByteFifo:
         """Admit *nbytes* that fit now, then serve the queues."""
         level_before = self._level
         self._level += nbytes
-        self.total_in += nbytes
-        if self._level > self._peak:
-            self._peak = self._level
         self._settle(level_before)
 
     def _remove(self, nbytes: int) -> None:
         """Drain *nbytes* that are stored now, then serve the queues."""
         level_before = self._level
         self._level -= nbytes
-        self.total_out += nbytes
         self._settle(level_before)
 
     def _drain(self) -> None:
@@ -296,9 +262,6 @@ class ByteFifo:
                 if n <= self.capacity - self._level:
                     self._putters.popleft()
                     self._level += n
-                    self.total_in += n
-                    if self._level > self._peak:
-                        self._peak = self._level
                     ev.succeed(n)
                     progressed = True
             # Serve head consumer if satisfiable.
@@ -307,7 +270,6 @@ class ByteFifo:
                 if self._level >= n:
                     self._getters.popleft()
                     self._level -= n
-                    self.total_out += n
                     ev.succeed(n)
                     progressed = True
         if self._level != level_before:
@@ -337,7 +299,6 @@ class PacketFifo:
         self._items: Deque[Any] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
         self._getters: Deque[Event] = deque()
-        self._peak = 0
         if sim._sanitizer is not None:
             sim._sanitizer.register_container(self)
 
@@ -353,11 +314,6 @@ class PacketFifo:
     def free(self) -> int:
         """Bytes of remaining space."""
         return self.capacity - self._level
-
-    @property
-    def peak_level(self) -> int:
-        """High-water mark of stored bytes."""
-        return self._peak
 
     def _fits(self, packet: Any) -> bool:
         size = int(packet.size)
@@ -377,8 +333,6 @@ class PacketFifo:
             level_before = self._level
             self._level += int(packet.size)
             self._items.append(packet)
-            if self._level > self._peak:
-                self._peak = self._level
             ev.succeed(packet)
             self._settle(level_before)
             return ev
@@ -414,8 +368,6 @@ class PacketFifo:
                     self._putters.popleft()
                     self._level += int(pkt.size)
                     self._items.append(pkt)
-                    if self._level > self._peak:
-                        self._peak = self._level
                     ev.succeed(pkt)
                     progressed = True
             if self._getters and self._items:

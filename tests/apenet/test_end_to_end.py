@@ -7,6 +7,7 @@ from repro.apenet import BufferKind
 from repro.bench.microbench import make_cluster
 from repro.gpu import KEPLER_K20
 from repro.net import TorusShape, build_apenet_cluster
+from repro.obs import TraceSession
 from repro.sim import Simulator
 from repro.units import kib, mib, us
 
@@ -122,20 +123,25 @@ def test_host_to_gpu_and_gpu_to_host():
 
 
 def test_unregistered_destination_drops_packets():
-    sim, cluster = build()
-    n0, n1 = cluster.nodes
-    src = n0.runtime.host_alloc(kib(4))
+    session = TraceSession()
+    with session.activate():
+        sim, cluster = build()
+        n0, n1 = cluster.nodes
+        src = n0.runtime.host_alloc(kib(4))
 
-    def sender():
-        done = yield from n0.endpoint.put(
-            1, src.addr, 0x5_0000_0000, kib(4), src_kind=BufferKind.HOST
-        )
-        yield done
-        yield sim.timeout(us(50))
+        def sender():
+            done = yield from n0.endpoint.put(
+                1, src.addr, 0x5_0000_0000, kib(4), src_kind=BufferKind.HOST
+            )
+            yield done
+            yield sim.timeout(us(50))
 
-    sim.run_process(sender())
-    assert n1.card.rx.packets_dropped == 1
-    assert n1.card.rx.packets_processed == 0
+        sim.run_process(sender())
+    # The firmware drops the one packet: nothing is written or delivered.
+    drops = [r for r in session.events if r["name"] == "rx_drop"]
+    assert [r["args"]["nbytes"] for r in drops] == [kib(4)]
+    assert not any(r["name"] == "rx_write" for r in session.events)
+    assert len(n1.endpoint.events) == 0
 
 
 def test_loopback_put_to_self():
@@ -160,28 +166,32 @@ def test_loopback_put_to_self():
 
 
 def test_multi_hop_route_through_torus():
-    sim, cluster = build(4, 2)
-    n0 = cluster.nodes[0]
-    n5 = cluster.nodes[5]  # coord (1,1): 2 hops from (0,0)
-    src = n0.runtime.host_alloc(kib(4))
-    dst = n5.runtime.host_alloc(kib(4))
-    src.data[:] = 77
+    session = TraceSession()
+    with session.activate():
+        sim, cluster = build(4, 2)
+        n0 = cluster.nodes[0]
+        n5 = cluster.nodes[5]  # coord (1,1): 2 hops from (0,0)
+        src = n0.runtime.host_alloc(kib(4))
+        dst = n5.runtime.host_alloc(kib(4))
+        src.data[:] = 77
 
-    def proc():
-        yield from n5.endpoint.register(dst.addr, kib(4))
-        done = yield from n0.endpoint.put(
-            5, src.addr, dst.addr, kib(4), src_kind=BufferKind.HOST
-        )
-        yield done
-        yield sim.timeout(us(50))
+        def proc():
+            yield from n5.endpoint.register(dst.addr, kib(4))
+            done = yield from n0.endpoint.put(
+                5, src.addr, dst.addr, kib(4), src_kind=BufferKind.HOST
+            )
+            yield done
+            yield sim.timeout(us(50))
 
-    sim.run_process(proc())
+        sim.run_process(proc())
     assert dst.data.min() == 77
-    # The intermediate node forwarded but did not deliver.
+    # The intermediate node forwarded the packet but did not deliver it:
+    # one of its links sent it, and nothing entered its RX FIFO.
     mid_rank = cluster.shape.rank((1, 0, 0))
     mid = cluster.nodes[mid_rank]
-    assert mid.card.router.packets_forwarded >= 1
-    assert mid.card.rx.packets_processed == 0
+    assert sum(link.packets_sent for link in mid.card.router.links.values()) == 1
+    rx_level = mid.card.rx.fifo.name + ".level"
+    assert not any(r["name"] == rx_level for r in session.events)
 
 
 def test_put_without_kind_flag_costs_pointer_query():
@@ -279,15 +289,15 @@ def test_large_transfer_conservation():
         yield from n0.endpoint.register(src.addr, n)
         done = yield from n0.endpoint.put(1, src.addr, dst.addr, n, src_kind=BufferKind.GPU)
         yield done
-        yield from n1.endpoint.wait_event()
-
-    def waiter():
-        yield from proc()
+        rec = yield from n1.endpoint.wait_event()
+        return rec
 
     # Run sender and receiver logic in one process (register first).
-    sim.run_process(waiter())
+    rec = sim.run_process(proc())
     np.testing.assert_array_equal(dst.data, src.data)
-    assert n1.card.rx.bytes_received == n
+    # One completion for the whole message, and no other.
+    assert rec.nbytes == n
+    assert len(n1.endpoint.events) == 0
 
 
 def test_host_put_sends_the_bytes_it_read_before_local_completion():

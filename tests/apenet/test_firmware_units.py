@@ -5,6 +5,7 @@ import pytest
 
 from repro.apenet import BufferKind, BufList, NiosII, PageMap, RegisteredBuffer
 from repro.apenet.v2p import HOST_PAGE_SIZE
+from repro.obs import TraceSession
 from repro.sim import Simulator
 from repro.units import us
 
@@ -29,32 +30,46 @@ def test_nios_serializes_tasks():
     assert ends == [("rx", us(3)), ("gpu_tx", us(4))]
 
 
+def _nios_costs(session):
+    """``(span name, cost)`` of every ``nios:<kind>`` span, in order."""
+    return [
+        (rec["name"], rec["args"]["cost"])
+        for rec in session.events
+        if rec["ph"] == "X" and rec["name"].startswith("nios:")
+    ]
+
+
 def test_nios_accounting_by_kind():
-    sim = Simulator()
-    nios = NiosII(sim)
+    """Per-kind busy time is the cost of the ``nios:<kind>`` spans."""
+    session = TraceSession()
+    with session.activate():
+        sim = Simulator()
+        nios = NiosII(sim)
 
-    def tasks():
-        yield from nios.run(us(2), "rx")
-        yield from nios.run(us(2), "rx")
-        yield from nios.run(us(1), "gpu_tx")
+        def tasks():
+            yield from nios.run(us(2), "rx")
+            yield from nios.run(us(2), "rx")
+            yield from nios.run(us(1), "gpu_tx")
 
-    sim.run_process(tasks())
-    assert nios.busy_by_kind["rx"] == pytest.approx(us(4))
-    assert nios.busy_by_kind["gpu_tx"] == pytest.approx(us(1))
-    assert nios.tasks_by_kind["rx"] == 2
-    assert nios.utilization() == pytest.approx(1.0)
+        sim.run_process(tasks())
+    costs = _nios_costs(session)
+    assert costs == [("nios:rx", us(2)), ("nios:rx", us(2)), ("nios:gpu_tx", us(1))]
+    # Busy for the whole run.
+    assert sum(cost for _, cost in costs) == pytest.approx(sim.now)
 
 
 def test_nios_zero_cost_is_free():
-    sim = Simulator()
-    nios = NiosII(sim)
+    session = TraceSession()
+    with session.activate():
+        sim = Simulator()
+        nios = NiosII(sim)
 
-    def t():
-        yield from nios.run(0.0, "noop")
-        return sim.now
+        def t():
+            yield from nios.run(0.0, "noop")
+            return sim.now
 
-    assert sim.run_process(t()) == 0.0
-    assert nios.tasks_by_kind.get("noop", 0) == 0
+        assert sim.run_process(t()) == 0.0
+    assert _nios_costs(session) == []
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,13 @@ def test_driver_counts_submissions():
                 1, src.addr, dst.addr, 256, src_kind=BufferKind.HOST
             )
             yield done
-        yield from b.endpoint.wait_event()
+        records = []
+        for _ in range(3):
+            records.append((yield from b.endpoint.wait_event()))
+        return records
 
-    sim.run_process(proc())
-    assert a.endpoint.driver.messages_submitted == 3
-    assert a.endpoint.puts_posted == 3
+    records = sim.run_process(proc())
+    # Each of the three submissions arrived as its own message, and no more.
+    assert [rec.nbytes for rec in records] == [256] * 3
+    assert len({rec.msg_id for rec in records}) == 3
+    assert len(b.endpoint.events) == 0

@@ -39,10 +39,12 @@ def test_puts_conserve_bytes(sizes, gpu_src, gpu_dst):
     src.data[:] = rng.integers(0, 256, total, dtype=np.uint8)
     kind = BufferKind.GPU if gpu_src else BufferKind.HOST
 
+    records = []
+
     def receiver():
         yield from b.endpoint.register(dst.addr, total)
         for _ in sizes:
-            yield from b.endpoint.wait_event()
+            records.append((yield from b.endpoint.wait_event()))
 
     def sender():
         yield sim.timeout(us(10))
@@ -58,8 +60,9 @@ def test_puts_conserve_bytes(sizes, gpu_src, gpu_dst):
     sim.run()
     assert rx.processed, "deadlock: receiver never completed"
     np.testing.assert_array_equal(dst.data, src.data)
-    assert b.card.rx.bytes_received == total
-    assert b.card.rx.packets_dropped == 0
+    # One completion per message, each for its whole size, and no more.
+    assert sorted(rec.nbytes for rec in records) == sorted(sizes)
+    assert len(b.endpoint.events) == 0
 
 
 @given(

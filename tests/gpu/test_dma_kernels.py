@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu import FERMI_2050, GPUDevice, KernelLaunch
+from repro.obs import TraceSession
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
 from repro.units import kib, mib, us
@@ -56,15 +57,27 @@ def test_same_engine_serializes():
 
 
 def test_compute_engine_utilization():
-    sim, plat, (gpu,) = build()
+    """The GPU computes for the kernel's duration: its ``.sm.in_use`` track
+    is busy for 30 of the run's 100 us, and the completion carries the
+    kernel."""
+    session = TraceSession()
+    with session.activate():
+        sim, plat, (gpu,) = build()
 
-    def proc():
-        yield gpu.compute.execute(KernelLaunch("k", us(30)))
-        yield sim.timeout(us(70))
+        def proc():
+            kernel = yield gpu.compute.execute(KernelLaunch("k", us(30)))
+            done_at = sim.now
+            yield sim.timeout(us(70))
+            return kernel.name, done_at
 
-    sim.run_process(proc())
-    assert gpu.compute.utilization() == pytest.approx(0.3)
-    assert gpu.compute.busy_ns == pytest.approx(us(30))
+        assert sim.run_process(proc()) == ("k", us(30))
+    assert sim.now == us(100)
+    busy = [
+        (rec["ts"], rec["value"])
+        for rec in session.events
+        if rec["ph"] == "C" and rec["name"] == "gpu0.sm.in_use"
+    ]
+    assert busy == [(0.0, 1.0), (us(30), 0.0)]
 
 
 def test_kernel_rejects_negative_duration():
@@ -73,12 +86,21 @@ def test_kernel_rejects_negative_duration():
 
 
 def test_dma_byte_counters():
-    sim, plat, (gpu,) = build()
+    """Each copy completes with its byte count, and its ``dma_d2h`` or
+    ``dma_h2d`` span carries the same bytes."""
+    session = TraceSession()
+    with session.activate():
+        sim, plat, (gpu,) = build()
 
-    def proc():
-        yield gpu.dma.device_to_host(0x1000, kib(64))
-        yield gpu.dma.host_to_device(0x1000, kib(32))
+        def proc():
+            d2h = yield gpu.dma.device_to_host(0x1000, kib(64))
+            h2d = yield gpu.dma.host_to_device(0x1000, kib(32))
+            return d2h, h2d
 
-    sim.run_process(proc())
-    assert gpu.dma.bytes_d2h == kib(64)
-    assert gpu.dma.bytes_h2d == kib(32)
+        assert sim.run_process(proc()) == (kib(64), kib(32))
+    spans = [
+        (rec["name"], rec["args"]["nbytes"])
+        for rec in session.events
+        if rec["ph"] == "X" and rec["name"].startswith("dma_")
+    ]
+    assert spans == [("dma_d2h", kib(64)), ("dma_h2d", kib(32))]

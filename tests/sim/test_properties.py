@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import TraceSession
 from repro.sim import ByteFifo, Channel, PacketFifo, Resource, Simulator
 
 
@@ -33,26 +34,33 @@ def test_clock_is_monotonic(delays):
 )
 @settings(max_examples=50)
 def test_bytefifo_conserves_bytes(sizes, capacity):
-    """Everything put into a ByteFifo comes out; level never exceeds capacity."""
-    sim = Simulator()
-    fifo = ByteFifo(sim, capacity=capacity)
+    """Everything put into a ByteFifo comes out; its ``.level`` track never
+    exceeds capacity."""
+    session = TraceSession()
+    with session.activate():
+        sim = Simulator()
+        fifo = ByteFifo(sim, capacity=capacity, name="fifo")
+        stored, taken = [], []
 
-    def producer():
-        for n in sizes:
-            yield fifo.put(n)
+        def producer():
+            for n in sizes:
+                stored.append((yield fifo.put(n)))
 
-    def consumer():
-        for n in sizes:
-            taken = yield fifo.get(n)
-            assert taken == n
+        def consumer():
+            for n in sizes:
+                taken.append((yield fifo.get(n)))
 
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert fifo.total_in == sum(sizes)
-    assert fifo.total_out == sum(sizes)
+        sim.process(producer())
+        sim.process(consumer())
+        sim.run()
+    assert stored == taken == sizes
     assert fifo.level == 0
-    assert fifo.peak_level <= capacity
+    levels = [
+        rec["value"]
+        for rec in session.events
+        if rec["ph"] == "C" and rec["name"] == "fifo.level"
+    ]
+    assert max(levels) <= capacity
 
 
 @dataclass

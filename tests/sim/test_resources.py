@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.obs import TraceSession
 from repro.sim import ByteFifo, PacketFifo, Resource, SimulationError, Simulator, Store
 
 
@@ -71,21 +72,33 @@ def test_resource_release_without_hold_rejected():
         res.release()
 
 
+def _track(session, name):
+    """The ``(time, value)`` samples of counter track *name*."""
+    return [
+        (rec["ts"], rec["value"])
+        for rec in session.events
+        if rec["ph"] == "C" and rec["name"] == name
+    ]
+
+
 def test_resource_utilization_accounting():
-    sim = Simulator()
-    res = Resource(sim)
+    """A named resource's busy time is its ``.in_use`` track: held for 30
+    of the run's 100 ns."""
+    session = TraceSession()
+    with session.activate():
+        sim = Simulator()
+        res = Resource(sim, name="res")
 
-    def worker():
-        yield res.acquire()
-        yield sim.timeout(30)
-        res.release()
-        yield sim.timeout(70)
+        def worker():
+            yield res.acquire()
+            yield sim.timeout(30)
+            res.release()
+            yield sim.timeout(70)
 
-    sim.process(worker())
-    sim.run()
+        sim.process(worker())
+        sim.run()
     assert sim.now == 100.0
-    assert res.busy_time() == pytest.approx(30.0)
-    assert res.utilization() == pytest.approx(0.3)
+    assert _track(session, "res.in_use") == [(0.0, 1.0), (30.0, 0.0)]
 
 
 def test_resource_invalid_capacity():
@@ -223,105 +236,109 @@ def test_bytefifo_oversized_put_rejected():
 
 
 def test_bytefifo_conservation_counters():
-    sim = Simulator()
-    fifo = ByteFifo(sim, capacity=64)
+    """Every byte put comes out, and the ``.level`` track never passes
+    the capacity."""
+    session = TraceSession()
+    with session.activate():
+        sim = Simulator()
+        fifo = ByteFifo(sim, capacity=64, name="fifo")
+        stored, taken = [], []
 
-    def producer():
-        for _ in range(10):
-            yield fifo.put(32)
+        def producer():
+            for _ in range(10):
+                stored.append((yield fifo.put(32)))
 
-    def consumer():
-        for _ in range(10):
-            yield fifo.get(32)
+        def consumer():
+            for _ in range(10):
+                taken.append((yield fifo.get(32)))
 
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert fifo.total_in == 320
-    assert fifo.total_out == 320
+        sim.process(producer())
+        sim.process(consumer())
+        sim.run()
+    assert sum(stored) == sum(taken) == 320
     assert fifo.level == 0
-    assert fifo.peak_level <= 64
+    assert max(level for _, level in _track(session, "fifo.level")) <= 64
 
 
 def _fill_wakes_getters(op):
     """Bytes arrive at t=5 through *op* while two consumers wait; a third
-    process scheduled at t=5 before them logs too."""
+    process scheduled at t=5 before them logs too.  Each consumer logs
+    the bytes its get delivered."""
     sim = Simulator()
     fifo = ByteFifo(sim, capacity=100)
     log = []
 
     def consumer(tag, n):
-        yield fifo.get(n)
-        log.append((tag, sim.now, fifo.level))
+        got = yield fifo.get(n)
+        log.append((tag, sim.now, fifo.level, got))
 
     def bystander():
         yield sim.timeout(5)
-        log.append(("bystander", sim.now, fifo.level))
+        log.append(("bystander", sim.now, fifo.level, None))
 
     def producer():
         yield sim.timeout(5)
         getattr(fifo, op)(70)  # put's event goes unread
-        log.append(("producer", sim.now, fifo.level))
+        log.append(("producer", sim.now, fifo.level, None))
 
     sim.process(consumer("a", 30))
     sim.process(consumer("b", 40))
     sim.process(producer())
     sim.process(bystander())
     sim.run()
-    return log, (fifo.total_in, fifo.total_out, fifo.peak_level)
+    return log
 
 
 def test_bytefifo_fill_wakes_queued_getters_like_put():
-    log, counters = _fill_wakes_getters("fill")
+    log = _fill_wakes_getters("fill")
     assert log == [
-        ("producer", 5.0, 0),
-        ("bystander", 5.0, 0),
-        ("a", 5.0, 0),
-        ("b", 5.0, 0),
+        ("producer", 5.0, 0, None),
+        ("bystander", 5.0, 0, None),
+        ("a", 5.0, 0, 30),
+        ("b", 5.0, 0, 40),
     ]
-    assert (log, counters) == _fill_wakes_getters("put")
-    assert counters == (70, 70, 70)
+    assert log == _fill_wakes_getters("put")
 
 
 def _take_admits_putters(op):
     """Credit returns at t=5 through *op* while two producers wait on a
-    full FIFO; a third process scheduled at t=5 before them logs too."""
+    full FIFO; a third process scheduled at t=5 before them logs too.
+    Each producer logs the bytes its put stored."""
     sim = Simulator()
     fifo = ByteFifo(sim, capacity=100)
     fifo.put(100)
     log = []
 
     def producer(tag, n):
-        yield fifo.put(n)
-        log.append((tag, sim.now, fifo.level))
+        stored = yield fifo.put(n)
+        log.append((tag, sim.now, fifo.level, stored))
 
     def bystander():
         yield sim.timeout(5)
-        log.append(("bystander", sim.now, fifo.level))
+        log.append(("bystander", sim.now, fifo.level, None))
 
     def releaser():
         yield sim.timeout(5)
         getattr(fifo, op)(70)  # get's event goes unread
-        log.append(("releaser", sim.now, fifo.level))
+        log.append(("releaser", sim.now, fifo.level, None))
 
     sim.process(producer("a", 30))
     sim.process(producer("b", 40))
     sim.process(releaser())
     sim.process(bystander())
     sim.run()
-    return log, (fifo.total_in, fifo.total_out, fifo.peak_level)
+    return log
 
 
 def test_bytefifo_take_admits_queued_putters_like_get():
-    log, counters = _take_admits_putters("take")
+    log = _take_admits_putters("take")
     assert log == [
-        ("releaser", 5.0, 100),
-        ("bystander", 5.0, 100),
-        ("a", 5.0, 100),
-        ("b", 5.0, 100),
+        ("releaser", 5.0, 100, None),
+        ("bystander", 5.0, 100, None),
+        ("a", 5.0, 100, 30),
+        ("b", 5.0, 100, 40),
     ]
-    assert (log, counters) == _take_admits_putters("get")
-    assert counters == (170, 70, 100)
+    assert log == _take_admits_putters("get")
 
 
 def test_bytefifo_fill_and_take_raise_and_change_nothing():
@@ -330,13 +347,13 @@ def test_bytefifo_fill_and_take_raise_and_change_nothing():
     fifo.fill(80)
 
     def state():
-        return (fifo.level, fifo.total_in, fifo.total_out, fifo.peak_level)
+        return (fifo.level, fifo.free)
 
-    assert state() == (80, 80, 0, 80)
+    assert state() == (80, 20)
     for op, n in (("fill", 21), ("take", 81), ("fill", 0), ("take", -1)):
         with pytest.raises(SimulationError):
             getattr(fifo, op)(n)
-        assert state() == (80, 80, 0, 80)
+        assert state() == (80, 20)
     # A queued producer or consumer is ahead: no cutting in, even though
     # the bytes would fit or are there.
     fifo.put(30)
@@ -346,7 +363,7 @@ def test_bytefifo_fill_and_take_raise_and_change_nothing():
     fifo.get(40)
     with pytest.raises(SimulationError, match="bytes"):
         fifo.take(10)
-    assert state() == (30, 110, 80, 80)
+    assert state() == (30, 70)
 
 
 def test_bytefifo_head_of_line_put_blocking():
@@ -458,6 +475,5 @@ def test_packetfifo_level_tracks_sizes():
         assert fifo.level == 350
         yield fifo.get()
         assert fifo.level == 250
-        assert fifo.peak_level == 350
 
     sim.run_process(proc())

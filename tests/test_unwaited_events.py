@@ -5,7 +5,8 @@ pop and an allocation for nothing.  The kernel and the models queue only
 what a waiter reads, so a PUT stream leaves none, except the one source
 the model keeps: the posted-write completion of each GPU TX mailbox
 descriptor (``GpuTxEngine`` ignores the event ``PCIeFabric.write``
-returns).
+returns).  A host-buffer MPI ping-pong over InfiniBand leaves none
+either: the RTS and CTS local completions nobody reads are not queued.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.bench.microbench import (
     staged_unidirectional_bandwidth,
     unidirectional_bandwidth,
 )
+from repro.mpi.osu import osu_latency
 from repro.units import kib
 
 H, G = BufferKind.HOST, BufferKind.GPU
@@ -47,6 +49,15 @@ def _unwaited_pops(monkeypatch, run) -> int:
         # 96 messages of two 4 KiB chunks: one descriptor write each.
         pytest.param(lambda: unidirectional_bandwidth(G, G, kib(8)), 192, id="G-G"),
         pytest.param(lambda: staged_unidirectional_bandwidth(kib(8)), 0, id="staged"),
+        # Rendezvous: each of the 24 messages posts an RTS and a CTS
+        # whose local completions nobody reads.
+        pytest.param(
+            lambda: osu_latency(kib(64), gpu_buffers=False), 0, id="mpi-64K-host"
+        ),
+        pytest.param(
+            lambda: osu_latency(kib(64), gpu_buffers=True), 0, id="mpi-64K-gpu"
+        ),
+        pytest.param(lambda: osu_latency(kib(4), gpu_buffers=False), 0, id="mpi-eager"),
     ],
 )
 def test_only_mailbox_descriptor_writes_go_unwaited(monkeypatch, run, unwaited):
