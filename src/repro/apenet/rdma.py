@@ -92,12 +92,9 @@ class ApenetEndpoint:
 
     def register(self, addr: int, nbytes: int):
         """Generator: pin + register a buffer for RDMA (host or GPU)."""
-        attrs = self.runtime.pointer_attributes(addr)
-        if attrs.is_device:
-            kind = BufferKind.GPU
-            gpu = self.runtime.device(attrs.device_index)
+        gpu, buf = self.runtime.locate(addr)
+        if gpu is not None:
             card_index = self._card_gpu_index(gpu)
-            buf = gpu.heap.buffer_at(addr)
             pages = self.card.gpu_v2p[card_index].map_range(buf.addr, buf.size)
             cost = _REGISTER_BASE_COST + pages * _REGISTER_GPU_PAGE_COST
             if (
@@ -110,12 +107,11 @@ class ApenetEndpoint:
                 mapping = gpu.bar1.map(buf)
                 self.card.bar1_tx_maps[buf.addr] = mapping
                 cost += gpu.spec.bar1_map_cost
-            entry = RegisteredBuffer(addr, nbytes, kind, gpu_index=card_index)
+            entry = RegisteredBuffer(addr, nbytes, BufferKind.GPU, gpu_index=card_index)
         else:
-            kind = BufferKind.HOST
             pages = self.card.host_v2p.map_range(addr, nbytes)
             cost = _REGISTER_BASE_COST + pages * _REGISTER_HOST_PAGE_COST
-            entry = RegisteredBuffer(addr, nbytes, kind)
+            entry = RegisteredBuffer(addr, nbytes, BufferKind.HOST)
         self.card.buflist.register(entry)
         yield self.sim.timeout(cost)
         return entry
@@ -142,13 +138,22 @@ class ApenetEndpoint:
         """Generator: post one RDMA PUT; returns the local-completion Event.
 
         ``src_kind`` is the compile-time buffer-type flag; omitting it costs
-        a ``cuPointerGetAttribute`` query (§IV.A).
+        a ``cuPointerGetAttribute`` query (§IV.A).  A flag that contradicts
+        the pointer raises ``ValueError``.
         """
         cfg = self.card.config
         yield self.sim.timeout(cfg.put_post_cost)
         if src_kind is None:
-            attrs = yield from self.runtime.pointer_get_attributes(local_addr)
-            src_kind = BufferKind.GPU if attrs.is_device else BufferKind.HOST
+            gpu, src_buf = yield from self.runtime.pointer_get_attributes(local_addr)
+            src_kind = BufferKind.HOST if gpu is None else BufferKind.GPU
+        else:
+            gpu, src_buf = self.runtime.locate(local_addr)
+            if (gpu is None) != (src_kind is BufferKind.HOST):
+                where = "host memory" if gpu is None else f"{gpu.name} memory"
+                raise ValueError(
+                    f"PUT with src_kind={src_kind.name} from 0x{local_addr:x}, "
+                    f"which is {where}"
+                )
 
         mgr = self.recovery
         bounce = None
@@ -161,22 +166,18 @@ class ApenetEndpoint:
                 bounce = yield from self._stage_degraded(local_addr, nbytes)
                 local_addr = bounce.addr
                 src_kind = BufferKind.HOST
+                gpu, src_buf = None, bounce
                 mgr.stats.degraded_puts += 1
 
-        gpu_index = 0
-        if src_kind is BufferKind.GPU:
-            attrs = self.runtime.pointer_attributes(local_addr)
-            gpu = self.runtime.device(attrs.device_index)
-            gpu_index = self._card_gpu_index(gpu)
-            src_buf = gpu.heap.buffer_at(local_addr)
-        else:
-            src_buf = self.runtime.host_heap.buffer_at(local_addr)
         if not src_buf.contains(local_addr, nbytes):
             # The TX engines read the source buffer: fail here, not there.
             raise ValueError(f"PUT of {nbytes} bytes overruns its source buffer")
-        # "the buffer mapping is automatically done, if necessary".
-        if src_kind is BufferKind.GPU and not self.card.gpu_v2p[gpu_index].is_mapped(local_addr):
-            yield from self.register(local_addr, nbytes)
+        gpu_index = 0
+        if gpu is not None:
+            gpu_index = self._card_gpu_index(gpu)
+            # "the buffer mapping is automatically done, if necessary".
+            if not self.card.gpu_v2p[gpu_index].is_mapped(local_addr):
+                yield from self.register(local_addr, nbytes)
 
         msg = MessageInfo(
             msg_id=next_message_id(),
@@ -299,10 +300,7 @@ class ApenetEndpoint:
                 deadline = self.sim.timeout(policy.timeout_for(nbytes, attempts))
                 yield self.sim.any_of([acked, deadline])
                 if acked.triggered:
-                    elapsed = self.sim.now - t0
-                    if attempts > 1:
-                        mgr.stats.time_to_recover.add(elapsed)
-                    return PutOutcome(True, "delivered", attempts, elapsed)
+                    return PutOutcome(True, "delivered", attempts, self.sim.now - t0)
                 mgr.stats.put_timeouts += 1
             return PutOutcome(False, verdict, attempts, self.sim.now - t0)
         finally:

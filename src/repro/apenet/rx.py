@@ -115,14 +115,11 @@ class RxEngine:
         span = None
         if obs is not None:
             span = obs.span("apenet", "rx_write", nbytes=pkt.nbytes)
-        if self._is_replayed_fragment(pkt):
-            # Suppress the payload DMA but keep the byte/completion
-            # bookkeeping: the duplicate completion is what triggers the
-            # endpoint's re-ACK, and it must not overwrite delivered data.
-            mgr = self.card.endpoint.recovery
-            if mgr is not None:
-                mgr.stats.replay_fragments_suppressed += 1
-        else:
+        # A replayed fragment skips the payload DMA but keeps the
+        # byte/completion bookkeeping: the duplicate completion is what
+        # triggers the endpoint's re-ACK, and it must not overwrite
+        # delivered data.
+        if not self._is_replayed_fragment(pkt):
             yield self.card.fabric.write(
                 self.card, pkt.dst_addr, pkt.nbytes, payload=pkt.data
             )

@@ -104,6 +104,9 @@ class TorusLink:
         self.direction = direction
         self.packets_sent = 0
         self.bytes_sent = 0
+        # Wire serialization time of every transmission attempt
+        # (scale.exact's link loads).
+        self.busy_time = 0.0
         # Fault-injection site: attached by the cluster builder; None keeps
         # the send path identical to the fault-free simulator.
         self.faults: Optional["FaultInjector"] = None
@@ -153,6 +156,7 @@ class TorusLink:
         t0 = self.sim.now
         attempts = 0
         while True:
+            self.busy_time += packet.size / self.channel.bandwidth
             yield self.channel.transfer(packet.size)
             if inj is None:
                 break  # fault-free: every transmission is clean

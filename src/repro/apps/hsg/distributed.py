@@ -324,8 +324,8 @@ def _apenet_cluster(sim: Simulator, cfg: HsgConfig):
     specs = None
     if cfg.np_ == 1:
         # Single-node L=512 only fits the 6 GB C2070 (§V.D).
-        need = 2 * cfg.L**3 * SPIN_BYTES
-        specs = [FERMI_2070 if need > FERMI_2050.vram else FERMI_2050]
+        fits = HsgKernelModel(FERMI_2050).fits(cfg.L**3)
+        specs = [FERMI_2050 if fits else FERMI_2070]
     return build_apenet_cluster(
         sim, torus_for_ranks(cfg.np_), acfg, gpu_specs=specs,
         faults=cfg.faults, recovery=cfg.recovery,

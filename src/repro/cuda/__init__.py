@@ -1,8 +1,7 @@
-"""CUDA-like host runtime: UVA pointers, streams, memcpy cost model."""
+"""CUDA-like host runtime: the UVA lookup, streams, the staging memcpy cost model."""
 
 from .config import DEFAULT_COSTS, CudaCosts
-from .memcpy import MemcpyKind, classify, memcpy_async, memcpy_device_work, memcpy_sync
-from .pointer import MemoryType, PointerAttributes
+from .memcpy import memcpy_async, memcpy_device_work, memcpy_sync
 from .runtime import CudaRuntime
 from .stream import CudaStream
 
@@ -11,11 +10,7 @@ __all__ = [
     "DEFAULT_COSTS",
     "CudaRuntime",
     "CudaStream",
-    "MemcpyKind",
-    "classify",
     "memcpy_sync",
     "memcpy_async",
     "memcpy_device_work",
-    "MemoryType",
-    "PointerAttributes",
 ]

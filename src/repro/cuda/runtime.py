@@ -5,10 +5,13 @@ One :class:`CudaRuntime` per host (node).  It owns:
 * the node's GPUs (``add_device``),
 * pinned host buffers, from the host memory's
   :class:`~repro.pcie.device.BufferHeap` (``host_alloc``, ``host_heap``),
-* the UVA pointer registry (:meth:`pointer_attributes` resolves any fabric
-  address to host/device + owning buffer — the ``cuPointerGetAttribute``
-  equivalent),
-* memcpy entry points (see :mod:`repro.cuda.memcpy`).
+* the one UVA lookup: :meth:`locate` resolves any pointer to its GPU
+  (``None`` for host memory) and owning buffer, and
+  :meth:`pointer_get_attributes` is the same lookup at the
+  ``cuPointerGetAttribute`` call cost (§IV.A).  In this model the UVA
+  space *is* the PCIe fabric address space.
+
+The memcpy entry points live in :mod:`repro.cuda.memcpy`.
 
 Convention: every method that costs *host* time is a **generator** the
 calling simulation process drives with ``yield from``; its return value is
@@ -25,7 +28,6 @@ from ..pcie.device import MemoryBuffer
 from ..pcie.topology import Platform
 from ..sim import Simulator
 from .config import DEFAULT_COSTS, CudaCosts
-from .pointer import MemoryType, PointerAttributes
 
 __all__ = ["CudaRuntime"]
 
@@ -57,10 +59,6 @@ class CudaRuntime:
         self.devices.append(gpu)
         return len(self.devices) - 1
 
-    def device(self, index: int) -> GPUDevice:
-        """The GPU with device index *index*."""
-        return self.devices[index]
-
     # ------------------------------------------------------------------
     # Allocation (setup-time, no simulated cost)
     # ------------------------------------------------------------------
@@ -77,47 +75,22 @@ class CudaRuntime:
     # UVA pointer resolution
     # ------------------------------------------------------------------
 
-    def pointer_attributes(self, addr: int) -> PointerAttributes:
-        """Resolve a UVA pointer (no simulated cost — internal use)."""
-        for i, gpu in enumerate(self.devices):
-            if gpu.gmem_window.contains(addr):
-                buf = gpu.heap.buffer_at(addr)
-                return PointerAttributes(
-                    addr=addr,
-                    memory_type=MemoryType.DEVICE,
-                    device_index=i,
-                    device_name=gpu.name,
-                    buffer_base=buf.addr,
-                    buffer_size=buf.size,
-                )
-        try:
-            host = self.host_heap.buffer_at(addr)
-        except KeyError:
-            raise KeyError(f"{self.name}: UVA pointer 0x{addr:x} is unknown") from None
-        return PointerAttributes(
-            addr=addr,
-            memory_type=MemoryType.HOST,
-            device_index=None,
-            device_name=None,
-            buffer_base=host.addr,
-            buffer_size=host.size,
-        )
-
-    def pointer_get_attributes(self, addr: int):
-        """``cuPointerGetAttribute`` with its (possibly expensive) call cost.
-
-        Generator: ``attrs = yield from rt.pointer_get_attributes(p)``.
-        """
-        yield self.sim.timeout(self.costs.attribute_query_cost)
-        return self.pointer_attributes(addr)
-
-    # ------------------------------------------------------------------
-    # Data access helpers used by the copy paths
-    # ------------------------------------------------------------------
-
-    def owner_gpu(self, addr: int) -> Optional[GPUDevice]:
-        """The registered GPU whose gmem window contains *addr*, if any."""
+    def locate(self, addr: int) -> tuple[Optional[GPUDevice], MemoryBuffer]:
+        """Resolve a UVA pointer to ``(gpu, buffer)``, with ``gpu`` ``None``
+        for pinned host memory (no simulated cost — internal use)."""
         for gpu in self.devices:
             if gpu.gmem_window.contains(addr):
-                return gpu
-        return None
+                return gpu, gpu.heap.buffer_at(addr)
+        try:
+            return None, self.host_heap.buffer_at(addr)
+        except KeyError:
+            raise KeyError(f"{self.name}: UVA pointer 0x{addr:x} is unknown") from None
+
+    def pointer_get_attributes(self, addr: int):
+        """``cuPointerGetAttribute``: :meth:`locate` after its (possibly
+        expensive) call cost.
+
+        Generator: ``gpu, buf = yield from rt.pointer_get_attributes(p)``.
+        """
+        yield self.sim.timeout(self.costs.attribute_query_cost)
+        return self.locate(addr)

@@ -31,15 +31,15 @@ class CudaStream:
         self._queue: Store = Store(sim)
         sim.process(self._worker(), name=f"{name}.worker")
 
-    def enqueue(self, thunk: Callable[[], Event], label: str = "") -> Event:
+    def enqueue(self, thunk: Callable[[], Event]) -> Event:
         """Queue a work item; returns its per-item completion event."""
         done = Event(self.sim)
-        self._queue.put((thunk, done, label))
+        self._queue.put((thunk, done))
         return done
 
     def _worker(self):
         while True:
-            thunk, done, label = yield self._queue.get()
+            thunk, done = yield self._queue.get()
             try:
                 completion = thunk()
                 if completion is not None:

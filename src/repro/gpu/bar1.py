@@ -12,8 +12,11 @@ operations (§III).  Constraints modelled from the paper:
   Kepler fixes this (1.6 GB/s).
 
 The rate asymmetry lives in the GPU device's ``describe_read`` for the
-BAR1 window; this module only hands out and resolves windows, from one
-:class:`~repro.pcie.device.BufferHeap` of 64 KB pages.
+BAR1 window.  The model reads through BAR1 and never writes through it:
+the BAR1-TX extension and Table I's BAR1 rows are reads, and peers write
+GPU memory with P2P posted writes.  This module only hands out windows,
+from one :class:`~repro.pcie.device.BufferHeap` of 64 KB pages; a read's
+bytes come from the mapped buffer its transfer names.
 """
 
 from __future__ import annotations
@@ -38,25 +41,12 @@ class Bar1Mapping:
     buffer: MemoryBuffer
     size: int
 
-    @property
-    def bar1_end(self) -> int:
-        """One past the last mapped BAR1 byte."""
-        return self.bar1_addr + self.size
-
-    def device_addr(self, bar1_addr: int) -> int:
-        """Translate a BAR1 address to the underlying device address."""
-        if not self.bar1_addr <= bar1_addr < self.bar1_end:
-            raise Bar1Error(f"BAR1 address 0x{bar1_addr:x} outside mapping")
-        return self.buffer.addr + (bar1_addr - self.bar1_addr)
-
 
 class Bar1Aperture:
     """The BAR1 address window of one GPU, mapped buffer by buffer."""
 
     def __init__(self, base: int, size: int, gpu_name: str):
-        self.gpu_name = gpu_name
         self._windows = BufferHeap(base, size, GPU_PAGE_SIZE, f"{gpu_name}.bar1")
-        self._mappings: dict[int, Bar1Mapping] = {}
 
     def map(self, buf: MemoryBuffer) -> Bar1Mapping:
         """Map *buf* into the aperture (the caller charges the time)."""
@@ -67,15 +57,4 @@ class Bar1Aperture:
                 f"BAR1 aperture exhausted: {exc} — "
                 "BAR1 is a scarce resource (32-bit BIOS limit)"
             ) from exc
-        mapping = Bar1Mapping(window.addr, buf, buf.size)
-        self._mappings[window.addr] = mapping
-        return mapping
-
-    def translate(self, bar1_addr: int) -> tuple[MemoryBuffer, int]:
-        """Resolve a BAR1 address to (buffer, device_addr)."""
-        try:
-            window = self._windows.buffer_at(bar1_addr)
-        except KeyError:
-            raise Bar1Error(f"{self.gpu_name}: BAR1 address 0x{bar1_addr:x} not mapped") from None
-        mapping = self._mappings[window.addr]
-        return mapping.buffer, mapping.device_addr(bar1_addr)
+        return Bar1Mapping(window.addr, buf, buf.size)

@@ -1,17 +1,23 @@
 """The GPU as a PCIe device: memory windows, protocol engines, DMA.
 
-Address layout (one contiguous region per GPU, assigned by the platform):
+GPU memory is reached the ways the paper reaches it (§III.A, §IV), and
+only those.  Address layout (one contiguous region per GPU, assigned by
+the platform):
 
-* ``[base, base+vram)`` — device global memory, reachable by peers through
-  the GPUDirect P2P write path (posted writes land directly in buffers) and
-  by the mailbox read protocol (:mod:`repro.gpu.p2p`).  Plain PCIe reads of
-  this window model peer-initiated pulls and share the same internal read
-  limiter.  Buffers come from :attr:`GPUDevice.heap`, a
-  :class:`~repro.pcie.device.BufferHeap` of 64 KB pages, the unit the P2P
-  protocol maps.
-* BAR1 aperture — standard memory-mapped access, mapped per-buffer
-  (:mod:`repro.gpu.bar1`); reads are catastrophically slow on Fermi.
-* mailbox — where initiators post P2P read-request descriptors.
+* ``[base, base+vram)`` — device global memory.  Peers write into it
+  with GPUDirect P2P posted writes, which land directly in buffers; it is
+  read only through the mailbox protocol (:mod:`repro.gpu.p2p`), so a
+  plain PCIe read of this window raises.  Buffers come from
+  :attr:`GPUDevice.heap`, a :class:`~repro.pcie.device.BufferHeap` of
+  64 KB pages, the unit the P2P protocol maps.
+* BAR1 aperture — buffers mapped per window (:mod:`repro.gpu.bar1`) for
+  plain PCIe reads, catastrophically slow on Fermi; a write into it
+  raises.
+* mailbox — where initiators post P2P read-request descriptors
+  (write-only).
+
+The GPU's one copy engine (:attr:`GPUDevice.dma`) serves ``cudaMemcpy``
+in both staging directions.
 """
 
 from __future__ import annotations
@@ -64,71 +70,44 @@ class GPUDevice(PCIeDevice):
         self.heap = BufferHeap(base, spec.vram, GPU_PAGE_SIZE, name)
         self.bar1 = Bar1Aperture(bar1_base, spec.bar1_size, name)
 
-        # Shared internal read path: mailbox protocol and peer pulls contend.
-        self._read_limiter = Channel(sim, spec.p2p_read_rate, name=f"{name}.rd")
-        self._bar1_read_limiter = Channel(sim, spec.bar1_read_rate, name=f"{name}.bar1rd")
-        self._write_limiter = (
-            Channel(sim, spec.p2p_write_rate, name=f"{name}.wr")
-            if spec.p2p_write_rate is not None
-            else None
-        )
-
-        self.p2p_engine = P2PReadEngine(sim, self, self._read_limiter)
-        self.dma_engines = [DmaEngine(sim, self, i) for i in range(spec.copy_engines)]
+        self.p2p_engine = P2PReadEngine(sim, self)
+        self.dma = DmaEngine(sim, self)
         self.compute = ComputeEngine(sim, name)
 
-        self._gmem_read = ReadBehavior(
-            latency=spec.p2p_read_head_latency, limiter=self._read_limiter
-        )
         self._bar1_read = ReadBehavior(
-            latency=spec.bar1_read_latency, limiter=self._bar1_read_limiter
+            latency=spec.bar1_read_latency,
+            limiter=Channel(sim, spec.bar1_read_rate, name=f"{name}.bar1rd"),
         )
-        self._gmem_write = WriteBehavior(
-            limiter=self._write_limiter, on_write=self._on_mem_write
-        )
-        self._bar1_write = WriteBehavior(
-            limiter=self._write_limiter, on_write=self._on_bar1_write
-        )
+        # P2P writes are link-limited: the GPU "has no problem sustaining
+        # the PCIe X8 Gen2 traffic" (§V.A).
+        self._gmem_write = WriteBehavior(on_write=self._on_mem_write)
         self._mailbox_write = WriteBehavior(on_write=self._on_mailbox_write)
-
-        # Stats
-        self.inbound_write_bytes = 0
 
     # ------------------------------------------------------------------
     # PCIe target behaviour
     # ------------------------------------------------------------------
 
     def describe_read(self, addr: int) -> ReadBehavior:
-        if self.gmem_window.contains(addr):
-            return self._gmem_read
         if self.bar1_window.contains(addr):
             return self._bar1_read
-        raise PermissionError(f"{self.name}: mailbox window is write-only")
+        raise PermissionError(
+            f"{self.name}: only BAR1 serves plain reads (0x{addr:x}); global "
+            "memory is read through the mailbox protocol"
+        )
 
     def describe_write(self, addr: int) -> WriteBehavior:
         if self.gmem_window.contains(addr):
             return self._gmem_write
-        if self.bar1_window.contains(addr):
-            return self._bar1_write
         if self.mailbox_window.contains(addr):
             return self._mailbox_write
-        raise KeyError(f"{self.name}: write outside any window: 0x{addr:x}")
+        raise PermissionError(f"{self.name}: the BAR1 window is read-only (0x{addr:x})")
 
     def _on_mem_write(self, addr: int, nbytes: int, payload: Any) -> None:
-        self.inbound_write_bytes += nbytes
         if payload is None:
             return
         data = np.asarray(payload, dtype=np.uint8)
         buf = self.heap.buffer_at(addr)  # raises if nothing is there
         buf.write_bytes(addr, data[:nbytes])
-
-    def _on_bar1_write(self, addr: int, nbytes: int, payload: Any) -> None:
-        self.inbound_write_bytes += nbytes
-        if payload is None:
-            return
-        buf, dev_addr = self.bar1.translate(addr)
-        data = np.asarray(payload, dtype=np.uint8)
-        buf.write_bytes(dev_addr, data[:nbytes])
 
     def _on_mailbox_write(self, addr: int, nbytes: int, payload: Any) -> None:
         if payload is None:
@@ -148,8 +127,3 @@ class GPUDevice(PCIeDevice):
     def alloc(self, nbytes: int) -> MemoryBuffer:
         """Allocate device memory, in whole 64 KB pages."""
         return self.heap.alloc(nbytes)
-
-    @property
-    def dma(self) -> DmaEngine:
-        """The first copy engine (sufficient for single-stream use)."""
-        return self.dma_engines[0]

@@ -1,10 +1,12 @@
-"""GPU DMA copy engines — the hardware behind ``cudaMemcpy``.
+"""The GPU copy engine — the hardware behind ``cudaMemcpy``.
 
-Fermi Teslas have two copy engines, so one D2H and one H2D stream can
-overlap.  Engine throughput is the spec's ``dma_*_rate`` (≈5.5 GB/s D2H on
-the paper's platforms).  An engine models time only: it is given the host
-address its PCIe traffic targets, and :mod:`repro.cuda.memcpy` moves a
-copy's bytes when the engine's work completes.
+The model drives one copy engine per GPU, for both staging directions, so
+a D2H copy and an H2D copy serialize on it.  The paper's Fermi boards have
+two; driving the second would move the staging and MPI rows (DESIGN.md
+§7).  Engine throughput is the spec's ``dma_*_rate`` (≈5.5 GB/s D2H on
+the paper's platforms).  The engine models time only: it is given the
+host address its PCIe traffic targets, and :mod:`repro.cuda.memcpy` moves
+a copy's bytes when the engine's work completes.
 
 The per-call *host-side* overhead of ``cudaMemcpy`` (~10 µs for synchronous
 calls, §V.C) belongs to the CUDA runtime layer, not the engine.
@@ -20,16 +22,15 @@ __all__ = ["DmaEngine"]
 
 
 class DmaEngine:
-    """One GPU copy engine: serialized, rate-limited bulk transfers."""
+    """The GPU's copy engine: serialized, rate-limited bulk transfers."""
 
-    def __init__(self, sim: Simulator, gpu: Any, index: int):
+    def __init__(self, sim: Simulator, gpu: Any):
         self.sim = sim
         self.gpu = gpu
-        self.index = index
-        self.busy = Resource(sim, 1, f"{gpu.name}.ce{index}")
+        self.busy = Resource(sim, 1, f"{gpu.name}.ce")
         spec = gpu.spec
-        self._d2h = Channel(sim, spec.dma_d2h_rate, name=f"{gpu.name}.d2h{index}")
-        self._h2d = Channel(sim, spec.dma_h2d_rate, name=f"{gpu.name}.h2d{index}")
+        self._d2h = Channel(sim, spec.dma_d2h_rate, name=f"{gpu.name}.d2h")
+        self._h2d = Channel(sim, spec.dma_h2d_rate, name=f"{gpu.name}.h2d")
 
     # The engine moves data over PCIe in large bursts; the fabric accounts
     # TLP overhead, the limiter accounts the engine's own ceiling.  Each

@@ -61,11 +61,11 @@ class P2PReadEngine:
     """GPU-side server for mailbox read requests.
 
     Requests pipeline: each waits the fixed head latency (pipeline depth)
-    while *limiter*, the GPU's internal read path (a zero-latency
-    :class:`~repro.sim.channel.Channel` that peer pulls of global memory
-    share), serializes data production, so the sustained rate is
-    ``p2p_read_rate`` and a cold start costs ``p2p_read_head_latency`` —
-    exactly the two constants the paper measured on the bus analyzer.
+    while :attr:`limiter`, the GPU's internal read path (a zero-latency
+    :class:`~repro.sim.channel.Channel`), serializes data production, so
+    the sustained rate is ``p2p_read_rate`` and a cold start costs
+    ``p2p_read_head_latency`` — exactly the two constants the paper
+    measured on the bus analyzer.
     """
 
     # The response streams onto the bus while the internal fetch proceeds:
@@ -73,11 +73,11 @@ class P2PReadEngine:
     # overlap (they only serialize for the leading fragment).
     _FIRST_TLP = 256
 
-    def __init__(self, sim: Simulator, gpu: "Any", limiter: Channel):
+    def __init__(self, sim: Simulator, gpu: "Any"):
         self.sim = sim
         self.gpu = gpu
         self.head_latency = gpu.spec.p2p_read_head_latency
-        self.limiter = limiter
+        self.limiter = Channel(sim, gpu.spec.p2p_read_rate, name=f"{gpu.name}.rd")
         self._queue = Store(sim, name=f"{gpu.name}.p2p-q")
         sim.process(self._server(), name=f"{gpu.name}.p2p")
 

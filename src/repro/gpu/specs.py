@@ -7,7 +7,7 @@ All externally-observable protocol constants come from the paper:
 * Kepler P2P / BAR1 read: 1.6 GB/s (Table I, pre-release K20 with ECC on);
 * GPU DMA engine (cudaMemcpy) D2H ~5.5 GB/s on Gen2 x16 (§V.B);
 * P2P writes: the GPU "has no problem sustaining the PCIe X8 Gen2 traffic"
-  (§V.A), so the write sink is link-limited (``None`` rate).
+  (§V.A), so no spec field limits them: only the link does.
 
 The memory-page granularity of the P2P protocol is 64 KB (§III.A).
 """
@@ -15,7 +15,6 @@ The memory-page granularity of the P2P protocol is 64 KB (§III.A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..units import GBps, GiB, KiB, MBps, MiB, us
 
@@ -43,16 +42,14 @@ class GPUSpec:
     # --- GPUDirect P2P protocol, as seen by a third-party device ---
     p2p_read_head_latency: float  # first-data latency of the mailbox protocol
     p2p_read_rate: float  # sustained response rate, bytes/ns
-    p2p_write_rate: Optional[float]  # None = link-limited
     # --- BAR1 aperture ---
     bar1_size: int
     bar1_read_latency: float
     bar1_read_rate: float
     bar1_map_cost: float  # "expensive... full reconfiguration of the GPU"
-    # --- DMA copy engines (cudaMemcpy) ---
+    # --- DMA copy engine (cudaMemcpy) ---
     dma_d2h_rate: float
     dma_h2d_rate: float
-    copy_engines: int
     # --- misc ---
     ecc: bool = False
     # Internal memory bandwidth (kernels); only used by app perf models.
@@ -65,14 +62,12 @@ FERMI_2050 = GPUSpec(
     vram=3 * GiB,
     p2p_read_head_latency=us(1.8),
     p2p_read_rate=MBps(1536),
-    p2p_write_rate=None,
     bar1_size=256 * MiB,
     bar1_read_latency=us(1.3),
     bar1_read_rate=MBps(150),
     bar1_map_cost=us(500),
     dma_d2h_rate=GBps(5.5),
     dma_h2d_rate=GBps(5.7),
-    copy_engines=2,
     ecc=False,
     mem_bandwidth=GBps(144.0),
 )
@@ -83,14 +78,12 @@ FERMI_2070 = GPUSpec(
     vram=6 * GiB,
     p2p_read_head_latency=us(1.8),
     p2p_read_rate=MBps(1536),
-    p2p_write_rate=None,
     bar1_size=256 * MiB,
     bar1_read_latency=us(1.3),
     bar1_read_rate=MBps(150),
     bar1_map_cost=us(500),
     dma_d2h_rate=GBps(5.5),
     dma_h2d_rate=GBps(5.7),
-    copy_engines=2,
     ecc=False,
     mem_bandwidth=GBps(144.0),
 )
@@ -101,14 +94,12 @@ FERMI_2075 = GPUSpec(
     vram=6 * GiB,
     p2p_read_head_latency=us(1.8),
     p2p_read_rate=MBps(1536),
-    p2p_write_rate=None,
     bar1_size=256 * MiB,
     bar1_read_latency=us(1.3),
     bar1_read_rate=MBps(150),
     bar1_map_cost=us(500),
     dma_d2h_rate=GBps(5.5),
     dma_h2d_rate=GBps(5.7),
-    copy_engines=2,
     ecc=False,
     mem_bandwidth=GBps(150.0),
 )
@@ -119,14 +110,12 @@ KEPLER_K10 = GPUSpec(
     vram=4 * GiB,
     p2p_read_head_latency=us(1.5),
     p2p_read_rate=MBps(1600),
-    p2p_write_rate=None,
     bar1_size=256 * MiB,
     bar1_read_latency=us(0.9),
     bar1_read_rate=MBps(1600),
     bar1_map_cost=us(400),
     dma_d2h_rate=GBps(5.8),
     dma_h2d_rate=GBps(6.0),
-    copy_engines=2,
     ecc=False,
     mem_bandwidth=GBps(160.0),
 )
@@ -137,14 +126,12 @@ KEPLER_K20 = GPUSpec(
     vram=5 * GiB,
     p2p_read_head_latency=us(1.5),
     p2p_read_rate=MBps(1600),
-    p2p_write_rate=None,
     bar1_size=256 * MiB,
     bar1_read_latency=us(0.9),
     bar1_read_rate=MBps(1600),
     bar1_map_cost=us(400),
     dma_d2h_rate=GBps(6.0),
     dma_h2d_rate=GBps(6.2),
-    copy_engines=2,
     ecc=True,  # "Kepler results are for a pre-release K20 ... with ECC enabled"
     mem_bandwidth=GBps(180.0),
 )

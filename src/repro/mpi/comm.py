@@ -110,7 +110,7 @@ class MpiEndpoint:
         return base + (seq % _EAGER_SLOTS) * EAGER_THRESHOLD
 
     def _is_device(self, addr: int) -> bool:
-        return self.node.runtime.pointer_attributes(addr).is_device
+        return self.node.runtime.locate(addr)[0] is not None
 
     # ------------------------------------------------------------------
     # Public API

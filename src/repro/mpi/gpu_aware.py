@@ -79,8 +79,7 @@ class GpuProtocol:
     def _async_copy(self, dst: int, src: int, nbytes: int) -> Event:
         """Enqueue a copy on the shared stream; returns its completion."""
         return self.stream.enqueue(
-            lambda: memcpy_device_work(self.runtime, dst, src, nbytes),
-            f"gpumpi:{nbytes}",
+            lambda: memcpy_device_work(self.runtime, dst, src, nbytes)
         )
 
     # -- send ----------------------------------------------------------------

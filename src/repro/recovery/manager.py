@@ -146,8 +146,7 @@ class RecoveryManager:
         return self.routes.next_hop(src, dst) is not None
 
     def record_unreachable(self, site: str, pkt) -> None:
-        """Book one packet discarded for lack of any surviving route."""
-        self.stats.packets_unreachable += 1
+        """Trace one packet discarded for lack of any surviving route."""
         obs = self.sim._obs
         if obs is not None:
             obs.instant(

@@ -165,7 +165,7 @@ def run_exact(
         if link.packets_sent:
             link_bytes[key] = link.bytes_sent
             link_packets[key] = link.packets_sent
-            link_busy[key] = link.channel._busy_time
+            link_busy[key] = link.busy_time
 
     finished = [c for c in completions if c is not None]
     return TransferAggregates(

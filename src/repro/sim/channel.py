@@ -52,8 +52,6 @@ class Channel:
         self.name = name
         # Time at which the serializer becomes free.
         self._free_at = 0.0
-        # Serialization time booked so far (scale.exact's link loads).
-        self._busy_time = 0.0
         if sim._sanitizer is not None:
             sim._sanitizer.register_channel(self)
 
@@ -74,7 +72,6 @@ class Channel:
             start = now
         ser = nbytes / self.bandwidth
         self._free_at = start + ser
-        self._busy_time += ser
         done_at = start + ser + self.latency
         obs = self.sim._obs
         if obs is not None:

@@ -3,54 +3,23 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = ["OnlineStats", "percentile", "FaultStats", "RecoveryStats"]
 
 
 class OnlineStats:
-    """Welford online mean/variance with min/max tracking."""
+    """Online (Welford) sample mean: ``mean`` is 0.0 until the first
+    :meth:`add`."""
 
     def __init__(self):
         self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
+        self.mean = 0.0
 
     def add(self, x: float) -> None:
-        """Fold one sample into the statistics."""
+        """Fold one sample into the mean."""
         self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.minimum:
-            self.minimum = x
-        if x > self.maximum:
-            self.maximum = x
-
-    def extend(self, xs: Iterable[float]) -> None:
-        """Fold many samples."""
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"OnlineStats(n={self.n}, mean={self.mean:.3g}, sd={self.stddev:.3g})"
+        self.mean += (x - self.mean) / self.n
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -135,16 +104,12 @@ class RecoveryStats:
     def __init__(self):
         # Failure detection / re-routing.
         self.link_deaths: list[dict] = []
-        self.time_to_detect = OnlineStats()  # ns, kill -> marked dead
         self.packets_rerouted = 0
-        self.packets_unreachable = 0
         # End-to-end RDMA transaction layer.
         self.replays = 0
         self.put_timeouts = 0
         self.duplicates_suppressed = 0
-        self.replay_fragments_suppressed = 0
         self.unreachable_puts = 0
-        self.time_to_recover = OnlineStats()  # ns, first post -> delivery, replayed PUTs only
         # P2P -> host-staging degradation.
         self.gpu_puts = 0
         self.degraded_puts = 0
@@ -153,8 +118,6 @@ class RecoveryStats:
     def record_link_death(self, **info) -> None:
         """Append one dead-link record (site, coords, detect time, ...)."""
         self.link_deaths.append(dict(info))
-        if "elapsed_ns" in info:
-            self.time_to_detect.add(info["elapsed_ns"])
 
     def record_degradation(self, **info) -> None:
         """Append one P2P -> host-staging mode-switch record."""

@@ -45,6 +45,22 @@ def test_put_overrunning_its_source_buffer_raises(kind):
         sim.run_process(proc())
 
 
+@pytest.mark.parametrize("kind", [BufferKind.HOST, BufferKind.GPU])
+def test_put_whose_src_kind_contradicts_its_pointer_raises(kind):
+    """The compile-time buffer-type flag must name the memory its pointer
+    is in: a HOST flag on a GPU pointer, or a GPU flag on a host pointer,
+    is refused at the call."""
+    sim, cluster = make_cluster(2, 1)
+    a = cluster.nodes[0]
+    src = a.runtime.host_alloc(kib(4)) if kind is BufferKind.GPU else a.gpu.alloc(kib(4))
+
+    def proc():
+        yield from a.endpoint.put(1, src.addr, 0x1000, kib(4), src_kind=kind)
+
+    with pytest.raises(ValueError, match=f"src_kind={kind.name} "):
+        sim.run_process(proc())
+
+
 def test_put_from_unknown_pointer_raises():
     sim, cluster = make_cluster(2, 1)
     a = cluster.nodes[0]

@@ -97,6 +97,17 @@ def test_l512_does_not_fit_c2050():
     assert HsgKernelModel(FERMI_2070).fits(512**3)
 
 
+@pytest.mark.parametrize("L, spec", [(256, FERMI_2050), (512, FERMI_2070)])
+def test_single_node_board_follows_the_footprint_rule(L, spec):
+    """A one-node APEnet+ run takes the 3 GB C2050 unless the lattice
+    overflows it, as L=512 does (§V.D): then the 6 GB C2070."""
+    from repro.apps.hsg.distributed import _apenet_cluster
+    from repro.sim import Simulator
+
+    cluster = _apenet_cluster(Simulator(), HsgConfig(L=L, np_=1))
+    assert cluster.nodes[0].gpu.spec is spec
+
+
 # ---------------------------------------------------------------------------
 # Performance reproduction (Table II/III headline rows)
 # ---------------------------------------------------------------------------

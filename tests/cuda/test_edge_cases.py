@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cuda import CudaCosts, CudaRuntime, CudaStream, memcpy_sync
-from repro.cuda.memcpy import classify
 from repro.gpu import FERMI_2050, GPUDevice
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
@@ -80,13 +79,6 @@ def test_stream_op_failure_propagates_to_waiter():
         return sim.now
 
     assert sim.run_process(proc2()) > 0
-
-
-def test_classify_requires_known_pointers():
-    sim, rt = build()
-    h = rt.host_alloc(64)
-    with pytest.raises(KeyError):
-        classify(rt, h.addr, 0xBAD_ADD7)
 
 
 def test_default_costs_snapshot():

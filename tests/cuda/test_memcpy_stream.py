@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cuda import (
-    CudaRuntime,
-    CudaStream,
-    MemcpyKind,
-    classify,
-    memcpy_async,
-    memcpy_sync,
-)
+from repro.cuda import CudaRuntime, CudaStream, memcpy_async, memcpy_sync
 from repro.gpu import FERMI_2050, FERMI_2070, GPUDevice, KernelLaunch
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
@@ -27,25 +20,6 @@ def build(n_gpus=1):
         plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
         rt.add_device(gpu)
     return sim, plat, rt
-
-
-# ---------------------------------------------------------------------------
-# Classification
-# ---------------------------------------------------------------------------
-
-
-def test_classify_all_kinds():
-    sim, plat, rt = build(n_gpus=2)
-    h1 = rt.host_alloc(64)
-    h2 = rt.host_alloc(64)
-    d0 = rt.device_alloc(0, 64)
-    d0b = rt.device_alloc(0, 64)
-    d1 = rt.device_alloc(1, 64)
-    assert classify(rt, h2.addr, h1.addr) is MemcpyKind.H2H
-    assert classify(rt, d0.addr, h1.addr) is MemcpyKind.H2D
-    assert classify(rt, h1.addr, d0.addr) is MemcpyKind.D2H
-    assert classify(rt, d0b.addr, d0.addr) is MemcpyKind.D2D
-    assert classify(rt, d1.addr, d0.addr) is MemcpyKind.P2P
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +73,7 @@ def test_sync_copy_moves_real_data_d2h_h2d():
 
 
 def test_d2d_same_gpu_copy():
+    """A cudaMemcpy within one GPU is refused: only D2H and H2D run."""
     sim, plat, rt = build()
     a = rt.device_alloc(0, 4096)
     b = rt.device_alloc(0, 4096)
@@ -107,8 +82,9 @@ def test_d2d_same_gpu_copy():
     def proc():
         yield from memcpy_sync(rt, b.addr, a.addr, 4096)
 
-    sim.run_process(proc())
-    assert b.data.min() == 5
+    with pytest.raises(ValueError, match="within one GPU"):
+        sim.run_process(proc())
+    assert b.data.max() == 0
 
 
 def test_p2p_copy_between_gpus():
@@ -127,6 +103,8 @@ def test_p2p_copy_between_gpus():
 
 
 def test_h2h_copy():
+    """A cudaMemcpy between two host buffers is refused: only D2H and H2D
+    run."""
     sim, plat, rt = build()
     a = rt.host_alloc(512)
     b = rt.host_alloc(512)
@@ -135,8 +113,9 @@ def test_h2h_copy():
     def proc():
         yield from memcpy_sync(rt, b.addr, a.addr, 512)
 
-    sim.run_process(proc())
-    assert b.data.min() == 3
+    with pytest.raises(ValueError, match="between two host buffers"):
+        sim.run_process(proc())
+    assert b.data.max() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +185,7 @@ def test_kernel_and_copy_overlap_on_distinct_streams():
     """The overlap pattern the paper's HSG code uses: boundary kernel on one
     stream while the bulk kernel runs on another."""
     sim, plat, rt = build()
-    gpu = rt.device(0)
+    gpu = rt.devices[0]
     s_bulk = CudaStream(sim, "bulk")
     s_bnd = CudaStream(sim, "boundary")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cuda import CudaRuntime, MemoryType
+from repro.cuda import CudaRuntime
 from repro.gpu import FERMI_2050, FERMI_2070, GPU_PAGE_SIZE, GPUDevice, gpu_base_address
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
@@ -59,29 +59,33 @@ def test_host_alloc_rejects_nonpositive():
 
 
 def test_pointer_attributes_host():
+    """An interior pointer into pinned host memory resolves to no GPU and
+    the host buffer that holds it."""
     sim, plat, rt = build()
     h = rt.host_alloc(4096)
-    attrs = rt.pointer_attributes(h.addr + 100)
-    assert attrs.memory_type is MemoryType.HOST
-    assert attrs.device_index is None
-    assert attrs.buffer_base == h.addr
-    assert not attrs.is_device
+    gpu, buf = rt.locate(h.addr + 100)
+    assert gpu is None
+    assert buf is h
+    assert buf.addr == h.addr
 
 
 def test_pointer_attributes_device():
+    """An interior pointer into device memory resolves to its GPU and the
+    device buffer that holds it."""
     sim, plat, rt = build(n_gpus=2)
     d = rt.device_alloc(1, 8192)
-    attrs = rt.pointer_attributes(d.addr + 8000)
-    assert attrs.is_device
-    assert attrs.device_index == 1
-    assert attrs.device_name == "gpu1"
-    assert attrs.buffer_size == 8192
+    gpu, buf = rt.locate(d.addr + 8000)
+    assert gpu is rt.devices[1]
+    assert gpu.index == 1
+    assert gpu.name == "gpu1"
+    assert buf is d
+    assert buf.size == 8192
 
 
 def test_unknown_pointer_raises():
     sim, plat, rt = build()
     with pytest.raises(KeyError):
-        rt.pointer_attributes(0x7777_7777_7777)
+        rt.locate(0x7777_7777_7777)
 
 
 def test_pointer_query_charges_host_time():
@@ -90,11 +94,11 @@ def test_pointer_query_charges_host_time():
 
     def proc():
         t0 = sim.now
-        attrs = yield from rt.pointer_get_attributes(d.addr)
-        return attrs, sim.now - t0
+        gpu, buf = yield from rt.pointer_get_attributes(d.addr)
+        return gpu, buf, sim.now - t0
 
-    attrs, elapsed = sim.run_process(proc())
-    assert attrs.is_device
+    gpu, buf, elapsed = sim.run_process(proc())
+    assert gpu is rt.devices[0] and buf is d
     assert elapsed == pytest.approx(rt.costs.attribute_query_cost)
 
 

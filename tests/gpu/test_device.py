@@ -59,7 +59,6 @@ def test_peer_write_lands_in_buffer_with_data():
 
     sim.run_process(proc())
     np.testing.assert_array_equal(buf.data, payload)
-    assert gpu.inbound_write_bytes == 8192
 
 
 def test_mailbox_read_protocol_pushes_data_back():
@@ -158,17 +157,28 @@ def test_bar1_fermi_read_is_slow_kepler_fast():
     assert kepler / fermi > 8
 
 
-def test_bar1_write_reaches_device_buffer():
+def test_bar1_window_is_read_only():
+    """Peers write GPU memory with P2P posted writes; a write into a BAR1
+    mapping is refused where the fabric asks the GPU how to absorb it."""
     sim, plat, gpu, nic = build()
     buf = gpu.alloc(4096)
     mapping = gpu.bar1.map(buf)
-    payload = np.full(100, 42, dtype=np.uint8)
+    with pytest.raises(PermissionError, match="read-only"):
+        gpu.describe_write(mapping.bar1_addr + 50)
+    with pytest.raises(PermissionError, match="read-only"):
+        plat.fabric.write(nic, mapping.bar1_addr + 50, 100)
+    assert buf.read_bytes(buf.addr, 4096) is None
 
-    def proc():
-        yield plat.fabric.write(nic, mapping.bar1_addr + 50, 100, payload=payload)
 
-    sim.run_process(proc())
-    np.testing.assert_array_equal(buf.data[50:150], payload)
+def test_plain_read_of_global_memory_is_refused():
+    """A plain PCIe read of global memory is refused: the paper's
+    initiators read it with the mailbox protocol (or through BAR1)."""
+    sim, plat, gpu, nic = build()
+    buf = gpu.alloc(4096)
+    with pytest.raises(PermissionError, match="mailbox protocol"):
+        gpu.describe_read(buf.addr)
+    with pytest.raises(PermissionError, match="mailbox protocol"):
+        plat.fabric.read(nic, buf.addr, 256)
 
 
 def test_mailbox_window_is_write_only():

@@ -42,7 +42,7 @@ def test_mark_dead_is_idempotent():
     mgr.mark_dead((0, 0, 0), 0, 1, site="l", elapsed_ns=7.0, kind="kill")
     assert mgr.is_dead((0, 0, 0), 0, 1)
     assert len(mgr.stats.link_deaths) == 1
-    assert mgr.stats.time_to_detect.n == 1
+    assert mgr.stats.link_deaths[0]["elapsed_ns"] == 7.0
     # Marking the same directed link again is a no-op.
     mgr.mark_dead((0, 0, 0), 0, 1, site="l", kind="kill")
     assert len(mgr.stats.link_deaths) == 1
