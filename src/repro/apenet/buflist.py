@@ -34,7 +34,6 @@ class RegisteredBuffer:
     vaddr: int
     nbytes: int
     kind: BufferKind
-    gpu_index: int = 0  # which GPU (for GPU buffers)
 
     @property
     def end(self) -> int:

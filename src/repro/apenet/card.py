@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..gpu.bar1 import Bar1Mapping
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPU_PAGE_SIZE
 from ..net.topology import Coord, RouteTable
@@ -50,24 +49,27 @@ class ApenetCard(PCIeDevice):
         name: str,
         coord: Coord,
         routes: RouteTable,
+        gpu: GPUDevice,
         config: ApenetConfig = DEFAULT_CONFIG,
-        base: int = CARD_BASE_ADDRESS,
     ):
         super().__init__(sim, name)
         self.config = config
         self.coord = coord
         self.shape = routes.shape
-        self.regs_window = self.add_window(base, _REGS_SIZE, "regs")
-        self.gpu_data_window = self.add_window(base + _REGS_SIZE, _GPU_DATA_SIZE, "gpu-data")
+        self.regs_window = self.add_window(CARD_BASE_ADDRESS, _REGS_SIZE, "regs")
+        self.gpu_data_window = self.add_window(
+            CARD_BASE_ADDRESS + _REGS_SIZE, _GPU_DATA_SIZE, "gpu-data"
+        )
 
         self.nios = NiosII(sim, f"{name}.nios")
         self.buflist = BufList(f"{name}.buflist")
         self.host_v2p = PageMap(HOST_PAGE_SIZE)
-        self.gpus: list[GPUDevice] = []
-        self.gpu_v2p: list[PageMap] = []  # one table per entry of ``gpus``
-        # BAR1-TX extension: registered GPU buffers' BAR1 mappings,
+        # The node's GPU, which GPU_P2P_TX reads, and its V2P table.
+        self.gpu = gpu
+        self.gpu_v2p = PageMap(GPU_PAGE_SIZE)
+        # BAR1-TX extension: registered GPU buffers' BAR1 addresses,
         # keyed by buffer base address (see config.gpu_tx_method).
-        self.bar1_tx_maps: dict[int, Bar1Mapping] = {}
+        self.bar1_tx_maps: dict[int, int] = {}
         self.endpoint = None  # set by ApenetEndpoint
 
         self.rx = RxEngine(sim, self)
@@ -83,12 +85,6 @@ class ApenetCard(PCIeDevice):
     # ------------------------------------------------------------------
     # Composition
     # ------------------------------------------------------------------
-
-    def register_gpu(self, gpu: GPUDevice) -> int:
-        """Tell the card about a GPU on this node; returns its index."""
-        self.gpus.append(gpu)
-        self.gpu_v2p.append(PageMap(GPU_PAGE_SIZE))
-        return len(self.gpus) - 1
 
     @property
     def rank(self) -> int:

@@ -48,7 +48,6 @@ class _Chunk:
     """
 
     job: TxJob
-    seq: int
     offset: int
     nbytes: int
     last: bool
@@ -77,11 +76,11 @@ class GpuTxEngine:
 
     def _loop(self):
         cfg = self.card.config
+        mailbox = self.card.gpu.mailbox_window.base
         while True:
             job: TxJob = yield self.jobs.get()
-            gpu = self.card.gpus[job.gpu_index]
             if cfg.gpu_tx_method == "bar1":
-                yield from self._run_job_bar1(job, gpu)
+                yield from self._run_job_bar1(job)
                 continue
             obs = self.sim._obs
             span = None
@@ -132,7 +131,7 @@ class GpuTxEngine:
                     if last or cfg.gpu_tx_version != GpuTxVersion.V3
                     else None
                 )
-                chunk = _Chunk(job, i, offset, nbytes, last, injected)
+                chunk = _Chunk(job, offset, nbytes, last, injected)
                 self.pending.append(chunk)
                 batch_tail = chunk
                 req = P2PReadRequest(
@@ -141,10 +140,7 @@ class GpuTxEngine:
                     reply_addr=self.card.gpu_data_window.base,
                 )
                 self.card.fabric.write(
-                    self.card,
-                    gpu.mailbox_window.base,
-                    REQUEST_DESCRIPTOR_BYTES,
-                    payload=req,
+                    self.card, mailbox, REQUEST_DESCRIPTOR_BYTES, payload=req
                 )
                 if cfg.gpu_tx_version == GpuTxVersion.V1:
                     # Software engine: strictly one request in flight.
@@ -170,18 +166,18 @@ class GpuTxEngine:
     # the P2P rate with far simpler hardware.
     # ------------------------------------------------------------------
 
-    def _run_job_bar1(self, job: TxJob, gpu):
+    def _run_job_bar1(self, job: TxJob):
         from .tx import windowed_read_tx
 
         cfg = self.card.config
         yield from self.card.nios.run(cfg.gpu_tx_msg_overhead, "gpu_tx")
-        mapping = self.card.bar1_tx_maps.get(job.src_buf.addr)
-        if mapping is None:
+        bar1_addr = self.card.bar1_tx_maps.get(job.src_buf.addr)
+        if bar1_addr is None:
             raise KeyError(
                 f"{self.card.name}: BAR1 TX needs a registered mapping for "
                 f"0x{job.src_addr:x}"
             )
-        bar1_base = mapping.bar1_addr + (job.src_addr - job.src_buf.addr)
+        bar1_base = bar1_addr + (job.src_addr - job.src_buf.addr)
         # Same continuous-window transmit core as the host path, but the
         # reads target the BAR1 aperture: the GPU's BAR1 behaviour (rate
         # and latency; catastrophic on Fermi, fine on Kepler) throttles.
@@ -218,8 +214,6 @@ class GpuTxEngine:
             dst_addr=chunk.job.message.dst_addr + chunk.offset,
             nbytes=chunk.nbytes,
             message=chunk.job.message,
-            seq=chunk.seq,
-            is_last=chunk.last,
             data=data,
         )
         yield self.card.router.inject(pkt)

@@ -43,7 +43,6 @@ class TxJob:
     local_done: Event
     src_buf: MemoryBuffer = field(repr=False)
     packets: list[tuple[int, int]] = field(default_factory=list)
-    gpu_index: int = 0  # source GPU (for GPU-kind jobs)
 
     def __post_init__(self):
         if not self.packets:

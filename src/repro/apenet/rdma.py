@@ -93,9 +93,15 @@ class ApenetEndpoint:
     def register(self, addr: int, nbytes: int):
         """Generator: pin + register a buffer for RDMA (host or GPU)."""
         gpu, buf = self.runtime.locate(addr)
+        if nbytes <= 0:
+            raise ValueError("registration needs a positive size")
+        if not buf.contains(addr, nbytes):
+            # BUF_LIST would admit PUTs into memory nothing allocated.
+            raise ValueError(
+                f"registration of {nbytes} bytes at 0x{addr:x} overruns its buffer"
+            )
         if gpu is not None:
-            card_index = self._card_gpu_index(gpu)
-            pages = self.card.gpu_v2p[card_index].map_range(buf.addr, buf.size)
+            pages = self.card.gpu_v2p.map_range(buf.addr, buf.size)
             cost = _REGISTER_BASE_COST + pages * _REGISTER_GPU_PAGE_COST
             if (
                 self.card.config.gpu_tx_method == "bar1"
@@ -104,10 +110,9 @@ class ApenetEndpoint:
                 # BAR1-TX extension: expose the buffer through the BAR1
                 # aperture — "an expensive operation, which requires a
                 # full reconfiguration of the GPU".
-                mapping = gpu.bar1.map(buf)
-                self.card.bar1_tx_maps[buf.addr] = mapping
+                self.card.bar1_tx_maps[buf.addr] = gpu.bar1.map(buf)
                 cost += gpu.spec.bar1_map_cost
-            entry = RegisteredBuffer(addr, nbytes, BufferKind.GPU, gpu_index=card_index)
+            entry = RegisteredBuffer(addr, nbytes, BufferKind.GPU)
         else:
             pages = self.card.host_v2p.map_range(addr, nbytes)
             cost = _REGISTER_BASE_COST + pages * _REGISTER_HOST_PAGE_COST
@@ -115,12 +120,6 @@ class ApenetEndpoint:
         self.card.buflist.register(entry)
         yield self.sim.timeout(cost)
         return entry
-
-    def _card_gpu_index(self, gpu) -> int:
-        for i, g in enumerate(self.card.gpus):
-            if g is gpu:
-                return i
-        raise ValueError(f"{gpu.name} is not attached to {self.card.name}")
 
     # ------------------------------------------------------------------
     # PUT
@@ -172,18 +171,14 @@ class ApenetEndpoint:
         if not src_buf.contains(local_addr, nbytes):
             # The TX engines read the source buffer: fail here, not there.
             raise ValueError(f"PUT of {nbytes} bytes overruns its source buffer")
-        gpu_index = 0
-        if gpu is not None:
-            gpu_index = self._card_gpu_index(gpu)
-            # "the buffer mapping is automatically done, if necessary".
-            if not self.card.gpu_v2p[gpu_index].is_mapped(local_addr):
-                yield from self.register(local_addr, nbytes)
+        # "the buffer mapping is automatically done, if necessary".
+        if gpu is not None and not self.card.gpu_v2p.is_mapped(local_addr):
+            yield from self.register(local_addr, nbytes)
 
         msg = MessageInfo(
             msg_id=next_message_id(),
             total_bytes=nbytes,
             src_rank=self.rank,
-            dst_rank=dst_rank,
             dst_addr=remote_addr,
             tag=tag,
         )
@@ -195,7 +190,6 @@ class ApenetEndpoint:
             src_coord=self.coord,
             local_done=Event(self.sim),
             src_buf=src_buf,
-            gpu_index=gpu_index,
         )
         if bounce is not None:
             self._bounce.append((bounce, job.local_done))

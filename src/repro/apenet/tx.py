@@ -65,8 +65,7 @@ def windowed_read_tx(
                 w.succeed()
 
     def packetizer():
-        n = len(job.packets)
-        for i, (offset, nbytes) in enumerate(job.packets):
+        for offset, nbytes in job.packets:
             yield staging.get(nbytes)
             data = job.src_buf.read_bytes(job.src_addr + offset, nbytes)
             pkt = ApePacket(
@@ -75,8 +74,6 @@ def windowed_read_tx(
                 dst_addr=job.message.dst_addr + offset,
                 nbytes=nbytes,
                 message=job.message,
-                seq=i,
-                is_last=(i == n - 1),
                 data=data,
             )
             yield card.router.inject(pkt)

@@ -3,8 +3,8 @@
 One :class:`PageMap` per table (§IV):
 
 * the host V2P table — host pages are 4 KB (``card.host_v2p``);
-* one GPU V2P table per GPU on the bus — 64 KB pages, the unit of the
-  GPUDirect P2P page descriptors (``card.gpu_v2p[i]``).
+* the GPU V2P table of the node's one GPU — 64 KB pages, the unit of
+  the GPUDirect P2P page descriptors (``card.gpu_v2p``).
 
 Registering a buffer installs the pages it covers and pays per newly
 installed page.  The firmware's 4-level walk has "constant traversal

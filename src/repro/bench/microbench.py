@@ -151,14 +151,12 @@ def bar1_read_bandwidth(gpu_spec) -> BandwidthResult:
     sim, cluster = make_cluster(1, 1, gpu_spec=gpu_spec, use_plx=True)
     node = cluster.nodes[0]
     buf = node.gpu.alloc(nbytes)
-    mapping = node.gpu.bar1.map(buf)
+    bar1_addr = node.gpu.bar1.map(buf)
 
     def proc():
         yield sim.timeout(node.gpu.spec.bar1_map_cost)  # mapping reconfig
         t0 = sim.now
-        yield node.platform.fabric.read_pipelined(
-            node.card, mapping.bar1_addr, nbytes, outstanding=8
-        )
+        yield node.platform.fabric.read_pipelined(node.card, bar1_addr, nbytes, outstanding=8)
         return nbytes / (sim.now - t0)
 
     bw = sim.run_process(proc())

@@ -37,6 +37,9 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Proc
         raise ValueError("memcpy needs a positive size")
     dst_gpu, dst_buf = rt.locate(dst)
     src_gpu, src_buf = rt.locate(src)
+    if not (src_buf.contains(src, nbytes) and dst_buf.contains(dst, nbytes)):
+        # The completion copies between the buffers: fail here, not there.
+        raise ValueError(f"memcpy of {nbytes} bytes overruns its source or destination")
     if dst_gpu is None and src_gpu is not None:
         done = src_gpu.dma.device_to_host(dst, nbytes)
     elif src_gpu is None and dst_gpu is not None:
@@ -44,9 +47,9 @@ def memcpy_device_work(rt: CudaRuntime, dst: int, src: int, nbytes: int) -> Proc
     else:
         raise ValueError(
             "cudaMemcpy models the staging directions D2H and H2D only: a "
-            "copy between two GPUs, within one GPU or between two host "
-            "buffers is not modelled (the paper's GPU peer-to-peer traffic "
-            "goes through the APEnet+ card)"
+            "copy within one GPU or between two host buffers is not "
+            "modelled (the paper's GPU peer-to-peer traffic goes through "
+            "the APEnet+ card)"
         )
     done.callbacks.append(
         lambda _ev: dst_buf.write_bytes(dst, src_buf.read_bytes(src, nbytes))

@@ -2,7 +2,7 @@
 
 One :class:`CudaRuntime` per host (node).  It owns:
 
-* the node's GPUs (``add_device``),
+* the node's one GPU (``gpu``),
 * pinned host buffers, from the host memory's
   :class:`~repro.pcie.device.BufferHeap` (``host_alloc``, ``host_heap``),
 * the one UVA lookup: :meth:`locate` resolves any pointer to its GPU
@@ -33,31 +33,23 @@ __all__ = ["CudaRuntime"]
 
 
 class CudaRuntime:
-    """Host-side CUDA runtime for one node."""
+    """Host-side CUDA runtime for one node and its GPU."""
 
     def __init__(
         self,
         sim: Simulator,
         platform: Platform,
+        gpu: GPUDevice,
         costs: CudaCosts = DEFAULT_COSTS,
         name: str = "cuda",
     ):
         self.sim = sim
         self.platform = platform
+        self.gpu = gpu
         self.costs = costs
         self.name = name
-        self.devices: list[GPUDevice] = []
         # Pinned buffers; inbound DMA writes (NIC RX, GPU pushes) land in them.
         self.host_heap = platform.host_memory.heap
-
-    # ------------------------------------------------------------------
-    # Device management
-    # ------------------------------------------------------------------
-
-    def add_device(self, gpu: GPUDevice) -> int:
-        """Register *gpu* with this runtime; returns its device index."""
-        self.devices.append(gpu)
-        return len(self.devices) - 1
 
     # ------------------------------------------------------------------
     # Allocation (setup-time, no simulated cost)
@@ -67,10 +59,6 @@ class CudaRuntime:
         """Allocate a pinned host buffer (cudaMallocHost equivalent)."""
         return self.host_heap.alloc(nbytes)
 
-    def device_alloc(self, device_index: int, nbytes: int):
-        """Allocate device memory (cudaMalloc equivalent)."""
-        return self.devices[device_index].alloc(nbytes)
-
     # ------------------------------------------------------------------
     # UVA pointer resolution
     # ------------------------------------------------------------------
@@ -78,9 +66,9 @@ class CudaRuntime:
     def locate(self, addr: int) -> tuple[Optional[GPUDevice], MemoryBuffer]:
         """Resolve a UVA pointer to ``(gpu, buffer)``, with ``gpu`` ``None``
         for pinned host memory (no simulated cost — internal use)."""
-        for gpu in self.devices:
-            if gpu.gmem_window.contains(addr):
-                return gpu, gpu.heap.buffer_at(addr)
+        gpu = self.gpu
+        if gpu.gmem_window.contains(addr):
+            return gpu, gpu.heap.buffer_at(addr)
         try:
             return None, self.host_heap.buffer_at(addr)
         except KeyError:

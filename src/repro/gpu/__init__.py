@@ -4,8 +4,8 @@ A GPU's global memory and its BAR1 windows are each one
 :class:`~repro.pcie.device.BufferHeap` of 64 KB pages.
 """
 
-from .bar1 import Bar1Aperture, Bar1Error, Bar1Mapping
-from .device import GPUDevice, gpu_base_address
+from .bar1 import Bar1Aperture, Bar1Error
+from .device import GPUDevice
 from .dma import DmaEngine
 from .kernels import KERNEL_LAUNCH_OVERHEAD, ComputeEngine, KernelLaunch
 from .p2p import GPU_READ_CHUNK, REQUEST_DESCRIPTOR_BYTES, P2PReadEngine, P2PReadRequest
@@ -21,7 +21,6 @@ from .specs import (
 
 __all__ = [
     "GPUDevice",
-    "gpu_base_address",
     "GPUSpec",
     "FERMI_2050",
     "FERMI_2070",
@@ -34,7 +33,6 @@ __all__ = [
     "GPU_READ_CHUNK",
     "REQUEST_DESCRIPTOR_BYTES",
     "Bar1Aperture",
-    "Bar1Mapping",
     "Bar1Error",
     "DmaEngine",
     "ComputeEngine",

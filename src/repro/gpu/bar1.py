@@ -21,25 +21,14 @@ bytes come from the mapped buffer its transfer names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..pcie.device import BufferHeap, MemoryBuffer, OutOfMemoryError
 from .specs import GPU_PAGE_SIZE
 
-__all__ = ["Bar1Mapping", "Bar1Aperture", "Bar1Error"]
+__all__ = ["Bar1Aperture", "Bar1Error"]
 
 
 class Bar1Error(RuntimeError):
     """BAR1 aperture misuse or exhaustion."""
-
-
-@dataclass
-class Bar1Mapping:
-    """An active window: BAR1 addresses <-> one device buffer."""
-
-    bar1_addr: int
-    buffer: MemoryBuffer
-    size: int
 
 
 class Bar1Aperture:
@@ -48,8 +37,9 @@ class Bar1Aperture:
     def __init__(self, base: int, size: int, gpu_name: str):
         self._windows = BufferHeap(base, size, GPU_PAGE_SIZE, f"{gpu_name}.bar1")
 
-    def map(self, buf: MemoryBuffer) -> Bar1Mapping:
-        """Map *buf* into the aperture (the caller charges the time)."""
+    def map(self, buf: MemoryBuffer) -> int:
+        """Map *buf* into the aperture; returns the window's BAR1 address
+        (the caller charges the time)."""
         try:
             window = self._windows.alloc(buf.size)
         except OutOfMemoryError as exc:
@@ -57,4 +47,4 @@ class Bar1Aperture:
                 f"BAR1 aperture exhausted: {exc} — "
                 "BAR1 is a scarce resource (32-bit BIOS limit)"
             ) from exc
-        return Bar1Mapping(window.addr, buf, buf.size)
+        return window.addr

@@ -1,8 +1,9 @@
 """The GPU as a PCIe device: memory windows, protocol engines, DMA.
 
 GPU memory is reached the ways the paper reaches it (§III.A, §IV), and
-only those.  Address layout (one contiguous region per GPU, assigned by
-the platform):
+only those.  Every node holds one GPU on its own PCIe fabric, as in the
+paper's clusters, so one fixed base places it.  Address layout (one
+contiguous region from that base):
 
 * ``[base, base+vram)`` — device global memory.  Peers write into it
   with GPUDirect P2P posted writes, which land directly in buffers; it is
@@ -22,7 +23,7 @@ in both staging directions.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -34,40 +35,25 @@ from .kernels import ComputeEngine
 from .p2p import P2PReadEngine, P2PReadRequest
 from .specs import GPU_PAGE_SIZE, GPUSpec
 
-__all__ = ["GPUDevice", "gpu_base_address"]
+__all__ = ["GPUDevice"]
 
-# 64 GiB of address space per GPU keeps windows comfortably apart.
-_GPU_REGION_STRIDE = 1 << 36
-_GPU_REGION_BASE = 0x200_0000_0000
-
-
-def gpu_base_address(index: int) -> int:
-    """Canonical fabric base address for GPU number *index*."""
-    return _GPU_REGION_BASE + index * _GPU_REGION_STRIDE
+# The fabric address of a node's one GPU.
+_GPU_BASE = 0x200_0000_0000
 
 
 class GPUDevice(PCIeDevice):
     """One NVIDIA GPU on the fabric."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        spec: GPUSpec,
-        base: Optional[int] = None,
-        index: int = 0,
-    ):
+    def __init__(self, sim: Simulator, name: str, spec: GPUSpec):
         super().__init__(sim, name)
         self.spec = spec
-        self.index = index
-        base = gpu_base_address(index) if base is None else base
-        self.gmem_window = self.add_window(base, spec.vram, "gmem")
-        bar1_base = base + ((spec.vram + GPU_PAGE_SIZE) // GPU_PAGE_SIZE) * GPU_PAGE_SIZE
+        self.gmem_window = self.add_window(_GPU_BASE, spec.vram, "gmem")
+        bar1_base = _GPU_BASE + ((spec.vram + GPU_PAGE_SIZE) // GPU_PAGE_SIZE) * GPU_PAGE_SIZE
         self.bar1_window = self.add_window(bar1_base, spec.bar1_size, "bar1")
         mailbox_base = bar1_base + spec.bar1_size
         self.mailbox_window = self.add_window(mailbox_base, GPU_PAGE_SIZE, "mailbox")
 
-        self.heap = BufferHeap(base, spec.vram, GPU_PAGE_SIZE, name)
+        self.heap = BufferHeap(_GPU_BASE, spec.vram, GPU_PAGE_SIZE, name)
         self.bar1 = Bar1Aperture(bar1_base, spec.bar1_size, name)
 
         self.p2p_engine = P2PReadEngine(sim, self)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..pcie.device import PCIeDevice, ReadBehavior, WriteBehavior
 from ..sim import Channel, Process, Simulator
-from ..units import GBps, KiB, us
+from ..units import KiB, us
 from .fabric import IBFabric, IBPort
 
 __all__ = ["IBCard", "IBMessage"]
@@ -38,18 +38,12 @@ _CARD_BASE = 0x500_0000_0000
 
 @dataclass
 class IBMessage:
-    """One wire message: RDMA-write to ``dst_addr`` at the target node."""
+    """One wire quantum: RDMA-write to ``dst_addr`` at the target node."""
 
-    src_lid: int
-    dst_lid: int
     dst_addr: int
     nbytes: int
     meta: Any = None
     data: Optional[np.ndarray] = field(default=None, repr=False)
-    # Fragmentation bookkeeping for multi-quantum sends.
-    seq: int = 0
-    is_last: bool = True
-    offset: int = 0
     wire_id: int = 0  # groups the quanta of one rdma_write
     total_bytes: int = 0  # whole-message size
 
@@ -62,20 +56,15 @@ class IBCard(PCIeDevice):
         sim: Simulator,
         name: str,
         ib_fabric: IBFabric,
-        pcie_read_rate: Optional[float] = None,
-        base: int = _CARD_BASE,
+        pcie_read_rate: float,
     ):
         super().__init__(sim, name)
-        self.regs_window = self.add_window(base, 64 * KiB, "regs")
+        self.regs_window = self.add_window(_CARD_BASE, 64 * KiB, "regs")
         self.ib = ib_fabric
         self.port: IBPort = ib_fabric.attach(self._on_wire_arrival)
-        # DMA-read ceiling; defaults by slot width are set by the cluster
-        # builder (x8 ≈ 3.2 GB/s, x4 ≈ 1.55 GB/s effective).
-        self.read_limiter = Channel(
-            sim,
-            pcie_read_rate if pcie_read_rate is not None else GBps(3.2),
-            name=f"{name}.rd",
-        )
+        # DMA-read ceiling, which the cluster builder sets by slot width
+        # (x8 ≈ 3.2 GB/s, x4 ≈ 1.55 GB/s effective).
+        self.read_limiter = Channel(sim, pcie_read_rate, name=f"{name}.rd")
         # Called with (IBMessage) when a full message has landed in host
         # memory; the MPI progress engine registers here.
         self.on_receive: Optional[Callable[[IBMessage], None]] = None
@@ -130,7 +119,6 @@ class IBCard(PCIeDevice):
         src_buf = self.fabric.resolve(src_addr).heap.buffer_at(src_addr)
         # Stream the message in quanta: DMA read and wire overlap.
         off = 0
-        seq = 0
         wire_id = next(self._wire_ids)
         while off < nbytes:
             csize = min(_SEND_QUANTUM, nbytes - off)
@@ -141,23 +129,17 @@ class IBCard(PCIeDevice):
             )
             yield self.sim.all_of([rate_ev, read_ev])
             msg = IBMessage(
-                src_lid=self.lid,
-                dst_lid=dst_lid,
                 dst_addr=dst_addr + off,
                 nbytes=csize,
                 meta=meta,
                 # The quantum was DMA-read just now; the source buffer may
                 # legitimately be reused before wire delivery.
                 data=src_buf.read_bytes(src_addr + off, csize),
-                seq=seq,
-                is_last=(off + csize >= nbytes),
-                offset=off,
                 wire_id=wire_id,
                 total_bytes=nbytes,
             )
             self.ib.send(self.lid, dst_lid, csize, msg)
             off += csize
-            seq += 1
         # Local completion: last quantum handed to the wire.
         return nbytes
 

@@ -5,6 +5,10 @@
   notes for its own IB numbers.
 * Cluster II (``pcie_lanes=8``): 12 Westmere nodes, two M2075 per node,
   ConnectX-2 on x8 — where the MVAPICH2/OSU reference numbers come from.
+
+Every node holds one M2075, as every APEnet+ node holds one GPU: a run
+that models Cluster II's two GPUs per node gives each its own rank and
+HCA share (the BFS app's x4 slot).
 """
 
 from __future__ import annotations
@@ -31,13 +35,8 @@ class IBClusterNode:
     rank: int
     platform: Platform
     runtime: CudaRuntime
-    gpus: list[GPUDevice]
+    gpu: GPUDevice
     hca: IBCard
-
-    @property
-    def gpu(self) -> GPUDevice:
-        """The node's (first) GPU."""
-        return self.gpus[0]
 
 
 @dataclass
@@ -65,7 +64,6 @@ def build_ib_cluster(
     sim: Simulator,
     n_nodes: int,
     pcie_lanes: int = 8,
-    gpus_per_node: int = 1,
 ) -> IBCluster:
     """Build *n_nodes* Westmere nodes around one IB switch."""
     if pcie_lanes not in _READ_RATE_BY_LANES:
@@ -76,13 +74,9 @@ def build_ib_cluster(
     gpu_link = LinkParams(gen=2, lanes=16)
     for rank in range(n_nodes):
         plat = westmere_platform(sim, name=f"ib{rank}")
-        runtime = CudaRuntime(sim, plat, name=f"ib{rank}.cuda")
-        gpus = []
-        for g in range(gpus_per_node):
-            gpu = GPUDevice(sim, f"ib{rank}.gpu{g}", FERMI_2075, index=g)
-            plat.attach(gpu, "gpu", gpu_link)
-            runtime.add_device(gpu)
-            gpus.append(gpu)
+        gpu = GPUDevice(sim, f"ib{rank}.gpu0", FERMI_2075)
+        plat.attach(gpu, "gpu", gpu_link)
+        runtime = CudaRuntime(sim, plat, gpu, name=f"ib{rank}.cuda")
         hca = IBCard(
             sim,
             f"ib{rank}.hca",
@@ -90,5 +84,5 @@ def build_ib_cluster(
             pcie_read_rate=_READ_RATE_BY_LANES[pcie_lanes],
         )
         plat.attach(hca, "nic", hca_link)
-        cluster.nodes.append(IBClusterNode(rank, plat, runtime, gpus, hca))
+        cluster.nodes.append(IBClusterNode(rank, plat, runtime, gpu, hca))
     return cluster

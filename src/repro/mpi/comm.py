@@ -55,7 +55,7 @@ class MpiRequest:
 
 @dataclass
 class _PostedRecv:
-    src: int  # peer rank or -1 for ANY_SOURCE
+    src: int  # peer rank
     tag: Any
     addr: int
     nbytes: int
@@ -219,7 +219,7 @@ class MpiEndpoint:
 
     @staticmethod
     def _matches(posted: _PostedRecv, env: _Envelope) -> bool:
-        return (posted.src in (-1, env.src)) and posted.tag == env.tag
+        return posted.src == env.src and posted.tag == env.tag
 
     def _find_posted(self, env: _Envelope) -> Optional[_PostedRecv]:
         for i, p in enumerate(self._posted):
@@ -285,15 +285,12 @@ class MpiEndpoint:
     # Collectives (linear implementations — cluster sizes are ≤ 12)
     # ------------------------------------------------------------------
 
-    def allreduce(self, value, op=None, tag: Any = "_allreduce"):
-        """Generator: reduce a Python value with *op* (default sum) to all.
+    def allreduce(self, value, tag: Any = "_allreduce"):
+        """Generator: sum a Python value over all ranks, result to all.
 
         Values ride the envelope tag (control-plane data, not simulated
         payload bytes beyond a small message).
         """
-        import operator
-
-        op = op or operator.add
         n = len(self.world.cluster)
         if n == 1:
             return value
@@ -302,7 +299,7 @@ class MpiEndpoint:
             acc = value
             for src in range(1, n):
                 yield from self.recv(src, scratch, 8, tag=(tag, "v", src))
-                acc = op(acc, self.world._collect_box.pop((tag, src)))
+                acc = acc + self.world._collect_box.pop((tag, src))
             for dst in range(1, n):
                 self.world._collect_box[(tag, "r", dst)] = acc
                 yield from self.send(dst, scratch, 8, tag=(tag, "res", dst))
@@ -336,8 +333,3 @@ class MpiWorld:
     def scratch(self, rank: int) -> int:
         """A small host scratch address on *rank* (control-message plumbing)."""
         return self._scratch[rank]
-
-    @property
-    def size(self) -> int:
-        """Number of ranks."""
-        return len(self._endpoints)

@@ -53,7 +53,8 @@ class _VbufPool:
 
 
 class GpuProtocol:
-    """Base staging protocol bound to one MPI endpoint."""
+    """Base staging protocol bound to one MPI endpoint; its constants are
+    MVAPICH2's."""
 
     #: above this, messages go through the chunked pipeline
     pipeline_threshold = 32 * KiB
@@ -163,11 +164,7 @@ class GpuProtocol:
 
 
 class MVAPICH2Protocol(GpuProtocol):
-    """MVAPICH2 1.9a2 constants (the paper's IB reference stack)."""
-
-    pipeline_threshold = 32 * KiB
-    chunk_size = 256 * KiB
-    protocol_overhead = us(1.0)
+    """MVAPICH2 1.9a2 (the paper's IB reference stack): the base constants."""
 
 
 class OpenMPIProtocol(GpuProtocol):

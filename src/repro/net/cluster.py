@@ -51,14 +51,9 @@ class ClusterNode:
     coord: Coord
     platform: Platform
     runtime: CudaRuntime
-    gpus: list[GPUDevice]
+    gpu: GPUDevice
     card: ApenetCard
     endpoint: ApenetEndpoint
-
-    @property
-    def gpu(self) -> GPUDevice:
-        """The node's (first) GPU."""
-        return self.gpus[0]
 
 
 @dataclass
@@ -91,7 +86,6 @@ def build_apenet_cluster(
     shape: TorusShape,
     config: "ApenetConfig" = None,
     gpu_specs: Optional[list[GPUSpec]] = None,
-    gpus_per_node: int = 1,
     use_plx: bool = False,
     cuda_costs=None,
     faults: "FaultPlan | FaultInjector | None" = None,
@@ -167,24 +161,16 @@ def build_apenet_cluster(
     for rank, coord in enumerate(shape.coords()):
         builder = plx_platform if use_plx else westmere_platform
         plat = builder(sim, name=f"n{rank}")
+        gpu = GPUDevice(sim, f"n{rank}.gpu0", gpu_specs[rank])
+        plat.attach(gpu, "gpu", gpu_link)
         if cuda_costs is not None:
-            runtime = CudaRuntime(sim, plat, costs=cuda_costs, name=f"n{rank}.cuda")
+            runtime = CudaRuntime(sim, plat, gpu, costs=cuda_costs, name=f"n{rank}.cuda")
         else:
-            runtime = CudaRuntime(sim, plat, name=f"n{rank}.cuda")
-        gpus = []
-        for g in range(gpus_per_node):
-            gpu = GPUDevice(sim, f"n{rank}.gpu{g}", gpu_specs[rank], index=g)
-            plat.attach(gpu, "gpu", gpu_link)
-            runtime.add_device(gpu)
-            gpus.append(gpu)
-        card = ApenetCard(sim, f"n{rank}.ape", coord, routes, config)
+            runtime = CudaRuntime(sim, plat, gpu, name=f"n{rank}.cuda")
+        card = ApenetCard(sim, f"n{rank}.ape", coord, routes, gpu, config)
         plat.attach(card, "nic", card_link)
-        for gpu in gpus:
-            card.register_gpu(gpu)
         endpoint = ApenetEndpoint(card, runtime)
-        cluster.nodes.append(
-            ClusterNode(rank, coord, plat, runtime, gpus, card, endpoint)
-        )
+        cluster.nodes.append(ClusterNode(rank, coord, plat, runtime, gpu, card, endpoint))
 
     # Enable cross-endpoint operations (RDMA GET needs the peer table).
     endpoints = [n.endpoint for n in cluster.nodes]

@@ -40,7 +40,6 @@ class MessageInfo:
     msg_id: int
     total_bytes: int
     src_rank: int
-    dst_rank: int
     dst_addr: int
     tag: Any = None
 
@@ -54,8 +53,6 @@ class ApePacket:
     dst_addr: int  # 64-bit destination virtual address of THIS fragment
     nbytes: int  # payload bytes in this fragment
     message: MessageInfo
-    seq: int = 0
-    is_last: bool = False
     data: Optional[Any] = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -32,6 +32,17 @@ def test_cluster_composition():
     assert len(cluster.links) == 32
 
 
+def test_node_gpu_is_the_one_its_runtime_and_card_hold():
+    """One GPU per node, as in the paper's clusters: the runtime resolves
+    device pointers to it and the card's GPU_P2P_TX reads it."""
+    sim, cluster = build()
+    for node in cluster.nodes:
+        assert node.gpu is node.runtime.gpu is node.card.gpu
+        buf = node.gpu.alloc(kib(4))
+        assert node.runtime.locate(buf.addr) == (node.gpu, buf)
+    assert cluster.nodes[0].gpu is not cluster.nodes[1].gpu
+
+
 def test_host_to_host_put_delivers_data():
     sim, cluster = build()
     n0, n1 = cluster.nodes
@@ -225,7 +236,7 @@ def test_gpu_source_auto_registers_mapping():
 
     def proc():
         yield from n1.endpoint.register(dst.addr, kib(8))
-        assert not n0.card.gpu_v2p[0].is_mapped(src.addr)
+        assert not n0.card.gpu_v2p.is_mapped(src.addr)
         done = yield from n0.endpoint.put(
             1, src.addr, dst.addr, kib(8), src_kind=BufferKind.GPU
         )
@@ -234,7 +245,7 @@ def test_gpu_source_auto_registers_mapping():
 
     sim.run_process(proc())
     # "the buffer mapping is automatically done, if necessary" (§IV.A)
-    assert n0.card.gpu_v2p[0].is_mapped(src.addr)
+    assert n0.card.gpu_v2p.is_mapped(src.addr)
 
 
 def test_registration_charges_newly_mapped_pages():
@@ -272,6 +283,28 @@ def test_registration_charges_newly_mapped_pages():
         gpu_cost,
         _REGISTER_BASE_COST,
     ])
+
+
+@pytest.mark.parametrize("kind", ["gpu", "host"])
+@pytest.mark.parametrize(
+    "nbytes, match", [(mib(1), "overruns its buffer"), (0, "positive size")]
+)
+def test_registration_outside_its_buffer_is_refused(kind, nbytes, match):
+    """BUF_LIST admits only registered memory: a registration that runs
+    past the end of the buffer at its address, or covers no byte of it,
+    raises at the call, and nothing is registered."""
+    sim, cluster = build()
+    node = cluster.nodes[1]
+    buf = node.gpu.alloc(kib(4)) if kind == "gpu" else node.runtime.host_alloc(kib(4))
+    entries = len(node.card.buflist)
+
+    def proc():
+        yield from node.endpoint.register(buf.addr, nbytes)
+
+    with pytest.raises(ValueError, match=match):
+        sim.run_process(proc())
+    assert len(node.card.buflist) == entries
+    assert not node.card.gpu_v2p.is_mapped(buf.addr)
 
 
 def test_large_transfer_conservation():

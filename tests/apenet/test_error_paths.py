@@ -79,7 +79,7 @@ def test_gpu_tx_response_size_mismatch_detected():
     from repro.sim import Event
 
     card.gpu_tx.pending.append(
-        _Chunk(job=None, seq=0, offset=0, nbytes=4096, last=True, injected=Event(sim))
+        _Chunk(job=None, offset=0, nbytes=4096, last=True, injected=Event(sim))
     )
     with pytest.raises(RuntimeError, match="response size"):
         card.gpu_tx.on_response(1024, None)

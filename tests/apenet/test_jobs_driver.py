@@ -30,7 +30,7 @@ def test_fragment_message_small():
 
 
 def make_job(sim, nbytes=8192, src_buf=None):
-    msg = MessageInfo(1, nbytes, 0, 1, 0x5000)
+    msg = MessageInfo(1, nbytes, 0, 0x5000)
     if src_buf is None:
         src_buf = MemoryBuffer(0x1000, nbytes)
     return TxJob(

@@ -121,14 +121,17 @@ def test_concurrent_gets_route_to_right_waiters():
 def test_get_requires_linked_peers():
     from repro.apenet import ApenetCard, ApenetEndpoint
     from repro.cuda import CudaRuntime
+    from repro.gpu import FERMI_2050, GPUDevice
     from repro.net.topology import RouteTable, TorusShape
     from repro.pcie import plx_platform
     from repro.sim import Simulator
 
     sim = Simulator()
     plat = plx_platform(sim)
-    rt = CudaRuntime(sim, plat)
-    card = ApenetCard(sim, "solo", (0, 0, 0), RouteTable(TorusShape(1, 1, 1)))
+    gpu = GPUDevice(sim, "gpu0", FERMI_2050)
+    plat.attach(gpu, "gpu")
+    rt = CudaRuntime(sim, plat, gpu)
+    card = ApenetCard(sim, "solo", (0, 0, 0), RouteTable(TorusShape(1, 1, 1)), gpu)
     plat.attach(card, "nic")
     ep = ApenetEndpoint(card, rt)
     with pytest.raises(RuntimeError, match="link_peers"):

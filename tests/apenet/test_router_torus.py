@@ -9,9 +9,9 @@ from repro.sim import Simulator
 from repro.units import Gbps, us
 
 
-def make_packet(dst, src=(0, 0, 0), nbytes=4096, msg_id=1, seq=0, last=True):
-    msg = MessageInfo(msg_id, nbytes, 0, 0, 0x1000)
-    return ApePacket(dst, src, 0x1000, nbytes, msg, seq=seq, is_last=last)
+def make_packet(dst, src=(0, 0, 0), nbytes=4096, msg_id=1):
+    msg = MessageInfo(msg_id, nbytes, 0, 0x1000)
+    return ApePacket(dst, src, 0x1000, nbytes, msg)
 
 
 # ---------------------------------------------------------------------------

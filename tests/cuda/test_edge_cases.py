@@ -12,10 +12,9 @@ from repro.units import us
 def build(costs=None):
     sim = Simulator()
     plat = plx_platform(sim)
-    rt = CudaRuntime(sim, plat, costs=costs) if costs else CudaRuntime(sim, plat)
     gpu = GPUDevice(sim, "gpu0", FERMI_2050)
     plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
-    rt.add_device(gpu)
+    rt = CudaRuntime(sim, plat, gpu, costs=costs) if costs else CudaRuntime(sim, plat, gpu)
     return sim, rt
 
 
@@ -23,7 +22,7 @@ def test_custom_costs_respected():
     costs = CudaCosts(sync_memcpy_overhead=us(25))
     sim, rt = build(costs)
     h = rt.host_alloc(256)
-    d = rt.device_alloc(0, 256)
+    d = rt.gpu.alloc(256)
 
     def proc():
         t0 = sim.now
@@ -36,7 +35,7 @@ def test_custom_costs_respected():
 def test_memcpy_rejects_nonpositive():
     sim, rt = build()
     h = rt.host_alloc(64)
-    d = rt.device_alloc(0, 64)
+    d = rt.gpu.alloc(64)
     from repro.cuda.memcpy import memcpy_device_work
 
     with pytest.raises(ValueError):
@@ -46,7 +45,7 @@ def test_memcpy_rejects_nonpositive():
 def test_memcpy_without_materialized_data_is_timing_only():
     sim, rt = build()
     h = rt.host_alloc(4096)
-    d = rt.device_alloc(0, 4096)
+    d = rt.gpu.alloc(4096)
 
     def proc():
         yield from memcpy_sync(rt, h.addr, d.addr, 4096)

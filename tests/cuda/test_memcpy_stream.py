@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from repro.cuda import CudaRuntime, CudaStream, memcpy_async, memcpy_sync
-from repro.gpu import FERMI_2050, FERMI_2070, GPUDevice, KernelLaunch
+from repro.gpu import FERMI_2050, GPUDevice, KernelLaunch
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
 from repro.units import mib, us
 
 
-def build(n_gpus=1):
+def build():
     sim = Simulator()
     plat = plx_platform(sim)
-    rt = CudaRuntime(sim, plat)
-    for i in range(n_gpus):
-        spec = FERMI_2050 if i == 0 else FERMI_2070
-        gpu = GPUDevice(sim, f"gpu{i}", spec, index=i)
-        plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
-        rt.add_device(gpu)
-    return sim, plat, rt
+    gpu = GPUDevice(sim, "gpu0", FERMI_2050)
+    plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
+    return sim, plat, CudaRuntime(sim, plat, gpu)
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +26,7 @@ def build(n_gpus=1):
 def test_sync_small_copy_costs_ten_microseconds():
     sim, plat, rt = build()
     h = rt.host_alloc(4096)
-    d = rt.device_alloc(0, 4096)
+    d = rt.gpu.alloc(4096)
 
     def proc():
         t0 = sim.now
@@ -45,7 +41,7 @@ def test_sync_small_copy_costs_ten_microseconds():
 def test_sync_large_copy_approaches_dma_rate():
     sim, plat, rt = build()
     h = rt.host_alloc(mib(4))
-    d = rt.device_alloc(0, mib(4))
+    d = rt.gpu.alloc(mib(4))
 
     def proc():
         t0 = sim.now
@@ -59,7 +55,7 @@ def test_sync_large_copy_approaches_dma_rate():
 def test_sync_copy_moves_real_data_d2h_h2d():
     sim, plat, rt = build()
     h = rt.host_alloc(1024)
-    d = rt.device_alloc(0, 1024)
+    d = rt.gpu.alloc(1024)
     d.data[:] = np.arange(1024, dtype=np.uint8) % 251
 
     def proc():
@@ -72,32 +68,35 @@ def test_sync_copy_moves_real_data_d2h_h2d():
     np.testing.assert_array_equal(d.data[1:], np.arange(1, 1024, dtype=np.uint8) % 251)
 
 
+@pytest.mark.parametrize("direction", ["d2h", "h2d"])
+def test_copy_past_a_buffer_is_refused_before_any_dma(direction):
+    """A copy larger than its device or host buffer raises ValueError at
+    the call, before the copy engine spends any simulated time on it."""
+    sim, plat, rt = build()
+    d = rt.gpu.alloc(4096)
+    h = rt.host_alloc(mib(1))
+    dst, src = (h, d) if direction == "d2h" else (d, h)
+
+    def proc():
+        yield from memcpy_sync(rt, dst.addr, src.addr, mib(1))
+
+    with pytest.raises(ValueError, match="overruns"):
+        sim.run_process(proc())
+    assert sim.now == rt.costs.sync_memcpy_overhead
+    assert dst.read_bytes(dst.addr, 16) is None
+
+
 def test_d2d_same_gpu_copy():
     """A cudaMemcpy within one GPU is refused: only D2H and H2D run."""
     sim, plat, rt = build()
-    a = rt.device_alloc(0, 4096)
-    b = rt.device_alloc(0, 4096)
+    a = rt.gpu.alloc(4096)
+    b = rt.gpu.alloc(4096)
     a.data[:] = 5
 
     def proc():
         yield from memcpy_sync(rt, b.addr, a.addr, 4096)
 
     with pytest.raises(ValueError, match="within one GPU"):
-        sim.run_process(proc())
-    assert b.data.max() == 0
-
-
-def test_p2p_copy_between_gpus():
-    """A cudaMemcpy between two GPUs is refused, not run as a host copy."""
-    sim, plat, rt = build(n_gpus=2)
-    a = rt.device_alloc(0, 4096)
-    b = rt.device_alloc(1, 4096)
-    a.data[:] = 11
-
-    def proc():
-        yield from memcpy_sync(rt, b.addr, a.addr, 4096)
-
-    with pytest.raises(ValueError, match="between two GPUs"):
         sim.run_process(proc())
     assert b.data.max() == 0
 
@@ -126,7 +125,7 @@ def test_h2h_copy():
 def test_async_enqueue_is_cheap_for_host():
     sim, plat, rt = build()
     h = rt.host_alloc(mib(1))
-    d = rt.device_alloc(0, mib(1))
+    d = rt.gpu.alloc(mib(1))
     stream = CudaStream(sim, "s0")
 
     def proc():
@@ -185,7 +184,7 @@ def test_kernel_and_copy_overlap_on_distinct_streams():
     """The overlap pattern the paper's HSG code uses: boundary kernel on one
     stream while the bulk kernel runs on another."""
     sim, plat, rt = build()
-    gpu = rt.devices[0]
+    gpu = rt.gpu
     s_bulk = CudaStream(sim, "bulk")
     s_bnd = CudaStream(sim, "boundary")
 

@@ -3,22 +3,18 @@
 import pytest
 
 from repro.cuda import CudaRuntime
-from repro.gpu import FERMI_2050, FERMI_2070, GPU_PAGE_SIZE, GPUDevice, gpu_base_address
+from repro.gpu import FERMI_2050, GPU_PAGE_SIZE, GPUDevice
 from repro.pcie import LinkParams, plx_platform
 from repro.sim import Simulator
 from repro.units import GiB
 
 
-def build(n_gpus=1):
+def build():
     sim = Simulator()
     plat = plx_platform(sim)
-    rt = CudaRuntime(sim, plat)
-    for i in range(n_gpus):
-        spec = FERMI_2050 if i == 0 else FERMI_2070
-        gpu = GPUDevice(sim, f"gpu{i}", spec, index=i)
-        plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
-        rt.add_device(gpu)
-    return sim, plat, rt
+    gpu = GPUDevice(sim, "gpu0", FERMI_2050)
+    plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
+    return sim, plat, CudaRuntime(sim, plat, gpu)
 
 
 def test_host_alloc_addresses_disjoint():
@@ -34,7 +30,7 @@ def test_fresh_heaps_hand_out_addresses_from_their_bases():
     """Host buffers start 4 GiB into DRAM in 4 KB steps; GPU buffers and
     BAR1 windows start at their window bases in 64 KB steps.  These
     addresses set every run's BUF_LIST order and page counts."""
-    sim, plat, rt = build(n_gpus=2)
+    sim, plat, rt = build()
     host = plat.host_memory.windows[0].base + 4 * GiB
     sizes = [1, 4096, 4097, 1]
     assert [rt.host_alloc(n).addr for n in sizes] == [
@@ -42,14 +38,14 @@ def test_fresh_heaps_hand_out_addresses_from_their_bases():
     ]
     page = GPU_PAGE_SIZE
     sizes = [1, page, page + 1, 1]
-    for i, gpu in enumerate(rt.devices):
-        base = gpu_base_address(i)
-        bufs = [gpu.alloc(n) for n in sizes]
-        assert [b.addr for b in bufs] == [base, base + page, base + 2 * page, base + 4 * page]
-        bar1 = gpu.bar1_window.base
-        assert [gpu.bar1.map(b).bar1_addr for b in bufs] == [
-            bar1, bar1 + page, bar1 + 2 * page, bar1 + 4 * page
-        ]
+    gpu = rt.gpu
+    base = gpu.gmem_window.base
+    bufs = [gpu.alloc(n) for n in sizes]
+    assert [b.addr for b in bufs] == [base, base + page, base + 2 * page, base + 4 * page]
+    bar1 = gpu.bar1_window.base
+    assert [gpu.bar1.map(b) for b in bufs] == [
+        bar1, bar1 + page, bar1 + 2 * page, bar1 + 4 * page
+    ]
 
 
 def test_host_alloc_rejects_nonpositive():
@@ -72,12 +68,11 @@ def test_pointer_attributes_host():
 def test_pointer_attributes_device():
     """An interior pointer into device memory resolves to its GPU and the
     device buffer that holds it."""
-    sim, plat, rt = build(n_gpus=2)
-    d = rt.device_alloc(1, 8192)
+    sim, plat, rt = build()
+    d = rt.gpu.alloc(8192)
     gpu, buf = rt.locate(d.addr + 8000)
-    assert gpu is rt.devices[1]
-    assert gpu.index == 1
-    assert gpu.name == "gpu1"
+    assert gpu is rt.gpu
+    assert gpu.name == "gpu0"
     assert buf is d
     assert buf.size == 8192
 
@@ -90,7 +85,7 @@ def test_unknown_pointer_raises():
 
 def test_pointer_query_charges_host_time():
     sim, plat, rt = build()
-    d = rt.device_alloc(0, 4096)
+    d = rt.gpu.alloc(4096)
 
     def proc():
         t0 = sim.now
@@ -98,7 +93,7 @@ def test_pointer_query_charges_host_time():
         return gpu, buf, sim.now - t0
 
     gpu, buf, elapsed = sim.run_process(proc())
-    assert gpu is rt.devices[0] and buf is d
+    assert gpu is rt.gpu and buf is d
     assert elapsed == pytest.approx(rt.costs.attribute_query_cost)
 
 

@@ -138,13 +138,11 @@ def test_bar1_fermi_read_is_slow_kepler_fast():
     def read_bw(spec):
         sim, plat, gpu, nic = build(spec)
         buf = gpu.alloc(mib(1))
-        mapping = gpu.bar1.map(buf)
+        bar1_addr = gpu.bar1.map(buf)
 
         def proc():
             t0 = sim.now
-            yield plat.fabric.read_pipelined(
-                nic, mapping.bar1_addr, mib(1), outstanding=8
-            )
+            yield plat.fabric.read_pipelined(nic, bar1_addr, mib(1), outstanding=8)
             return mib(1) / (sim.now - t0)
 
         return sim.run_process(proc())
@@ -162,11 +160,11 @@ def test_bar1_window_is_read_only():
     mapping is refused where the fabric asks the GPU how to absorb it."""
     sim, plat, gpu, nic = build()
     buf = gpu.alloc(4096)
-    mapping = gpu.bar1.map(buf)
+    bar1_addr = gpu.bar1.map(buf)
     with pytest.raises(PermissionError, match="read-only"):
-        gpu.describe_write(mapping.bar1_addr + 50)
+        gpu.describe_write(bar1_addr + 50)
     with pytest.raises(PermissionError, match="read-only"):
-        plat.fabric.write(nic, mapping.bar1_addr + 50, 100)
+        plat.fabric.write(nic, bar1_addr + 50, 100)
     assert buf.read_bytes(buf.addr, 4096) is None
 
 
@@ -187,15 +185,9 @@ def test_mailbox_window_is_write_only():
         gpu.describe_read(gpu.mailbox_window.base)
 
 
-def with_runtime(plat, gpu):
-    rt = CudaRuntime(plat.sim, plat)
-    rt.add_device(gpu)
-    return rt
-
-
 def test_dma_d2h_rate_and_data():
     sim, plat, gpu, nic = build()
-    rt = with_runtime(plat, gpu)
+    rt = CudaRuntime(sim, plat, gpu)
     buf = gpu.alloc(mib(1))
     buf.data[:] = 9
     host = rt.host_alloc(mib(1))
@@ -213,7 +205,7 @@ def test_dma_d2h_rate_and_data():
 
 def test_dma_h2d_moves_data():
     sim, plat, gpu, nic = build()
-    rt = with_runtime(plat, gpu)
+    rt = CudaRuntime(sim, plat, gpu)
     buf = gpu.alloc(65536)
     host = rt.host_alloc(65536)
     host.data[:] = np.arange(65536, dtype=np.uint8)

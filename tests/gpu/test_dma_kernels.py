@@ -9,21 +9,18 @@ from repro.sim import Simulator
 from repro.units import kib, mib, us
 
 
-def build(two_gpus=False):
+def build():
     sim = Simulator()
     plat = plx_platform(sim)
-    gpus = []
-    for i in range(2 if two_gpus else 1):
-        gpu = GPUDevice(sim, f"gpu{i}", FERMI_2050, index=i)
-        plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
-        gpus.append(gpu)
-    return sim, plat, gpus
+    gpu = GPUDevice(sim, "gpu0", FERMI_2050)
+    plat.attach(gpu, "gpu", LinkParams(gen=2, lanes=16))
+    return sim, plat, gpu
 
 
 def test_d2h_and_h2d_serialize_on_the_one_engine():
     """The model drives one copy engine per GPU (DESIGN.md §7): an H2D
     copy issued beside a D2H one waits for it."""
-    sim, plat, (gpu,) = build()
+    sim, plat, gpu = build()
     done = {}
 
     def d2h():
@@ -43,7 +40,7 @@ def test_d2h_and_h2d_serialize_on_the_one_engine():
 
 
 def test_same_engine_serializes():
-    sim, plat, (gpu,) = build()
+    sim, plat, gpu = build()
     ends = []
 
     def copy(i):
@@ -62,7 +59,7 @@ def test_compute_engine_utilization():
     kernel."""
     session = TraceSession()
     with session.activate():
-        sim, plat, (gpu,) = build()
+        sim, plat, gpu = build()
 
         def proc():
             kernel = yield gpu.compute.execute(KernelLaunch("k", us(30)))
@@ -90,7 +87,7 @@ def test_dma_byte_counters():
     ``dma_h2d`` span carries the same bytes."""
     session = TraceSession()
     with session.activate():
-        sim, plat, (gpu,) = build()
+        sim, plat, gpu = build()
 
         def proc():
             d2h = yield gpu.dma.device_to_host(0x1000, kib(64))

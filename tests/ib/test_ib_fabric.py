@@ -99,8 +99,13 @@ def test_cluster_builder_validates_lanes():
         build_ib_cluster(sim, 2, pcie_lanes=2)
 
 
-def test_two_gpus_per_node():
+def test_node_holds_one_gpu_its_runtime_resolves():
+    """Every node holds one M2075, the GPU its CUDA runtime resolves
+    device pointers to."""
     sim = Simulator()
-    cluster = build_ib_cluster(sim, 2, gpus_per_node=2)
-    assert len(cluster.node(0).gpus) == 2
-    assert cluster.node(0).gpus[0] is not cluster.node(0).gpus[1]
+    cluster = build_ib_cluster(sim, 2)
+    for node in cluster.nodes:
+        assert node.gpu is node.runtime.gpu
+        buf = node.gpu.alloc(kib(4))
+        assert node.runtime.locate(buf.addr) == (node.gpu, buf)
+    assert cluster.node(0).gpu is not cluster.node(1).gpu

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.mpi import EAGER_THRESHOLD, MpiRequest, make_mpi_pair
-from repro.units import us
 
 
 def exchange(n, tag="b"):
@@ -44,37 +43,6 @@ def test_single_byte_message():
 def test_request_requires_done_event():
     with pytest.raises(ValueError):
         MpiRequest("send", 0, 0, 10, done=None)
-
-
-def test_any_source_matching():
-    sim, cluster, world = make_mpi_pair(n_nodes=3)
-    b = world.endpoint(2)
-    dst = cluster.node(2).runtime.host_alloc(64)
-    senders = []
-
-    def sender(rank):
-        src = cluster.node(rank).runtime.host_alloc(64)
-        src.data[:] = rank + 1
-
-        def proc():
-            yield sim.timeout(us(rank * 10))
-            yield from world.endpoint(rank).send(2, src.addr, 64, tag="any")
-
-        return proc
-
-    def receiver():
-        # src=-1 is ANY_SOURCE.
-        yield from b.recv(-1, dst.addr, 64, tag="any")
-        senders.append(int(dst.data[0]))
-        yield from b.recv(-1, dst.addr, 64, tag="any")
-        senders.append(int(dst.data[0]))
-
-    sim.process(sender(0)())
-    sim.process(sender(1)())
-    p = sim.process(receiver())
-    sim.run()
-    assert p.processed
-    assert sorted(senders) == [1, 2]
 
 
 def test_many_outstanding_eager_messages():

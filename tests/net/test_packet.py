@@ -12,7 +12,7 @@ from repro.net.packet import (
 
 
 def make(nbytes=4096):
-    msg = MessageInfo(1, nbytes, 0, 1, 0x1000, tag="t")
+    msg = MessageInfo(1, nbytes, 0, 0x1000, tag="t")
     return ApePacket((1, 0, 0), (0, 0, 0), 0x1000, nbytes, msg)
 
 
@@ -35,7 +35,7 @@ def test_message_ids_monotonic():
 
 
 def test_message_info_carries_routing_metadata():
-    msg = MessageInfo(7, 8192, src_rank=2, dst_rank=5, dst_addr=0xABC, tag=("x", 1))
+    msg = MessageInfo(7, 8192, src_rank=2, dst_addr=0xABC, tag=("x", 1))
     assert msg.total_bytes == 8192
-    assert msg.dst_rank == 5
+    assert msg.src_rank == 2
     assert msg.tag == ("x", 1)
